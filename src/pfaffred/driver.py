@@ -34,7 +34,13 @@ from .system import (
     check_integrability,
     normalize_poincare,
 )
-from .reduction import eigen_shift, ramify_system, rank_reduce, split
+from .reduction import (
+    check_order,
+    eigen_shift,
+    ramify_system,
+    rank_reduce,
+    split,
+)
 from .invariants import katz_order_univariate
 
 
@@ -223,7 +229,8 @@ def _exp_series(g: Series, hi) -> Series:
     """exp(g) for g with positive valuation, truncated below hi."""
     if g.is_zero() and g.exact:
         return Series.constant(g.nvars, 1, g.tower)
-    assert g.constant_term().is_zero()
+    if not g.constant_term().is_zero():
+        raise ReductionError("exp of a series with a nonzero constant term")
     g = g.clipped(hi)
     out = Series.constant(g.nvars, 1, g.tower) + g
     term = g
@@ -294,7 +301,9 @@ def _scalar_leaf(S: PfaffianSystem, ram, order):
         hi.append(h)
     g = Series(n, gterms, tower, None, tuple(hi))
     for i in range(n):
-        assert g.partial_derivative(i).agrees(tails[i])
+        if not g.partial_derivative(i).agrees(tails[i]):
+            raise ReductionError(
+                f"scalar tail is not a gradient in component {i}")
     box = tuple(min(order + 1, h) if h != INF else order + 1 for h in g.hi)
     phi = SeriesMatrix([[_exp_series(g, box)]], n, tower)
     return phi, residues, qs
@@ -676,10 +685,14 @@ def verify_solution(S: PfaffianSystem, sol: FormalSolution):
             acc = {}
             for xe, c in sol.Q[i][j].items():
                 te = xe * sol.s[i]
-                assert te.denominator == 1
+                if te.denominator != 1:
+                    raise ReductionError(
+                        f"q exponent {xe} is off the x^(1/{sol.s[i]}) grid")
                 te = int(te)
                 exp = tuple(te + p if k == i else 0 for k in range(n))
-                assert exp[i] >= 0
+                if exp[i] < 0:
+                    raise ReductionError(
+                        f"q exponent {xe} is below the pole order {p}")
                 cur = acc.get(exp)
                 val = tower.scalar(c) * te
                 acc[exp] = val if cur is None else cur + val
@@ -714,6 +727,7 @@ def fmfs(S: PfaffianSystem, order=10, max_ext_degree=2, max_retries=4):
     after any TruncationInsufficient, up to max_retries times; the count
     and the reasons end up in the trace.
     """
+    check_order(order)
     rep = check_integrability(S)
     if not rep:
         raise NonIntegrableError(

@@ -14,7 +14,7 @@ from math import ceil
 
 from .errors import InputError, TruncationInsufficient
 from .linalg import SeriesMatrix
-from .reduction import _append_slot, moser_rank, rank_reduce
+from .reduction import _append_slot, check_order, moser_rank, rank_reduce
 from .series import INF, Series
 from .system import PfaffianSystem
 
@@ -184,6 +184,7 @@ def exponential_parts(S: PfaffianSystem, order: int = 10,
     """
     from .driver import fmfs  # driver depends on this module
 
+    check_order(order)
     out = []
     for i in range(S.n):
         ods = _ods_system(S, i)

@@ -94,12 +94,16 @@ class ConstMatrix:
     def is_zero(self):
         return all(a.is_zero() for r in self.rows for a in r)
 
-    def rref(self):
-        """(reduced row echelon form, pivot column list)."""
+    def rref(self, ncols=None):
+        """(reduced row echelon form, pivot column list).
+
+        With ncols given, pivots are sought only in the first ncols
+        columns; the rest are carried along by the same row operations.
+        """
         m = [list(r) for r in self.rows]
         pivots = []
         pr = 0
-        for pc in range(self.ncols):
+        for pc in range(self.ncols if ncols is None else ncols):
             piv = next((i for i in range(pr, self.nrows) if not m[i][pc].is_zero()), None)
             if piv is None:
                 continue
@@ -146,14 +150,10 @@ class ConstMatrix:
     def inverse(self):
         if self.nrows != self.ncols:
             raise DimensionError("inverse of a non-square matrix")
-        aug = ConstMatrix(
-            [r + [self.tower.one() if i == j else self.tower.zero()
-                  for j in range(self.nrows)]
-             for i, r in enumerate(self.rows)], self.tower)
-        R, pivots = aug.rref()
-        if pivots != list(range(self.nrows)):
+        el = Elimination(self)
+        if el.pivots != list(range(self.nrows)):
             raise NotInvertibleError("singular matrix")
-        return ConstMatrix([r[self.nrows:] for r in R.rows], self.tower)
+        return ConstMatrix(el.E, self.tower)
 
     def charpoly(self):
         """det(tI - A), monic, coefficients low to high."""
@@ -208,6 +208,45 @@ class ConstMatrix:
     def __repr__(self):
         body = "; ".join(" ".join(str(a) for a in r) for r in self.rows)
         return f"ConstMatrix[{body}]"
+
+
+class Elimination:
+    """The row operations that bring A to reduced echelon form.
+
+    E is the product of those operations (E A = rref(A)), kept with the
+    pivot columns so that A x = b is solved for many right-hand sides
+    with one elimination: E b is what rref([A | b]) leaves in its last
+    column, so solve(b) returns exactly the x of A.solve_vec(b).
+    """
+
+    __slots__ = ("E", "pivots", "ncols", "tower")
+
+    def __init__(self, A: ConstMatrix):
+        one, zero = A.tower.one(), A.tower.zero()
+        aug = ConstMatrix([r + [one if j == i else zero for j in range(A.nrows)]
+                           for i, r in enumerate(A.rows)], A.tower)
+        R, self.pivots = aug.rref(A.ncols)
+        self.E = [r[A.ncols:] for r in R.rows]
+        self.ncols = A.ncols
+        self.tower = A.tower
+
+    def solve(self, b):
+        """Any x with A x = b (free variables 0), or None when inconsistent."""
+        zero = self.tower.zero()
+        nz = [(j, bj) for j, bj in enumerate(b) if not bj.is_zero()]
+        y = []
+        for row in self.E:
+            acc = zero
+            for j, bj in nz:
+                if not row[j].is_zero():
+                    acc = acc + row[j] * bj
+            y.append(acc)
+        if any(not v.is_zero() for v in y[len(self.pivots):]):
+            return None
+        x = [zero] * self.ncols
+        for i, p in enumerate(self.pivots):
+            x[p] = y[i]
+        return x
 
 
 def _dot(row, col, tower):

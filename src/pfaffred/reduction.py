@@ -11,8 +11,16 @@ apply_gauge so weak compatibility is verified rather than assumed.
 Splitting decouples a component whose constant term has at least two
 distinct eigenvalues into two diagonal blocks; the off-diagonal blocks
 of the coupling transformation solve Riccati-type equations grade by
-grade, jointly over all components.  Eigenvalue shifting and
-ramification are the remaining primitive moves of the full reduction.
+grade, jointly over all components.  Each monomial's unknowns solve one
+stacked linear system whose operator depends only on the block
+orientation and on the shifts beta_k of the regular components, so each
+distinct operator is eliminated once per split and its row operations
+are replayed on every right-hand side.  The right-hand sides come from
+Riccati residuals kept inside the solve box and updated by each grade's
+increment alone.  Whether the couplings are exact is decided once, by
+evaluating the full equations on the final couplings.  Eigenvalue
+shifting and ramification are the remaining primitive moves of the full
+reduction.
 """
 
 from __future__ import annotations
@@ -28,7 +36,12 @@ from .errors import (
     RowModuleNotFree,
     TruncationInsufficient,
 )
-from .linalg import ConstMatrix, SeriesMatrix, generalized_eigenspaces
+from .linalg import (
+    ConstMatrix,
+    Elimination,
+    SeriesMatrix,
+    generalized_eigenspaces,
+)
 from .scalars import Scalar, roots_of_charpoly
 from .series import INF, Series
 from .system import (
@@ -37,6 +50,12 @@ from .system import (
     apply_gauge,
     normalize_poincare,
 )
+
+
+def check_order(order):
+    """Reject truncation orders below 1: no series work is possible."""
+    if order < 1:
+        raise InputError(f"truncation order must be at least 1, got {order}")
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +575,7 @@ def rank_reduce(S: PfaffianSystem, order: int = 10,
     (gauge, system, steps).  certify_order is the window depth at which
     pencil vanishing is accepted on truncated data (default: order).
     """
+    check_order(order)
     if certify_order is None:
         certify_order = order
     S, _ = normalize_poincare(S)
@@ -610,6 +630,7 @@ def rank_reduce_alt(S: PfaffianSystem, order: int = 10):
     The sterile-iteration counter resets whenever p drops; d-1 sterile
     rounds in a row certify that the current p is minimal.
     """
+    check_order(order)
     S, _ = normalize_poincare(S)
     total = GaugeTransformation.identity(S.d, S.n, S.tower)
     steps = []
@@ -643,12 +664,31 @@ def split(S: PfaffianSystem, i: int, order: int = 10):
 
     The constant term must have at least two distinct eigenvalues; the
     first in canonical order drives the top block.  Off-diagonal
-    couplings are removed grade by grade, jointly over all components,
-    and certified exact when the defining equations close polynomially.
-    Returns (gauge, top, bottom, whole) where top and bottom are
-    standalone systems on the diagonal blocks and whole is the full
+    couplings P (top right) and Q (bottom left) are removed grade by
+    grade, jointly over all components, inside the box W of monomials
+    that the input windows determine:
+
+    - at grade g, every monomial beta in the box solves one stacked
+      system for its coefficients of P (and one for Q), with the
+      residual's beta coefficients on the right.  The operator is
+      eliminated once per (orientation, shifts) and replayed, so the
+      solution, including the free unknowns set to 0 in resonant but
+      consistent cases, is that of a fresh elimination, and an
+      inconsistent right-hand side raises ResonanceError;
+    - the residuals of P and Q are clipped to W and carried across
+      grades: adding the grade's increment D to X adds only
+      b11 D - D b22 - D b21 X - (X + D) b21 D - x_k^{p_k+1} dD/dx_k;
+    - the loop ends when the clipped residuals vanish or the grades of
+      the box run out.
+
+    The couplings are certified exact only when the full, unclipped
+    equations evaluated on the final P and Q vanish on an infinite
+    window; otherwise the gauge is clipped to W.  Returns
+    (gauge, top, bottom, whole) where top and bottom are standalone
+    systems on the diagonal blocks and whole is the full
     block-diagonalized system, possibly over an extended field.
     """
+    check_order(order)
     n, d = S.n, S.d
     C = S.A[i].constant_term()
     roots, tower = roots_of_charpoly(C.charpoly())
@@ -676,42 +716,19 @@ def split(S: PfaffianSystem, i: int, order: int = 10):
     a11_0 = [blk[0].constant_term() for blk in a]
     a22_0 = [blk[3].constant_term() for blk in a]
 
-    P = SeriesMatrix.zeros(d1, d - d1, n, tower)
-    Q = SeriesMatrix.zeros(d - d1, d1, n, tower)
+    def oriented(blocks, up):
+        """(b11, b12, b21, b22) of the equation for P, mirrored for Q."""
+        b11, b12, b21, b22 = blocks
+        return (b11, b12, b21, b22) if up else (b22, b21, b12, b11)
+
+    ei = [tuple(S.p[k] + 1 if kk == k else 0 for kk in range(n))
+          for k in range(n)]
 
     def riccati(X, up, k):
-        """a11 X + a12 - X a22 - X a21 X - x_k^{p_k+1} dX/dx_k,
-        with the blocks mirrored for the lower coupling."""
-        b11, b12, b21, b22 = a[k]
-        if not up:
-            b11, b12, b21, b22 = b22, b21, b12, b11
-        ei = tuple(S.p[k] + 1 if kk == k else 0 for kk in range(n))
+        """b11 X + b12 - X b22 - X b21 X - x_k^{p_k+1} dX/dx_k."""
+        b11, b12, b21, b22 = oriented(a[k], up)
         return (b11 * X + b12 - X * b22 - X * b21 * X
-                - X.partial_derivative(k).mul_monomial(ei))
-
-    def stack_solve(C1, C2, shifts, rhs_list, rows, cols):
-        nuk = rows * cols
-        big_rows = []
-        for k in range(n):
-            Mk = ConstMatrix.zeros(nuk, nuk, tower)
-            for rr in range(rows):
-                for cc in range(cols):
-                    ci = rr * cols + cc
-                    for r2 in range(rows):
-                        Mk.rows[r2 * cols + cc][ci] = \
-                            Mk.rows[r2 * cols + cc][ci] + C1[k].rows[r2][rr]
-                    for c2 in range(cols):
-                        Mk.rows[rr * cols + c2][ci] = \
-                            Mk.rows[rr * cols + c2][ci] - C2[k].rows[cc][c2]
-                    Mk.rows[ci][ci] = Mk.rows[ci][ci] - shifts[k]
-            big_rows.extend(Mk.rows)
-        big = ConstMatrix(big_rows, tower)
-        rhs = [x for b in rhs_list for x in b]
-        sol = big.solve_vec(rhs)
-        if sol is None:
-            raise ResonanceError("off-diagonal elimination is inconsistent; "
-                                 "integrability invariant breached")
-        return sol
+                - X.partial_derivative(k).mul_monomial(ei[k]))
 
     # solve only inside the box the input windows can serve: every
     # monomial read below stays strictly under W in each variable, so
@@ -723,62 +740,117 @@ def split(S: PfaffianSystem, i: int, order: int = 10):
             for kk in range(n):
                 if wh[kk] != INF and wh[kk] < W[kk]:
                     W[kk] = wh[kk]
+    box = tuple(W)
 
-    certified = False
-    for g in range(1, sum(w - 1 for w in W) + 1):
-        resP = [riccati(P, True, k) for k in range(n)]
-        resQ = [riccati(Q, False, k) for k in range(n)]
-        if all(m.is_zero() and m.exact for m in resP + resQ):
-            certified = True
-            break
-        addP: dict = {}
-        addQ: dict = {}
+    def in_box(M):
+        # zero entries become exact zeros, which products skip; only
+        # coefficients inside the box are ever read
+        return M.map(lambda s: s.clipped(box) if s.terms
+                     else Series.zero(n, tower))
+
+    boxed = [tuple(in_box(M) for M in blocks) for blocks in a]
+
+    # The unknowns of one grade solve, per monomial beta, one stacked
+    # linear system: row block k is X -> C1 X - X C2 - shift_k X with
+    # C1, C2 the constant diagonal blocks, shift_k = beta_k when p_k = 0
+    # and 0 otherwise.  The operator depends only on the orientation and
+    # those shifts, so each is eliminated once and replayed per monomial.
+    eliminations: dict = {}
+
+    def solve(up, beta, rhs):
+        shifts = tuple(beta[k] if S.p[k] == 0 else 0 for k in range(n))
+        el = eliminations.get((up, shifts))
+        if el is None:
+            C1, C2 = (a11_0, a22_0) if up else (a22_0, a11_0)
+            rows, cols = C1[0].nrows, C2[0].nrows
+            big_rows = []
+            for k in range(n):
+                Mk = ConstMatrix.zeros(rows * cols, rows * cols, tower)
+                for rr in range(rows):
+                    for cc in range(cols):
+                        ci = rr * cols + cc
+                        for r2 in range(rows):
+                            Mk.rows[r2 * cols + cc][ci] = \
+                                Mk.rows[r2 * cols + cc][ci] + C1[k].rows[r2][rr]
+                        for c2 in range(cols):
+                            Mk.rows[rr * cols + c2][ci] = \
+                                Mk.rows[rr * cols + c2][ci] - C2[k].rows[cc][c2]
+                        Mk.rows[ci][ci] = \
+                            Mk.rows[ci][ci] - tower.scalar(shifts[k])
+                big_rows.extend(Mk.rows)
+            el = eliminations[(up, shifts)] = \
+                Elimination(ConstMatrix(big_rows, tower))
+        sol = el.solve(rhs)
+        if sol is None:
+            raise ResonanceError("off-diagonal elimination is inconsistent; "
+                                 "integrability invariant breached")
+        return sol
+
+    def grade_step(X, res, up, g):
+        """Increment of X solving the residual's grade-g part (None if 0)."""
+        nr, nc = X.nrows, X.ncols
+        add: dict = {}
         for beta in _monomials_of_grade(list(range(n)), g, n):
             if any(beta[kk] >= W[kk] for kk in range(n)):
                 continue
-            shifts = [tower.scalar(beta[k]) if S.p[k] == 0 else tower.zero()
-                      for k in range(n)]
-            rhs_up = [[-resP[k].rows[rr][cc].coefficient(beta)
-                       for rr in range(d1) for cc in range(d - d1)]
-                      for k in range(n)]
-            solP = stack_solve(a11_0, a22_0, shifts, rhs_up, d1, d - d1)
-            rhs_dn = [[-resQ[k].rows[rr][cc].coefficient(beta)
-                       for rr in range(d - d1) for cc in range(d1)]
-                      for k in range(n)]
-            solQ = stack_solve(a22_0, a11_0, shifts, rhs_dn, d - d1, d1)
-            for rr in range(d1):
-                for cc in range(d - d1):
-                    val = solP[rr * (d - d1) + cc]
+            rhs = [-res[k].rows[rr][cc].coefficient(beta)
+                   for k in range(n) for rr in range(nr) for cc in range(nc)]
+            if all(v.is_zero() for v in rhs):
+                continue
+            x = solve(up, beta, rhs)
+            for rr in range(nr):
+                for cc in range(nc):
+                    val = x[rr * nc + cc]
                     if not val.is_zero():
-                        addP.setdefault((rr, cc), {})[beta] = val
-            for rr in range(d - d1):
-                for cc in range(d1):
-                    val = solQ[rr * d1 + cc]
-                    if not val.is_zero():
-                        addQ.setdefault((rr, cc), {})[beta] = val
-        if addP:
-            inc = SeriesMatrix.zeros(d1, d - d1, n, tower)
-            for (rr, cc), terms in addP.items():
-                inc.rows[rr][cc] = Series(n, terms, tower)
-            P = P + inc
-        if addQ:
-            inc = SeriesMatrix.zeros(d - d1, d1, n, tower)
-            for (rr, cc), terms in addQ.items():
-                inc.rows[rr][cc] = Series(n, terms, tower)
-            Q = Q + inc
+                        add.setdefault((rr, cc), {})[beta] = val
+        if not add:
+            return None
+        inc = SeriesMatrix.zeros(nr, nc, n, tower)
+        for (rr, cc), terms in add.items():
+            inc.rows[rr][cc] = Series(n, terms, tower)
+        return inc
+
+    def advance(X, res, up, D):
+        """(X + D, its residuals inside the box) from X and its residuals:
+        only the terms that involve D are computed."""
+        XD = X + D
+        out = []
+        for k in range(n):
+            b11, _, b21, b22 = oriented(boxed[k], up)
+            DB = (D * b21).clipped(box)
+            BD = (b21 * D).clipped(box)
+            out.append((res[k] + b11 * D - D * b22 - DB * X - XD * BD
+                        - D.partial_derivative(k).mul_monomial(ei[k])
+                        ).clipped(box))
+        return XD, out
+
+    # residuals of P = Q = 0, carried across grades and updated by each
+    # grade's increment; they only steer the solve, certification below
+    # re-evaluates the full equations
+    P = SeriesMatrix.zeros(d1, d - d1, n, tower)
+    Q = SeriesMatrix.zeros(d - d1, d1, n, tower)
+    resP = [oriented(boxed[k], True)[1] for k in range(n)]
+    resQ = [oriented(boxed[k], False)[1] for k in range(n)]
+    for g in range(1, sum(w - 1 for w in W) + 1):
+        if all(m.is_zero() for m in resP + resQ):
+            break
+        incP = grade_step(P, resP, True, g)
+        incQ = grade_step(Q, resQ, False, g)
+        if incP is not None:
+            P, resP = advance(P, resP, True, incP)
+        if incQ is not None:
+            Q, resQ = advance(Q, resQ, False, incQ)
+    certified = all(
+        m.is_zero() and m.exact
+        for k in range(n)
+        for m in (riccati(P, True, k), riccati(Q, False, k)))
     if not certified:
-        certified = all(
-            m.is_zero() and m.exact
-            for k in range(n)
-            for m in (riccati(P, True, k), riccati(Q, False, k)))
-    hi_solve = tuple(W)
-    if not certified:
-        P = P.clipped(hi_solve)
-        Q = Q.clipped(hi_solve)
+        P = P.clipped(box)
+        Q = Q.clipped(box)
     T = SeriesMatrix.block([
         [SeriesMatrix.identity(d1, n, tower), P],
         [Q, SeriesMatrix.identity(d - d1, n, tower)]])
-    gT = GaugeTransformation(T, hi=None if certified else hi_solve)
+    gT = GaugeTransformation(T, hi=None if certified else box)
     rep = apply_gauge(S, gT)
     if not rep.weakly_compatible:
         raise ReductionError("splitting transformation broke normal crossings")

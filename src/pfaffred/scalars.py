@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import FieldExtensionError
+from .errors import FieldExtensionError, ReductionError
 
 Rational = Fraction
 
@@ -382,7 +382,8 @@ def squarefree_part(p):
     if poly_degree(g) == 0:
         return poly_monic(p)
     quot, rem = poly_divmod(p, g)
-    assert not rem
+    if rem:
+        raise ReductionError("gcd does not divide the polynomial")
     return poly_monic(quot)
 
 
@@ -426,7 +427,8 @@ def _deflate_root(p, root: Scalar):
     lin = [-root, t.one()]
     while p and poly_eval(p, root).is_zero() and poly_degree(p) >= 1:
         p, rem = poly_divmod(p, lin)
-        assert not rem
+        if rem:
+            raise ReductionError("a root's linear factor left a remainder")
         mult += 1
     return p, mult
 
@@ -537,6 +539,7 @@ def roots_of_charpoly(p, max_ext_degree: int = 2):
                 raise FieldExtensionError("eigenvalue field unsupported")
             roots.append((r, m))
 
-    assert sum(m for _, m in roots) == total
+    if sum(m for _, m in roots) != total:
+        raise ReductionError("root multiplicities do not add up to the degree")
     roots.sort(key=lambda rm: rm[0].sort_key())
     return roots, tower

@@ -20,6 +20,7 @@ from pfaffred import (
     exponential_order,
     exponential_parts,
     fmfs,
+    generate_equivalent,
     regular_endgame,
     true_poincare_rank,
     verify_solution,
@@ -230,6 +231,32 @@ def test_fmfs_deterministic():
     assert t1.fingerprint() == t2.fingerprint()
 
 
+# Solution and trace fingerprints pinned on systems that reach `split`
+# (triple, the plants) or ramify first (Airy, the ramified plant); a
+# faster split must reproduce them bit for bit.
+PINNED = [
+    ("triple", triple_system, 10,
+     ("d2b27dae50b3b8aa", "bfd5ddb91be830fb")),
+    ("airy", lambda: sys1([[0, 1], [{1: 1}, 0]], 1), 8,
+     ("70176170dcec73e1", "ee0816f9fa5fe27c")),
+    ("plant-split",
+     lambda: generate_equivalent(2, {"n": 2, "d": 4, "p": [1, 1]})[0], 8,
+     ("55bae17d1277ebf9", "f60804f0b57982b1")),
+    ("plant-ramified",
+     lambda: generate_equivalent(
+         3, {"n": 2, "d": 3, "p": [2, 1], "ramified": True})[0], 8,
+     ("ad0f4e5997eeb23c", "60911c25ffcaa8a9")),
+]
+
+
+@pytest.mark.parametrize("build,order,expected",
+                         [case[1:] for case in PINNED],
+                         ids=[case[0] for case in PINNED])
+def test_fmfs_pinned_fingerprints(build, order, expected):
+    sol, trace = fmfs(build(), order=order)
+    assert (sol.fingerprint(), trace.fingerprint()) == expected
+
+
 def test_fmfs_truncation_exhaustion():
     z = Series(1, {}, QQ, None, (3,))
     S = PfaffianSystem(["x"], [2], [SeriesMatrix([[z]], 1, QQ)], QQ)
@@ -266,6 +293,20 @@ def test_verify_detects_wrong_q():
     Q[1][0][Fraction(-2)] = QQ.scalar(5)
     tampered = FormalSolution(sol.phi, sol.C, Q, sol.s, sol.structure, [])
     assert not verify_solution(S, tampered)["ok"]
+
+
+@pytest.mark.parametrize("exponent", [
+    Fraction(-1, 2),  # off the x^(1/s) grid of an unramified solution
+    Fraction(-5),     # a pole deeper than p_2 = 2 allows
+])
+def test_verify_rejects_q_exponent_it_cannot_place(exponent):
+    S = hyper_system()
+    sol, _ = fmfs(S, order=10)
+    Q = [[dict(q) for q in qs] for qs in sol.Q]
+    Q[1][0][exponent] = QQ.scalar(5)
+    tampered = FormalSolution(sol.phi, sol.C, Q, sol.s, sol.structure, [])
+    with pytest.raises(ReductionError):
+        verify_solution(S, tampered)
 
 
 def test_verify_needs_exponent_matrices():

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pfaffred.errors import NotInvertibleError
-from pfaffred.linalg import ConstMatrix, SeriesMatrix, generalized_eigenspaces
+from pfaffred.linalg import (
+    ConstMatrix,
+    Elimination,
+    SeriesMatrix,
+    generalized_eigenspaces,
+)
 from pfaffred.scalars import QQ, poly_eval
 from pfaffred.series import Series
 
@@ -52,6 +57,24 @@ def test_solve_vec():
     # inconsistent system
     b = cm([[1, 1], [1, 1]])
     assert b.solve_vec([QQ.scalar(0), QQ.scalar(1)]) is None
+
+
+@given(st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+                min_size=4, max_size=4),
+       st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+@settings(max_examples=80)
+def test_elimination_replays_solve_vec(rows, rhs):
+    # tall, often rank-deficient systems: the replayed elimination must
+    # return solve_vec's x (free unknowns 0) or None exactly when it does
+    a = cm(rows)
+    b = [QQ.scalar(v) for v in rhs]
+    el = Elimination(a)
+    assert ConstMatrix(el.E, QQ) * a == a.rref()[0]
+    assert el.solve(b) == a.solve_vec(b)
+    consistent = [sum((r[j] * QQ.scalar(v) for j, v in enumerate(rhs[:3])),
+                      QQ.zero()) for r in a.rows]
+    assert el.solve(consistent) == a.solve_vec(consistent)
+    assert el.solve(consistent) is not None
 
 
 def test_inverse_and_failure():

@@ -17,6 +17,7 @@ from helpers import (
 from pfaffred.errors import (
     ColumnModuleNotFree,
     InputError,
+    ResonanceError,
     RowModuleNotFree,
     TruncationInsufficient,
 )
@@ -372,6 +373,41 @@ def test_split_requires_distinct_eigenvalues():
     S = sys1([[0, 1], [0, 0]], 0)
     with pytest.raises(InputError):
         split(S, 0)
+
+
+def test_split_rejects_order_below_one():
+    S = sys1([[1, 0], [0, 0]], 0)
+    for order in (0, -5):
+        with pytest.raises(InputError):
+            split(S, 0, order=order)
+
+
+def test_split_resonant_inconsistent_coupling():
+    # x F' = [[1, x], [0, 0]] F: the coupling equation at x^1 reads
+    # (1 - 0 - 1) p_1 = -1, which no p_1 solves
+    with pytest.raises(ResonanceError):
+        split(sys1([[1, {1: 1}], [0, 0]], 0), 0)
+
+
+@pytest.mark.parametrize("grid,gauge", [
+    # the operator vanishes at x^1, where the right-hand side is 0 too,
+    # and is invertible at x^2; the eigenvalue order swaps the blocks
+    ([[1, {2: 1}], [0, 0]], [[{2: 1}, 1], [1, 0]]),
+    # eigenvalues 0 | 1, 3: at x^1 the operator diag(0, 2) is singular
+    # while the right-hand side (0, -1) is not zero; the free unknown
+    # stays 0
+    ([[0, 0, 0], [0, 1, 0], [{1: 1}, 0, 3]],
+     [[1, 0, 0], [0, 1, 0], [{1: Fraction(-1, 2)}, 0, 1]]),
+])
+def test_split_resonant_consistent_coupling(grid, gauge):
+    g, top, bottom, whole = split(sys1(grid, 0), 0)
+    assert g.T == mat1(gauge)
+    assert g.T.exact
+    d = len(grid)
+    for i in range(d):
+        for j in range(d):
+            if i != j:
+                assert whole.A[0].rows[i][j].is_zero()
 
 
 # -- shifting and ramification -------------------------------------------
