@@ -24,7 +24,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .docio import (_matrix_to_json, _order_to_json, generate_equivalent,
+from .docio import (generate_equivalent, matrix_to_json, order_to_json,
                     parse_solution, parse_system, serialize_solution,
                     serialize_system)
 from .driver import fmfs, verify_solution
@@ -33,7 +33,7 @@ from .errors import (ColumnModuleNotFree, DimensionError, FieldExtensionError,
                      NotUnitError, ReductionError, ResonanceError,
                      RowModuleNotFree, TruncationInsufficient)
 from .invariants import exponential_parts
-from .reduction import rank_reduce, rank_reduce_alt
+from .reduction import rank_reduce
 from .system import check_integrability
 
 _INPUT_ERRORS = (InputError, NonIntegrableError, DimensionError)
@@ -177,16 +177,15 @@ def _cmd_invariants(args):
 
 def _cmd_rank_reduce(args):
     S = parse_system(_read(args.system))
-    reducer = rank_reduce_alt if args.alt else rank_reduce
-    gauge, out, steps = reducer(S, order=args.order)
+    gauge, out, steps = rank_reduce(S, order=args.order)
     payload = {
         "p": list(out.p),
-        "gauge": _matrix_to_json(gauge.T),
+        "gauge": matrix_to_json(gauge.T),
         "steps": [{
             "kind": st["kind"],
             "component": st["component"],
             "matrix": None if st["gauge"] is None
-            else _matrix_to_json(st["gauge"].T),
+            else matrix_to_json(st["gauge"].T),
             "p_before": st["p_before"],
             "p_after": st["p_after"],
         } for st in steps],
@@ -214,7 +213,7 @@ def _cmd_reduce(args):
     payload = {
         "solution": serialize_solution(sol, S.vars),
         "trace": tdoc,
-        "verified_to_order": _order_to_json(sol.verified_to),
+        "verified_to_order": order_to_json(sol.verified_to),
     }
     lines = [f"s: ({', '.join(str(x) for x in sol.s)})"]
     for i, v in enumerate(S.vars):
@@ -228,7 +227,7 @@ def _cmd_reduce(args):
     for row in sol.phi.rows:
         lines.append("  [" + ", ".join(_fmt_series(e, tvars) for e in row)
                      + "]")
-    lines.append(f"verified to order: {_order_to_json(sol.verified_to)}")
+    lines.append(f"verified to order: {order_to_json(sol.verified_to)}")
     if trace.retries:
         lines.append(f"retries: {trace.retries}")
     return payload, "\n".join(lines)
@@ -239,10 +238,10 @@ def _cmd_verify(args):
     sol = parse_solution(_read(args.solution))
     rep = verify_solution(S, sol)
     payload = {"ok": rep["ok"],
-               "verified_to_order": _order_to_json(rep["verified_to"]),
+               "verified_to_order": order_to_json(rep["verified_to"]),
                "per_component": rep["per_component"]}
     text = (f"ok: {rep['ok']}\n"
-            f"verified to order: {_order_to_json(rep['verified_to'])}")
+            f"verified to order: {order_to_json(rep['verified_to'])}")
     return payload, text, (0 if rep["ok"] else 1)
 
 
@@ -289,10 +288,7 @@ def main(argv=None) -> int:
     common(sub.add_parser("check", help="integrability and shape report"))
     common(sub.add_parser("invariants",
                           help="growth orders and exponential parts"))
-    rr = sub.add_parser("rank-reduce", help="minimize every Poincare rank")
-    common(rr)
-    rr.add_argument("--alt", action="store_true",
-                    help="use the always-shear variant")
+    common(sub.add_parser("rank-reduce", help="minimize every Poincare rank"))
     rd = sub.add_parser("reduce", help="full reduction to normal form")
     common(rd)
     rd.add_argument("--trace", action="store_true",

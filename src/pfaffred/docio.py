@@ -26,6 +26,31 @@ from .system import GaugeTransformation, PfaffianSystem, apply_gauge
 # -- scalars -----------------------------------------------------------------
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; Python counts true and false as ints, JSON does not."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _rational_from_json(v) -> Fraction:
+    """A rational literal: an integer or a "p" / "p/q" string."""
+    if not (_is_int(v) or isinstance(v, str)):
+        raise InputError(f"bad scalar: {v!r}")
+    try:
+        return Fraction(v)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"bad rational literal: {v!r}") from exc
+
+
+def _tower_from_json(doc) -> FieldTower:
+    """Q, or Q(alpha) when the document names a minimal polynomial."""
+    mp = doc.get("minpoly")
+    if mp is None:
+        return QQ
+    if not isinstance(mp, list):
+        raise InputError(f"minpoly must be a list of coefficients: {mp!r}")
+    return QQ.adjoin(MinimalPolynomial([_rational_from_json(c) for c in mp]))
+
+
 def _scalar_to_json(c: Scalar):
     coeffs = [str(x) for x in c.coeffs]
     if len(coeffs) == 1:
@@ -34,18 +59,13 @@ def _scalar_to_json(c: Scalar):
 
 
 def _scalar_from_json(v, tower: FieldTower) -> Scalar:
-    try:
-        if isinstance(v, str) or isinstance(v, int):
-            return tower.scalar(Fraction(v))
-        if isinstance(v, list):
-            if len(v) != tower.degree:
-                raise InputError(
-                    f"scalar has {len(v)} coefficients but the declared "
-                    f"field has degree {tower.degree}")
-            return tower.from_coeffs([Fraction(x) for x in v])
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad rational literal: {v!r}") from exc
-    raise InputError(f"bad scalar: {v!r}")
+    if not isinstance(v, list):
+        return tower.scalar(_rational_from_json(v))
+    if len(v) != tower.degree:
+        raise InputError(
+            f"scalar has {len(v)} coefficients but the declared "
+            f"field has degree {tower.degree}")
+    return tower.from_coeffs([_rational_from_json(x) for x in v])
 
 
 # -- series and matrices -----------------------------------------------------
@@ -69,7 +89,7 @@ def _series_from_json(lst, nvars, tower, hi) -> Series:
             raise InputError(f"bad series term: {item!r}")
         e = item["exp"]
         if (not isinstance(e, list) or len(e) != nvars
-                or not all(isinstance(x, int) for x in e)):
+                or not all(_is_int(x) for x in e)):
             raise InputError(f"bad exponent vector: {e!r}")
         if any(x < 0 for x in e):
             raise InputError("input entries must be polynomial (no poles)")
@@ -80,7 +100,7 @@ def _series_from_json(lst, nvars, tower, hi) -> Series:
     return Series(nvars, terms, tower, None, hi)
 
 
-def _matrix_to_json(M: SeriesMatrix):
+def matrix_to_json(M: SeriesMatrix):
     return [[_series_to_json(M.rows[r][c]) for c in range(M.ncols)]
             for r in range(M.nrows)]
 
@@ -98,7 +118,7 @@ def _trunc_from_json(t, nvars):
     for x in t:
         if x is None:
             out.append(INF)
-        elif isinstance(x, int) and x > 0:
+        elif _is_int(x) and x > 0:
             out.append(x)
         else:
             raise InputError(f"bad truncation bound: {x!r}")
@@ -113,7 +133,7 @@ def serialize_system(S: PfaffianSystem) -> dict:
         "vars": list(S.vars),
         "d": S.d,
         "p": list(S.p),
-        "A": [_matrix_to_json(A) for A in S.A],
+        "A": [matrix_to_json(A) for A in S.A],
         "trunc": _trunc_to_json(S.window_hi()),
     }
     if S.tower.minpoly is not None:
@@ -134,16 +154,13 @@ def parse_system_dict(doc) -> PfaffianSystem:
         raise InputError("vars must be a list of distinct names")
     n = len(vars_)
     d = doc["d"]
-    if not isinstance(d, int) or d < 1:
+    if not _is_int(d) or d < 1:
         raise InputError("d must be a positive integer")
     p = doc["p"]
     if (not isinstance(p, list) or len(p) != n
-            or not all(isinstance(x, int) and x >= 0 for x in p)):
+            or not all(_is_int(x) and x >= 0 for x in p)):
         raise InputError("p must list one nonnegative integer per variable")
-    tower = QQ
-    if doc.get("minpoly") is not None:
-        coeffs = [Fraction(c) for c in doc["minpoly"]]
-        tower = QQ.adjoin(MinimalPolynomial(coeffs))
+    tower = _tower_from_json(doc)
     hi = _trunc_from_json(doc.get("trunc"), n)
     mats = doc["A"]
     if not isinstance(mats, list) or len(mats) != n:
@@ -176,7 +193,7 @@ def serialize_solution(sol: FormalSolution, vars_) -> dict:
         "vars": list(vars_),
         "d": sol.d,
         "s": list(sol.s),
-        "Phi": {"entries": _matrix_to_json(sol.phi),
+        "Phi": {"entries": matrix_to_json(sol.phi),
                 "trunc": _trunc_to_json(sol.phi.window_hi())},
         "C": [None if c is None else
               [[_scalar_to_json(x) for x in r] for r in c.rows]
@@ -184,7 +201,7 @@ def serialize_solution(sol: FormalSolution, vars_) -> dict:
         "Q": [[qdict(q) for q in qs] for qs in sol.Q],
         "structure": _structure_to_json(sol.structure),
         "diagnostics": list(sol.diagnostics),
-        "verified_to_order": _order_to_json(sol.verified_to),
+        "verified_to_order": order_to_json(sol.verified_to),
     }
     tower = sol.phi.tower
     if tower.minpoly is not None:
@@ -192,7 +209,7 @@ def serialize_solution(sol: FormalSolution, vars_) -> dict:
     return doc
 
 
-def _order_to_json(k):
+def order_to_json(k):
     if k is None:
         return None
     if k == INF:
@@ -213,13 +230,12 @@ def parse_solution_dict(doc) -> FormalSolution:
             raise InputError(f"missing solution key: {key!r}")
     n = len(doc["vars"])
     d = doc["d"]
-    tower = QQ
-    if doc.get("minpoly") is not None:
-        tower = QQ.adjoin(MinimalPolynomial(
-            [Fraction(c) for c in doc["minpoly"]]))
+    if not _is_int(d) or d < 1:
+        raise InputError("d must be a positive integer")
+    tower = _tower_from_json(doc)
     s = doc["s"]
     if (not isinstance(s, list) or len(s) != n
-            or not all(isinstance(x, int) and x >= 1 for x in s)):
+            or not all(_is_int(x) and x >= 1 for x in s)):
         raise InputError("s must list one positive ramification per variable")
     phi_doc = doc["Phi"]
     hi = _trunc_from_json(phi_doc.get("trunc"), n)
@@ -246,7 +262,7 @@ def parse_solution_dict(doc) -> FormalSolution:
         for q in qs:
             out = {}
             for e, c in q.items():
-                exp = Fraction(e)
+                exp = _rational_from_json(e)
                 if exp >= 0:
                     raise InputError("q exponents must be negative")
                 out[exp] = _scalar_from_json(c, tower)
@@ -395,8 +411,3 @@ def generate_equivalent(seed, shape):
     }
     return out, planted
 
-
-def q_multiset(qs):
-    """Order-free fingerprint of one variable's slot dicts."""
-    return tuple(sorted(tuple(sorted((str(e), str(c)) for e, c in q.items()))
-                        for q in qs))

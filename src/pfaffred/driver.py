@@ -13,7 +13,6 @@ constant, and Q_i diagonal with polynomial entries in 1/t_i.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -26,12 +25,13 @@ from .errors import (
     TruncationInsufficient,
 )
 from .linalg import ConstMatrix, SeriesMatrix, generalized_eigenspaces
-from .scalars import FieldTower, Scalar, roots_of_charpoly
-from .series import INF, Series
+from .scalars import common_tower, roots_of_charpoly
+from .series import INF, Series, series_exp
 from .system import (
     GaugeTransformation,
     PfaffianSystem,
     check_integrability,
+    digest,
     normalize_poincare,
 )
 from .reduction import (
@@ -109,18 +109,16 @@ class FormalSolution:
                                 "distinct exponential parts")
 
     def fingerprint(self) -> str:
-        h = hashlib.sha256()
-        h.update(_matrix_fp(self.phi).encode())
+        parts = [_matrix_fp(self.phi)]
         if self.C is None:
-            h.update(b"C:none")
+            parts.append("C:none")
         else:
-            for c in self.C:
-                h.update(b"C:none" if c is None else repr(
-                    [[str(x) for x in r] for r in c.rows]).encode())
-        for qs in self.Q:
-            h.update(repr([_qkey(q) for q in qs]).encode())
-        h.update(repr(self.s).encode())
-        return h.hexdigest()[:16]
+            parts += ["C:none" if c is None else
+                      repr([[str(x) for x in r] for r in c.rows])
+                      for c in self.C]
+        parts += [repr([_qkey(q) for q in qs]) for qs in self.Q]
+        parts.append(repr(self.s))
+        return digest(parts)
 
     def __repr__(self):
         return (f"FormalSolution(d={self.d}, s={self.s}, "
@@ -144,10 +142,8 @@ class ReductionTrace:
         self.steps.append(step)
 
     def fingerprint(self) -> str:
-        h = hashlib.sha256()
-        h.update(repr((self.order, self.retries, self.retry_log)).encode())
-        h.update(repr(self.steps).encode())
-        return h.hexdigest()[:16]
+        return digest([repr((self.order, self.retries, self.retry_log)),
+                       repr(self.steps)])
 
     def as_dict(self):
         return {"order": self.order, "retries": self.retries,
@@ -184,21 +180,6 @@ def _matrix_fp(M):
     return repr([[_series_fp(s) for s in r] for r in M.rows])
 
 
-def _join_towers(a: FieldTower, b: FieldTower) -> FieldTower:
-    if a.minpoly is None:
-        return b
-    if b.minpoly is None:
-        return a
-    if a.minpoly == b.minpoly:
-        return a
-    raise FieldExtensionError(
-        "sibling branches adjoined incompatible quadratic extensions")
-
-
-def _cm_scale(C: ConstMatrix, q) -> ConstMatrix:
-    return C * q
-
-
 def _block_diag_const(A: ConstMatrix, B: ConstMatrix, tower) -> ConstMatrix:
     d1, d2 = A.nrows, B.nrows
     out = ConstMatrix.zeros(d1 + d2, d1 + d2, tower)
@@ -209,39 +190,6 @@ def _block_diag_const(A: ConstMatrix, B: ConstMatrix, tower) -> ConstMatrix:
         for c in range(d2):
             out.rows[d1 + r][d1 + c] = tower.scalar(B.rows[r][c])
     return out
-
-
-def _block_diag_series(A: SeriesMatrix, B: SeriesMatrix, tower) -> SeriesMatrix:
-    n = A.nvars
-    d1, d2 = A.nrows, B.nrows
-    z = Series.zero(n, tower)
-    rows = []
-    for r in range(d1):
-        rows.append([A.rows[r][c].lift_tower(tower) for c in range(d1)]
-                    + [z] * d2)
-    for r in range(d2):
-        rows.append([z] * d1
-                    + [B.rows[r][c].lift_tower(tower) for c in range(d2)])
-    return SeriesMatrix(rows, n, tower)
-
-
-def _exp_series(g: Series, hi) -> Series:
-    """exp(g) for g with positive valuation, truncated below hi."""
-    if g.is_zero() and g.exact:
-        return Series.constant(g.nvars, 1, g.tower)
-    if not g.constant_term().is_zero():
-        raise ReductionError("exp of a series with a nonzero constant term")
-    g = g.clipped(hi)
-    out = Series.constant(g.nvars, 1, g.tower) + g
-    term = g
-    k = 1
-    while not term.is_zero():
-        k += 1
-        if k > 512:
-            raise ReductionError("exponential series failed to terminate")
-        term = (term * g).clipped(hi) * Fraction(1, k)
-        out = out + term
-    return out.clipped(hi)
 
 
 # -- scalar (d = 1) leaf ----------------------------------------------------
@@ -305,7 +253,7 @@ def _scalar_leaf(S: PfaffianSystem, ram, order):
             raise ReductionError(
                 f"scalar tail is not a gradient in component {i}")
     box = tuple(min(order + 1, h) if h != INF else order + 1 for h in g.hi)
-    phi = SeriesMatrix([[_exp_series(g, box)]], n, tower)
+    phi = SeriesMatrix([[series_exp(g, box)]], n, tower)
     return phi, residues, qs
 
 
@@ -539,7 +487,7 @@ def _reduce(S, ram, order, max_ext_degree, trace, path, certify=None):
                         [None] * n, ("regular-resonant", d), diags)
             tower = gauge.T.tower
             factors.append((gauge.T, tuple(ram)))
-            C = [_cm_scale(Cs[i], Fraction(1, ram[i])) for i in range(n)]
+            C = [Cs[i] * Fraction(1, ram[i]) for i in range(n)]
             Q = [_lift_q(Q[i], tower) for i in range(n)]
             trace.add(path, "endgame", d=d)
             return (_collapse(factors, ram, n, d, tower), ram, Q, C,
@@ -574,13 +522,15 @@ def _reduce(S, ram, order, max_ext_degree, trace, path, certify=None):
                 bot_n, ram, order, max_ext_degree, trace,
                 path + f"{split_i}b/", certify)
             s = [math.lcm(a, b) for a, b in zip(ramT, ramB)]
-            tw = _join_towers(phiT.tower, phiB.tower)
+            tw = common_tower(phiT.tower, phiB.tower)
             for i in range(n):
                 if s[i] > ramT[i]:
                     phiT = phiT.ramify(i, s[i] // ramT[i])
                 if s[i] > ramB[i]:
                     phiB = phiB.ramify(i, s[i] // ramB[i])
-            big = _block_diag_series(phiT, phiB, tw)
+            big = SeriesMatrix.block([
+                [phiT.lift_tower(tw), SeriesMatrix.zeros(d1, d - d1, n, tw)],
+                [SeriesMatrix.zeros(d - d1, d1, n, tw), phiB.lift_tower(tw)]])
             factors.append((big, tuple(s)))
             C = []
             for i in range(n):

@@ -3,65 +3,30 @@
 Every question about growth in a single variable -- exponential order,
 ramification, exponential parts -- reduces to the univariate system
 obtained by freezing the other variables at the origin.  The growth
-order of such a system is read off the Newton polygon of its
-characteristic polynomial once the Poincare rank has been minimized;
-the full exponential parts come from running the reduction driver on
-the same univariate systems.
+order of such a system is the steepest slope of the Newton polygon of
+its characteristic polynomial, taken straight from the coefficient
+valuations once the Poincare rank has been minimized; the full
+exponential parts come from running the reduction driver on the same
+univariate systems, once per variable.
 """
 
 from fractions import Fraction
 from math import ceil
 
-from .errors import InputError, TruncationInsufficient
+from .errors import InputError, ReductionError, TruncationInsufficient
 from .linalg import SeriesMatrix
-from .reduction import _append_slot, check_order, moser_rank, rank_reduce
+from .reduction import check_order, moser_rank, rank_reduce
 from .series import INF, Series
 from .system import PfaffianSystem
 
 __all__ = [
     "ExponentialPart",
-    "NewtonPolygon",
     "exponential_order",
     "exponential_parts",
     "katz_order_univariate",
     "moser_rank",
     "true_poincare_rank",
 ]
-
-
-class NewtonPolygon:
-    """Lower convex hull of (degree, valuation) points.
-
-    Points with the same abscissa collapse to the lowest valuation.
-    Slopes are the edge slopes of the hull, nondecreasing left to right.
-    """
-
-    __slots__ = ("points", "hull", "slopes")
-
-    def __init__(self, points):
-        lowest = {}
-        for j, v in points:
-            if j not in lowest or v < lowest[j]:
-                lowest[j] = v
-        pts = sorted(lowest.items())
-        hull = []
-        for pt in pts:
-            while len(hull) >= 2:
-                (ja, va), (jb, vb) = hull[-2], hull[-1]
-                # pop the middle point when it sits on or above the chord
-                if (jb - ja) * (pt[1] - va) - (vb - va) * (pt[0] - ja) <= 0:
-                    hull.pop()
-                else:
-                    break
-            hull.append(pt)
-        self.points = pts
-        self.hull = hull
-        self.slopes = [Fraction(b[1] - a[1], b[0] - a[0])
-                       for a, b in zip(hull, hull[1:])]
-        assert all(s < t for s, t in zip(self.slopes, self.slopes[1:]))
-
-    def __repr__(self):
-        return f"NewtonPolygon(hull={self.hull}, slopes={self.slopes})"
 
 
 def _ods_system(S: PfaffianSystem, i: int) -> PfaffianSystem:
@@ -78,7 +43,9 @@ def katz_order_univariate(ods: PfaffianSystem, order: int = 10) -> Fraction:
     of the Newton polygon of chi measured against the regular-singular
     baseline.  Valuations are certified against the truncation window:
     a coefficient with no visible term may hide anywhere at or beyond
-    the window, and if that could change the maximum we refuse.
+    the window, and if that could change the maximum we refuse.  At
+    minimal rank p the order lies in (p - 1, p]; an order outside it
+    means the rank reduction did not finish, a ReductionError.
     """
     if ods.n != 1:
         raise InputError("katz order expects a one-variable system")
@@ -93,7 +60,7 @@ def katz_order_univariate(ods: PfaffianSystem, order: int = 10) -> Fraction:
         return Fraction(0)
     d = R.d
     lam = Series.variable(2, 1, R.tower)
-    Ae = R.A[0].map(_append_slot)
+    Ae = R.A[0].map(Series.append_slot)
     M = SeriesMatrix.zeros(d, d, 2, R.tower)
     for t in range(d):
         for j in range(d):
@@ -107,10 +74,8 @@ def katz_order_univariate(ods: PfaffianSystem, order: int = 10) -> Fraction:
         if kl < d and (kl not in seen or kx < seen[kl]):
             seen[kl] = kx
     best = Fraction(0)
-    points = [(d, 0)]
     for j, v in seen.items():
         slope = p - Fraction(v, d - j)
-        points.append((j, v - (p + 1) * (d - j)))
         if slope > best:
             best = slope
     for j in range(d):
@@ -120,9 +85,10 @@ def katz_order_univariate(ods: PfaffianSystem, order: int = 10) -> Fraction:
             raise TruncationInsufficient(
                 f"lambda^{j} coefficient of the characteristic polynomial "
                 f"vanishes to order {wx}; growth order not certified")
-    polygon = NewtonPolygon(points)
-    assert polygon.slopes and best == max(Fraction(0), polygon.slopes[-1] - 1)
-    assert p - 1 < best <= p
+    if not p - 1 < best <= p:
+        raise ReductionError(
+            f"growth order {best} is not within (p - 1, p] for the "
+            f"reduced rank p = {p}")
     return best
 
 
@@ -160,16 +126,6 @@ class ExponentialPart:
                 worst = max(worst, Fraction(max(q), self.s))
         return worst
 
-    def min_orders(self):
-        """Most negative x-order in each block's q, None for empty blocks."""
-        return [-Fraction(max(q), self.s) if q else None for q in self.qs]
-
-    def canonical(self):
-        """Order-free fingerprint: sorted blocks of sorted (k, coeff) pairs."""
-        return tuple(sorted(
-            tuple(sorted((k, str(c)) for k, c in q.items()))
-            for q in self.qs))
-
     def __repr__(self):
         return f"ExponentialPart(var={self.var}, s={self.s}, qs={self.qs})"
 
@@ -199,7 +155,9 @@ def exponential_parts(S: PfaffianSystem, order: int = 10,
             z = {}
             for e, c in q.items():
                 k = -e * s
-                assert k == int(k) and k >= 1, "exponent outside x^(-1/s) grid"
+                if k.denominator != 1 or k < 1:
+                    raise ReductionError(
+                        f"q exponent {e} is off the x^(-1/{s}) grid")
                 z[int(k)] = c
             qs.append(z)
         out.append(ExponentialPart(i, s, qs))

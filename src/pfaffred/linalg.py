@@ -1,18 +1,19 @@
 """Matrices over the scalar field and over truncated series.
 
 ConstMatrix holds field scalars and supports exact elimination (rref,
-rank, solve, kernel, inverse) plus characteristic polynomials and
-generalized eigenspace decomposition.  SeriesMatrix holds Series
-entries; its determinant uses minor expansion with memoization, which
-is fine for the small dimensions these systems have, and its inverse
-prefers the exact adjugate route (valid whenever the determinant is a
-unit times a monomial, as gauge determinants here always are), falling
-back to a windowed Neumann series.
+rank, solve, kernel, inverse; Elimination replays one elimination on
+many right-hand sides) plus characteristic polynomials and generalized
+eigenspace decomposition.  SeriesMatrix holds Series entries; its
+inverse prefers the exact adjugate route (valid whenever the
+determinant is a unit times a monomial, as gauge determinants here
+always are), falling back to a windowed Neumann series.  Both the
+characteristic polynomial and the series determinant come from one
+memoized minor expansion.
 """
 
 from __future__ import annotations
 
-import math
+import operator
 from fractions import Fraction
 
 from .errors import (
@@ -157,34 +158,12 @@ class ConstMatrix:
 
     def charpoly(self):
         """det(tI - A), monic, coefficients low to high."""
-        d = self.nrows
         o = self.tower.one()
-        entries = [[([-self.rows[i][j], o] if i == j else [-self.rows[i][j]])
-                    for j in range(d)] for i in range(d)]
-        memo = {}
-
-        def minor(row, mask):
-            if row == d:
-                return [o]
-            key = mask
-            got = memo.get(key)
-            if got is not None:
-                return got
-            acc = []
-            sign = 1
-            for j in range(d):
-                bit = 1 << j
-                if mask & bit:
-                    continue
-                p = entries[row][j]
-                if any(not c.is_zero() for c in p):
-                    term = poly_mul(p, minor(row + 1, mask | bit))
-                    acc = poly_add(acc, term if sign > 0 else [-c for c in term])
-                sign = -sign
-            memo[key] = acc
-            return acc
-
-        return poly_trim(minor(0, 0))  # monic of degree d by construction
+        entries = [[([-a, o] if i == j else [-a]) for j, a in enumerate(r)]
+                   for i, r in enumerate(self.rows)]
+        return poly_trim(_minor_expansion(
+            entries, [o], [], lambda p: any(not c.is_zero() for c in p),
+            poly_mul, poly_add, lambda p: [-c for c in p]))
 
     def power(self, k: int):
         out = ConstMatrix.identity(self.nrows, self.tower)
@@ -256,6 +235,39 @@ def _dot(row, col, tower):
     return acc
 
 
+def _minor_expansion(entries, one, zero, nonzero, mul, add, neg):
+    """Determinant of a square grid over any commutative ring.
+
+    Laplace expansion along the rows, memoized on the set of columns
+    used so far; an entry failing nonzero is skipped.  Fine for the
+    small dimensions these systems have.
+    """
+    d = len(entries)
+    memo = {}
+
+    def minor(row, mask):
+        if row == d:
+            return one
+        got = memo.get(mask)
+        if got is not None:
+            return got
+        acc = zero
+        sign = 1
+        for j in range(d):
+            bit = 1 << j
+            if mask & bit:
+                continue
+            e = entries[row][j]
+            if nonzero(e):
+                term = mul(e, minor(row + 1, mask | bit))
+                acc = add(acc, term if sign > 0 else neg(term))
+            sign = -sign
+        memo[mask] = acc
+        return acc
+
+    return minor(0, 0)
+
+
 def generalized_eigenspaces(A: ConstMatrix, roots):
     """Basis change splitting A by eigenvalue.
 
@@ -315,9 +327,6 @@ class SeriesMatrix:
 
     def __getitem__(self, ij):
         return self.rows[ij[0]][ij[1]]
-
-    def entry(self, i, j):
-        return self.rows[i][j]
 
     def __add__(self, other):
         return SeriesMatrix(
@@ -407,10 +416,6 @@ class SeriesMatrix:
         out = [[s.project_to_var(i) for s in r] for r in self.rows]
         return SeriesMatrix(out, 1, self.tower)
 
-    def embed_vars(self, nvars, slot):
-        out = [[s.embed_vars(nvars, slot) for s in r] for r in self.rows]
-        return SeriesMatrix(out, nvars, self.tower)
-
     def ramify(self, i, m):
         return self.map(lambda s: s.ramify(i, m))
 
@@ -437,18 +442,11 @@ class SeriesMatrix:
         return SeriesMatrix([[self.rows[i][j] for j in cols] for i in rows],
                             self.nvars, self.tower)
 
-    def col(self, j):
-        return [r[j] for r in self.rows]
-
     def with_col(self, j, col):
         m = self.copy()
         for i, v in enumerate(col):
             m.rows[i][j] = v
         return m
-
-    @classmethod
-    def from_cols(cls, cols, nvars, tower):
-        return cls(list(zip(*cols)), nvars, tower)
 
     @classmethod
     def block(cls, grid):
@@ -466,33 +464,11 @@ class SeriesMatrix:
     def determinant(self) -> Series:
         if self.nrows != self.ncols:
             raise DimensionError("determinant of a non-square matrix")
-        d = self.nrows
-        if d == 0:
-            return Series.constant(self.nvars, 1, self.tower)
-        memo = {}
-
-        def minor(row, mask):
-            if row == d:
-                return Series.constant(self.nvars, 1, self.tower)
-            got = memo.get(mask)
-            if got is not None:
-                return got
-            acc = Series.zero(self.nvars, self.tower)
-            sign = 1
-            for j in range(d):
-                bit = 1 << j
-                if mask & bit:
-                    continue
-                e = self.rows[row][j]
-                if not (e.is_zero() and e.exact):
-                    sub = minor(row + 1, mask | bit)
-                    term = e * sub
-                    acc = acc + (term if sign > 0 else -term)
-                sign = -sign
-            memo[mask] = acc
-            return acc
-
-        return minor(0, 0)
+        return _minor_expansion(
+            self.rows, Series.constant(self.nvars, 1, self.tower),
+            Series.zero(self.nvars, self.tower),
+            lambda e: not (e.is_zero() and e.exact),
+            operator.mul, operator.add, operator.neg)
 
     def rank_generic(self) -> int:
         """Rank over the fraction field of the series ring.

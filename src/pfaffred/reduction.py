@@ -357,14 +357,9 @@ class MoserData:
         self.A1 = A1
 
 
-def _append_slot(s: Series) -> Series:
-    terms = {e + (0,): c for e, c in s.terms.items()}
-    return Series(s.nvars + 1, terms, s.tower, s.lo + (0,), s.hi + (INF,))
-
-
 def _swap_to_last(s: Series, i: int) -> Series:
     """Move slot-i content of s into a fresh last slot."""
-    ext = _append_slot(s)
+    ext = s.append_slot()
     terms = {}
     for e, c in ext.terms.items():
         e2 = list(e)
@@ -404,8 +399,8 @@ def moser_data(S: PfaffianSystem, i: int, colred: ColumnReduction,
                 G.rows[t][j] = A1.rows[t][j] + (lam if t == j
                                                 else Series.zero(n, tower))
     detG = G.determinant()
-    A0e = A0.map(_append_slot)
-    A1e = A1.map(_append_slot)
+    A0e = A0.map(Series.append_slot)
+    A1e = A1.map(Series.append_slot)
     lam_e = Series.variable(n + 1, n, tower)
     shift = tuple(-1 if k == i else 0 for k in range(n + 1))
     P = SeriesMatrix.zeros(d, d, n + 1, tower)
@@ -628,7 +623,9 @@ def rank_reduce_alt(S: PfaffianSystem, order: int = 10):
     """Levelt-style loop: always shear the full rank block.
 
     The sterile-iteration counter resets whenever p drops; d-1 sterile
-    rounds in a row certify that the current p is minimal.
+    rounds in a row certify that the current p is minimal.  Nothing in
+    the pipeline calls it: it is kept as the independent test oracle
+    for the final ranks that rank_reduce reaches.
     """
     check_order(order)
     S, _ = normalize_poincare(S)

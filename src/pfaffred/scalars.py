@@ -36,11 +36,6 @@ def fraction_sqrt(q: Fraction):
     return None
 
 
-def ceil_fraction(q) -> int:
-    q = _as_fraction(q)
-    return -((-q.numerator) // q.denominator)
-
-
 class MinimalPolynomial:
     """Monic univariate polynomial over Q, stored low to high degree."""
 

@@ -7,7 +7,10 @@ support floor (no terms exist below it, which is what makes elements of
 the monomial localization representable).  A series known exactly (a
 polynomial, closed under all arithmetic performed on it) carries an
 infinite window; a series that merely prints as zero while hi is finite
-is a truncation-limited zero, not a proven one.
+is a truncation-limited zero, not a proven one.  Beyond ring arithmetic
+and window handling, the module offers exact division (divide_exact)
+and the exponential of a series without constant term (series_exp),
+the one exp the reduction uses.
 """
 
 from __future__ import annotations
@@ -15,12 +18,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import DimensionError, NotUnitError, TruncationInsufficient
-from .scalars import FieldTower, Scalar
+from .errors import (
+    DimensionError,
+    NotUnitError,
+    ReductionError,
+    TruncationInsufficient,
+)
+from .scalars import FieldTower, Scalar, common_tower
 
 INF = math.inf
-
-Monomial = tuple
 
 
 def _norm_window(nvars, lo, hi):
@@ -88,9 +94,6 @@ class Series:
     def is_zero(self) -> bool:
         """Zero within the window.  Combine with .exact for a proof."""
         return not self.terms
-
-    def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exp) for exp in self.terms)
 
     def constant_term(self) -> Scalar:
         if any(h <= 0 for h in self.hi):
@@ -160,7 +163,8 @@ class Series:
         for exp, c in other.terms.items():
             s = terms.get(exp)
             terms[exp] = c if s is None else s + c
-        return Series(self.nvars, terms, common_tower_of(self, other), lo, hi)
+        return Series(self.nvars, terms,
+                      common_tower(self.tower, other.tower), lo, hi)
 
     __radd__ = __add__
 
@@ -192,7 +196,7 @@ class Series:
         lo = tuple(a + b for a, b in zip(fla, flb))
         hi = tuple(min(ha + lb, hb + la)
                    for ha, hb, la, lb in zip(self.hi, other.hi, fla, flb))
-        tower = common_tower_of(self, other)
+        tower = common_tower(self.tower, other.tower)
         terms: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -269,61 +273,15 @@ class Series:
         terms = {(e[i],): c for e, c in r.terms.items()}
         return Series(1, terms, self.tower, (r.lo[i],), (r.hi[i],))
 
-    def embed_vars(self, nvars: int, slot: int):
-        """View a univariate series inside an nvars-variable ring."""
-        if self.nvars != 1:
-            raise DimensionError("embed_vars expects a univariate series")
-        mk = lambda e: tuple(e if j == slot else 0 for j in range(nvars))
-        terms = {mk(e[0]): c for e, c in self.terms.items()}
-        lo = tuple(self.lo[0] if j == slot else 0 for j in range(nvars))
-        hi = tuple(self.hi[0] if j == slot else INF for j in range(nvars))
-        return Series(nvars, terms, self.tower, lo, hi)
+    def append_slot(self):
+        """The same series over one more variable, appended last and absent."""
+        terms = {e + (0,): c for e, c in self.terms.items()}
+        return Series(self.nvars + 1, terms, self.tower, self.lo + (0,),
+                      self.hi + (INF,))
 
     def lift_tower(self, tower: FieldTower):
         return Series(self.nvars, {e: tower.embed(c) for e, c in self.terms.items()},
                       tower, self.lo, self.hi)
-
-    def invert_unit(self, hi=None):
-        """Multiplicative inverse of a unit (nonzero constant term)."""
-        c0 = self.constant_term()
-        if c0.is_zero():
-            raise NotUnitError("series has zero constant term")
-        if self.is_constant():
-            inv = Series.constant(self.nvars, 1, self.tower) * c0.inverse()
-            return inv if hi is None else inv.clipped(hi)
-        if hi is None:
-            hi = self.hi
-        hi = tuple(min(a, b) for a, b in zip(self.hi, hi))
-        if any(h == INF for h in hi):
-            raise TruncationInsufficient(
-                "inverse of a non-constant unit needs a finite target window")
-        inv0 = c0.inverse()
-        rest = [(e, c) for e, c in self.terms.items() if any(x != 0 for x in e)]
-        out = {(0,) * self.nvars: inv0}
-        max_total = sum(h - 1 for h in hi)
-        # graded recursion: b_g = -c0^{-1} * sum_{0<k<=g} a_k b_{g-k}
-        by_grade: dict[int, dict] = {0: dict(out)}
-        for g in range(1, max_total + 1):
-            level: dict = {}
-            for e1, c1 in rest:
-                g1 = sum(e1)
-                if g1 > g:
-                    continue
-                prev = by_grade.get(g - g1)
-                if not prev:
-                    continue
-                for e2, c2 in prev.items():
-                    exp = tuple(a + b for a, b in zip(e1, e2))
-                    if any(x >= h for x, h in zip(exp, hi)):
-                        continue
-                    prod = c1 * c2
-                    s = level.get(exp)
-                    level[exp] = prod if s is None else s + prod
-            level = {e: -(inv0 * c) for e, c in level.items() if not c.is_zero()}
-            if level:
-                by_grade[g] = level
-                out.update(level)
-        return Series(self.nvars, out, self.tower, (0,) * self.nvars, hi)
 
     # -- comparisons -------------------------------------------------------
 
@@ -374,11 +332,6 @@ class Series:
 
     def __repr__(self):
         return f"Series({self})"
-
-
-def common_tower_of(a: Series, b: Series) -> FieldTower:
-    from .scalars import common_tower
-    return common_tower(a.tower, b.tower)
 
 
 def divide_exact(a: Series, b: Series):
@@ -438,30 +391,26 @@ def divide_exact(a: Series, b: Series):
     return Series(a.nvars, quot, a.tower, lo, hi)
 
 
-def series_exp(g: Series, hi=None):
-    """exp(g) for a series with zero constant term and no polar part."""
+def series_exp(g: Series, hi) -> Series:
+    """exp(g) below hi, for g with no constant term and no polar part.
+
+    Every power of g is clipped to hi, so the sum ends once a power
+    vanishes there; 512 terms without that is a ReductionError.
+    """
     if any(l < 0 for l in g.lo) or any(e < 0 for exp in g.terms for e in exp):
         raise NotUnitError("series_exp needs a nonnegative support")
+    if g.is_zero() and g.exact:
+        return Series.constant(g.nvars, 1, g.tower)
     if not g.constant_term().is_zero():
-        raise ValueError("series_exp expects zero constant term")
-    if hi is None:
-        hi = g.hi
-    hi = tuple(min(a, b) for a, b in zip(g.hi, hi))
-    if g.is_zero():
-        return Series.constant(g.nvars, 1, g.tower).with_window(hi=hi) \
-            if all(h != INF for h in hi) else Series.constant(g.nvars, 1, g.tower)
-    if any(h == INF for h in hi):
-        raise TruncationInsufficient("exp needs a finite target window")
-    out = Series.constant(g.nvars, 1, g.tower).clipped(hi)
-    gk = out
-    k = 0
-    max_total = sum(h - 1 for h in hi)
-    fact = 1
-    while True:
+        raise NotUnitError("series_exp needs a zero constant term")
+    g = g.clipped(hi)
+    out = Series.constant(g.nvars, 1, g.tower) + g
+    term = g
+    k = 1
+    while not term.is_zero():
         k += 1
-        fact *= k
-        gk = (gk * g).clipped(hi)
-        if gk.is_zero() or k > max_total:
-            break
-        out = out + gk * Fraction(1, fact)
-    return out
+        if k > 512:
+            raise ReductionError("exponential series failed to terminate")
+        term = (term * g).clipped(hi) * Fraction(1, k)
+        out = out + term
+    return out.clipped(hi)

@@ -19,6 +19,14 @@ from .linalg import SeriesMatrix
 from .series import INF, Series
 
 
+def digest(parts) -> str:
+    """Short SHA-256 fingerprint of a sequence of strings, read in order."""
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part.encode())
+    return h.hexdigest()[:16]
+
+
 class PfaffianSystem:
     """Immutable model of the n-component system."""
 
@@ -57,9 +65,6 @@ class PfaffianSystem:
         """x_i^k coefficient of A_i, a matrix over the other variables."""
         return self.A[i].coeff_in_xi(i, k)
 
-    def leading(self, i: int) -> SeriesMatrix:
-        return self.coeff(i, 0)
-
     @property
     def exact(self) -> bool:
         return all(M.exact for M in self.A)
@@ -81,14 +86,12 @@ class PfaffianSystem:
         return self.p[i], self.A[i].project_to_var(i)
 
     def fingerprint(self) -> str:
-        h = hashlib.sha256()
-        h.update(repr((self.vars, self.p)).encode())
+        parts = [repr((self.vars, self.p))]
         for M in self.A:
             for row in M.rows:
                 for e in row:
-                    h.update(str(e).encode())
-                    h.update(b"|")
-        return h.hexdigest()[:16]
+                    parts += [str(e), "|"]
+        return digest(parts)
 
     def __repr__(self):
         return (f"PfaffianSystem(n={self.n}, d={self.d}, p={self.p}, "

@@ -19,10 +19,10 @@ from fractions import Fraction
 import pytest
 
 from helpers import hyper_system, mat1, shifted_system, sys1, triple_system
-from pfaffred.errors import InputError, TruncationInsufficient
+from pfaffred import invariants
+from pfaffred.errors import InputError, ReductionError, TruncationInsufficient
 from pfaffred.invariants import (
     ExponentialPart,
-    NewtonPolygon,
     exponential_order,
     katz_order_univariate,
     true_poincare_rank,
@@ -32,33 +32,6 @@ from pfaffred.scalars import QQ
 from pfaffred.system import GaugeTransformation, PfaffianSystem, apply_gauge
 
 F = Fraction
-
-
-# -- Newton polygon ----------------------------------------------------------
-
-def test_polygon_keeps_convex_corners():
-    np = NewtonPolygon([(0, 2), (1, 0), (2, 0)])
-    assert np.hull == [(0, 2), (1, 0), (2, 0)]
-    assert np.slopes == [F(-2), F(0)]
-
-
-def test_polygon_drops_collinear_and_interior_points():
-    np = NewtonPolygon([(0, 2), (1, 1), (2, 0)])
-    assert np.hull == [(0, 2), (2, 0)]
-    np = NewtonPolygon([(0, 0), (1, 5), (2, 0)])
-    assert np.hull == [(0, 0), (2, 0)]
-    assert np.slopes == [F(0)]
-
-
-def test_polygon_duplicate_abscissa_keeps_lowest():
-    np = NewtonPolygon([(0, 3), (0, 1), (1, 0)])
-    assert np.points == [(0, 1), (1, 0)]
-    assert np.slopes == [F(-1)]
-
-
-def test_polygon_single_point():
-    np = NewtonPolygon([(2, 0)])
-    assert np.hull == [(2, 0)] and np.slopes == []
 
 
 # -- Katz order of univariate systems ---------------------------------------
@@ -107,8 +80,18 @@ def test_katz_reduces_rank_first():
     # x2-direction of the shifted system: nilpotent leading matrix at
     # p=1, but the true rank is 0, so the order must come out 0.
     ods = ods_of(shifted_system(), 1)
-    assert ods.leading(0).constant_term().rank() == 1  # nonzero but nilpotent
+    assert ods.coeff(0, 0).constant_term().rank() == 1  # nonzero but nilpotent
     assert katz_order_univariate(ods) == 0
+
+
+def test_katz_unreduced_rank_is_a_reduction_error(monkeypatch):
+    # the same ods left at p = 1 gives order 0, outside (p - 1, p]: a
+    # broken rank reduction must be reported, not returned as an order
+    ods = ods_of(shifted_system(), 1)
+    monkeypatch.setattr(invariants, "rank_reduce",
+                        lambda S, order: (None, S, []))
+    with pytest.raises(ReductionError):
+        katz_order_univariate(ods)
 
 
 def test_katz_ramification_scales_order():
@@ -167,8 +150,6 @@ def test_order_invariant_under_polynomial_gauge():
 def test_exponential_part_omega_and_orders():
     ep = ExponentialPart(0, 2, [{1: QQ.scalar(3)}, {}, {4: QQ.scalar(-1)}])
     assert ep.omega() == F(2)
-    assert ep.min_orders() == [F(-1, 2), None, F(-2)]
-    assert ep.canonical() == ((), ((1, "3"),), ((4, "-1"),))
 
 
 def test_exponential_part_rejects_constant_term():

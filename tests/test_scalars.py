@@ -7,7 +7,6 @@ from pfaffred.errors import FieldExtensionError
 from pfaffred.scalars import (
     QQ,
     FieldTower,
-    ceil_fraction,
     common_tower,
     fraction_sqrt,
     poly_gcd,
@@ -67,12 +66,6 @@ def test_fraction_sqrt():
     assert fraction_sqrt(Fraction(0)) == 0
     assert fraction_sqrt(Fraction(2)) is None
     assert fraction_sqrt(Fraction(-1)) is None
-
-
-def test_ceil_fraction():
-    assert ceil_fraction(Fraction(3, 2)) == 2
-    assert ceil_fraction(Fraction(2)) == 2
-    assert ceil_fraction(Fraction(-1, 2)) == 0
 
 
 def test_roots_repeated_rational():
