@@ -13,6 +13,17 @@ Exit codes: 0 success, 1 bad input (parse/schema/non-integrable),
 2 structure the algorithms do not cover (non-free module, field
 extension, resonance), 3 truncation budget exhausted.  Failures print
 a machine-readable {"error": {"type", "message"}} object.
+
+Input bounds, each refused with exit 1 before any work starts:
+    --order             at most MAX_ORDER (256); retries may double the
+                        working order past it, the bound is on the request
+    d                   at most docio.MAX_DIMENSION (32)
+    p_i                 at most docio.MAX_POINCARE_RANK (64), per variable
+The d and p_i bounds hold for system documents and for generate.
+
+Output cut short by the reader (`pfaffred reduce --pretty doc | head -1`)
+is not an error: the rest goes to os.devnull and the command's own exit
+code comes back.
 """
 
 from __future__ import annotations
@@ -20,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -40,6 +52,7 @@ _INPUT_ERRORS = (InputError, NonIntegrableError, DimensionError)
 _UNSUPPORTED = (ColumnModuleNotFree, RowModuleNotFree, FieldExtensionError,
                 ResonanceError, NotInvertibleError, NotUnitError,
                 ReductionError)
+MAX_ORDER = 256
 
 
 def _read(path: str) -> str:
@@ -64,11 +77,15 @@ def _json_safe(obj):
     return obj
 
 
-def _emit(payload, pretty_text, args):
+def _render(payload, pretty_text, args):
     if args.pretty and pretty_text is not None:
-        print(pretty_text)
-    else:
-        print(json.dumps(_json_safe(payload), indent=2 if args.pretty else None))
+        return pretty_text
+    return json.dumps(_json_safe(payload), indent=2 if args.pretty else None)
+
+
+def _error_text(exc):
+    return json.dumps({"error": {"type": type(exc).__name__,
+                                 "message": str(exc)}})
 
 
 # -- pretty-printing helpers -------------------------------------------------
@@ -246,7 +263,10 @@ def _cmd_verify(args):
 
 
 def _cmd_generate(args):
-    p = [int(x) for x in args.p.split(",")] if args.p else [1]
+    try:
+        p = [int(x) for x in args.p.split(",")] if args.p else [1]
+    except ValueError as exc:
+        raise InputError(f"--p must list integers: {args.p!r}") from exc
     shape = {"n": len(p), "d": args.d, "p": p, "ramified": args.ramified,
              "gauge_ops": args.gauge_ops, "gauge_degree": args.gauge_degree}
     S, planted = generate_equivalent(args.seed, shape)
@@ -313,27 +333,31 @@ def main(argv=None) -> int:
                 "rank-reduce": _cmd_rank_reduce, "reduce": _cmd_reduce,
                 "verify": _cmd_verify, "generate": _cmd_generate}
     try:
+        if args.order > MAX_ORDER:
+            raise InputError(f"truncation order {args.order} exceeds the "
+                             f"bound {MAX_ORDER}")
         result = handlers[args.command](args)
     except _INPUT_ERRORS as exc:
-        _fail(exc)
-        return 1
+        code, out = 1, _error_text(exc)
     except _UNSUPPORTED as exc:
-        _fail(exc)
-        return 2
+        code, out = 2, _error_text(exc)
     except TruncationInsufficient as exc:
-        _fail(exc)
-        return 3
-    if len(result) == 3:
-        payload, text, code = result
+        code, out = 3, _error_text(exc)
     else:
-        (payload, text), code = result, 0
-    _emit(payload, text, args)
+        if len(result) == 3:
+            payload, text, code = result
+        else:
+            (payload, text), code = result, 0
+        out = _render(payload, text, args)
+    try:
+        print(out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away; Python's documented idiom points stdout
+        # at devnull so the flush at interpreter exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
     return code
-
-
-def _fail(exc):
-    print(json.dumps({"error": {"type": type(exc).__name__,
-                                "message": str(exc)}}))
 
 
 if __name__ == "__main__":

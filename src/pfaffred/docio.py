@@ -7,6 +7,12 @@ with matrices row-major, each entry a list of {"exp": [e_1..e_n],
 "coeff": scalar}, rationals as "p" or "p/q" strings and extension
 elements as two-element coefficient lists.  A trunc slot of null means
 the entry data is exact in that variable.
+
+Inputs are bounded: d at most MAX_DIMENSION and every p_i at most
+MAX_POINCARE_RANK, in system documents and generator shapes alike.
+The work of a reduction grows with both (the scalar leaf alone walks
+p_i + 1 coefficients), so an absurd value is refused up front instead
+of hanging.
 """
 
 from __future__ import annotations
@@ -21,6 +27,10 @@ from .linalg import ConstMatrix, SeriesMatrix
 from .scalars import QQ, FieldTower, MinimalPolynomial, Scalar
 from .series import INF, Series
 from .system import GaugeTransformation, PfaffianSystem, apply_gauge
+
+
+MAX_DIMENSION = 32
+MAX_POINCARE_RANK = 64
 
 
 # -- scalars -----------------------------------------------------------------
@@ -128,6 +138,27 @@ def _trunc_from_json(t, nvars):
 # -- documents ---------------------------------------------------------------
 
 
+def _vars_from_json(v):
+    if (not isinstance(v, list) or not v
+            or not all(isinstance(x, str) for x in v)
+            or len(set(v)) != len(v)):
+        raise InputError("vars must be a list of distinct names")
+    return v
+
+
+def _check_bounds(d, p):
+    if d > MAX_DIMENSION:
+        raise InputError(f"d = {d} exceeds the bound {MAX_DIMENSION}")
+    if any(x > MAX_POINCARE_RANK for x in p):
+        raise InputError(f"p = {p} exceeds the bound {MAX_POINCARE_RANK}")
+
+
+def _is_square(M, d):
+    """M is a d x d grid of JSON lists, row-major."""
+    return (isinstance(M, list) and len(M) == d
+            and all(isinstance(r, list) and len(r) == d for r in M))
+
+
 def serialize_system(S: PfaffianSystem) -> dict:
     doc = {
         "vars": list(S.vars),
@@ -147,11 +178,7 @@ def parse_system_dict(doc) -> PfaffianSystem:
     for key in ("vars", "d", "p", "A"):
         if key not in doc:
             raise InputError(f"missing document key: {key!r}")
-    vars_ = doc["vars"]
-    if (not isinstance(vars_, list) or not vars_
-            or not all(isinstance(v, str) for v in vars_)
-            or len(set(vars_)) != len(vars_)):
-        raise InputError("vars must be a list of distinct names")
+    vars_ = _vars_from_json(doc["vars"])
     n = len(vars_)
     d = doc["d"]
     if not _is_int(d) or d < 1:
@@ -160,6 +187,7 @@ def parse_system_dict(doc) -> PfaffianSystem:
     if (not isinstance(p, list) or len(p) != n
             or not all(_is_int(x) and x >= 0 for x in p)):
         raise InputError("p must list one nonnegative integer per variable")
+    _check_bounds(d, p)
     tower = _tower_from_json(doc)
     hi = _trunc_from_json(doc.get("trunc"), n)
     mats = doc["A"]
@@ -167,8 +195,7 @@ def parse_system_dict(doc) -> PfaffianSystem:
         raise InputError("A must hold one matrix per variable")
     A = []
     for M in mats:
-        if (not isinstance(M, list) or len(M) != d
-                or any(not isinstance(r, list) or len(r) != d for r in M)):
+        if not _is_square(M, d):
             raise InputError(f"each matrix must be {d}x{d}, row-major")
         rows = [[_series_from_json(M[r][c], n, tower, hi) for c in range(d)]
                 for r in range(d)]
@@ -228,7 +255,7 @@ def parse_solution_dict(doc) -> FormalSolution:
     for key in ("vars", "d", "s", "Phi", "C", "Q"):
         if key not in doc:
             raise InputError(f"missing solution key: {key!r}")
-    n = len(doc["vars"])
+    n = len(_vars_from_json(doc["vars"]))
     d = doc["d"]
     if not _is_int(d) or d < 1:
         raise InputError("d must be a positive integer")
@@ -238,25 +265,32 @@ def parse_solution_dict(doc) -> FormalSolution:
             or not all(_is_int(x) and x >= 1 for x in s)):
         raise InputError("s must list one positive ramification per variable")
     phi_doc = doc["Phi"]
+    if not isinstance(phi_doc, dict) or "entries" not in phi_doc:
+        raise InputError("Phi must be an object with entries")
     hi = _trunc_from_json(phi_doc.get("trunc"), n)
     entries = phi_doc["entries"]
-    if len(entries) != d or any(len(r) != d for r in entries):
+    if not _is_square(entries, d):
         raise InputError("Phi must be d x d")
     phi = SeriesMatrix(
         [[_series_from_json(entries[r][c], n, tower, hi) for c in range(d)]
          for r in range(d)], n, tower)
+    if not isinstance(doc["C"], list) or len(doc["C"]) != n:
+        raise InputError("C must hold one matrix (or null) per variable")
     C = []
     for cm in doc["C"]:
         if cm is None:
             C.append(None)
             continue
-        if len(cm) != d or any(len(r) != d for r in cm):
+        if not _is_square(cm, d):
             raise InputError("each C must be d x d")
         C.append(ConstMatrix([[_scalar_from_json(x, tower) for x in r]
                               for r in cm], tower))
+    if not isinstance(doc["Q"], list) or len(doc["Q"]) != n:
+        raise InputError("Q must hold one list of slots per variable")
     Q = []
     for qs in doc["Q"]:
-        if len(qs) != d:
+        if (not isinstance(qs, list) or len(qs) != d
+                or not all(isinstance(q, dict) for q in qs)):
             raise InputError("Q needs one dict per diagonal slot")
         blocks = []
         for q in qs:
@@ -269,11 +303,15 @@ def parse_solution_dict(doc) -> FormalSolution:
             blocks.append(out)
         Q.append(blocks)
     structure = _structure_from_json(doc.get("structure", ["unknown"]))
-    return FormalSolution(phi, C, Q, s, structure,
-                          doc.get("diagnostics", []))
+    diagnostics = doc.get("diagnostics", [])
+    if not isinstance(diagnostics, list):
+        raise InputError("diagnostics must be a list")
+    return FormalSolution(phi, C, Q, s, structure, diagnostics)
 
 
 def _structure_from_json(st):
+    if not isinstance(st, list):
+        raise InputError(f"bad structure: {st!r}")
     if st and st[0] == "split":
         return tuple(st[:3]) + tuple(_structure_from_json(x) for x in st[3:])
     return tuple(st)
@@ -284,7 +322,7 @@ def parse_solution(text: str) -> FormalSolution:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"not valid JSON: {exc}") from exc
-    if "solution" in doc:
+    if isinstance(doc, dict) and "solution" in doc:
         doc = doc["solution"]
     return parse_solution_dict(doc)
 
@@ -313,8 +351,11 @@ def generate_equivalent(seed, shape):
     rng = random.Random(seed)
     n, d = shape["n"], shape["d"]
     p = list(shape["p"])
+    if not _is_int(d) or d < 1:
+        raise InputError("shape.d must be a positive integer")
     if len(p) != n or any(x < 0 for x in p):
         raise InputError("shape.p must list one nonnegative rank per variable")
+    _check_bounds(d, p)
     ramified = bool(shape.get("ramified"))
     if ramified and (d < 2 or p[0] < 1):
         raise InputError("a ramified plant needs d >= 2 and p_1 >= 1")

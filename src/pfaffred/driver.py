@@ -13,7 +13,7 @@ constant, and Q_i diagonal with polynomial entries in 1/t_i.
 
 from __future__ import annotations
 
-import itertools
+import heapq
 import math
 from fractions import Fraction
 
@@ -265,9 +265,23 @@ def regular_endgame(S: PfaffianSystem, order=10, max_ext_degree=2):
 
     Solves x_i dT/dx_i = A_i T - T C_i grade by grade with T(0) = I and
     C_i = A_i(0), all components stacked so a grade left free by one
-    direction can still be pinned by another.  An inconsistent grade is
-    a resonance: the function then returns (None, None, diagnostic)
-    rather than raising, since the input itself is fine.  Otherwise the
+    direction can still be pinned by another (free unknowns are 0).
+
+    The grade loop walks the support of T, not the whole window box:
+    each solved nonzero T_beta is scattered, as A_{i,gamma} T_beta over
+    the nonzero entries of each nonconstant grade of A_i, into a pending
+    right-hand side at beta + gamma when that grade lies in the box.
+    Pending grades pop from a heap in (|beta|, beta) order; every
+    contribution comes from a strictly lower total degree, so a popped
+    grade is complete.  The cost is the nonzero grades of T times the
+    nonzero entries of A, plus one stacked solve per grade with a
+    nonzero right-hand side; grades nothing reaches are never visited.
+
+    Resonance is decided at the popped grades: an inconsistent stacked
+    system returns (None, None, diagnostic) rather than raising, since
+    the input itself is fine.  Certification follows the loop: on exact
+    input, T taken as a polynomial is checked against the full
+    equations, and only then keeps an infinite window.  Finally the
     commuting family C_i is split into joint generalized eigenblocks by
     a further constant conjugation and (gauge, residues, None) comes
     back.
@@ -285,41 +299,52 @@ def regular_endgame(S: PfaffianSystem, order=10, max_ext_degree=2):
     window = S.window_hi()
     hi = tuple(min(order + 1, w) if w != INF else order + 1 for w in window)
 
-    # sparse support of the nonconstant part of each A_i
+    # sparse support of the nonconstant part of each A_i: per grade
+    # gamma inside the box, its nonzero entries (r, c, coeff)
     Aterms = []
     for i in range(n):
         bya = {}
         for r in range(d):
             for c in range(d):
                 for e, co in S.A[i].rows[r][c].terms.items():
-                    if all(x == 0 for x in e):
+                    if all(x == 0 for x in e) or co.is_zero():
                         continue
                     if any(x >= h for x, h in zip(e, hi)):
                         continue
-                    bya.setdefault(e, ConstMatrix.zeros(d, d, tower)) \
-                       .rows[r][c] = co
-        Aterms.append(sorted(bya.items(), key=lambda kv: (sum(kv[0]), kv[0])))
+                    bya.setdefault(e, []).append((r, c, co))
+        Aterms.append(list(bya.items()))
 
-    terms = {(0,) * n: ConstMatrix.identity(d, tower)}
-    grid = sorted(itertools.product(*(range(h) for h in hi)),
-                  key=lambda b: (sum(b), b))
-    for beta in grid:
-        if all(b == 0 for b in beta):
-            continue
-        rhs = []
-        any_nonzero = False
+    # pending right-hand sides, one d x d grid per direction, keyed by
+    # the grades that some solved T_beta has reached so far
+    pending = {}
+    heap = []
+
+    def scatter(beta, M):
+        cols = [[(c, v) for c, v in enumerate(row) if not v.is_zero()]
+                for row in M.rows]
         for i in range(n):
-            R = ConstMatrix.zeros(d, d, tower)
-            for gamma, M in Aterms[i]:
-                delta = tuple(b - g for b, g in zip(beta, gamma))
-                if any(x < 0 for x in delta):
+            for gamma, nz in Aterms[i]:
+                target = tuple(b + g for b, g in zip(beta, gamma))
+                if any(x >= h for x, h in zip(target, hi)):
                     continue
-                prev = terms.get(delta)
-                if prev is not None:
-                    R = R + M * prev
-            rhs.append(R)
-            any_nonzero = any_nonzero or not R.is_zero()
-        if not any_nonzero:
+                rhs = pending.get(target)
+                if rhs is None:
+                    z = tower.zero()
+                    rhs = pending[target] = [[[z] * d for _ in range(d)]
+                                             for _ in range(n)]
+                    heapq.heappush(heap, (sum(target), target))
+                R = rhs[i]
+                for r, k, a in nz:
+                    for c, v in cols[k]:
+                        R[r][c] = R[r][c] + a * v
+
+    zero_grade = (0,) * n
+    terms = {zero_grade: ConstMatrix.identity(d, tower)}
+    scatter(zero_grade, terms[zero_grade])
+    while heap:
+        _, beta = heapq.heappop(heap)
+        rhs = pending.pop(beta)
+        if all(x.is_zero() for R in rhs for row in R for x in row):
             continue            # zero is the canonical kernel choice
         big = ConstMatrix.zeros(n * d * d, d * d, tower)
         flat = []
@@ -335,7 +360,7 @@ def regular_endgame(S: PfaffianSystem, order=10, max_ext_degree=2):
                                                     - C[i].rows[r][k])
                         big.rows[row][r * d + k] = (big.rows[row][r * d + k]
                                                     + C[i].rows[k][c])
-                    flat.append(rhs[i].rows[r][c])
+                    flat.append(rhs[i][r][c])
         sol = big.solve_vec(flat)
         if sol is None:
             return None, None, (f"resonant: no polynomial correction at "
@@ -344,6 +369,7 @@ def regular_endgame(S: PfaffianSystem, order=10, max_ext_degree=2):
                         tower)
         if not M.is_zero():
             terms[beta] = M
+            scatter(beta, M)
 
     entries = [[dict() for _ in range(d)] for _ in range(d)]
     for beta, M in terms.items():

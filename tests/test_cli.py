@@ -1,11 +1,15 @@
 """Command-line tests: exit codes and the JSON error object."""
 
 import json
+import os
+import sys
 
 import pytest
 
 from pfaffred import fmfs, serialize_solution, serialize_system
-from pfaffred.cli import main
+from pfaffred.cli import MAX_ORDER, main
+from pfaffred.docio import MAX_DIMENSION, MAX_POINCARE_RANK
+from pfaffred.reduction import check_order
 
 from helpers import hyper_system, sys1
 
@@ -84,3 +88,95 @@ def test_boolean_ramification_is_an_input_error(tmp_path, capsys):
     bad = write_json(tmp_path / "bad.json", doc)
     err = run(capsys, ["verify", system, bad], 1)["error"]
     assert err["type"] == "InputError"
+
+
+# each mutation of a good solution document has the wrong shape; before
+# these checks each one ended verify in a raw AttributeError/TypeError
+@pytest.mark.parametrize("key,value", [
+    ("Phi", []),
+    ("Phi", {"entries": 7}),
+    ("C", 5),
+    ("Q", 5),
+    ("vars", 3),
+    ("structure", 5),
+    ("structure", ["split", 0, 1, 5, ["regular", 1]]),
+    ("diagnostics", 5),
+    (None, 5),
+], ids=["Phi-list", "Phi-entries", "C", "Q", "vars", "structure",
+        "structure-branch", "diagnostics", "document"])
+def test_malformed_solution_is_an_input_error(tmp_path, capsys, key, value):
+    S = sys1([[{0: 1}, 0], [0, {0: 2}]], 1)
+    doc = serialize_solution(fmfs(S, order=4)[0], S.vars)
+    if key is None:
+        doc = value
+    else:
+        doc[key] = value
+    system = write_json(tmp_path / "diag.json", serialize_system(S))
+    bad = write_json(tmp_path / "bad.json", doc)
+    err = run(capsys, ["verify", system, bad], 1)["error"]
+    assert err["type"] == "InputError"
+
+
+# a scalar system with p = 10^8 used to hang in the scalar leaf
+@pytest.mark.parametrize("system,mutate", [
+    (lambda: sys1([[{0: 1}]], 1), lambda doc: doc.update(p=[10 ** 8])),
+    (hyper_system, lambda doc: doc.update(p=[MAX_POINCARE_RANK + 1, 2])),
+    (hyper_system, lambda doc: doc.update(d=MAX_DIMENSION + 1)),
+], ids=["huge-p", "p", "d"])
+def test_system_beyond_the_bounds_is_an_input_error(tmp_path, capsys, system,
+                                                    mutate):
+    doc = serialize_system(system())
+    mutate(doc)
+    path = write_json(tmp_path / "big.json", doc)
+    err = run(capsys, ["reduce", path], 1)["error"]
+    assert err["type"] == "InputError" and "bound" in err["message"]
+
+
+# out of bounds, or (d 0, p "a") a raw ValueError traceback before
+@pytest.mark.parametrize("option,value", [
+    ("--p", str(MAX_POINCARE_RANK + 1)),
+    ("--d", str(MAX_DIMENSION + 1)),
+    ("--d", "0"),
+    ("--p", "a"),
+], ids=["p-bound", "d-bound", "d-zero", "p-literal"])
+def test_bad_generate_shape_is_an_input_error(capsys, option, value):
+    argv = ["generate", "--d", "1", "--p", "1", option, value]
+    assert run(capsys, argv, 1)["error"]["type"] == "InputError"
+
+
+def test_order_bound_is_on_the_request_only(airy_doc, capsys):
+    assert run(capsys, ["check", airy_doc, "--order", str(MAX_ORDER)])
+    err = run(capsys, ["check", airy_doc, "--order", str(MAX_ORDER + 1)],
+              1)["error"]
+    assert err["type"] == "InputError" and "bound" in err["message"]
+    check_order(16 * MAX_ORDER)         # retries may double past the bound
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone away; fileno is a temporary file."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["reduce", "--pretty"], 0),
+    (["reduce", "--order", "0"], 1),
+], ids=["output", "error"])
+def test_broken_pipe_keeps_the_exit_code(airy_doc, tmp_path, monkeypatch,
+                                         argv, code):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fd))
+        assert main(argv[:1] + [airy_doc] + argv[1:]) == code
+    finally:
+        os.close(fd)

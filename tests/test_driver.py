@@ -127,6 +127,22 @@ def test_endgame_resonant_is_diagnostic_not_error():
     assert any("resonant" in d for d in sol.diagnostics)
 
 
+def test_endgame_bivariate_resonance_names_its_grade():
+    # residue Diag(0, 1) in x1 and a scalar residue in x2: the x1
+    # coupling reaches grade (1, 0), where neither direction can absorb it
+    A1 = mat2([[0, 0], [{(1, 0): 1}, 1]])
+    A2 = mat2([[3, 0], [0, 3]])
+    S = PfaffianSystem(["x1", "x2"], [0, 0], [A1, A2], QQ)
+    g, C, diag = regular_endgame(S, order=6)
+    assert (g, C) == (None, None)
+    assert diag == "resonant: no polynomial correction at grade (1, 0)"
+
+    sol, _ = fmfs(S, order=6)
+    assert sol.structure == ("regular-resonant", 2)
+    assert sol.C == [None, None]
+    assert sol.diagnostics == [diag]
+
+
 def test_endgame_integer_spacing_without_resonance():
     # same residue, but the coupling misses the singular grade
     S = sys1([[0, 0], [{2: 1}, 1]], 0)
@@ -246,6 +262,20 @@ PINNED = [
      lambda: generate_equivalent(
          3, {"n": 2, "d": 3, "p": [2, 1], "ramified": True})[0], 8,
      ("ad0f4e5997eeb23c", "60911c25ffcaa8a9")),
+    # the regular endgame: fixed systems and rank-zero plants
+    ("hyper", hyper_system, 10,
+     ("3bb120b2e32a07df", "8dd3d1695f84d2d9")),
+    ("shifted", shifted_system, 10,
+     ("1632fc94083cb4fa", "d6333858f99215a8")),
+    ("plant-regular-n2d4",
+     lambda: generate_equivalent(0, {"n": 2, "d": 4, "p": [0, 0]})[0], 8,
+     ("bc8078bb8e34614b", "43781bd173e7f868")),
+    ("plant-regular-n3d3",
+     lambda: generate_equivalent(0, {"n": 3, "d": 3, "p": [0, 0, 0]})[0], 8,
+     ("9177aefbd72e8c51", "c3e2d9118b3639ee")),
+    ("plant-regular-n3d3-order24",
+     lambda: generate_equivalent(0, {"n": 3, "d": 3, "p": [0, 0, 0]})[0], 24,
+     ("9177aefbd72e8c51", "5e33e9b70082e6cd")),
 ]
 
 
