@@ -2,23 +2,41 @@
 
 Subcommands work on system documents (JSON files, "-" for stdin):
 
-    check        integrability and shape report
-    invariants   growth orders, true ranks, exponential parts
-    rank-reduce  lower every Poincare rank to its minimal value
-    reduce       full normal-form reduction with solution output
-    verify       residual-check a solution document against a system
-    generate     seeded equivalent-system generator with planted answers
+    check SYSTEM             integrability and shape report
+    invariants SYSTEM        growth orders, true ranks, exponential parts
+    rank-reduce SYSTEM       lower every Poincare rank to its minimal value
+    reduce SYSTEM            full normal-form reduction with solution output
+    verify SYSTEM SOLUTION   residual-check a solution document
+    generate                 seeded equivalent system with planted answers
 
-Exit codes: 0 success, 1 bad input (parse/schema/non-integrable),
-2 structure the algorithms do not cover (non-free module, field
+Options:
+    --order N            every subcommand: truncation order (default 10);
+                         check, verify and generate only bound-check it
+    --pretty             every subcommand: human-readable output instead
+                         of JSON
+    --max-retries N      invariants, reduce: doublings of the order after
+                         a truncation failure (default 4)
+    --trace              reduce: include the full step log
+    --seed, --d, --p, --ramified, --gauge-ops, --gauge-degree
+                         generate: seed, dimension, comma-separated
+                         Poincare ranks, a ramified plant, and the number
+                         and degree of the obfuscating row operations
+    --help, --version    print and exit 0
+
+Exit codes: 0 success, 1 bad input (parse/schema/non-integrable, and
+usage errors such as an unknown option or a malformed value), 2
+structure the algorithms do not cover (non-free module, field
 extension, resonance), 3 truncation budget exhausted.  Failures print
-a machine-readable {"error": {"type", "message"}} object.
+a machine-readable {"error": {"type", "message"}} object; usage errors
+have the type InputError.
 
 Input bounds, each refused with exit 1 before any work starts:
     --order             at most MAX_ORDER (256); retries may double the
                         working order past it, the bound is on the request
     d                   at most docio.MAX_DIMENSION (32)
     p_i                 at most docio.MAX_POINCARE_RANK (64), per variable
+    --gauge-ops         at most docio.MAX_GAUGE_OPS (16), not negative
+    --gauge-degree      at most docio.MAX_GAUGE_DEGREE (16), not negative
 The d and p_i bounds hold for system documents and for generate.
 
 Output cut short by the reader (`pfaffred reduce --pretty doc | head -1`)
@@ -53,6 +71,14 @@ _UNSUPPORTED = (ColumnModuleNotFree, RowModuleNotFree, FieldExtensionError,
                 ResonanceError, NotInvertibleError, NotUnitError,
                 ReductionError)
 MAX_ORDER = 256
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise InputError instead of printing usage and
+    exiting 2, which the exit-code contract reserves for structure."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
 
 
 def _read(path: str) -> str:
@@ -169,7 +195,6 @@ def _cmd_check(args):
 def _cmd_invariants(args):
     S = parse_system(_read(args.system))
     parts = exponential_parts(S, order=args.order,
-                              max_ext_degree=args.max_ext_degree,
                               max_retries=args.max_retries)
     omega = [pt.omega() for pt in parts]
     p_true = [-((-w.numerator) // w.denominator) for w in omega]
@@ -221,9 +246,7 @@ def _cmd_rank_reduce(args):
 
 def _cmd_reduce(args):
     S = parse_system(_read(args.system))
-    sol, trace = fmfs(S, order=args.order,
-                      max_ext_degree=args.max_ext_degree,
-                      max_retries=args.max_retries)
+    sol, trace = fmfs(S, order=args.order, max_retries=args.max_retries)
     tdoc = trace.as_dict()
     if not args.trace:
         tdoc.pop("steps")
@@ -282,35 +305,31 @@ def _cmd_generate(args):
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="pfaffred",
         description="Normal forms and invariants for integrable Pfaffian "
                     "systems with normal crossings")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, system=True):
+    def common(sp, system=True, retries=False):
         if system:
             sp.add_argument("system", help="system document (JSON, - for stdin)")
         sp.add_argument("--order", type=int, default=10,
                         help="truncation order for series work (default 10)")
-        sp.add_argument("--max-ext-degree", type=int, default=2,
-                        help="largest algebraic extension degree (default 2)")
-        sp.add_argument("--max-retries", type=int, default=4,
-                        help="doublings of the order on truncation failure")
-        g = sp.add_mutually_exclusive_group()
-        g.add_argument("--json", action="store_true", default=True,
-                       help="machine-readable output (default)")
-        g.add_argument("--pretty", dest="pretty", action="store_true",
-                       help="human-readable output")
-        sp.set_defaults(pretty=False)
+        if retries:
+            sp.add_argument("--max-retries", type=int, default=4,
+                            help="doublings of the order on truncation failure")
+        sp.add_argument("--pretty", action="store_true",
+                        help="human-readable output instead of JSON")
 
     common(sub.add_parser("check", help="integrability and shape report"))
     common(sub.add_parser("invariants",
-                          help="growth orders and exponential parts"))
+                          help="growth orders and exponential parts"),
+           retries=True)
     common(sub.add_parser("rank-reduce", help="minimize every Poincare rank"))
     rd = sub.add_parser("reduce", help="full reduction to normal form")
-    common(rd)
+    common(rd, retries=True)
     rd.add_argument("--trace", action="store_true",
                     help="include the full step log in the output")
     vf = sub.add_parser("verify", help="check a solution document")
@@ -328,11 +347,11 @@ def main(argv=None) -> int:
     gn.add_argument("--gauge-ops", type=int, default=4)
     gn.add_argument("--gauge-degree", type=int, default=2)
 
-    args = ap.parse_args(argv)
     handlers = {"check": _cmd_check, "invariants": _cmd_invariants,
                 "rank-reduce": _cmd_rank_reduce, "reduce": _cmd_reduce,
                 "verify": _cmd_verify, "generate": _cmd_generate}
     try:
+        args = ap.parse_args(argv)
         if args.order > MAX_ORDER:
             raise InputError(f"truncation order {args.order} exceeds the "
                              f"bound {MAX_ORDER}")

@@ -12,7 +12,10 @@ Inputs are bounded: d at most MAX_DIMENSION and every p_i at most
 MAX_POINCARE_RANK, in system documents and generator shapes alike.
 The work of a reduction grows with both (the scalar leaf alone walks
 p_i + 1 coefficients), so an absurd value is refused up front instead
-of hanging.
+of hanging.  The generator's gauge takes at most MAX_GAUGE_OPS row
+operations with exponents at most MAX_GAUGE_DEGREE: each operation
+multiplies the gauge by one more polynomial, so its size and the cost
+of inverting it grow with both.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ from .system import GaugeTransformation, PfaffianSystem, apply_gauge
 
 MAX_DIMENSION = 32
 MAX_POINCARE_RANK = 64
+MAX_GAUGE_OPS = 16
+MAX_GAUGE_DEGREE = 16
 
 
 # -- scalars -----------------------------------------------------------------
@@ -340,8 +345,9 @@ _COEFF_POOL = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
 def generate_equivalent(seed, shape):
     """Diagonal normal form, obfuscated by a seeded unimodular gauge.
 
-    shape: {"n": .., "d": .., "p": [..], "gauge_ops": int (default 4),
-            "gauge_degree": int (default 2), "ramified": bool}.
+    shape: {"n": .., "d": .., "p": [..], "gauge_ops": int (default 4,
+            at most MAX_GAUGE_OPS), "gauge_degree": int (default 2, at most
+            MAX_GAUGE_DEGREE), "ramified": bool}.
     Returns (system, planted) where planted holds the invariants the
     reduction must recover: per-variable Q slot dicts, s, p_true, omega.
     The construction is integrable by commutativity (diagonal matrices
@@ -356,6 +362,13 @@ def generate_equivalent(seed, shape):
     if len(p) != n or any(x < 0 for x in p):
         raise InputError("shape.p must list one nonnegative rank per variable")
     _check_bounds(d, p)
+    ops = shape.get("gauge_ops", 4)
+    deg = shape.get("gauge_degree", 2)
+    for name, value, bound in (("gauge_ops", ops, MAX_GAUGE_OPS),
+                               ("gauge_degree", deg, MAX_GAUGE_DEGREE)):
+        if not _is_int(value) or not 0 <= value <= bound:
+            raise InputError(f"shape.{name} must be an integer from 0 to "
+                             f"the bound {bound}, got {value!r}")
     ramified = bool(shape.get("ramified"))
     if ramified and (d < 2 or p[0] < 1):
         raise InputError("a ramified plant needs d >= 2 and p_1 >= 1")
@@ -422,8 +435,6 @@ def generate_equivalent(seed, shape):
 
     S = PfaffianSystem([f"x{i + 1}" for i in range(n)], p, A, tower)
 
-    ops = shape.get("gauge_ops", 4)
-    deg = shape.get("gauge_degree", 2)
     T = SeriesMatrix.identity(d, n, tower)
     for _ in range(ops):
         r = rng.randrange(d)
@@ -440,7 +451,7 @@ def generate_equivalent(seed, shape):
         E.rows[r][c] = poly
         T = T * E
     gauge = GaugeTransformation(T)
-    out = apply_gauge(S, gauge).system
+    out = apply_gauge(S, gauge)
 
     planted = {
         "Q": Q,

@@ -24,7 +24,12 @@ from .errors import (
     ReductionError,
     TruncationInsufficient,
 )
-from .linalg import ConstMatrix, SeriesMatrix, generalized_eigenspaces
+from .linalg import (
+    ConstMatrix,
+    SeriesMatrix,
+    generalized_eigenspaces,
+    sylvester_stack,
+)
 from .scalars import common_tower, roots_of_charpoly
 from .series import INF, Series, series_exp
 from .system import (
@@ -37,11 +42,11 @@ from .system import (
 from .reduction import (
     check_order,
     eigen_shift,
+    katz_order_univariate,
     ramify_system,
     rank_reduce,
     split,
 )
-from .invariants import katz_order_univariate
 
 
 class FormalSolution:
@@ -260,7 +265,7 @@ def _scalar_leaf(S: PfaffianSystem, ram, order):
 # -- regular endgame --------------------------------------------------------
 
 
-def regular_endgame(S: PfaffianSystem, order=10, max_ext_degree=2):
+def regular_endgame(S: PfaffianSystem, order=10):
     """Reduce a rank-zero system to constant coefficients.
 
     Solves x_i dT/dx_i = A_i T - T C_i grade by grade with T(0) = I and
@@ -346,22 +351,10 @@ def regular_endgame(S: PfaffianSystem, order=10, max_ext_degree=2):
         rhs = pending.pop(beta)
         if all(x.is_zero() for R in rhs for row in R for x in row):
             continue            # zero is the canonical kernel choice
-        big = ConstMatrix.zeros(n * d * d, d * d, tower)
-        flat = []
-        for i in range(n):
-            base = i * d * d
-            bi = tower.scalar(beta[i])
-            for r in range(d):
-                for c in range(d):
-                    row = base + r * d + c
-                    big.rows[row][r * d + c] = big.rows[row][r * d + c] + bi
-                    for k in range(d):
-                        big.rows[row][k * d + c] = (big.rows[row][k * d + c]
-                                                    - C[i].rows[r][k])
-                        big.rows[row][r * d + k] = (big.rows[row][r * d + k]
-                                                    + C[i].rows[k][c])
-                    flat.append(rhs[i][r][c])
-        sol = big.solve_vec(flat)
+        # x_i dT/dx_i = A_i T - T C_i at grade beta: C_i T_beta - T_beta C_i
+        # - beta_i T_beta = -(what lower grades contribute)
+        op = sylvester_stack([(C[i], C[i], beta[i]) for i in range(n)], tower)
+        sol = op.solve_vec([-x for R in rhs for row in R for x in row])
         if sol is None:
             return None, None, (f"resonant: no polynomial correction at "
                                 f"grade {tuple(beta)}")
@@ -395,7 +388,7 @@ def regular_endgame(S: PfaffianSystem, order=10, max_ext_degree=2):
         T = T.clipped(hi)
     gauge = GaugeTransformation(T)
 
-    W, tw2 = _joint_block_diagonalize(C, tower, max_ext_degree)
+    W, tw2 = _joint_block_diagonalize(C, tower)
     if tw2.degree > tower.degree:
         C = [M.lift_tower(tw2) for M in C]
     if not W == ConstMatrix.identity(d, tw2):
@@ -409,14 +402,14 @@ def regular_endgame(S: PfaffianSystem, order=10, max_ext_degree=2):
     return gauge, C, None
 
 
-def _joint_block_diagonalize(Cs, tower, max_ext_degree):
+def _joint_block_diagonalize(Cs, tower):
     """Constant W with W^-1 C_i W block diagonal, one joint eigenvalue
     tuple per block.  Recurses over the commuting family."""
     if not Cs:
         return ConstMatrix.identity(0, tower), tower
     d = Cs[0].nrows
     for C in Cs:
-        roots, tw2 = roots_of_charpoly(C.charpoly(), max_ext_degree)
+        roots, tw2 = roots_of_charpoly(C.charpoly())
         if len(roots) < 2:
             continue
         if tw2.degree > tower.degree:
@@ -445,7 +438,7 @@ def _joint_block_diagonalize(Cs, tower, max_ext_degree):
             subs = [ConstMatrix([[tower.scalar(M.rows[lo + r][lo + c])
                                   for c in range(s)] for r in range(s)], tower)
                     for M in conj]
-            Wk, tower = _joint_block_diagonalize(subs, tower, max_ext_degree)
+            Wk, tower = _joint_block_diagonalize(subs, tower)
             if tower.degree > W.tower.degree:
                 W = W.lift_tower(tower)
                 V = V.lift_tower(tower)
@@ -474,7 +467,7 @@ def _collapse(factors, ram, n, d, tower):
     return out
 
 
-def _reduce(S, ram, order, max_ext_degree, trace, path, certify=None):
+def _reduce(S, ram, order, trace, path, certify=None):
     n, d = S.n, S.d
     ram = list(ram)
     factors = []
@@ -503,8 +496,7 @@ def _reduce(S, ram, order, max_ext_degree, trace, path, certify=None):
                     [[qs[i]] for i in range(n)], C, ("scalar",), diags)
 
         if all(p == 0 for p in S.p):
-            gauge, Cs, diag = regular_endgame(S, order=order,
-                                              max_ext_degree=max_ext_degree)
+            gauge, Cs, diag = regular_endgame(S, order=order)
             Q = [[dict(qacc[i]) for _ in range(d)] for i in range(n)]
             if gauge is None:
                 diags.append(diag)
@@ -526,7 +518,7 @@ def _reduce(S, ram, order, max_ext_degree, trace, path, certify=None):
             if S.p[i] > 0 and not S.trivial[i]:
                 try:
                     eig[i] = roots_of_charpoly(
-                        S.A[i].constant_term().charpoly(), max_ext_degree)[0]
+                        S.A[i].constant_term().charpoly())[0]
                 except FieldExtensionError as exc:
                     eig[i] = None
                     last_fee = exc
@@ -542,11 +534,9 @@ def _reduce(S, ram, order, max_ext_degree, trace, path, certify=None):
             top_n, _ = normalize_poincare(top)
             bot_n, _ = normalize_poincare(bottom)
             phiT, ramT, QT, CT, stT, dgT = _reduce(
-                top_n, ram, order, max_ext_degree, trace,
-                path + f"{split_i}a/", certify)
+                top_n, ram, order, trace, path + f"{split_i}a/", certify)
             phiB, ramB, QB, CB, stB, dgB = _reduce(
-                bot_n, ram, order, max_ext_degree, trace,
-                path + f"{split_i}b/", certify)
+                bot_n, ram, order, trace, path + f"{split_i}b/", certify)
             s = [math.lcm(a, b) for a, b in zip(ramT, ramB)]
             tw = common_tower(phiT.tower, phiB.tower)
             for i in range(n):
@@ -696,7 +686,7 @@ def verify_solution(S: PfaffianSystem, sol: FormalSolution):
     return {"ok": ok, "verified_to": verified, "per_component": per}
 
 
-def fmfs(S: PfaffianSystem, order=10, max_ext_degree=2, max_retries=4):
+def fmfs(S: PfaffianSystem, order=10, max_retries=4):
     """Formal fundamental matrix of solutions, with retry on truncation.
 
     Returns (FormalSolution, ReductionTrace).  The working order doubles
@@ -719,7 +709,7 @@ def fmfs(S: PfaffianSystem, order=10, max_ext_degree=2, max_retries=4):
             for i, msg in notes:
                 trace.add("", "normalize", component=i, note=msg)
             phi, ram, Q, C, struct, diags = _reduce(
-                Sn, [1] * S.n, N, max_ext_degree, trace, "", order)
+                Sn, [1] * S.n, N, trace, "", order)
             sol = FormalSolution(phi, C, Q, ram, struct, diags)
             sol.check_block_compatibility()
             if all(c is not None for c in sol.C):

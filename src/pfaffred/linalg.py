@@ -3,7 +3,9 @@
 ConstMatrix holds field scalars and supports exact elimination (rref,
 rank, solve, kernel, inverse; Elimination replays one elimination on
 many right-hand sides) plus characteristic polynomials and generalized
-eigenspace decomposition.  SeriesMatrix holds Series entries; its
+eigenspace decomposition; sylvester_stack builds the stacked operator
+X -> (L_k X - X R_k - s_k X)_k that the splitting and the regular
+endgame solve grade by grade.  SeriesMatrix holds Series entries; its
 inverse prefers the exact adjugate route (valid whenever the
 determinant is a unit times a monomial, as gauge determinants here
 always are), falling back to a windowed Neumann series.  Both the
@@ -290,6 +292,33 @@ def generalized_eigenspaces(A: ConstMatrix, roots):
     return V, sizes
 
 
+def sylvester_stack(blocks, tower):
+    """Matrix of X -> (L_k X - X R_k - s_k X)_k on row-major vec(X).
+
+    blocks lists (L_k, R_k, s_k): square constant L_k and R_k of the
+    row and column sizes of X, and a rational shift s_k.  Row block k
+    of the result holds equation k.
+    """
+    rows, cols = blocks[0][0].nrows, blocks[0][1].nrows
+    size = rows * cols
+    out = []
+    for L, R, shift in blocks:
+        M = ConstMatrix.zeros(size, size, tower)
+        s = tower.scalar(shift)
+        for rr in range(rows):
+            for cc in range(cols):
+                ci = rr * cols + cc
+                for r2 in range(rows):
+                    M.rows[r2 * cols + cc][ci] = \
+                        M.rows[r2 * cols + cc][ci] + L.rows[r2][rr]
+                for c2 in range(cols):
+                    M.rows[rr * cols + c2][ci] = \
+                        M.rows[rr * cols + c2][ci] - R.rows[cc][c2]
+                M.rows[ci][ci] = M.rows[ci][ci] - s
+        out.extend(M.rows)
+    return ConstMatrix(out, tower)
+
+
 class SeriesMatrix:
     __slots__ = ("rows", "nrows", "ncols", "nvars", "tower")
 
@@ -400,8 +429,8 @@ class SeriesMatrix:
     def clipped(self, hi):
         return self.map(lambda s: s.clipped(hi))
 
-    def mul_monomial(self, exp, coeff=1):
-        return self.map(lambda s: s.mul_monomial(exp, coeff))
+    def mul_monomial(self, exp):
+        return self.map(lambda s: s.mul_monomial(exp))
 
     def partial_derivative(self, i):
         return self.map(lambda s: s.partial_derivative(i))
@@ -470,24 +499,22 @@ class SeriesMatrix:
             lambda e: not (e.is_zero() and e.exact),
             operator.mul, operator.add, operator.neg)
 
-    def rank_generic(self) -> int:
-        """Rank over the fraction field of the series ring.
+    def pivot_rows(self):
+        """Rows, in increasing order, that fraction-free elimination over
+        the series ring picks as pivots, one per independent column.
 
         Entries that vanish within their window are treated as zero, so
-        on truncated data this is the rank of what is visible.
+        on truncated data this sees only what is visible.  The pivot rows
+        cut the columns down to a square block of full rank.
         """
-        m = [[e for e in r] for r in self.rows]
-        rank = 0
+        m = [list(r) for r in self.rows]
+        chosen = []
         rows_left = list(range(self.nrows))
         for col in range(self.ncols):
-            piv = None
-            for i in rows_left:
-                if not m[i][col].is_zero():
-                    piv = i
-                    break
+            piv = next((i for i in rows_left if not m[i][col].is_zero()), None)
             if piv is None:
                 continue
-            rank += 1
+            chosen.append(piv)
             rows_left.remove(piv)
             pe = m[piv][col]
             for i in rows_left:
@@ -495,7 +522,11 @@ class SeriesMatrix:
                     continue
                 f = m[i][col]
                 m[i] = [pe * a - f * b for a, b in zip(m[i], m[piv])]
-        return rank
+        return sorted(chosen)
+
+    def rank_generic(self) -> int:
+        """Rank over the fraction field of the series ring."""
+        return len(self.pivot_rows())
 
     def adjugate_inverse(self):
         """Exact inverse via adjugate; None when entries are inexact or

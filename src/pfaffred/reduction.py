@@ -6,7 +6,10 @@ coefficient (computed over the power-series ring in the remaining
 variables, with basis columns certified by integral cofactors), a
 unimodular reorganization Q of the reduced pencil, and diagonal
 monomial shearings.  Each move is applied to the full system through
-apply_gauge so weak compatibility is verified rather than assumed.
+apply_gauge, which refuses a move that breaks normal crossings, so that
+is verified rather than assumed.  The growth order of a one-variable
+system (katz_order_univariate) is read off the characteristic
+polynomial of its rank-reduced form.
 
 Splitting decouples a component whose constant term has at least two
 distinct eigenvalues into two diagonal blocks; the off-diagonal blocks
@@ -41,6 +44,7 @@ from .linalg import (
     Elimination,
     SeriesMatrix,
     generalized_eigenspaces,
+    sylvester_stack,
 )
 from .scalars import Scalar, roots_of_charpoly
 from .series import INF, Series
@@ -177,26 +181,6 @@ def _rank_at_origin(M: SeriesMatrix):
         return -1
 
 
-def _square_from_rows(cols: SeriesMatrix):
-    """Pick rows making the column set square and nonsingular over K."""
-    chosen = []
-    rows_left = list(range(cols.nrows))
-    work = {i: list(cols.rows[i]) for i in rows_left}
-    for c in range(cols.ncols):
-        piv = next((i for i in rows_left if not work[i][c].is_zero()), None)
-        if piv is None:
-            continue
-        chosen.append(piv)
-        rows_left.remove(piv)
-        pe = work[piv][c]
-        for i in rows_left:
-            if not work[i][c].is_zero():
-                f = work[i][c]
-                work[i] = [pe * a - f * b for a, b in zip(work[i], work[piv])]
-    chosen.sort()
-    return cols.submatrix(chosen, range(cols.ncols)), chosen
-
-
 def _basis_candidates(A0: SeriesMatrix, r: int):
     """Column subsets, residue-rank-r first, then by determinant valuation."""
     d = A0.ncols
@@ -206,9 +190,10 @@ def _basis_candidates(A0: SeriesMatrix, r: int):
         if _rank_at_origin(cols) == r:
             scored.append((0, 0, sub))
             continue
-        if cols.rank_generic() < r:
+        rows = cols.pivot_rows()
+        if len(rows) < r:
             continue
-        B, _ = _square_from_rows(cols)
+        B = cols.submatrix(rows, range(r))
         scored.append((1, B.determinant().total_valuation(), sub))
     scored.sort()
     return [s[2] for s in scored]
@@ -227,7 +212,8 @@ def _module_column_basis(A0: SeriesMatrix, r: int, ell: int, slots):
                   if any(not A0.rows[t][j].is_zero() for t in range(A0.nrows))]
     for sub in _basis_candidates(A0, r):
         basis_cols = A0.submatrix(range(A0.nrows), sub)
-        B, rows = _square_from_rows(basis_cols)
+        rows = basis_cols.pivot_rows()
+        B = basis_cols.submatrix(rows, range(r))
         ok = True
         relations = {}
         for j in nontrivial:
@@ -343,16 +329,15 @@ def column_reduce(A0: SeriesMatrix, i: int, ell: int) -> ColumnReduction:
 
 class MoserData:
     __slots__ = ("r", "v", "rho", "theta", "theta_zero", "theta_limited",
-                 "G", "A0", "A1")
+                 "A0", "A1")
 
-    def __init__(self, r, v, theta, theta_zero, theta_limited, G, A0, A1):
+    def __init__(self, r, v, theta, theta_zero, theta_limited, A0, A1):
         self.r = r
         self.v = v
         self.rho = None
         self.theta = theta          # over (x, lambda); lambda is the last slot
         self.theta_zero = theta_zero
         self.theta_limited = theta_limited
-        self.G = G                  # lambda lives in slot i
         self.A0 = A0
         self.A1 = A1
 
@@ -419,7 +404,7 @@ def moser_data(S: PfaffianSystem, i: int, colred: ColumnReduction,
     limited = zero and not theta.exact
     if limited and certify_order is not None:
         limited = any(h != INF and h <= certify_order for h in theta.hi)
-    return MoserData(r, colred.v, theta, zero, limited, G, A0, A1)
+    return MoserData(r, colred.v, theta, zero, limited, A0, A1)
 
 
 def moser_rank(S: PfaffianSystem, i: int) -> Fraction:
@@ -462,7 +447,7 @@ def build_Q(S: PfaffianSystem, i: int, md: MoserData, order: int = 10):
     m = d - r
     if v == 0:
         md2 = MoserData(r, v, md.theta, md.theta_zero, md.theta_limited,
-                        md.G, A0, A1)
+                        A0, A1)
         md2.rho = 0
         return GaugeTransformation.identity(d, n, tower), md2
     slots = [k for k in range(n) if k != i]
@@ -530,7 +515,7 @@ def build_Q(S: PfaffianSystem, i: int, md: MoserData, order: int = 10):
                 elif bot is not None and not bot.is_zero():
                     continue
             md2 = MoserData(r, v, md.theta, md.theta_zero, md.theta_limited,
-                            md.G, A0n, A1n)
+                            A0n, A1n)
             md2.rho = rho
             return g, md2
     raise ReductionError("unable to reach the sheared pencil form; "
@@ -549,15 +534,11 @@ def build_shearing(i: int, r: int, rho: int, d: int, nvars, tower):
 # rank reduction loops
 # ---------------------------------------------------------------------------
 
-def _apply_checked(S, g, steps, kind, i):
-    rep = apply_gauge(S, g)
-    if not rep.weakly_compatible:
-        raise ReductionError(
-            f"integrability structure violated: {kind} on component {i} "
-            "broke normal crossings")
+def _apply_logged(S, g, steps, kind, i):
+    out = apply_gauge(S, g)
     steps.append({"kind": kind, "component": i, "gauge": g,
-                  "p_before": list(S.p), "p_after": list(rep.system.p)})
-    return rep.system
+                  "p_before": list(S.p), "p_after": list(out.p)})
+    return out
 
 
 def rank_reduce(S: PfaffianSystem, order: int = 10,
@@ -590,7 +571,7 @@ def rank_reduce(S: PfaffianSystem, order: int = 10,
                 exc.args = (f"component {i}: {exc.args[0]}",)
                 raise
             if not colred.gauge.is_identity():
-                S = _apply_checked(S, colred.gauge, steps, "column_reduce", i)
+                S = _apply_logged(S, colred.gauge, steps, "column_reduce", i)
                 total = total.compose(colred.gauge)
             if colred.r == 0:
                 S, _ = normalize_poincare(S)
@@ -606,11 +587,11 @@ def rank_reduce(S: PfaffianSystem, order: int = 10,
                 break
             gq, md = build_Q(S, i, md, order)
             if not gq.is_identity():
-                S = _apply_checked(S, gq, steps, "pencil_reorganize", i)
+                S = _apply_logged(S, gq, steps, "pencil_reorganize", i)
                 total = total.compose(gq)
             p_before = S.p[i]
             shear = build_shearing(i, md.r, md.rho, S.d, S.n, S.tower)
-            S = _apply_checked(S, shear, steps, "shear", i)
+            S = _apply_logged(S, shear, steps, "shear", i)
             total = total.compose(shear)
             if (S.p[i] >= p_before
                     and S.coeff(i, 0).rank_generic() >= colred.r):
@@ -636,7 +617,7 @@ def rank_reduce_alt(S: PfaffianSystem, order: int = 10):
         while j < S.d - 1 and S.p[i] > 0 and not S.trivial[i]:
             colred = column_reduce(S.coeff(i, 0), i, order)
             if not colred.gauge.is_identity():
-                S = _apply_checked(S, colred.gauge, steps, "column_reduce", i)
+                S = _apply_logged(S, colred.gauge, steps, "column_reduce", i)
                 total = total.compose(colred.gauge)
             if colred.r == 0:
                 S, _ = normalize_poincare(S)
@@ -646,10 +627,72 @@ def rank_reduce_alt(S: PfaffianSystem, order: int = 10):
                 continue
             p_before = S.p[i]
             shear = build_shearing(i, colred.r, 0, S.d, S.n, S.tower)
-            S = _apply_checked(S, shear, steps, "shear", i)
+            S = _apply_logged(S, shear, steps, "shear", i)
             total = total.compose(shear)
             j = 0 if S.p[i] < p_before else j + 1
     return total, S, steps
+
+
+# ---------------------------------------------------------------------------
+# growth order of a one-variable system
+# ---------------------------------------------------------------------------
+
+def katz_order_univariate(ods: PfaffianSystem, order: int = 10) -> Fraction:
+    """Exponential growth order of a one-variable system.
+
+    The system is first brought to minimal Poincare rank.  Writing
+    chi(lam) = det(lam I - x^{-p-1} A) = sum_j c_j(x) lam^j, the order
+    is max(0, max_{j<d} (-val c_j)/(d-j) - 1), i.e. the steepest slope
+    of the Newton polygon of chi measured against the regular-singular
+    baseline.  Valuations are certified against the truncation window:
+    a coefficient with no visible term may hide anywhere at or beyond
+    the window, and if that could change the maximum we refuse.  At
+    minimal rank p the order lies in (p - 1, p]; an order outside it
+    means the rank reduction did not finish, a ReductionError.
+    """
+    if ods.n != 1:
+        raise InputError("katz order expects a one-variable system")
+    if ods.A[0].is_zero():
+        if ods.A[0].exact:
+            return Fraction(0)
+        raise TruncationInsufficient(
+            "component vanishes within the truncation window")
+    _, R, _ = rank_reduce(ods, order=order)
+    p = R.p[0]
+    if p == 0:
+        return Fraction(0)
+    d = R.d
+    lam = Series.variable(2, 1, R.tower)
+    Ae = R.A[0].map(Series.append_slot)
+    M = SeriesMatrix.zeros(d, d, 2, R.tower)
+    for t in range(d):
+        for j in range(d):
+            M.rows[t][j] = -Ae.rows[t][j]
+            if t == j:
+                M.rows[t][j] = M.rows[t][j] + lam
+    chi = M.determinant()
+    wx = chi.hi[0]
+    seen = {}
+    for (kx, kl) in chi.terms:
+        if kl < d and (kl not in seen or kx < seen[kl]):
+            seen[kl] = kx
+    best = Fraction(0)
+    for j, v in seen.items():
+        slope = p - Fraction(v, d - j)
+        if slope > best:
+            best = slope
+    for j in range(d):
+        # an all-zero coefficient column is only safe if even a term
+        # sitting right at the window could not beat the current max
+        if j not in seen and wx != INF and p - Fraction(wx, d - j) > best:
+            raise TruncationInsufficient(
+                f"lambda^{j} coefficient of the characteristic polynomial "
+                f"vanishes to order {wx}; growth order not certified")
+    if not p - 1 < best <= p:
+        raise ReductionError(
+            f"growth order {best} is not within (p - 1, p] for the "
+            f"reduced rank p = {p}")
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -698,10 +741,7 @@ def split(S: PfaffianSystem, i: int, order: int = 10):
     V, sizes = generalized_eigenspaces(C, roots)
     d1 = sizes[0]
     gV = GaugeTransformation.from_constant(V, n)
-    repV = apply_gauge(S, gV)
-    if not repV.weakly_compatible:
-        raise ReductionError("constant conjugation broke normal crossings")
-    S = repV.system
+    S = apply_gauge(S, gV)
     tower = S.tower
 
     rs1, rs2 = list(range(d1)), list(range(d1, d))
@@ -759,24 +799,8 @@ def split(S: PfaffianSystem, i: int, order: int = 10):
         el = eliminations.get((up, shifts))
         if el is None:
             C1, C2 = (a11_0, a22_0) if up else (a22_0, a11_0)
-            rows, cols = C1[0].nrows, C2[0].nrows
-            big_rows = []
-            for k in range(n):
-                Mk = ConstMatrix.zeros(rows * cols, rows * cols, tower)
-                for rr in range(rows):
-                    for cc in range(cols):
-                        ci = rr * cols + cc
-                        for r2 in range(rows):
-                            Mk.rows[r2 * cols + cc][ci] = \
-                                Mk.rows[r2 * cols + cc][ci] + C1[k].rows[r2][rr]
-                        for c2 in range(cols):
-                            Mk.rows[rr * cols + c2][ci] = \
-                                Mk.rows[rr * cols + c2][ci] - C2[k].rows[cc][c2]
-                        Mk.rows[ci][ci] = \
-                            Mk.rows[ci][ci] - tower.scalar(shifts[k])
-                big_rows.extend(Mk.rows)
-            el = eliminations[(up, shifts)] = \
-                Elimination(ConstMatrix(big_rows, tower))
+            el = eliminations[(up, shifts)] = Elimination(sylvester_stack(
+                list(zip(C1, C2, shifts)), tower))
         sol = el.solve(rhs)
         if sol is None:
             raise ResonanceError("off-diagonal elimination is inconsistent; "
@@ -848,10 +872,7 @@ def split(S: PfaffianSystem, i: int, order: int = 10):
         [SeriesMatrix.identity(d1, n, tower), P],
         [Q, SeriesMatrix.identity(d - d1, n, tower)]])
     gT = GaugeTransformation(T, hi=None if certified else box)
-    rep = apply_gauge(S, gT)
-    if not rep.weakly_compatible:
-        raise ReductionError("splitting transformation broke normal crossings")
-    whole = rep.system
+    whole = apply_gauge(S, gT)
     for k in range(n):
         if not (whole.A[k].submatrix(rs1, rs2).is_zero()
                 and whole.A[k].submatrix(rs2, rs1).is_zero()):

@@ -68,16 +68,12 @@ class MinimalPolynomial:
 class FieldTower:
     """Shared extension context.  Degree 1 means plain Q."""
 
-    def __init__(self, minpoly: MinimalPolynomial | None = None, max_degree: int = 2):
-        if minpoly is not None:
-            if minpoly.degree > max_degree:
-                raise FieldExtensionError("unsupported field tower: degree above cap")
-            if minpoly.degree != 2 or not minpoly.is_irreducible_quadratic():
-                raise FieldExtensionError(
-                    "unsupported field tower: only irreducible quadratics may be adjoined"
-                )
+    def __init__(self, minpoly: MinimalPolynomial | None = None):
+        if minpoly is not None and not minpoly.is_irreducible_quadratic():
+            raise FieldExtensionError(
+                "unsupported field tower: only irreducible quadratics may be adjoined"
+            )
         self.minpoly = minpoly
-        self.max_degree = max_degree
 
     @property
     def degree(self) -> int:
@@ -88,7 +84,7 @@ class FieldTower:
             minpoly = MinimalPolynomial(minpoly)
         if self.minpoly is not None:
             raise FieldExtensionError("unsupported field tower: already extended")
-        return FieldTower(minpoly, self.max_degree)
+        return FieldTower(minpoly)
 
     def scalar(self, value) -> "Scalar":
         if isinstance(value, Scalar):
@@ -382,36 +378,72 @@ def squarefree_part(p):
     return poly_monic(quot)
 
 
-def _divisors(n: int):
-    n = abs(n)
-    small, large = [], []
-    k = 1
-    while k * k <= n:
-        if n % k == 0:
-            small.append(k)
-            if k != n // k:
-                large.append(n // k)
-        k += 1
-    return small + large[::-1]
+def _eval_int(g, x):
+    """Integer polynomial g (low to high) at the integer x."""
+    acc = 0
+    for c in reversed(g):
+        acc = acc * x + c
+    return acc
+
+
+def _rational_reconstruction(u, m, N, D):
+    """r/s = u mod m with |r| <= N and 0 < |s| <= D, or None (needs m > 2ND)."""
+    r0, r1, s0, s1 = m, u, 0, 1
+    while r1 > N:
+        t = r0 // r1
+        r0, r1 = r1, r0 - t * r1
+        s0, s1 = s1, s0 - t * s1
+    if s1 == 0 or abs(s1) > D:
+        return None
+    return Fraction(r1, s1)
 
 
 def _rational_root_candidates(p):
-    """Candidate rational roots of a Q-coefficient polynomial."""
-    fracs = [c.to_fraction() for c in p]
-    lcm = 1
-    for f in fracs:
-        lcm = lcm * f.denominator // math.gcd(lcm, f.denominator)
-    ints = [int(f * lcm) for f in fracs]
-    while ints and ints[0] == 0:
-        ints = ints[1:]
-    if not ints:
-        return []
-    a0, an = ints[0], ints[-1]
-    cands = {Fraction(0)}
-    for r in _divisors(a0):
-        for s in _divisors(an):
-            cands.add(Fraction(r, s))
-            cands.add(Fraction(-r, s))
+    """Candidate rational roots of a Q-coefficient polynomial, sorted.
+
+    Every rational root is among them; callers confirm each by exact
+    evaluation.  The squarefree part g, cleared to a primitive integer
+    polynomial, is read modulo the smallest prime q that divides neither
+    its leading coefficient nor g'(u) at any root u of g mod q (which
+    holds once g stays squarefree mod q).  A rational root r/s then has
+    s invertible mod q, so it reduces to a simple root u mod q; Newton's
+    iteration (Hensel's lemma) lifts u to a modulus above 2|g_0||g_n|,
+    from which rational reconstruction recovers r/s, since r | g_0 and
+    s | g_n.  The cost is polynomial in the bit length; trial division
+    of g_0 and g_n would be exponential in it.
+    """
+    fracs = [c.to_fraction() for c in poly_trim(p)]
+    cands = set()
+    low = next((k for k, f in enumerate(fracs) if f != 0), len(fracs))
+    if low:
+        cands.add(Fraction(0))
+    if len(fracs) - low < 2:
+        return sorted(cands)
+    sq = [c.to_fraction() for c in squarefree_part(
+        [QQ.scalar(f) for f in fracs[low:]])]
+    lcm = math.lcm(*(f.denominator for f in sq))
+    g = [int(f * lcm) for f in sq]
+    content = math.gcd(*g)
+    g = [c // content for c in g]
+    dg = [k * c for k, c in enumerate(g)][1:]
+    q = 1
+    while True:
+        q += 1
+        if g[-1] % q == 0 or any(q % k == 0
+                                 for k in range(2, math.isqrt(q) + 1)):
+            continue
+        roots = [u for u in range(q) if _eval_int(g, u) % q == 0]
+        if all(_eval_int(dg, u) % q for u in roots):
+            break
+    N, D = abs(g[0]), abs(g[-1])
+    for u in roots:
+        m = q
+        while m <= 2 * N * D:
+            m *= m
+            u = (u - _eval_int(g, u) * pow(_eval_int(dg, u), -1, m)) % m
+        r = _rational_reconstruction(u, m, N, D)
+        if r is not None:
+            cands.add(r)
     return sorted(cands)
 
 
@@ -463,7 +495,7 @@ def _sqrt_in_tower(D: Scalar):
     return None
 
 
-def roots_of_charpoly(p, max_ext_degree: int = 2):
+def roots_of_charpoly(p):
     """All roots of a monic polynomial over the current tower.
 
     Returns (roots, tower) where roots is a list of (Scalar, multiplicity)
@@ -479,25 +511,22 @@ def roots_of_charpoly(p, max_ext_degree: int = 2):
     roots: list[tuple[Scalar, int]] = []
 
     def extract_known_roots(p):
+        # deflating a root leaves a subset of the rational roots, so one
+        # sorted candidate list serves the whole loop
+        if all(c.is_rational() for c in p):
+            cands = _rational_root_candidates(p)
+        else:
+            cands = _rational_root_candidates(
+                poly_mul(p, [c.conjugate() for c in p]))
         found = []
-        work = p
-        progress = True
-        while progress and poly_degree(work) >= 1:
-            progress = False
-            if all(c.is_rational() for c in work):
-                cands = _rational_root_candidates(work)
-            else:
-                conj = [c.conjugate() for c in work]
-                norm = poly_mul(work, conj)
-                cands = _rational_root_candidates(norm)
-            for cand in cands:
-                r = work[0].tower.scalar(cand)
-                if poly_eval(work, r).is_zero():
-                    work, m = _deflate_root(work, r)
-                    found.append((r, m))
-                    progress = True
-                    break
-        return work, found
+        for cand in cands:
+            if poly_degree(p) < 1:
+                break
+            r = p[0].tower.scalar(cand)
+            if poly_eval(p, r).is_zero():
+                p, m = _deflate_root(p, r)
+                found.append((r, m))
+        return p, found
 
     p, found = extract_known_roots(p)
     roots.extend(found)
@@ -516,8 +545,6 @@ def roots_of_charpoly(p, max_ext_degree: int = 2):
         D = c1 * c1 - 4 * c0
         if tower.degree == 1:
             mp = MinimalPolynomial([c0.to_fraction(), c1.to_fraction(), 1])
-            if max_ext_degree < 2:
-                raise FieldExtensionError("eigenvalue field unsupported")
             tower = tower.adjoin(mp)
             p = [tower.embed(c) for c in p]
             alpha = tower.generator()

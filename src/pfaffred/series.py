@@ -210,13 +210,12 @@ class Series:
 
     __rmul__ = __mul__
 
-    def mul_monomial(self, exp, coeff=1):
-        """Multiply by coeff * x^exp (exp may be negative); shifts the window."""
+    def mul_monomial(self, exp):
+        """Multiply by x^exp (exp may be negative); shifts the window."""
         exp = tuple(exp)
-        c = self.tower.scalar(coeff)
         lo = tuple(l + e for l, e in zip(self.lo, exp))
         hi = tuple(h + e for h, e in zip(self.hi, exp))
-        terms = {tuple(a + b for a, b in zip(t, exp)): v * c
+        terms = {tuple(a + b for a, b in zip(t, exp)): v
                  for t, v in self.terms.items()}
         return Series(self.nvars, terms, self.tower, lo, hi)
 

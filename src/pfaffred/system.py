@@ -4,17 +4,16 @@ A system couples n equations x_i^{p_i+1} dF/dx_i = A_i F over series in
 x_1..x_n.  The complete-integrability commutation rule ties the
 components together; gauge transformations act by
 A_i -> T^{-1} A_i T - x_i^{p_i+1} T^{-1} dT/dx_i, after which Poincare
-ranks are renormalized by own-variable valuation.  A transformation is
-weakly compatible when every transformed component stays free of poles
-in foreign variables (normal crossings preserved), and compatible when
-additionally no Poincare rank increases.
+ranks are renormalized by own-variable valuation.  A transformation
+that gives some component a pole in a foreign variable breaks normal
+crossings and is refused.
 """
 
 from __future__ import annotations
 
 import hashlib
 
-from .errors import DimensionError, InputError, NotUnitError
+from .errors import DimensionError, InputError, NotUnitError, ReductionError
 from .linalg import SeriesMatrix
 from .series import INF, Series
 
@@ -32,7 +31,7 @@ class PfaffianSystem:
 
     __slots__ = ("vars", "n", "d", "p", "A", "tower", "trivial")
 
-    def __init__(self, vars, p, A, tower, trivial=None, allow_laurent=False):
+    def __init__(self, vars, p, A, tower, trivial=None):
         self.vars = list(vars)
         self.n = len(self.vars)
         if len(p) != self.n or len(A) != self.n:
@@ -48,13 +47,12 @@ class PfaffianSystem:
                 raise DimensionError("components must be square of equal size")
             if M.nvars != self.n:
                 raise DimensionError("matrix variable count mismatch")
-            if not allow_laurent:
-                for row in M.rows:
-                    for e in row:
-                        sm = e.support_min()
-                        if sm and any(v < 0 for v in sm):
-                            raise InputError("matrix entries must be series "
-                                             "without poles")
+            for row in M.rows:
+                for e in row:
+                    sm = e.support_min()
+                    if sm and any(v < 0 for v in sm):
+                        raise InputError("matrix entries must be series "
+                                         "without poles")
         self.d = d
         self.tower = tower
         self.trivial = list(trivial) if trivial else [False] * self.n
@@ -177,11 +175,10 @@ class GaugeTransformation:
     amounts to for the transformations this pipeline produces).
     """
 
-    __slots__ = ("T", "T_inv", "det_monomial")
+    __slots__ = ("T", "T_inv")
 
     def __init__(self, T: SeriesMatrix, T_inv=None, hi=None, check=True):
         self.T = T
-        self.det_monomial = None
         if check:
             det = T.determinant()
             beta = det.support_min()
@@ -190,7 +187,6 @@ class GaugeTransformation:
             unit = det.mul_monomial(tuple(-b for b in beta))
             if unit.constant_term().is_zero():
                 raise NotUnitError("gauge determinant is not monomial x unit")
-            self.det_monomial = beta
         if T_inv is None:
             T_inv = T.inverse(hi)
         self.T_inv = T_inv
@@ -202,11 +198,8 @@ class GaugeTransformation:
 
     @classmethod
     def from_constant(cls, C, nvars):
-        T = C.to_series(nvars)
-        T_inv = C.inverse().to_series(nvars)
-        g = cls(T, T_inv, check=False)
-        g.det_monomial = (0,) * nvars
-        return g
+        return cls(C.to_series(nvars), C.inverse().to_series(nvars),
+                   check=False)
 
     @classmethod
     def diagonal_monomial(cls, exps, nvars, tower):
@@ -214,95 +207,48 @@ class GaugeTransformation:
         entries = [Series.monomial(nvars, e, 1, tower) for e in exps]
         inv_entries = [Series.monomial(nvars, tuple(-x for x in e), 1, tower)
                        for e in exps]
-        g = cls(SeriesMatrix.diagonal(entries, nvars, tower),
-                SeriesMatrix.diagonal(inv_entries, nvars, tower), check=False)
-        g.det_monomial = tuple(sum(e[k] for e in exps) for k in range(nvars))
-        return g
+        return cls(SeriesMatrix.diagonal(entries, nvars, tower),
+                   SeriesMatrix.diagonal(inv_entries, nvars, tower),
+                   check=False)
 
     def compose(self, other: "GaugeTransformation") -> "GaugeTransformation":
         """self applied first, then other: F = (T_self T_other) H."""
-        g = GaugeTransformation(self.T * other.T, other.T_inv * self.T_inv,
-                                check=False)
-        if self.det_monomial is not None and other.det_monomial is not None:
-            g.det_monomial = tuple(a + b for a, b in
-                                   zip(self.det_monomial, other.det_monomial))
-        return g
+        return GaugeTransformation(self.T * other.T, other.T_inv * self.T_inv,
+                                   check=False)
 
     def is_identity(self):
         return self.T == SeriesMatrix.identity(self.T.nrows, self.T.nvars,
                                                self.T.tower)
 
 
-class GaugeReport:
-    __slots__ = ("system", "weakly_compatible", "compatible", "p",
-                 "raw", "factored", "notes")
+def apply_gauge(S: PfaffianSystem, g: GaugeTransformation) -> PfaffianSystem:
+    """The transformed system, its Poincare ranks renormalized.
 
-    def __init__(self, system, weakly_compatible, compatible, p, raw,
-                 factored, notes):
-        self.system = system
-        self.weakly_compatible = weakly_compatible
-        self.compatible = compatible
-        self.p = p
-        self.raw = raw
-        self.factored = factored
-        self.notes = notes
-
-
-def apply_gauge(S: PfaffianSystem, g: GaugeTransformation) -> GaugeReport:
-    """Transform the system and classify the result.
-
-    Returns a report; report.system is None when the result breaks
-    normal crossings (poles in foreign variables), in which case
-    report.factored holds, per component, the left-side exponent vector
-    and the pole-free matrix after factoring the offending monomial.
+    Raises ReductionError, naming the component and the variable, when
+    a transformed component has a pole in a foreign variable: the
+    result would break normal crossings.  A pole in the own variable
+    raises that component's rank instead.
     """
     T, T_inv = g.T, g.T_inv
-    raw = []
+    newA, newp = [], []
     for i in range(S.n):
         ei = tuple(S.p[i] + 1 if k == i else 0 for k in range(S.n))
         Ai = T_inv * S.A[i] * T - (T_inv * T.partial_derivative(i)).mul_monomial(ei)
-        raw.append(Ai)
-
-    weakly = True
-    factored = []
-    newA, newp, notes = [], [], []
-    for i in range(S.n):
-        Ai = raw[i]
-        mins = [None] * S.n
+        mins = [0] * S.n
         for row in Ai.rows:
             for e in row:
                 sm = e.support_min()
                 if sm:
-                    for k in range(S.n):
-                        if mins[k] is None or sm[k] < mins[k]:
-                            mins[k] = sm[k]
-        mins = [0 if m is None else m for m in mins]
-        foreign_poles = any(mins[k] < 0 for k in range(S.n) if k != i)
-        if foreign_poles:
-            weakly = False
-        # display form: extract the own-variable valuation entirely and
-        # foreign poles only, so the left side reads prod x_k^e * d/dx_i
-        mu = [mins[k] if k == i else min(0, mins[k]) for k in range(S.n)]
-        lhs = [(S.p[i] + 1 - mu[k] if k == i else -mu[k]) for k in range(S.n)]
-        factored.append((lhs, Ai.mul_monomial(tuple(-m for m in mu))))
-        if not foreign_poles:
-            own = mins[i]
-            p_new = S.p[i] + max(0, -own)
-            M = Ai
-            if own < 0:
-                M = Ai.mul_monomial(tuple(-own if k == i else 0
-                                          for k in range(S.n)))
-            newA.append(M)
-            newp.append(p_new)
-        else:
-            newA.append(None)
-            newp.append(None)
-
-    if not weakly:
-        return GaugeReport(None, False, False, newp, raw, factored, notes)
-
-    sys2 = PfaffianSystem(S.vars, newp, newA, S.tower)
-    sys2, norm_notes = normalize_poincare(sys2)
-    notes.extend(norm_notes)
-    compatible = all(a <= b for a, b in zip(sys2.p, S.p))
-    return GaugeReport(sys2, True, compatible, sys2.p, raw, factored, notes)
+                    mins = [min(a, b) for a, b in zip(mins, sm)]
+        for k in range(S.n):
+            if k != i and mins[k] < 0:
+                raise ReductionError(
+                    f"gauge breaks normal crossings: component {i} gains a "
+                    f"pole in {S.vars[k]}")
+        own = mins[i]
+        if own < 0:
+            Ai = Ai.mul_monomial(tuple(-own if k == i else 0
+                                       for k in range(S.n)))
+        newA.append(Ai)
+        newp.append(S.p[i] - own)
+    return normalize_poincare(PfaffianSystem(S.vars, newp, newA, S.tower))[0]

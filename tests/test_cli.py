@@ -3,12 +3,15 @@
 import json
 import os
 import sys
+import time
 
 import pytest
 
 from pfaffred import fmfs, serialize_solution, serialize_system
 from pfaffred.cli import MAX_ORDER, main
-from pfaffred.docio import MAX_DIMENSION, MAX_POINCARE_RANK
+from pfaffred.docio import (MAX_DIMENSION, MAX_GAUGE_DEGREE, MAX_GAUGE_OPS,
+                            MAX_POINCARE_RANK, generate_equivalent)
+from pfaffred.errors import InputError
 from pfaffred.reduction import check_order
 
 from helpers import hyper_system, sys1
@@ -132,16 +135,85 @@ def test_system_beyond_the_bounds_is_an_input_error(tmp_path, capsys, system,
     assert err["type"] == "InputError" and "bound" in err["message"]
 
 
-# out of bounds, or (d 0, p "a") a raw ValueError traceback before
+# out of bounds or malformed; each gauge operation costs one more
+# series product, so an unbounded count would hang the generator
 @pytest.mark.parametrize("option,value", [
     ("--p", str(MAX_POINCARE_RANK + 1)),
     ("--d", str(MAX_DIMENSION + 1)),
     ("--d", "0"),
     ("--p", "a"),
-], ids=["p-bound", "d-bound", "d-zero", "p-literal"])
+    ("--gauge-ops", str(MAX_GAUGE_OPS + 1)),
+    ("--gauge-ops", "100000000"),
+    ("--gauge-ops", "-1"),
+    ("--gauge-degree", str(MAX_GAUGE_DEGREE + 1)),
+    ("--gauge-degree", "-1"),
+], ids=["p-bound", "d-bound", "d-zero", "p-literal", "ops-bound", "ops-huge",
+        "ops-negative", "degree-bound", "degree-negative"])
 def test_bad_generate_shape_is_an_input_error(capsys, option, value):
     argv = ["generate", "--d", "1", "--p", "1", option, value]
+    err = run(capsys, argv, 1)["error"]
+    assert err["type"] == "InputError"
+    if option.startswith("--gauge"):
+        assert "bound" in err["message"]
+
+
+def test_generate_accepts_the_gauge_bounds(capsys):
+    argv = ["generate", "--d", "2", "--gauge-ops", str(MAX_GAUGE_OPS),
+            "--gauge-degree", str(MAX_GAUGE_DEGREE)]
+    assert "expected" in run(capsys, argv)
+
+
+@pytest.mark.parametrize("key", ["gauge_ops", "gauge_degree"])
+def test_boolean_gauge_shape_is_an_input_error(key):
+    with pytest.raises(InputError, match="bound"):
+        generate_equivalent(0, {"n": 1, "d": 2, "p": [1], key: True})
+
+
+# usage errors are bad input, exit 1: exit 2 means structure the
+# algorithms do not cover
+@pytest.mark.parametrize("argv", [
+    ["reduce", "{doc}", "--order", "abc"],
+    ["reduce", "{doc}", "--bogus"],
+    ["check", "{doc}", "--max-ext-degree", "2"],
+    ["check", "{doc}", "--json"],
+    ["check", "{doc}", "--max-retries", "1"],
+    ["rank-reduce", "{doc}", "--max-retries", "1"],
+    [],
+], ids=["order-literal", "unknown-flag", "max-ext-degree", "json",
+        "check-retries", "rank-reduce-retries", "no-command"])
+def test_usage_errors_are_input_errors(airy_doc, capsys, argv):
+    argv = [a.format(doc=airy_doc) for a in argv]
     assert run(capsys, argv, 1)["error"]["type"] == "InputError"
+
+
+def test_help_and_version_still_exit_zero(capsys):
+    for argv in (["--help"], ["--version"], ["reduce", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+    capsys.readouterr()
+
+
+def test_cubic_eigenvalue_field_exits_two(tmp_path, capsys):
+    doc = write_json(tmp_path / "cubic.json", serialize_system(
+        sys1([[0, 0, 2], [1, 0, 0], [0, 1, 0]], 1)))
+    err = run(capsys, ["reduce", doc], 2)["error"]
+    assert err["type"] == "FieldExtensionError"
+
+
+# finding rational eigenvalues must take time polynomial in their bit
+# length: trial division up to sqrt(10^30) would not end
+@pytest.mark.parametrize("N,q", [
+    (10 ** 30, {"-1": "1000000000000000"}),
+    (10 ** 30 + 2, {"-1": ["0", "1"]}),
+], ids=["square", "nonsquare"])
+def test_huge_eigenvalues_reduce_quickly(tmp_path, capsys, N, q):
+    doc = write_json(tmp_path / "big.json", serialize_system(
+        sys1([[0, 1], [N, 0]], 1)))
+    start = time.perf_counter()
+    sol = run(capsys, ["reduce", doc])["solution"]
+    assert time.perf_counter() - start < 5
+    assert q in sol["Q"][0]
 
 
 def test_order_bound_is_on_the_request_only(airy_doc, capsys):

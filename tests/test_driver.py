@@ -228,8 +228,15 @@ def test_fmfs_quadratic_eigenvalues():
     coeffs = sorted(str(c) for q in sol.Q[0] for c in q.values())
     assert coeffs == ["-1*a", "a"]
     assert sol.verified_to == INF
+
+
+def test_fmfs_cubic_eigenvalues_are_out_of_policy():
+    # companion matrix of t^3 - 2: its eigenvalues need a cubic field;
+    # the dispatch records the FieldExtensionError, and it is raised
+    # once no other move applies
+    S = sys1([[0, 0, 2], [1, 0, 0], [0, 1, 0]], 1)
     with pytest.raises(FieldExtensionError):
-        fmfs(S, order=8, max_ext_degree=1)
+        fmfs(S, order=8)
 
 
 def test_fmfs_rejects_non_integrable():

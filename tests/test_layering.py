@@ -1,4 +1,5 @@
-"""Module boundaries: no pfaffred module imports another's private names."""
+"""Module boundaries: strict layering, no function-level imports, no
+imports of another module's private names, no unused imports."""
 
 import ast
 from pathlib import Path
@@ -67,3 +68,72 @@ def test_unused_import_check_sees_a_dead_import(tmp_path):
                    "from fractions import Fraction as F\n"
                    "__all__ = ['F']\n\n\ndef f():\n    return math.pi\n")
     assert unused_imports(src) == [(2, "itertools")]
+
+
+# lowest first; a module may import only modules before it.  The
+# package root (__init__) re-exports everything and sits above them all;
+# the one name a module may take from it is __version__.
+LAYERS = ("errors", "scalars", "series", "linalg", "system", "reduction",
+          "driver", "invariants", "docio", "cli")
+
+
+def imported_modules(node):
+    """pfaffred modules an import statement loads ("" for the root)."""
+    if isinstance(node, ast.Import):
+        return [a.name.split(".")[1] if "." in a.name else ""
+                for a in node.names if a.name.split(".")[0] == "pfaffred"]
+    if node.level == 0:
+        if (node.module or "").split(".")[0] != "pfaffred":
+            return []
+        parts = node.module.split(".")
+    else:
+        parts = [""] + (node.module.split(".") if node.module else [])
+    if len(parts) > 1:
+        return [parts[1]]
+    # `from . import x`: x is a module, or __version__ from the root
+    return ["" if a.name == "__version__" else a.name for a in node.names]
+
+
+def layering_violations(path, name):
+    """(line, problem) for each function-level import and each import of
+    a module at the same or a later layer than `name`."""
+    tree = ast.parse(path.read_text(), str(path))
+    top = set(map(id, tree.body))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if id(node) not in top:
+            found.append((node.lineno, "function-level import"))
+        for target in imported_modules(node):
+            if target == "" and all(a.name == "__version__"
+                                    for a in node.names):
+                continue
+            if target not in LAYERS or (LAYERS.index(target)
+                                        >= LAYERS.index(name)):
+                found.append((node.lineno, f"imports {target or 'the root'}"))
+    return found
+
+
+def test_every_module_has_a_layer():
+    names = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
+    assert names == set(LAYERS)
+
+
+def test_modules_import_only_lower_layers_at_module_level():
+    offenders = {name: layering_violations(PACKAGE / f"{name}.py", name)
+                 for name in LAYERS}
+    assert {k: v for k, v in offenders.items() if v} == {}
+
+
+def test_layering_check_sees_violations(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("from . import __version__\n"
+                   "from .scalars import QQ\n"
+                   "from .driver import fmfs\n"
+                   "import pfaffred.docio\n\n\n"
+                   "def f():\n    from .linalg import ConstMatrix\n"
+                   "    return ConstMatrix\n")
+    assert layering_violations(src, "reduction") == [
+        (3, "imports driver"), (4, "imports docio"),
+        (8, "function-level import")]

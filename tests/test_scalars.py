@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pfaffred.errors import FieldExtensionError
 from pfaffred.scalars import (
@@ -173,3 +173,29 @@ def test_sort_key_total_order(a, b):
     x = QQ.scalar(a)
     y = QQ.scalar(b)
     assert (x.sort_key() == y.sort_key()) == (x == y)
+
+
+# sympy is a test-only oracle for the rational roots: products of
+# repeated rational linear factors, some with large numerators and
+# denominators, times at most one irreducible quadratic
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(-10 ** 12, 10 ** 12),
+                          st.integers(1, 10 ** 9), st.integers(1, 3)),
+                min_size=1, max_size=4),
+       st.sampled_from([None, 2, 3, -1, 7]))
+def test_rational_roots_match_sympy(factors, c):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    expr = sympy.Integer(1)
+    for r, s, m in factors:
+        expr *= (s * x - r) ** m
+    if c is not None:
+        expr *= x ** 2 - c
+    coeffs = sympy.Poly(sympy.expand(expr), x).all_coeffs()[::-1]
+    p = [QQ.scalar(Fraction(int(a))) for a in coeffs]
+    roots, _ = roots_of_charpoly(p)
+    got = {r.to_fraction(): m for r, m in roots if r.is_rational()}
+    want = {Fraction(int(k.p), int(k.q)): m
+            for k, m in sympy.roots(sympy.Poly(expr, x), filter="Q").items()}
+    assert got == want
+    assert sum(m for _, m in roots) == len(p) - 1
