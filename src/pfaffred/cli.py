@@ -10,12 +10,17 @@ Subcommands work on system documents (JSON files, "-" for stdin):
     generate                 seeded equivalent system with planted answers
 
 Options:
-    --order N            every subcommand: truncation order (default 10);
-                         check, verify and generate only bound-check it
+    --order N            invariants, rank-reduce, reduce: truncation order
+                         (default 10)
     --pretty             every subcommand: human-readable output instead
                          of JSON
-    --max-retries N      invariants, reduce: doublings of the order after
-                         a truncation failure (default 4)
+    --max-retries N      invariants, reduce: restarts at a larger working
+                         order after a truncation failure (default 4).  A
+                         restart adds the degrees the residual check fell
+                         short by, or doubles the order when the failure
+                         reports no verified degree;
+                         a failure that a larger order cannot mend, or a
+                         restart past MAX_ORDER, exits 3 at once
     --trace              reduce: include the full step log
     --seed, --d, --p, --ramified, --gauge-ops, --gauge-degree
                          generate: seed, dimension, comma-separated
@@ -31,8 +36,9 @@ a machine-readable {"error": {"type", "message"}} object; usage errors
 have the type InputError.
 
 Input bounds, each refused with exit 1 before any work starts:
-    --order             at most MAX_ORDER (256); retries may double the
-                        working order past it, the bound is on the request
+    --order             at least 1, at most reduction.MAX_ORDER (256),
+                        which bounds every working order, retries included
+    --max-retries       0 to reduction.MAX_RETRIES (8)
     d                   at most docio.MAX_DIMENSION (32)
     p_i                 at most docio.MAX_POINCARE_RANK (64), per variable
     --gauge-ops         at most docio.MAX_GAUGE_OPS (16), not negative
@@ -63,14 +69,13 @@ from .errors import (ColumnModuleNotFree, DimensionError, FieldExtensionError,
                      NotUnitError, ReductionError, ResonanceError,
                      RowModuleNotFree, TruncationInsufficient)
 from .invariants import exponential_parts
-from .reduction import rank_reduce
+from .reduction import MAX_RETRIES, rank_reduce
 from .system import check_integrability
 
 _INPUT_ERRORS = (InputError, NonIntegrableError, DimensionError)
 _UNSUPPORTED = (ColumnModuleNotFree, RowModuleNotFree, FieldExtensionError,
                 ResonanceError, NotInvertibleError, NotUnitError,
                 ReductionError)
-MAX_ORDER = 256
 
 
 class _Parser(argparse.ArgumentParser):
@@ -312,18 +317,22 @@ def main(argv=None) -> int:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, system=True, retries=False):
+    def common(sp, system=True, order=True, retries=False):
         if system:
             sp.add_argument("system", help="system document (JSON, - for stdin)")
-        sp.add_argument("--order", type=int, default=10,
-                        help="truncation order for series work (default 10)")
+        if order:
+            sp.add_argument("--order", type=int, default=10,
+                            help="truncation order for series work "
+                                 "(default 10)")
         if retries:
             sp.add_argument("--max-retries", type=int, default=4,
-                            help="doublings of the order on truncation failure")
+                            help="restarts at a larger order on truncation "
+                                 f"failure (0-{MAX_RETRIES}, default 4)")
         sp.add_argument("--pretty", action="store_true",
                         help="human-readable output instead of JSON")
 
-    common(sub.add_parser("check", help="integrability and shape report"))
+    common(sub.add_parser("check", help="integrability and shape report"),
+           order=False)
     common(sub.add_parser("invariants",
                           help="growth orders and exponential parts"),
            retries=True)
@@ -333,11 +342,11 @@ def main(argv=None) -> int:
     rd.add_argument("--trace", action="store_true",
                     help="include the full step log in the output")
     vf = sub.add_parser("verify", help="check a solution document")
-    common(vf)
+    common(vf, order=False)
     vf.add_argument("solution", help="solution document (JSON, - for stdin)")
     gn = sub.add_parser("generate",
                         help="seeded system with planted invariants")
-    common(gn, system=False)
+    common(gn, system=False, order=False)
     gn.add_argument("--seed", type=int, default=0)
     gn.add_argument("--d", type=int, default=2)
     gn.add_argument("--p", default="1", help="comma-separated Poincare ranks, "
@@ -352,9 +361,6 @@ def main(argv=None) -> int:
                 "verify": _cmd_verify, "generate": _cmd_generate}
     try:
         args = ap.parse_args(argv)
-        if args.order > MAX_ORDER:
-            raise InputError(f"truncation order {args.order} exceeds the "
-                             f"bound {MAX_ORDER}")
         result = handlers[args.command](args)
     except _INPUT_ERRORS as exc:
         code, out = 1, _error_text(exc)

@@ -40,6 +40,7 @@ from .system import (
     normalize_poincare,
 )
 from .reduction import (
+    MAX_ORDER,
     check_order,
     eigen_shift,
     katz_order_univariate,
@@ -689,11 +690,23 @@ def verify_solution(S: PfaffianSystem, sol: FormalSolution):
 def fmfs(S: PfaffianSystem, order=10, max_retries=4):
     """Formal fundamental matrix of solutions, with retry on truncation.
 
-    Returns (FormalSolution, ReductionTrace).  The working order doubles
-    after any TruncationInsufficient, up to max_retries times; the count
-    and the reasons end up in the trace.
+    Returns (FormalSolution, ReductionTrace).  The solution must verify
+    to total degree order - 2.  After a TruncationInsufficient the
+    reduction restarts at a larger working order N, up to max_retries
+    times:
+
+    - when the residual check verified to a known degree v < order - 2,
+      the loss N - v is taken as constant and the next N is
+      N + (order - 2 - v), the shortfall;
+    - when the failure reports no verified degree, N doubles;
+    - a failure marked final (a demand that grows at least as fast as
+      the window) is raised at once, and so is the last failure when
+      the next N would pass MAX_ORDER.
+
+    Each retry logs the order it ran at, the degree it verified (None
+    when unknown), the next order and the reason, in the trace.
     """
-    check_order(order)
+    check_order(order, max_retries)
     rep = check_integrability(S)
     if not rep:
         raise NonIntegrableError(
@@ -721,11 +734,19 @@ def fmfs(S: PfaffianSystem, order=10, max_retries=4):
                 if report["verified_to"] < order - 2:
                     raise TruncationInsufficient(
                         f"solution verified only to total degree "
-                        f"{report['verified_to']}")
+                        f"{report['verified_to']}",
+                        verified_to=report["verified_to"])
             return sol, trace
         except TruncationInsufficient as exc:
-            if attempt >= max_retries:
+            if exc.final or attempt >= max_retries:
                 raise
-            retry_log.append({"order": N, "reason": str(exc)})
-            N *= 2
+            if exc.verified_to is None:
+                nxt = 2 * N
+            else:
+                nxt = N + (order - 2 - exc.verified_to)
+            if nxt > MAX_ORDER:
+                raise
+            retry_log.append({"order": N, "verified_to": exc.verified_to,
+                              "next_order": nxt, "reason": str(exc)})
+            N = nxt
             attempt += 1

@@ -43,7 +43,18 @@ class RowModuleNotFree(PfaffError):
 
 
 class TruncationInsufficient(PfaffError):
-    """A decision needs more series terms than the current window holds."""
+    """A decision needs more series terms than the current window holds.
+
+    verified_to -- the total degree a residual check reached, when the
+                   failure comes from that check; None otherwise
+    final       -- a larger working order cannot help: the demand grows
+                   at least as fast as the window does
+    """
+
+    def __init__(self, message="", verified_to=None, final=False):
+        super().__init__(message)
+        self.verified_to = verified_to
+        self.final = final
 
 
 class ResonanceError(PfaffError):

@@ -79,7 +79,7 @@ def exponential_parts(S: PfaffianSystem, order: int = 10, max_retries: int = 4):
     the driver's accumulated shift and scalar contributions are then
     repackaged as polynomials in x_i^{-1/s_i}.
     """
-    check_order(order)
+    check_order(order, max_retries)
     out = []
     for i in range(S.n):
         ods = _ods_system(S, i)

@@ -56,10 +56,22 @@ from .system import (
 )
 
 
-def check_order(order):
-    """Reject truncation orders below 1: no series work is possible."""
+MAX_ORDER = 256
+MAX_RETRIES = 8
+
+
+def check_order(order, max_retries=0):
+    """Reject truncation orders below 1, where no series work is
+    possible, and above MAX_ORDER, which bounds every working order;
+    and retry budgets outside 0..MAX_RETRIES."""
     if order < 1:
         raise InputError(f"truncation order must be at least 1, got {order}")
+    if order > MAX_ORDER:
+        raise InputError(f"truncation order {order} exceeds the bound "
+                         f"{MAX_ORDER}")
+    if not 0 <= max_retries <= MAX_RETRIES:
+        raise InputError(f"retry budget {max_retries} is outside the bound "
+                         f"0..{MAX_RETRIES}")
 
 
 # ---------------------------------------------------------------------------
@@ -109,11 +121,16 @@ def integral_cofactors(B: SeriesMatrix, vcol, ell: int, slots):
         raise TruncationInsufficient(
             "basis determinant vanishes within the window")
     k = D.total_valuation()
-    depth = max(1, len(slots)) * ell
+    rate = max(1, len(slots))
+    depth = rate * ell
     win = min((h for h in B.window_hi()), default=INF)
     if win != INF and win <= depth + k:
+        # windows are clipped at ell + 1, times any later ramification
+        # index, so the window grows by about win / (ell + 1) per unit
+        # of ell; a demand growing at least as fast never fits
         raise TruncationInsufficient(
-            f"cofactor solve needs data beyond total degree {depth + k}")
+            f"cofactor solve needs data beyond total degree {depth + k}",
+            final=rate >= -(-win // (ell + 1)))
     Dk = _graded_piece(D, k)
     r = B.nrows
     cof = []

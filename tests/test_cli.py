@@ -8,11 +8,11 @@ import time
 import pytest
 
 from pfaffred import fmfs, serialize_solution, serialize_system
-from pfaffred.cli import MAX_ORDER, main
+from pfaffred.cli import main
 from pfaffred.docio import (MAX_DIMENSION, MAX_GAUGE_DEGREE, MAX_GAUGE_OPS,
                             MAX_POINCARE_RANK, generate_equivalent)
 from pfaffred.errors import InputError
-from pfaffred.reduction import check_order
+from pfaffred.reduction import MAX_ORDER, MAX_RETRIES, check_order
 
 from helpers import hyper_system, sys1
 
@@ -179,8 +179,12 @@ def test_boolean_gauge_shape_is_an_input_error(key):
     ["check", "{doc}", "--max-retries", "1"],
     ["rank-reduce", "{doc}", "--max-retries", "1"],
     [],
+    ["check", "{doc}", "--order", "5"],
+    ["verify", "{doc}", "{doc}", "--order", "5"],
+    ["generate", "--order", "5"],
 ], ids=["order-literal", "unknown-flag", "max-ext-degree", "json",
-        "check-retries", "rank-reduce-retries", "no-command"])
+        "check-retries", "rank-reduce-retries", "no-command", "check-order",
+        "verify-order", "generate-order"])
 def test_usage_errors_are_input_errors(airy_doc, capsys, argv):
     argv = [a.format(doc=airy_doc) for a in argv]
     assert run(capsys, argv, 1)["error"]["type"] == "InputError"
@@ -216,12 +220,51 @@ def test_huge_eigenvalues_reduce_quickly(tmp_path, capsys, N, q):
     assert q in sol["Q"][0]
 
 
-def test_order_bound_is_on_the_request_only(airy_doc, capsys):
-    assert run(capsys, ["check", airy_doc, "--order", str(MAX_ORDER)])
-    err = run(capsys, ["check", airy_doc, "--order", str(MAX_ORDER + 1)],
+def test_order_bound_is_on_every_working_order(tmp_path, capsys):
+    doc = write_json(tmp_path / "scalar.json", serialize_system(
+        sys1([[{0: 1, 1: 1}]], 1)))
+    assert run(capsys, ["reduce", doc, "--order", str(MAX_ORDER)])
+    err = run(capsys, ["reduce", doc, "--order", str(MAX_ORDER + 1)],
               1)["error"]
     assert err["type"] == "InputError" and "bound" in err["message"]
-    check_order(16 * MAX_ORDER)         # retries may double past the bound
+    with pytest.raises(InputError, match="bound"):
+        check_order(MAX_ORDER + 1)      # the library's bound, not the CLI's
+
+
+@pytest.mark.parametrize("command", ["reduce", "invariants"])
+@pytest.mark.parametrize("retries", ["-1", str(MAX_RETRIES + 1)])
+def test_retry_budget_outside_its_range_is_an_input_error(airy_doc, capsys,
+                                                          command, retries):
+    argv = [command, airy_doc, "--max-retries", retries]
+    err = run(capsys, argv, 1)["error"]
+    assert err["type"] == "InputError" and "bound" in err["message"]
+
+
+def test_truncated_airy_stops_at_the_order_bound(tmp_path, capsys):
+    # the data ends at x^4, so every attempt verifies to degree 2 only:
+    # from order 130 the one retry runs at 256, the next would pass the
+    # bound, and the last failure comes back with retries to spare
+    doc = serialize_system(sys1([[0, 1], [{1: 1}, 0]], 1))
+    doc["trunc"] = [4]
+    path = write_json(tmp_path / "airy4.json", doc)
+    argv = ["reduce", path, "--order", "130",
+            "--max-retries", str(MAX_RETRIES)]
+    err = run(capsys, argv, 3)["error"]
+    assert err["type"] == "TruncationInsufficient"
+    assert err["message"] == "solution verified only to total degree 2"
+
+
+# seed 584 asks the cofactor solve for depth 2N from a window of N + 1;
+# no larger N closes that gap, so reduce gives up without a retry
+def test_window_that_never_fits_exits_three_at_once(tmp_path, capsys):
+    S, _ = generate_equivalent(584, {"n": 3, "d": 3, "p": [2, 2, 0],
+                                     "ramified": True})
+    path = write_json(tmp_path / "584.json", serialize_system(S))
+    start = time.perf_counter()
+    err = run(capsys, ["reduce", path, "--order", "8"], 3)["error"]
+    assert time.perf_counter() - start < 30
+    assert err["type"] == "TruncationInsufficient"
+    assert "cofactor solve" in err["message"]
 
 
 class ClosedPipe:

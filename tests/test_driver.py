@@ -1,9 +1,11 @@
 """Driver tests: scalar leaves, the regular endgame, and full runs."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
+from pfaffred import driver
 from pfaffred import (
     INF,
     ConstMatrix,
@@ -25,6 +27,7 @@ from pfaffred import (
     true_poincare_rank,
     verify_solution,
 )
+from pfaffred.reduction import MAX_ORDER, MAX_RETRIES
 
 from helpers import (
     hyper_system,
@@ -256,7 +259,9 @@ def test_fmfs_deterministic():
 
 # Solution and trace fingerprints pinned on systems that reach `split`
 # (triple, the plants) or ramify first (Airy, the ramified plant); a
-# faster split must reproduce them bit for bit.
+# faster split must reproduce them bit for bit.  The ramified plant
+# retries once, at 8 plus its shortfall; the test below that compares it
+# with a higher-order reference checks that Phi on its window.
 PINNED = [
     ("triple", triple_system, 10,
      ("d2b27dae50b3b8aa", "bfd5ddb91be830fb")),
@@ -268,7 +273,7 @@ PINNED = [
     ("plant-ramified",
      lambda: generate_equivalent(
          3, {"n": 2, "d": 3, "p": [2, 1], "ramified": True})[0], 8,
-     ("ad0f4e5997eeb23c", "60911c25ffcaa8a9")),
+     ("546ecdc7c9505d10", "0f207a6fa600d0f1")),
     # the regular endgame: fixed systems and rank-zero plants
     ("hyper", hyper_system, 10,
      ("3bb120b2e32a07df", "8dd3d1695f84d2d9")),
@@ -299,6 +304,118 @@ def test_fmfs_truncation_exhaustion():
     S = PfaffianSystem(["x"], [2], [SeriesMatrix([[z]], 1, QQ)], QQ)
     with pytest.raises(TruncationInsufficient):
         fmfs(S, order=10, max_retries=2)
+
+
+def q_canonical(qs):
+    return sorted(tuple(sorted((str(e), str(c)) for e, c in q.items()
+                               if not c.is_zero()))
+                  for q in qs)
+
+
+def assert_planted(sol, planted):
+    assert sol.s == planted["s"]
+    assert sol.omega() == planted["omega"]
+    assert [q_canonical(q) for q in sol.Q] == [q_canonical(q)
+                                                for q in planted["Q"]]
+
+
+def working_orders(monkeypatch):
+    """The working order of every attempt fmfs makes from now on."""
+    orders = []
+    reduce_ = driver._reduce
+
+    def spy(S, ram, order, trace, path, certify=None):
+        if not path:
+            orders.append(order)
+        return reduce_(S, ram, order, trace, path, certify)
+
+    monkeypatch.setattr(driver, "_reduce", spy)
+    return orders
+
+
+# each loses a constant number of degrees to verification, so one retry
+# at 8 plus the shortfall reaches the order - 2 = 6 the check asks for
+@pytest.mark.parametrize("seed,shape", [
+    (3, {"n": 2, "d": 2, "p": [2, 1], "ramified": True}),
+    (0, {"n": 2, "d": 3, "p": [2, 1], "ramified": True}),
+    (3, {"n": 2, "d": 3, "p": [2, 1], "ramified": True}),
+    (1, {"n": 1, "d": 3, "p": [2], "ramified": True}),
+    (1, {"n": 2, "d": 3, "p": [2, 1], "ramified": True}),
+    (776, {"n": 3, "d": 3, "p": [2, 0, 2]}),
+], ids=["r3-n2d2p21", "r0-n2d3p21", "r3-n2d3p21", "r1-n1d3p2",
+        "r1-n2d3p21", "g776-n3d3p202"])
+def test_one_retry_at_the_shortfall(seed, shape):
+    S, planted = generate_equivalent(seed, shape)
+    sol, trace = fmfs(S, order=8)
+    assert trace.retries == 1
+    [entry] = trace.retry_log
+    v = entry["verified_to"]
+    assert entry["order"] == 8 and v < 6
+    assert entry["next_order"] == trace.order == 8 + (6 - v)
+    assert sol.verified_to >= 6
+    assert_planted(sol, planted)
+
+
+def test_shortfall_retry_agrees_with_a_higher_order_reference():
+    S, planted = generate_equivalent(
+        3, {"n": 2, "d": 3, "p": [2, 1], "ramified": True})
+    sol, trace = fmfs(S, order=8)
+    ref, ref_trace = fmfs(S, order=14)
+    assert (trace.order, ref_trace.order) == (9, 15)
+    window = sol.phi.window_hi()
+    assert all(a < b for a, b in zip(window, ref.phi.window_hi()))
+    assert sol.phi == ref.phi           # equal on the common window
+    assert any(sum(k) > 0 for row in sol.phi.rows for e in row
+               for k in e.terms)        # which holds more than Phi(0)
+    assert [strm(c) for c in sol.C] == [strm(c) for c in ref.C]
+    assert [q_canonical(q) for q in sol.Q] == [q_canonical(q) for q in ref.Q]
+    assert sol.s == ref.s == planted["s"]
+
+
+def test_retries_double_without_a_verified_degree_and_stop_at_the_bound(
+        monkeypatch):
+    # x^5 f' = a f with a known only below x^3: the scalar leaf needs
+    # a_3 and a_4, so no attempt reaches the residual check; 320 would
+    # pass MAX_ORDER
+    a = Series(1, {(0,): QQ.one()}, QQ, None, (3,))
+    S = PfaffianSystem(["x"], [4], [SeriesMatrix([[a]], 1, QQ)], QQ)
+    orders = working_orders(monkeypatch)
+    with pytest.raises(TruncationInsufficient,
+                       match="coefficient beyond truncation") as exc:
+        fmfs(S, order=10, max_retries=MAX_RETRIES)
+    assert exc.value.verified_to is None
+    assert orders == [10, 20, 40, 80, 160]
+    assert 2 * orders[-1] > MAX_ORDER
+
+
+def test_truncated_airy_retries_by_its_shortfall(monkeypatch):
+    # the data ends at x^4, so every attempt verifies to degree 2: the
+    # shortfall stays 6, and from order 130 the one retry lands on 256
+    A = sys1([[0, 1], [{1: 1}, 0]], 1).A[0].clipped((4,))
+    S = PfaffianSystem(["x"], [1], [A], QQ)
+    orders = working_orders(monkeypatch)
+    with pytest.raises(TruncationInsufficient, match="degree 2$"):
+        fmfs(S, order=10, max_retries=MAX_RETRIES)
+    assert orders == [10 + 6 * k for k in range(MAX_RETRIES + 1)]
+    orders.clear()
+    with pytest.raises(TruncationInsufficient, match="degree 2$"):
+        fmfs(S, order=130, max_retries=MAX_RETRIES)
+    assert orders == [130, MAX_ORDER]
+
+
+def test_window_that_never_fits_is_not_retried(monkeypatch):
+    # the cofactor solve asks for depth 2N from a window of N + 1, which
+    # no larger N closes
+    S, _ = generate_equivalent(584, {"n": 3, "d": 3, "p": [2, 2, 0],
+                                     "ramified": True})
+    orders = working_orders(monkeypatch)
+    start = time.perf_counter()
+    with pytest.raises(TruncationInsufficient,
+                       match="cofactor solve needs data") as exc:
+        fmfs(S, order=8)
+    assert time.perf_counter() - start < 30
+    assert exc.value.final
+    assert orders == [8]
 
 
 def test_fmfs_growth_orders_match_invariants():
