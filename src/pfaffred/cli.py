@@ -19,8 +19,9 @@ Options:
                          restart adds the degrees the residual check fell
                          short by, or doubles the order when the failure
                          reports no verified degree;
-                         a failure that a larger order cannot mend, or a
-                         restart past MAX_ORDER, exits 3 at once
+                         a failure that a larger order cannot mend, a
+                         restart verifying no further than the one before,
+                         or a restart past MAX_ORDER, exits 3 at once
     --trace              reduce: include the full step log
     --seed, --d, --p, --ramified, --gauge-ops, --gauge-degree
                          generate: seed, dimension, comma-separated
@@ -190,7 +191,7 @@ def _cmd_check(args):
         "d": S.d,
         "p": list(S.p),
         "exact": S.exact,
-        "verified_to": rep.verified_to,
+        "window": rep.window,
     }
     text = (f"integrable: yes\nvars: {', '.join(S.vars)}\nd: {S.d}\n"
             f"p: {S.p}\nexact input: {S.exact}")
@@ -224,10 +225,10 @@ def _cmd_invariants(args):
 
 def _cmd_rank_reduce(args):
     S = parse_system(_read(args.system))
-    gauge, out, steps = rank_reduce(S, order=args.order)
+    T, out, steps = rank_reduce(S, order=args.order)
     payload = {
         "p": list(out.p),
-        "gauge": matrix_to_json(gauge.T),
+        "gauge": matrix_to_json(T),
         "steps": [{
             "kind": st["kind"],
             "component": st["component"],
@@ -243,7 +244,7 @@ def _cmd_rank_reduce(args):
         lines.append(f"  {st['kind']} on component {st['component']}: "
                      f"p {st['p_before']} -> {st['p_after']}")
     lines.append("gauge:")
-    for row in gauge.T.rows:
+    for row in T.rows:
         lines.append("  [" + ", ".join(_fmt_series(e, S.vars) for e in row)
                      + "]")
     return payload, "\n".join(lines)
@@ -327,7 +328,8 @@ def main(argv=None) -> int:
         if retries:
             sp.add_argument("--max-retries", type=int, default=4,
                             help="restarts at a larger order on truncation "
-                                 f"failure (0-{MAX_RETRIES}, default 4)")
+                                 "failure while each verifies further "
+                                 f"(0-{MAX_RETRIES}, default 4)")
         sp.add_argument("--pretty", action="store_true",
                         help="human-readable output instead of JSON")
 

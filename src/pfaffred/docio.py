@@ -14,8 +14,10 @@ The work of a reduction grows with both (the scalar leaf alone walks
 p_i + 1 coefficients), so an absurd value is refused up front instead
 of hanging.  The generator's gauge takes at most MAX_GAUGE_OPS row
 operations with exponents at most MAX_GAUGE_DEGREE: each operation
-multiplies the gauge by one more polynomial, so its size and the cost
-of inverting it grow with both.
+multiplies the gauge and its inverse by one more polynomial, so their
+size grows with both.
+A minpoly that is not monic of degree >= 2, or a quadratic with a
+rational root, is not a minimal polynomial and is bad input.
 """
 
 from __future__ import annotations
@@ -63,7 +65,13 @@ def _tower_from_json(doc) -> FieldTower:
         return QQ
     if not isinstance(mp, list):
         raise InputError(f"minpoly must be a list of coefficients: {mp!r}")
-    return QQ.adjoin(MinimalPolynomial([_rational_from_json(c) for c in mp]))
+    coeffs = [_rational_from_json(c) for c in mp]
+    if len(coeffs) < 3 or coeffs[-1] != 1:
+        raise InputError(f"minpoly must be monic of degree at least 2: {mp!r}")
+    minpoly = MinimalPolynomial(coeffs)
+    if minpoly.degree == 2 and not minpoly.is_irreducible_quadratic():
+        raise InputError(f"minpoly has a rational root: {mp!r}")
+    return QQ.adjoin(minpoly)
 
 
 def _scalar_to_json(c: Scalar):
@@ -435,7 +443,7 @@ def generate_equivalent(seed, shape):
 
     S = PfaffianSystem([f"x{i + 1}" for i in range(n)], p, A, tower)
 
-    T = SeriesMatrix.identity(d, n, tower)
+    gauge = GaugeTransformation.identity(d, n, tower)
     for _ in range(ops):
         r = rng.randrange(d)
         c = rng.randrange(d)
@@ -447,10 +455,9 @@ def generate_equivalent(seed, shape):
             e = tuple(rng.randrange(deg + 1) for _ in range(n))
             poly = poly + Series(n, {e: tower.scalar(
                 rng.choice(_COEFF_POOL))}, tower)
-        E = SeriesMatrix.identity(d, n, tower)
-        E.rows[r][c] = poly
-        T = T * E
-    gauge = GaugeTransformation(T)
+        N = SeriesMatrix.zeros(d, d, n, tower)
+        N.rows[r][c] = poly
+        gauge = gauge.compose(GaugeTransformation.unipotent(N))
     out = apply_gauge(S, gauge)
 
     planted = {

@@ -33,7 +33,6 @@ from .linalg import (
 from .scalars import common_tower, roots_of_charpoly
 from .series import INF, Series, series_exp
 from .system import (
-    GaugeTransformation,
     PfaffianSystem,
     check_integrability,
     digest,
@@ -289,8 +288,8 @@ def regular_endgame(S: PfaffianSystem, order=10):
     input, T taken as a polynomial is checked against the full
     equations, and only then keeps an infinite window.  Finally the
     commuting family C_i is split into joint generalized eigenblocks by
-    a further constant conjugation and (gauge, residues, None) comes
-    back.
+    a further constant conjugation W, and (T W, residues, None) comes
+    back; no inverse of T is formed, since nothing applies it.
     """
     if any(p != 0 for p in S.p):
         raise InputError("regular endgame needs Poincare rank 0 throughout")
@@ -387,7 +386,6 @@ def regular_endgame(S: PfaffianSystem, order=10):
                 break
     if not exact:
         T = T.clipped(hi)
-    gauge = GaugeTransformation(T)
 
     W, tw2 = _joint_block_diagonalize(C, tower)
     if tw2.degree > tower.degree:
@@ -396,11 +394,9 @@ def regular_endgame(S: PfaffianSystem, order=10):
         Winv = W.inverse()
         C = [Winv * M * W for M in C]
         if tw2.degree > tower.degree:
-            gauge = GaugeTransformation(gauge.T.lift_tower(tw2),
-                                        gauge.T_inv.lift_tower(tw2),
-                                        check=False)
-        gauge = gauge.compose(GaugeTransformation.from_constant(W, n))
-    return gauge, C, None
+            T = T.lift_tower(tw2)
+        T = T * W.to_series(n)
+    return T, C, None
 
 
 def _joint_block_diagonalize(Cs, tower):
@@ -497,15 +493,15 @@ def _reduce(S, ram, order, trace, path, certify=None):
                     [[qs[i]] for i in range(n)], C, ("scalar",), diags)
 
         if all(p == 0 for p in S.p):
-            gauge, Cs, diag = regular_endgame(S, order=order)
+            T, Cs, diag = regular_endgame(S, order=order)
             Q = [[dict(qacc[i]) for _ in range(d)] for i in range(n)]
-            if gauge is None:
+            if T is None:
                 diags.append(diag)
                 trace.add(path, "endgame", resonant=True)
                 return (_collapse(factors, ram, n, d, tower), ram, Q,
                         [None] * n, ("regular-resonant", d), diags)
-            tower = gauge.T.tower
-            factors.append((gauge.T, tuple(ram)))
+            tower = T.tower
+            factors.append((T, tuple(ram)))
             C = [Cs[i] * Fraction(1, ram[i]) for i in range(n)]
             Q = [_lift_q(Q[i], tower) for i in range(n)]
             trace.add(path, "endgame", d=d)
@@ -527,8 +523,8 @@ def _reduce(S, ram, order, trace, path, certify=None):
         split_i = next((i for i in sorted(eig)
                         if eig[i] is not None and len(eig[i]) >= 2), None)
         if split_i is not None:
-            gauge, top, bottom, _ = split(S, split_i, order=order)
-            factors.append((gauge.T, tuple(ram)))
+            T, top, bottom, _ = split(S, split_i, order=order)
+            factors.append((T, tuple(ram)))
             d1 = top.d
             trace.add(path, "split", component=split_i,
                       sizes=[top.d, bottom.d], p=list(S.p))
@@ -545,9 +541,8 @@ def _reduce(S, ram, order, trace, path, certify=None):
                     phiT = phiT.ramify(i, s[i] // ramT[i])
                 if s[i] > ramB[i]:
                     phiB = phiB.ramify(i, s[i] // ramB[i])
-            big = SeriesMatrix.block([
-                [phiT.lift_tower(tw), SeriesMatrix.zeros(d1, d - d1, n, tw)],
-                [SeriesMatrix.zeros(d - d1, d1, n, tw), phiB.lift_tower(tw)]])
+            big = SeriesMatrix.block_diag([phiT.lift_tower(tw),
+                                           phiB.lift_tower(tw)])
             factors.append((big, tuple(s)))
             C = []
             for i in range(n):
@@ -582,10 +577,9 @@ def _reduce(S, ram, order, trace, path, certify=None):
 
         if not just_reduced:
             p_before = list(S.p)
-            gauge, S, steps = rank_reduce(S, order=order,
-                                          certify_order=certify)
-            if not gauge.is_identity():
-                factors.append((gauge.T, tuple(ram)))
+            T, S, steps = rank_reduce(S, order=order, certify_order=certify)
+            if T != SeriesMatrix.identity(d, n, S.tower):
+                factors.append((T, tuple(ram)))
             trace.add(path, "rank_reduce", p_before=p_before,
                       p_after=list(S.p), gauges=len(steps))
             just_reduced = True
@@ -701,7 +695,8 @@ def fmfs(S: PfaffianSystem, order=10, max_retries=4):
     - when the failure reports no verified degree, N doubles;
     - a failure marked final (a demand that grows at least as fast as
       the window) is raised at once, and so is the last failure when
-      the next N would pass MAX_ORDER.
+      the next N would pass MAX_ORDER, or when the attempt verified no
+      further than the one before it (the input's window limits it).
 
     Each retry logs the order it ran at, the degree it verified (None
     when unknown), the next order and the reason, in the trace.
@@ -715,6 +710,7 @@ def fmfs(S: PfaffianSystem, order=10, max_retries=4):
     retry_log = []
     N = order
     attempt = 0
+    previous = None
     while True:
         trace = ReductionTrace(order=N, retries=attempt, retry_log=retry_log)
         try:
@@ -738,15 +734,15 @@ def fmfs(S: PfaffianSystem, order=10, max_retries=4):
                         verified_to=report["verified_to"])
             return sol, trace
         except TruncationInsufficient as exc:
-            if exc.final or attempt >= max_retries:
+            v = exc.verified_to
+            stalled = v is not None and previous is not None and v <= previous
+            if exc.final or stalled or attempt >= max_retries:
                 raise
-            if exc.verified_to is None:
-                nxt = 2 * N
-            else:
-                nxt = N + (order - 2 - exc.verified_to)
+            nxt = 2 * N if v is None else N + (order - 2 - v)
             if nxt > MAX_ORDER:
                 raise
-            retry_log.append({"order": N, "verified_to": exc.verified_to,
+            previous = v
+            retry_log.append({"order": N, "verified_to": v,
                               "next_order": nxt, "reason": str(exc)})
             N = nxt
             attempt += 1

@@ -6,10 +6,10 @@ many right-hand sides) plus characteristic polynomials and generalized
 eigenspace decomposition; sylvester_stack builds the stacked operator
 X -> (L_k X - X R_k - s_k X)_k that the splitting and the regular
 endgame solve grade by grade.  SeriesMatrix holds Series entries; its
-inverse prefers the exact adjugate route (valid whenever the
-determinant is a unit times a monomial, as gauge determinants here
-always are), falling back to a windowed Neumann series.  Both the
-characteristic polynomial and the series determinant come from one
+inverse, which only the splitting's coupling needs, refuses a
+determinant that is not a unit times a monomial and reuses it for the
+exact adjugate route, falling back to a windowed Neumann series.  Both
+the characteristic polynomial and the series determinant come from one
 memoized minor expansion.
 """
 
@@ -344,13 +344,6 @@ class SeriesMatrix:
             m.rows[i][i] = one
         return m
 
-    @classmethod
-    def diagonal(cls, entries, nvars, tower):
-        m = cls.zeros(len(entries), len(entries), nvars, tower)
-        for i, e in enumerate(entries):
-            m.rows[i][i] = e
-        return m
-
     def copy(self):
         return SeriesMatrix(self.rows, self.nvars, self.tower)
 
@@ -490,6 +483,15 @@ class SeriesMatrix:
         b0 = grid[0][0]
         return cls(rows, b0.nvars, b0.tower)
 
+    @classmethod
+    def block_diag(cls, blocks):
+        """Block-diagonal matrix with the given square blocks."""
+        b0 = blocks[0]
+        return cls.block([[M if a == b else cls.zeros(M.nrows, N.ncols,
+                                                      b0.nvars, b0.tower)
+                           for b, N in enumerate(blocks)]
+                          for a, M in enumerate(blocks)])
+
     def determinant(self) -> Series:
         if self.nrows != self.ncols:
             raise DimensionError("determinant of a non-square matrix")
@@ -528,14 +530,8 @@ class SeriesMatrix:
         """Rank over the fraction field of the series ring."""
         return len(self.pivot_rows())
 
-    def adjugate_inverse(self):
-        """Exact inverse via adjugate; None when entries are inexact or
-        the determinant does not divide every cofactor."""
-        if not self.exact:
-            return None
-        det = self.determinant()
-        if det.is_zero():
-            return None
+    def _adjugate_over(self, det):
+        """adj(self) / det, or None when det does not divide a cofactor."""
         d = self.nrows
         out = []
         for i in range(d):
@@ -554,16 +550,32 @@ class SeriesMatrix:
             out.append(row)
         return SeriesMatrix(out, self.nvars, self.tower)
 
-    def inverse(self, hi=None):
-        """Inverse matrix.
+    def adjugate_inverse(self):
+        """Exact inverse via adjugate; None when entries are inexact or
+        the determinant does not divide every cofactor."""
+        if not self.exact:
+            return None
+        det = self.determinant()
+        return None if det.is_zero() else self._adjugate_over(det)
 
-        Exact entries: adjugate route, exact result (works whenever the
-        determinant is a unit times a monomial).  Otherwise a Neumann
-        series around the constant term, valid on the window.
+    def inverse(self, hi=None):
+        """Inverse matrix; NotUnitError unless the determinant is a unit
+        times a monomial (membership in GL_d of the localization).
+
+        Exact entries: adjugate over that determinant, exact result.
+        Otherwise a Neumann series around the constant term, valid on
+        the window.
         """
         if self.nrows != self.ncols:
             raise DimensionError("inverse of a non-square matrix")
-        inv = self.adjugate_inverse()
+        det = self.determinant()
+        beta = det.support_min()
+        if beta is None:
+            raise NotUnitError("gauge determinant vanishes within window")
+        unit = det.mul_monomial(tuple(-b for b in beta))
+        if unit.constant_term().is_zero():
+            raise NotUnitError("gauge determinant is not monomial x unit")
+        inv = self._adjugate_over(det) if self.exact else None
         if inv is not None:
             if hi is not None:
                 inv = inv.clipped(hi)

@@ -270,29 +270,18 @@ class ColumnReduction:
         self.A0_reduced = A0_reduced
 
 
-def _basis_permutation_gauge(sub, d, nvars, tower):
-    order = list(sub) + [j for j in range(d) if j not in sub]
-    P = SeriesMatrix.zeros(d, d, nvars, tower)
-    Pinv = SeriesMatrix.zeros(d, d, nvars, tower)
-    one = Series.constant(nvars, 1, tower)
-    for new, old in enumerate(order):
-        P.rows[old][new] = one
-        Pinv.rows[new][old] = one
-    return GaugeTransformation(P, Pinv, check=False)
-
-
-def _elimination_gauge(relations, sub, d, nvars, tower):
-    """I with -c_{kj} at (basis k, nonbasis j), in permuted coordinates."""
+def _basis_gauge(relations, sub, d, nvars, tower):
+    """Basis columns sub first, then each other column j minus
+    c_{kj} times basis column k."""
     order = list(sub) + [j for j in range(d) if j not in sub]
     pos = {old: new for new, old in enumerate(order)}
-    E = SeriesMatrix.identity(d, nvars, tower)
-    Einv = SeriesMatrix.identity(d, nvars, tower)
+    N = SeriesMatrix.zeros(d, d, nvars, tower)
     for j, cof in relations.items():
         for k_idx, k in enumerate(sub):
             if not cof[k_idx].is_zero():
-                E.rows[pos[k]][pos[j]] = -cof[k_idx]
-                Einv.rows[pos[k]][pos[j]] = cof[k_idx]
-    return GaugeTransformation(E, Einv, check=False)
+                N.rows[pos[k]][pos[j]] = -cof[k_idx]
+    return GaugeTransformation.permutation(order, nvars, tower).compose(
+        GaugeTransformation.unipotent(N))
 
 
 def column_reduce(A0: SeriesMatrix, i: int, ell: int) -> ColumnReduction:
@@ -310,8 +299,7 @@ def column_reduce(A0: SeriesMatrix, i: int, ell: int) -> ColumnReduction:
         g = GaugeTransformation.identity(d, nvars, tower)
         return ColumnReduction(g, r, r, A0)
     sub, relations = _module_column_basis(A0, r, ell, slots)
-    g1 = _basis_permutation_gauge(sub, d, nvars, tower)
-    g1 = g1.compose(_elimination_gauge(relations, sub, d, nvars, tower))
+    g1 = _basis_gauge(relations, sub, d, nvars, tower)
     A0r = g1.T_inv * A0 * g1.T
     for t in range(d):
         for j in range(r, d):
@@ -321,18 +309,11 @@ def column_reduce(A0: SeriesMatrix, i: int, ell: int) -> ColumnReduction:
     v = B11.rank_generic()
     if 0 < v < r:
         sub2, rel2 = _module_column_basis(B11, v, ell, slots)
-        g2 = _basis_permutation_gauge(sub2, r, nvars, tower)
-        g2 = g2.compose(_elimination_gauge(rel2, sub2, r, nvars, tower))
-        T = SeriesMatrix.block([
-            [g2.T, SeriesMatrix.zeros(r, d - r, nvars, tower)],
-            [SeriesMatrix.zeros(d - r, r, nvars, tower),
-             SeriesMatrix.identity(d - r, nvars, tower)]])
-        Tinv = SeriesMatrix.block([
-            [g2.T_inv, SeriesMatrix.zeros(r, d - r, nvars, tower)],
-            [SeriesMatrix.zeros(d - r, r, nvars, tower),
-             SeriesMatrix.identity(d - r, nvars, tower)]])
-        g1 = g1.compose(GaugeTransformation(T, Tinv, check=False))
-        A0r = Tinv * A0r * T
+        g2 = GaugeTransformation.block_diag([
+            _basis_gauge(rel2, sub2, r, nvars, tower),
+            GaugeTransformation.identity(d - r, nvars, tower)])
+        g1 = g1.compose(g2)
+        A0r = g2.T_inv * A0r * g2.T
     for t in range(r):
         for j in range(v, r):
             if not A0r.rows[t][j].is_zero():
@@ -377,11 +358,12 @@ def moser_data(S: PfaffianSystem, i: int, colred: ColumnReduction,
                certify_order: int | None = None) -> MoserData:
     """Assemble the lambda-pencil of component i and test its vanishing.
 
-    The pencil takes its first r columns from the leading coefficient
-    and the rest from the next one, with lambda added on the trailing
-    diagonal.  Its determinant must equal the trace polynomial
-    x_i^r det(lambda I + A_{i,0}/x_i + A_{i,1}) at x_i = 0; the identity
-    is asserted outright, catching block-form corruption early.
+    The pencil G takes its first r columns from the leading coefficient
+    and the rest from the next one, with lambda, in the free slot i,
+    added on the trailing diagonal.  theta is det G with lambda moved to
+    a last slot; it equals x_i^r det(lambda I + A_{i,0}/x_i + A_{i,1})
+    at x_i = 0 because columns r..d of A_{i,0} vanish.  That premise is
+    checked: a ReductionError reports a corrupt block form.
 
     A determinant that vanishes only within a finite window counts as
     vanishing when the window still covers certify_order; with no budget
@@ -391,6 +373,9 @@ def moser_data(S: PfaffianSystem, i: int, colred: ColumnReduction,
     r = colred.r
     A0 = S.coeff(i, 0)
     A1 = S.coeff(i, 1)
+    if not all(A0.rows[t][j].is_zero() for t in range(d) for j in range(r, d)):
+        raise ReductionError("leading coefficient has nonzero columns past "
+                             "its rank; block form is corrupt")
     lam = Series.variable(n, i, tower)
     G = SeriesMatrix.zeros(d, d, n, tower)
     for t in range(d):
@@ -400,23 +385,7 @@ def moser_data(S: PfaffianSystem, i: int, colred: ColumnReduction,
             else:
                 G.rows[t][j] = A1.rows[t][j] + (lam if t == j
                                                 else Series.zero(n, tower))
-    detG = G.determinant()
-    A0e = A0.map(Series.append_slot)
-    A1e = A1.map(Series.append_slot)
-    lam_e = Series.variable(n + 1, n, tower)
-    shift = tuple(-1 if k == i else 0 for k in range(n + 1))
-    P = SeriesMatrix.zeros(d, d, n + 1, tower)
-    for t in range(d):
-        for j in range(d):
-            P.rows[t][j] = A0e.rows[t][j].mul_monomial(shift) + A1e.rows[t][j]
-            if t == j:
-                P.rows[t][j] = P.rows[t][j] + lam_e
-    theta = P.determinant().mul_monomial(
-        tuple(r if k == i else 0 for k in range(n + 1)))
-    theta = theta.restrict([i])
-    if not theta.agrees(_swap_to_last(detG, i)):
-        raise ReductionError("pencil determinant disagrees with the trace "
-                             "polynomial; block form is corrupt")
+    theta = _swap_to_last(G.determinant(), i)
     zero = theta.is_zero()
     limited = zero and not theta.exact
     if limited and certify_order is not None:
@@ -469,8 +438,9 @@ def build_Q(S: PfaffianSystem, i: int, md: MoserData, order: int = 10):
         return GaugeTransformation.identity(d, n, tower), md2
     slots = [k for k in range(n) if k != i]
     a32 = A0.submatrix(range(r, d), range(v, r))
-    E = SeriesMatrix.identity(m, n, tower)
-    Einv = SeriesMatrix.identity(m, n, tower)
+    # N clears each non-basis row j of a32 by c_{jk} times basis row k;
+    # rows and columns of N are disjoint index sets, so N^2 = 0
+    N = SeriesMatrix.zeros(m, m, n, tower)
     basis_rows = []
     rowrank = a32.rank_generic()
     if rowrank:
@@ -483,27 +453,15 @@ def build_Q(S: PfaffianSystem, i: int, md: MoserData, order: int = 10):
         for j, cof in relations.items():
             for k_idx, k in enumerate(sub):
                 if not cof[k_idx].is_zero():
-                    E.rows[j][k] = -cof[k_idx]
-                    Einv.rows[j][k] = cof[k_idx]
+                    N.rows[j][k] = cof[k_idx]
+    clear = GaugeTransformation.unipotent(N)
     cleared = [t for t in range(m) if t not in basis_rows]
+    head = GaugeTransformation.identity(r, n, tower)
 
     def candidate(bottom):
         order33 = [t for t in range(m) if t not in bottom] + list(bottom)
-        perm = SeriesMatrix.zeros(m, m, n, tower)
-        one = Series.constant(n, 1, tower)
-        for new, old in enumerate(order33):
-            perm.rows[new][old] = one
-        q33i = perm * E
-        q33 = Einv * perm.transpose()
-        Q = SeriesMatrix.block([
-            [SeriesMatrix.identity(r, n, tower),
-             SeriesMatrix.zeros(r, m, n, tower)],
-            [SeriesMatrix.zeros(m, r, n, tower), q33]])
-        Qinv = SeriesMatrix.block([
-            [SeriesMatrix.identity(r, n, tower),
-             SeriesMatrix.zeros(r, m, n, tower)],
-            [SeriesMatrix.zeros(m, r, n, tower), q33i]])
-        return GaugeTransformation(Q, Qinv, check=False)
+        return GaugeTransformation.block_diag([head, clear.compose(
+            GaugeTransformation.permutation(order33, n, tower))])
 
     for rho in range(len(cleared), -1, -1):
         for chosen in itertools.combinations(cleared, rho):
@@ -558,6 +516,15 @@ def _apply_logged(S, g, steps, kind, i):
     return out
 
 
+def _product(steps, S):
+    """The product of the transformations the steps applied, in order."""
+    T = SeriesMatrix.identity(S.d, S.n, S.tower)
+    for st in steps:
+        if st["gauge"] is not None:
+            T = T * st["gauge"].T
+    return T
+
+
 def rank_reduce(S: PfaffianSystem, order: int = 10,
                 certify_order: int | None = None):
     """Lower every Poincare rank to its minimal integer value.
@@ -565,14 +532,14 @@ def rank_reduce(S: PfaffianSystem, order: int = 10,
     Per component: column-reduce the leading coefficient; while the
     pencil determinant vanishes and p stays positive, reorganize with Q
     and shear, renormalizing as the valuation allows.  Returns
-    (gauge, system, steps).  certify_order is the window depth at which
-    pencil vanishing is accepted on truncated data (default: order).
+    (T, system, steps), T the product of the steps' transformations.
+    certify_order is the window depth at which pencil vanishing is
+    accepted on truncated data (default: order).
     """
     check_order(order)
     if certify_order is None:
         certify_order = order
     S, _ = normalize_poincare(S)
-    total = GaugeTransformation.identity(S.d, S.n, S.tower)
     steps = []
     for i in range(S.n):
         guard = (S.p[i] + 1) * S.d + S.d
@@ -589,7 +556,6 @@ def rank_reduce(S: PfaffianSystem, order: int = 10,
                 raise
             if not colred.gauge.is_identity():
                 S = _apply_logged(S, colred.gauge, steps, "column_reduce", i)
-                total = total.compose(colred.gauge)
             if colred.r == 0:
                 S, _ = normalize_poincare(S)
                 steps.append({"kind": "renormalize", "component": i,
@@ -605,29 +571,27 @@ def rank_reduce(S: PfaffianSystem, order: int = 10,
             gq, md = build_Q(S, i, md, order)
             if not gq.is_identity():
                 S = _apply_logged(S, gq, steps, "pencil_reorganize", i)
-                total = total.compose(gq)
             p_before = S.p[i]
             shear = build_shearing(i, md.r, md.rho, S.d, S.n, S.tower)
             S = _apply_logged(S, shear, steps, "shear", i)
-            total = total.compose(shear)
             if (S.p[i] >= p_before
                     and S.coeff(i, 0).rank_generic() >= colred.r):
                 raise ReductionError(
                     f"shearing failed to make progress on component {i}")
-    return total, S, steps
+    return _product(steps, S), S, steps
 
 
 def rank_reduce_alt(S: PfaffianSystem, order: int = 10):
     """Levelt-style loop: always shear the full rank block.
 
     The sterile-iteration counter resets whenever p drops; d-1 sterile
-    rounds in a row certify that the current p is minimal.  Nothing in
-    the pipeline calls it: it is kept as the independent test oracle
-    for the final ranks that rank_reduce reaches.
+    rounds in a row certify that the current p is minimal.  Returns
+    what rank_reduce does.  Nothing in the pipeline calls it: it is kept
+    as the independent test oracle for the final ranks that rank_reduce
+    reaches.
     """
     check_order(order)
     S, _ = normalize_poincare(S)
-    total = GaugeTransformation.identity(S.d, S.n, S.tower)
     steps = []
     for i in range(S.n):
         j = 0
@@ -635,7 +599,6 @@ def rank_reduce_alt(S: PfaffianSystem, order: int = 10):
             colred = column_reduce(S.coeff(i, 0), i, order)
             if not colred.gauge.is_identity():
                 S = _apply_logged(S, colred.gauge, steps, "column_reduce", i)
-                total = total.compose(colred.gauge)
             if colred.r == 0:
                 S, _ = normalize_poincare(S)
                 steps.append({"kind": "renormalize", "component": i,
@@ -645,9 +608,8 @@ def rank_reduce_alt(S: PfaffianSystem, order: int = 10):
             p_before = S.p[i]
             shear = build_shearing(i, colred.r, 0, S.d, S.n, S.tower)
             S = _apply_logged(S, shear, steps, "shear", i)
-            total = total.compose(shear)
             j = 0 if S.p[i] < p_before else j + 1
-    return total, S, steps
+    return _product(steps, S), S, steps
 
 
 # ---------------------------------------------------------------------------
@@ -740,8 +702,9 @@ def split(S: PfaffianSystem, i: int, order: int = 10):
 
     The couplings are certified exact only when the full, unclipped
     equations evaluated on the final P and Q vanish on an infinite
-    window; otherwise the gauge is clipped to W.  Returns
-    (gauge, top, bottom, whole) where top and bottom are standalone
+    window; otherwise the coupling is clipped to W and inverted on W.
+    Returns (T, top, bottom, whole): T is the eigenbasis change times
+    the coupling [[I, P], [Q, I]], top and bottom are standalone
     systems on the diagonal blocks and whole is the full
     block-diagonalized system, possibly over an extended field.
     """
@@ -888,8 +851,8 @@ def split(S: PfaffianSystem, i: int, order: int = 10):
     T = SeriesMatrix.block([
         [SeriesMatrix.identity(d1, n, tower), P],
         [Q, SeriesMatrix.identity(d - d1, n, tower)]])
-    gT = GaugeTransformation(T, hi=None if certified else box)
-    whole = apply_gauge(S, gT)
+    whole = apply_gauge(S, GaugeTransformation(
+        T, T.inverse(None if certified else box)))
     for k in range(n):
         if not (whole.A[k].submatrix(rs1, rs2).is_zero()
                 and whole.A[k].submatrix(rs2, rs1).is_zero()):
@@ -900,7 +863,7 @@ def split(S: PfaffianSystem, i: int, order: int = 10):
     bottom = PfaffianSystem(S.vars, whole.p,
                             [whole.A[k].submatrix(rs2, rs2) for k in range(n)],
                             tower)
-    return gV.compose(gT), top, bottom, whole
+    return gV.T * T, top, bottom, whole
 
 
 # ---------------------------------------------------------------------------

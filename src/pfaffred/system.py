@@ -6,14 +6,16 @@ components together; gauge transformations act by
 A_i -> T^{-1} A_i T - x_i^{p_i+1} T^{-1} dT/dx_i, after which Poincare
 ranks are renormalized by own-variable valuation.  A transformation
 that gives some component a pole in a foreign variable breaks normal
-crossings and is refused.
+crossings and is refused.  A gauge transformation carries the T^{-1}
+that the code building T supplies; nothing here inverts a series
+matrix.
 """
 
 from __future__ import annotations
 
 import hashlib
 
-from .errors import DimensionError, InputError, NotUnitError, ReductionError
+from .errors import DimensionError, InputError, ReductionError
 from .linalg import SeriesMatrix
 from .series import INF, Series
 
@@ -97,12 +99,12 @@ class PfaffianSystem:
 
 
 class IntegrabilityReport:
-    __slots__ = ("passed", "worst", "verified_to")
+    __slots__ = ("passed", "worst", "window")
 
-    def __init__(self, passed, worst, verified_to):
+    def __init__(self, passed, worst, window):
         self.passed = passed
         self.worst = worst          # (i, j, row, col, exponent) or None
-        self.verified_to = verified_to
+        self.window = window        # the data window the check covered
 
     def __bool__(self):
         return self.passed
@@ -168,53 +170,62 @@ def normalize_poincare(S: PfaffianSystem):
 
 
 class GaugeTransformation:
-    """Invertible change of basis F = T G with a tracked inverse.
+    """Invertible change of basis F = T G, built together with T^{-1}.
 
-    det(T) is required to be a unit times a monomial; this is checked on
-    construction (it is what membership in GL_d of the localization
-    amounts to for the transformations this pipeline produces).
+    The constructors read T^{-1} off the structure of T; a caller with a
+    general T passes T.inverse(), which refuses a determinant that is
+    not a unit times a monomial.
     """
 
     __slots__ = ("T", "T_inv")
 
-    def __init__(self, T: SeriesMatrix, T_inv=None, hi=None, check=True):
+    def __init__(self, T: SeriesMatrix, T_inv: SeriesMatrix):
         self.T = T
-        if check:
-            det = T.determinant()
-            beta = det.support_min()
-            if beta is None:
-                raise NotUnitError("gauge determinant vanishes within window")
-            unit = det.mul_monomial(tuple(-b for b in beta))
-            if unit.constant_term().is_zero():
-                raise NotUnitError("gauge determinant is not monomial x unit")
-        if T_inv is None:
-            T_inv = T.inverse(hi)
         self.T_inv = T_inv
 
     @classmethod
     def identity(cls, d, nvars, tower):
         I = SeriesMatrix.identity(d, nvars, tower)
-        return cls(I, I, check=False)
+        return cls(I, I)
 
     @classmethod
     def from_constant(cls, C, nvars):
-        return cls(C.to_series(nvars), C.inverse().to_series(nvars),
-                   check=False)
+        return cls(C.to_series(nvars), C.inverse().to_series(nvars))
 
     @classmethod
     def diagonal_monomial(cls, exps, nvars, tower):
         """Diag(x^e) for a list of exponent vectors e (one per row)."""
-        entries = [Series.monomial(nvars, e, 1, tower) for e in exps]
-        inv_entries = [Series.monomial(nvars, tuple(-x for x in e), 1, tower)
-                       for e in exps]
-        return cls(SeriesMatrix.diagonal(entries, nvars, tower),
-                   SeriesMatrix.diagonal(inv_entries, nvars, tower),
-                   check=False)
+        def mono(e):
+            return SeriesMatrix([[Series.monomial(nvars, e, 1, tower)]],
+                                nvars, tower)
+        return cls.block_diag([cls(mono(e), mono(tuple(-x for x in e)))
+                               for e in exps])
+
+    @classmethod
+    def permutation(cls, order, nvars, tower):
+        """Coordinate k of G is coordinate order[k] of F; T^{-1} = T^t."""
+        d = len(order)
+        P = SeriesMatrix.zeros(d, d, nvars, tower)
+        one = Series.constant(nvars, 1, tower)
+        for new, old in enumerate(order):
+            P.rows[old][new] = one
+        return cls(P, P.transpose())
+
+    @classmethod
+    def unipotent(cls, N: SeriesMatrix):
+        """T = I + N for N with N^2 = 0, so that T^{-1} = I - N."""
+        I = SeriesMatrix.identity(N.nrows, N.nvars, N.tower)
+        return cls(I + N, I - N)
+
+    @classmethod
+    def block_diag(cls, blocks):
+        """Diag(T_1, .., T_k), one block per transformation, in order."""
+        return cls(SeriesMatrix.block_diag([g.T for g in blocks]),
+                   SeriesMatrix.block_diag([g.T_inv for g in blocks]))
 
     def compose(self, other: "GaugeTransformation") -> "GaugeTransformation":
         """self applied first, then other: F = (T_self T_other) H."""
-        return GaugeTransformation(self.T * other.T, other.T_inv * self.T_inv,
-                                   check=False)
+        return GaugeTransformation(self.T * other.T, other.T_inv * self.T_inv)
 
     def is_identity(self):
         return self.T == SeriesMatrix.identity(self.T.nrows, self.T.nvars,

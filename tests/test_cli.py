@@ -67,16 +67,37 @@ def _set_first_exp(doc, exp):
 @pytest.mark.parametrize("mutate", [
     lambda doc: doc.update(minpoly="abc"),
     lambda doc: doc.update(minpoly=["-2", "x", "1"]),
+    lambda doc: doc.update(minpoly=["-2", "0", "2"]),
+    lambda doc: doc.update(minpoly=["-2", "1"]),
+    lambda doc: doc.update(minpoly=["-1", "0", "1"]),
     lambda doc: _set_first_exp(doc, [0, True]),
     lambda doc: doc.update(trunc=[True, None]),
     lambda doc: doc.update(d=True),
     lambda doc: doc.update(p=[True, 2]),
-], ids=["minpoly-string", "minpoly-literal", "exp", "trunc", "d", "p"])
+], ids=["minpoly-string", "minpoly-literal", "minpoly-not-monic",
+        "minpoly-linear", "minpoly-rational-root", "exp", "trunc", "d", "p"])
 def test_malformed_system_is_an_input_error(tmp_path, capsys, mutate):
     doc = serialize_system(hyper_system())
     mutate(doc)
     path = write_json(tmp_path / "bad.json", doc)
     assert run(capsys, ["check", path], 1)["error"]["type"] == "InputError"
+
+
+def test_irreducible_cubic_minpoly_exits_two(tmp_path, capsys):
+    # well formed, but not a field the reduction supports
+    doc = serialize_system(hyper_system())
+    doc["minpoly"] = ["-2", "0", "0", "1"]
+    path = write_json(tmp_path / "cubic.json", doc)
+    err = run(capsys, ["check", path], 2)["error"]
+    assert err["type"] == "FieldExtensionError"
+
+
+def test_check_reports_the_data_window(tmp_path, capsys):
+    doc = serialize_system(sys1([[0, 1], [{1: 1}, 0]], 1))
+    doc["trunc"] = [4]
+    path = write_json(tmp_path / "airy4.json", doc)
+    out = run(capsys, ["check", path])
+    assert out["window"] == [4] and "verified_to" not in out
 
 
 def test_boolean_ramification_is_an_input_error(tmp_path, capsys):

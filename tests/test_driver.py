@@ -11,6 +11,7 @@ from pfaffred import (
     ConstMatrix,
     FieldExtensionError,
     FormalSolution,
+    GaugeTransformation,
     InputError,
     NonIntegrableError,
     PfaffianSystem,
@@ -19,6 +20,7 @@ from pfaffred import (
     Series,
     SeriesMatrix,
     TruncationInsufficient,
+    apply_gauge,
     exponential_order,
     exponential_parts,
     fmfs,
@@ -103,24 +105,37 @@ def h_system():
 
 
 def test_endgame_polynomial_certified():
-    g, C, diag = regular_endgame(h_system(), order=10)
+    T, C, diag = regular_endgame(h_system(), order=10)
     assert diag is None
     assert strm(C[0]) == [["-2", "0"], ["0", "1"]]
     assert strm(C[1]) == [["-2", "0"], ["0", "-1"]]
-    t21 = g.T.rows[1][0]
+    t21 = T.rows[1][0]
     assert t21.coefficient((0, 1)) == QQ.scalar(Fraction(1, 3))
     assert t21.coefficient((3, 0)) == QQ.scalar(2)
     assert len(t21.terms) == 2
-    assert g.T.rows[0][1].is_zero()
-    assert g.T.exact                    # closed polynomially, certified
+    assert T.rows[0][1].is_zero()
+    assert T.exact                      # closed polynomially, certified
+
+
+@pytest.mark.parametrize("S", [
+    h_system(),
+    # residue with eigenvalues 1/3 and -1/2 off its eigenbasis, so the
+    # constant conjugation W is not the identity
+    sys1([[Fraction(1, 3), 1], [{1: 1}, Fraction(-1, 2)]], 0),
+], ids=["h", "nondiagonal-residue"])
+def test_endgame_matrix_conjugates_to_the_residues(S):
+    T, C, diag = regular_endgame(S, order=10)
+    out = apply_gauge(S, GaugeTransformation(T, T.inverse()))
+    for i in range(S.n):
+        assert out.A[i] == C[i].to_series(S.n)
 
 
 def test_endgame_resonant_is_diagnostic_not_error():
     # residue Diag(0, 1); the x^1 coupling lands on the singular grade
     # inconsistently, so no polynomial T exists
     S = sys1([[0, 0], [{1: 1}, 1]], 0)
-    g, C, diag = regular_endgame(S, order=10)
-    assert g is None and C is None
+    T, C, diag = regular_endgame(S, order=10)
+    assert T is None and C is None
     assert "resonant" in diag
 
     sol, trace = fmfs(S, order=10)
@@ -136,8 +151,8 @@ def test_endgame_bivariate_resonance_names_its_grade():
     A1 = mat2([[0, 0], [{(1, 0): 1}, 1]])
     A2 = mat2([[3, 0], [0, 3]])
     S = PfaffianSystem(["x1", "x2"], [0, 0], [A1, A2], QQ)
-    g, C, diag = regular_endgame(S, order=6)
-    assert (g, C) == (None, None)
+    T, C, diag = regular_endgame(S, order=6)
+    assert (T, C) == (None, None)
     assert diag == "resonant: no polynomial correction at grade (1, 0)"
 
     sol, _ = fmfs(S, order=6)
@@ -390,13 +405,14 @@ def test_retries_double_without_a_verified_degree_and_stop_at_the_bound(
 
 def test_truncated_airy_retries_by_its_shortfall(monkeypatch):
     # the data ends at x^4, so every attempt verifies to degree 2: the
-    # shortfall stays 6, and from order 130 the one retry lands on 256
+    # retry at 10 + 6 verifies no further than the attempt at 10, which
+    # ends the retries, and from order 130 the one retry lands on 256
     A = sys1([[0, 1], [{1: 1}, 0]], 1).A[0].clipped((4,))
     S = PfaffianSystem(["x"], [1], [A], QQ)
     orders = working_orders(monkeypatch)
     with pytest.raises(TruncationInsufficient, match="degree 2$"):
         fmfs(S, order=10, max_retries=MAX_RETRIES)
-    assert orders == [10 + 6 * k for k in range(MAX_RETRIES + 1)]
+    assert orders == [10, 16]
     orders.clear()
     with pytest.raises(TruncationInsufficient, match="degree 2$"):
         fmfs(S, order=130, max_retries=MAX_RETRIES)

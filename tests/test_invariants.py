@@ -140,7 +140,7 @@ def test_order_invariant_under_polynomial_gauge():
     S = hyper_system()
     T = type(S.A[0])([[poly2({(0, 0): 1}), poly2({(1, 1): 3})],
                       [poly2({}), poly2({(0, 0): 1})]], 2, QQ)
-    out = apply_gauge(S, GaugeTransformation(T))
+    out = apply_gauge(S, GaugeTransformation(T, T.inverse()))
     assert exponential_order(out) == exponential_order(S)
 
 

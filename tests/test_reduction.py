@@ -14,6 +14,9 @@ import pytest
 from helpers import (
     hyper_system, mat1, mat2, poly1, poly2, shifted_system, sys1,
 )
+from pfaffred import reduction
+from pfaffred.docio import generate_equivalent
+from pfaffred.driver import fmfs
 from pfaffred.errors import (
     ColumnModuleNotFree,
     InputError,
@@ -38,7 +41,9 @@ from pfaffred.reduction import (
 )
 from pfaffred.scalars import QQ
 from pfaffred.series import INF, Series
-from pfaffred.system import PfaffianSystem, apply_gauge, check_integrability
+from pfaffred.system import (
+    GaugeTransformation, PfaffianSystem, apply_gauge, check_integrability,
+)
 
 
 X = poly1({1: 1})
@@ -166,6 +171,75 @@ def test_pencil_invertible_leading_term():
     assert md.theta.coefficient((0, 0)) == QQ.scalar(2)
 
 
+def laurent_pencil(S, i, r):
+    """Oracle for theta: x_i^r det(lambda I + A_{i,0}/x_i + A_{i,1}) at
+    x_i = 0, expanded over n + 1 variables with lambda last."""
+    d, n, tower = S.d, S.n, S.tower
+    A0e = S.coeff(i, 0).map(Series.append_slot)
+    A1e = S.coeff(i, 1).map(Series.append_slot)
+    lam = Series.variable(n + 1, n, tower)
+    shift = tuple(-1 if k == i else 0 for k in range(n + 1))
+    P = SeriesMatrix([[A0e.rows[t][j].mul_monomial(shift) + A1e.rows[t][j]
+                       + (lam if t == j else Series.zero(n + 1, tower))
+                       for j in range(d)] for t in range(d)], n + 1, tower)
+    return P.determinant().mul_monomial(
+        tuple(r if k == i else 0 for k in range(n + 1))).restrict([i])
+
+
+def assert_pencil_matches_oracle(S, i, colred, md):
+    want = laurent_pencil(S, i, colred.r)
+    assert md.theta.terms == want.terms
+    assert (md.theta.lo, md.theta.hi) == (want.lo, want.hi)
+
+
+def _row_module_system():
+    rows = [[Series.zero(3, QQ) for _ in range(4)] for _ in range(4)]
+    rows[0][0] = Series.constant(3, 1, QQ)
+    rows[2][1] = Series.variable(3, 1, QQ)
+    rows[3][1] = Series.variable(3, 2, QQ)
+    Z = SeriesMatrix.zeros(4, 4, 3, QQ)
+    return PfaffianSystem(["x1", "x2", "x3"], [1, 0, 0],
+                          [SeriesMatrix(rows, 3, QQ), Z, Z], QQ)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: sys1([[{0: 1, 1: 5}, 0], [0, {1: 7}]], 1),
+    lambda: sys1([[0, 0], [1, 0]], 1),
+    lambda: sys1([[1, 1], [0, 2]], 1),
+    lambda: PfaffianSystem(["x1", "x2"], [3, 1], [
+        mat2([[{(3, 0): 1}, 0], [-1, {(3, 0): 1}]]),
+        mat2([[{(0, 1): -1}, 0], [-2, {(0, 1): -1}]])], QQ),
+    lambda: sys1([[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0]], 1),
+    _row_module_system,
+], ids=["regular", "nilpotent", "invertible", "empty-core", "widest-rho",
+        "row-module"])
+def test_pencil_matches_the_laurent_expansion(build):
+    S = build()
+    colred = column_reduce(S.coeff(0, 0), 0, 10)
+    assert_pencil_matches_oracle(S, 0, colred, moser_data(S, 0, colred))
+
+
+@pytest.mark.parametrize("seed,shape", [
+    (3, {"n": 2, "d": 2, "p": [2, 1], "ramified": True}),
+    (0, {"n": 2, "d": 3, "p": [2, 1], "ramified": True}),
+], ids=["r3-n2d2p21", "r0-n2d3p21"])
+def test_pencil_matches_the_laurent_expansion_on_plants(monkeypatch, seed,
+                                                        shape):
+    # every pencil a full reduction builds, vanishing and truncated
+    # ones included
+    seen = []
+
+    def checked(S, i, colred, certify_order=None):
+        md = moser_data(S, i, colred, certify_order)
+        assert_pencil_matches_oracle(S, i, colred, md)
+        seen.append((md.theta_zero, md.theta.exact))
+        return md
+
+    monkeypatch.setattr(reduction, "moser_data", checked)
+    fmfs(generate_equivalent(seed, shape)[0], order=8)
+    assert any(zero for zero, _ in seen)
+
+
 def test_moser_rank_values():
     S = shifted_system()
     assert moser_rank(S, 0) == Fraction(7, 2)
@@ -257,18 +331,19 @@ def test_shearing_block_exchange():
 
 def test_rank_reduce_bivariate_reaches_regular_form():
     S = shifted_system()
-    g, out, steps = rank_reduce(S)
+    T, out, steps = rank_reduce(S)
     assert out.p == [0, 0]
     want1 = mat2([[-2, 0], [{(0, 1): -1}, 1]])
     want2 = mat2([[-2, 0], [{(3, 0): -2}, -1]])
     assert out.A[0].agrees(want1) and out.A[1].agrees(want2)
     # the composed gauge replays to the same endpoint
+    g = GaugeTransformation(T, T.inverse())
     assert apply_gauge(S, g).fingerprint() == out.fingerprint()
     assert any(s["kind"] == "shear" for s in steps)
 
 
 def test_rank_reduce_stops_at_true_ranks():
-    g, out, steps = rank_reduce(hyper_system())
+    _, out, steps = rank_reduce(hyper_system())
     assert out.p == [1, 2]
     want1 = mat2([[{(0, 0): 1, (1, 0): -1}, 0], [-1, {(0, 0): 1, (1, 0): 1}]])
     assert out.A[0].agrees(want1)
@@ -285,7 +360,7 @@ def test_rank_reduce_uses_reorganization_path():
         [0, 1, 0, 0],
         [0, 0, 0, 0],
     ], 1)
-    g, out, steps = rank_reduce(S)
+    _, out, steps = rank_reduce(S)
     assert out.p == [0]
     final = out.A[0]
     expect = [[-2, 0, 0, 0], [1, -1, 0, 0], [0, 1, 0, 0], [0, 0, 0, -1]]
@@ -335,13 +410,13 @@ def h_system():
 
 def test_split_decouples_lower_triangular_couplings():
     S = h_system()
-    g, top, bottom, whole = split(S, 0)
+    T, top, bottom, whole = split(S, 0)
     assert top.d == 1 and bottom.d == 1
     assert top.A[0].rows[0][0] == -2 and top.A[1].rows[0][0] == -2
     assert bottom.A[0].rows[0][0] == 1 and bottom.A[1].rows[0][0] == -1
     # coupling solves two one-dimensional recurrences with a finite answer
-    assert g.T.rows[1][0] == poly2({(0, 1): Fraction(1, 3), (3, 0): 2})
-    assert g.T.rows[1][0].exact
+    assert T.rows[1][0] == poly2({(0, 1): Fraction(1, 3), (3, 0): 2})
+    assert T.rows[1][0].exact
     for k in range(2):
         assert whole.A[k].rows[0][1].is_zero()
         assert whole.A[k].rows[1][0].is_zero()
@@ -357,7 +432,7 @@ def test_split_respects_integrability():
 def test_split_with_quadratic_eigenvalues():
     A = mat1([[0, 1], [2, 0]])
     S = PfaffianSystem(["x"], [0], [A], QQ)
-    g, top, bottom, whole = split(S, 0)
+    _, top, bottom, whole = split(S, 0)
     lam = whole.A[0].rows[0][0].coefficient((0,))
     mu = whole.A[0].rows[1][1].coefficient((0,))
     assert (lam * lam).to_fraction() == 2
@@ -396,9 +471,9 @@ def test_split_resonant_inconsistent_coupling():
      [[1, 0, 0], [0, 1, 0], [{1: Fraction(-1, 2)}, 0, 1]]),
 ])
 def test_split_resonant_consistent_coupling(grid, gauge):
-    g, top, bottom, whole = split(sys1(grid, 0), 0)
-    assert g.T == mat1(gauge)
-    assert g.T.exact
+    T, top, bottom, whole = split(sys1(grid, 0), 0)
+    assert T == mat1(gauge)
+    assert T.exact
     d = len(grid)
     for i in range(d):
         for j in range(d):

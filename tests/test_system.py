@@ -3,10 +3,11 @@ from fractions import Fraction
 import pytest
 
 from helpers import hyper_system, mat2, poly2, shifted_system
+from pfaffred.docio import generate_equivalent
 from pfaffred.errors import InputError, NotUnitError, ReductionError
 from pfaffred.linalg import SeriesMatrix
 from pfaffred.scalars import QQ
-from pfaffred.series import Series
+from pfaffred.series import INF, Series
 from pfaffred.system import (
     GaugeTransformation,
     PfaffianSystem,
@@ -100,14 +101,53 @@ def test_gauge_determinant_guard():
     T.rows[0][1] = poly2({(0, 0): 0})
     T.rows[0][0] = poly2({(1, 0): 1, (0, 1): 1})
     with pytest.raises(NotUnitError):
-        GaugeTransformation(T)
+        T.inverse()
+
+
+def _structured_gauges():
+    N = mat2([[0, 0, {(1, 0): 2, (0, 3): -1}], [0, 0, {(0, 1): 1}],
+              [0, 0, 0]])                          # N^2 = 0
+    swap = GaugeTransformation.permutation([1, 0], 2, QQ)
+    return {
+        "permutation": GaugeTransformation.permutation([2, 0, 1], 2, QQ),
+        "unipotent": GaugeTransformation.unipotent(N),
+        "block_diag": GaugeTransformation.block_diag(
+            [GaugeTransformation.unipotent(N), swap]),
+    }
+
+
+@pytest.mark.parametrize("kind", ["permutation", "unipotent", "block_diag"])
+def test_structured_gauge_inverse_is_exact(kind):
+    g = _structured_gauges()[kind]
+    I = SeriesMatrix.identity(g.T.nrows, 2, QQ)
+    assert g.T * g.T_inv == I and g.T_inv * g.T == I
+    assert g.T.exact and g.T_inv.exact
+
+
+@pytest.mark.parametrize("shape", [
+    {"n": 2, "d": 3, "p": [2, 1], "gauge_ops": 8},
+    {"n": 2, "d": 3, "p": [2, 1], "gauge_ops": 8, "ramified": True},
+], ids=["plain", "ramified"])
+def test_generator_gauge_inverse_is_exact(shape):
+    g = generate_equivalent(5, shape)[1]["gauge"]
+    I = SeriesMatrix.identity(3, 2, QQ)
+    assert g.T * g.T_inv == I and g.T_inv * g.T == I
+    assert all(e.hi == (INF, INF) for row in g.T_inv.rows for e in row)
+    assert not g.is_identity()
+
+
+def test_permutation_gauge_moves_coordinates():
+    # coordinate k of G is coordinate order[k] of F
+    g = GaugeTransformation.permutation([2, 0, 1], 2, QQ)
+    assert [[int(not e.is_zero()) for e in row] for row in g.T.rows] == \
+        [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
 
 
 def test_naive_transformation_breaks_crossings():
     """The classic bad gauge: drops p_1 but introduces a foreign pole."""
     S = shifted_system()
     T = mat2([[{(3, 0): 1}, {(0, 2): -1}], [0, {(0, 1): 1}]])
-    g = GaugeTransformation(T)
+    g = GaugeTransformation(T, T.inverse())
     with pytest.raises(ReductionError, match="component 0 gains a pole in x2"):
         apply_gauge(S, g)
 
@@ -116,7 +156,7 @@ def test_good_transformation_reduces_and_stays_compatible():
     """T = [[x2 x1^3, -x2],[0, 1]] drops the ranks to (0,0)."""
     S = shifted_system()
     T = mat2([[{(3, 1): 1}, {(0, 1): -1}], [0, 1]])
-    g = GaugeTransformation(T)
+    g = GaugeTransformation(T, T.inverse())
     out = apply_gauge(S, g)
     assert out.p == [0, 0]
     assert out.A[0] == mat2([[-2, 0], [{(0, 1): -1}, 1]])
@@ -126,7 +166,7 @@ def test_good_transformation_reduces_and_stays_compatible():
 def test_gauge_roundtrip_restores_system():
     S = shifted_system()
     T = mat2([[{(3, 1): 1}, {(0, 1): -1}], [0, 1]])
-    g = GaugeTransformation(T)
+    g = GaugeTransformation(T, T.inverse())
     back = apply_gauge(apply_gauge(S, g), GaugeTransformation(g.T_inv, g.T))
     for M, N in zip(back.A, S.A):
         assert M == N
@@ -136,7 +176,8 @@ def test_gauge_roundtrip_restores_system():
 def test_integrability_preserved_by_compatible_gauge():
     S = shifted_system()
     T = mat2([[{(3, 1): 1}, {(0, 1): -1}], [0, 1]])
-    assert check_integrability(apply_gauge(S, GaugeTransformation(T))).passed
+    g = GaugeTransformation(T, T.inverse())
+    assert check_integrability(apply_gauge(S, g)).passed
 
 
 def test_fingerprint_stability():
