@@ -523,7 +523,7 @@ def _reduce(S, ram, order, trace, path, certify=None):
         split_i = next((i for i in sorted(eig)
                         if eig[i] is not None and len(eig[i]) >= 2), None)
         if split_i is not None:
-            T, top, bottom, _ = split(S, split_i, order=order)
+            T, top, bottom = split(S, split_i, order=order)
             factors.append((T, tuple(ram)))
             d1 = top.d
             trace.add(path, "split", component=split_i,
@@ -624,8 +624,13 @@ def verify_solution(S: PfaffianSystem, sol: FormalSolution):
 
     where p~ = s_i p_i and A~_i = s_i A_i(t^s).  Returns a dict with
     "ok", "verified_to" (a total degree, INF when exact), and the
-    per-component detail.
+    per-component detail.  A solution whose variable count or d is not
+    the system's is an InputError.
     """
+    if sol.n != S.n or sol.d != S.d:
+        raise InputError(
+            f"solution has {sol.n} variables and d = {sol.d}, the system "
+            f"{S.n} variables and d = {S.d}")
     if sol.C is None or any(c is None for c in sol.C):
         raise InputError("solution has no exponent matrices to verify")
     tower = sol.phi.tower

@@ -5,12 +5,10 @@ rank, solve, kernel, inverse; Elimination replays one elimination on
 many right-hand sides) plus characteristic polynomials and generalized
 eigenspace decomposition; sylvester_stack builds the stacked operator
 X -> (L_k X - X R_k - s_k X)_k that the splitting and the regular
-endgame solve grade by grade.  SeriesMatrix holds Series entries; its
-inverse, which only the splitting's coupling needs, refuses a
-determinant that is not a unit times a monomial and reuses it for the
-exact adjugate route, falling back to a windowed Neumann series.  Both
-the characteristic polynomial and the series determinant come from one
-memoized minor expansion.
+endgame solve grade by grade.  SeriesMatrix holds Series entries and
+has no inverse: every series gauge is built together with its inverse
+(see system.GaugeTransformation).  Both the characteristic polynomial
+and the series determinant come from one memoized minor expansion.
 """
 
 from __future__ import annotations
@@ -18,14 +16,9 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
-from .errors import (
-    DimensionError,
-    NotInvertibleError,
-    NotUnitError,
-    TruncationInsufficient,
-)
+from .errors import DimensionError, NotInvertibleError
 from .scalars import FieldTower, Scalar, poly_mul, poly_add, poly_trim
-from .series import INF, Series, divide_exact
+from .series import INF, Series
 
 
 class ConstMatrix:
@@ -529,79 +522,6 @@ class SeriesMatrix:
     def rank_generic(self) -> int:
         """Rank over the fraction field of the series ring."""
         return len(self.pivot_rows())
-
-    def _adjugate_over(self, det):
-        """adj(self) / det, or None when det does not divide a cofactor."""
-        d = self.nrows
-        out = []
-        for i in range(d):
-            row = []
-            for j in range(d):
-                rows = [r for r in range(d) if r != j]
-                cols = [c for c in range(d) if c != i]
-                sub = self.submatrix(rows, cols)
-                cof = sub.determinant()
-                if (i + j) % 2:
-                    cof = -cof
-                q = divide_exact(cof, det)
-                if q is None:
-                    return None
-                row.append(q)
-            out.append(row)
-        return SeriesMatrix(out, self.nvars, self.tower)
-
-    def adjugate_inverse(self):
-        """Exact inverse via adjugate; None when entries are inexact or
-        the determinant does not divide every cofactor."""
-        if not self.exact:
-            return None
-        det = self.determinant()
-        return None if det.is_zero() else self._adjugate_over(det)
-
-    def inverse(self, hi=None):
-        """Inverse matrix; NotUnitError unless the determinant is a unit
-        times a monomial (membership in GL_d of the localization).
-
-        Exact entries: adjugate over that determinant, exact result.
-        Otherwise a Neumann series around the constant term, valid on
-        the window.
-        """
-        if self.nrows != self.ncols:
-            raise DimensionError("inverse of a non-square matrix")
-        det = self.determinant()
-        beta = det.support_min()
-        if beta is None:
-            raise NotUnitError("gauge determinant vanishes within window")
-        unit = det.mul_monomial(tuple(-b for b in beta))
-        if unit.constant_term().is_zero():
-            raise NotUnitError("gauge determinant is not monomial x unit")
-        inv = self._adjugate_over(det) if self.exact else None
-        if inv is not None:
-            if hi is not None:
-                inv = inv.clipped(hi)
-            return inv
-        if hi is None:
-            hi = self.window_hi()
-        if any(h == INF for h in hi):
-            raise TruncationInsufficient(
-                "inverse needs a finite window for inexact entries")
-        try:
-            c0 = self.constant_term()
-        except TruncationInsufficient:
-            raise NotUnitError("inverse of a matrix with polar entries "
-                               "requires exact data")
-        c0inv = c0.inverse().to_series(self.nvars)
-        N = (c0inv * self).clipped(hi) - SeriesMatrix.identity(
-            self.nrows, self.nvars, self.tower)
-        acc = SeriesMatrix.identity(self.nrows, self.nvars, self.tower).clipped(hi)
-        term = acc
-        steps = sum(h - 1 for h in hi) + 1
-        for _ in range(steps):
-            term = (term * N).clipped(hi) * (-1)   # accumulates (-N)^k
-            if term.is_zero():
-                break
-            acc = acc + term
-        return (acc * c0inv).clipped(hi)
 
     def __repr__(self):
         body = "; ".join(" ".join(str(a) for a in r) for r in self.rows)

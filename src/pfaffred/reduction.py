@@ -21,9 +21,11 @@ distinct operator is eliminated once per split and its row operations
 are replayed on every right-hand side.  The right-hand sides come from
 Riccati residuals kept inside the solve box and updated by each grade's
 increment alone.  Whether the couplings are exact is decided once, by
-evaluating the full equations on the final couplings.  Eigenvalue
-shifting and ramification are the remaining primitive moves of the full
-reduction.
+evaluating the full equations on the final couplings.  The decoupled
+blocks are read off the splitting identity
+A T - x^{p+1} dT = T Diag(a11 + a12 Q, a22 + a21 P), so the coupling is
+never inverted.  Eigenvalue shifting and ramification are the remaining
+primitive moves of the full reduction.
 """
 
 from __future__ import annotations
@@ -700,13 +702,21 @@ def split(S: PfaffianSystem, i: int, order: int = 10):
     - the loop ends when the clipped residuals vanish or the grades of
       the box run out.
 
-    The couplings are certified exact only when the full, unclipped
-    equations evaluated on the final P and Q vanish on an infinite
-    window; otherwise the coupling is clipped to W and inverted on W.
-    Returns (T, top, bottom, whole): T is the eigenbasis change times
-    the coupling [[I, P], [Q, I]], top and bottom are standalone
-    systems on the diagonal blocks and whole is the full
-    block-diagonalized system, possibly over an extended field.
+    Once P and Q solve their equations, the coupling T = [[I, P], [Q, I]]
+    satisfies A_k T - x_k^{p_k+1} dT/dx_k = T Diag(a11 + a12 Q,
+    a22 + a21 P) in the eigenbasis, so the decoupled blocks are read off
+    that identity and T is never inverted.  The couplings are certified
+    exact only when the full, unclipped equations evaluated on the final
+    P and Q vanish on an infinite window.  Otherwise P, Q and both blocks
+    are clipped to W, and the residue check is decided here: the Riccati
+    residuals of the clipped P and Q are evaluated afresh on the input
+    blocks clipped to W (not read off the residuals the loop carries),
+    and any that is nonzero on W raises ResonanceError.
+
+    Returns (T, top, bottom): T is the eigenbasis change times the
+    coupling, and top and bottom are standalone systems on the diagonal
+    blocks, with the Poincare ranks of S and possibly over an extended
+    field.
     """
     check_order(order)
     n, d = S.n, S.d
@@ -741,9 +751,10 @@ def split(S: PfaffianSystem, i: int, order: int = 10):
     ei = [tuple(S.p[k] + 1 if kk == k else 0 for kk in range(n))
           for k in range(n)]
 
-    def riccati(X, up, k):
-        """b11 X + b12 - X b22 - X b21 X - x_k^{p_k+1} dX/dx_k."""
-        b11, b12, b21, b22 = oriented(a[k], up)
+    def riccati(blocks, X, up, k):
+        """b11 X + b12 - X b22 - X b21 X - x_k^{p_k+1} dX/dx_k, on the
+        blocks of component k."""
+        b11, b12, b21, b22 = oriented(blocks, up)
         return (b11 * X + b12 - X * b22 - X * b21 * X
                 - X.partial_derivative(k).mul_monomial(ei[k]))
 
@@ -826,8 +837,8 @@ def split(S: PfaffianSystem, i: int, order: int = 10):
         return XD, out
 
     # residuals of P = Q = 0, carried across grades and updated by each
-    # grade's increment; they only steer the solve, certification below
-    # re-evaluates the full equations
+    # grade's increment; they only steer the solve, certification and the
+    # residue check below evaluate the equations afresh
     P = SeriesMatrix.zeros(d1, d - d1, n, tower)
     Q = SeriesMatrix.zeros(d - d1, d1, n, tower)
     resP = [oriented(boxed[k], True)[1] for k in range(n)]
@@ -844,26 +855,27 @@ def split(S: PfaffianSystem, i: int, order: int = 10):
     certified = all(
         m.is_zero() and m.exact
         for k in range(n)
-        for m in (riccati(P, True, k), riccati(Q, False, k)))
+        for m in (riccati(a[k], P, True, k), riccati(a[k], Q, False, k)))
     if not certified:
         P = P.clipped(box)
         Q = Q.clipped(box)
+        for k in range(n):
+            for m in (riccati(boxed[k], P, True, k),
+                      riccati(boxed[k], Q, False, k)):
+                if not m.clipped(box).is_zero():
+                    raise ResonanceError("off-diagonal residue after splitting")
+    tops, bottoms = [], []
+    for a11, a12, a21, a22 in a:
+        t, b = a11 + a12 * Q, a22 + a21 * P
+        if not certified:
+            t, b = t.clipped(box), b.clipped(box)
+        tops.append(t)
+        bottoms.append(b)
     T = SeriesMatrix.block([
         [SeriesMatrix.identity(d1, n, tower), P],
         [Q, SeriesMatrix.identity(d - d1, n, tower)]])
-    whole = apply_gauge(S, GaugeTransformation(
-        T, T.inverse(None if certified else box)))
-    for k in range(n):
-        if not (whole.A[k].submatrix(rs1, rs2).is_zero()
-                and whole.A[k].submatrix(rs2, rs1).is_zero()):
-            raise ResonanceError("off-diagonal residue after splitting")
-    top = PfaffianSystem(S.vars, whole.p,
-                         [whole.A[k].submatrix(rs1, rs1) for k in range(n)],
-                         tower)
-    bottom = PfaffianSystem(S.vars, whole.p,
-                            [whole.A[k].submatrix(rs2, rs2) for k in range(n)],
-                            tower)
-    return gV.T * T, top, bottom, whole
+    return (gV.T * T, PfaffianSystem(S.vars, S.p, tops, tower),
+            PfaffianSystem(S.vars, S.p, bottoms, tower))
 
 
 # ---------------------------------------------------------------------------

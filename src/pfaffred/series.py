@@ -8,9 +8,9 @@ the monomial localization representable).  A series known exactly (a
 polynomial, closed under all arithmetic performed on it) carries an
 infinite window; a series that merely prints as zero while hi is finite
 is a truncation-limited zero, not a proven one.  Beyond ring arithmetic
-and window handling, the module offers exact division (divide_exact)
-and the exponential of a series without constant term (series_exp),
-the one exp the reduction uses.
+and window handling, the module offers the exponential of a series
+without constant term (series_exp), the one exp the reduction uses; it
+has no series division.
 """
 
 from __future__ import annotations
@@ -331,63 +331,6 @@ class Series:
 
     def __repr__(self):
         return f"Series({self})"
-
-
-def divide_exact(a: Series, b: Series):
-    """q with q*b = a, by graded elimination against b's least term.
-
-    Returns None when no such quotient exists within the window (a
-    monomial of the running remainder is not divisible by b's least
-    term, or the remainder fails to vanish).  Exact inputs give an exact
-    quotient; otherwise the quotient window is shifted by b's valuation.
-    """
-    if a.is_zero():
-        lo = tuple(x - y for x, y in zip(a.lo, b.lo))
-        hi = tuple((h - v if h != INF else INF)
-                   for h, v in zip(a.hi, b.support_min() or b.lo))
-        return Series.zero(a.nvars, a.tower, lo, hi)
-    if b.is_zero():
-        return None
-    b_sorted = b.sorted_terms()
-    lead_exp, lead_c = b_sorted[0]
-    lead_inv = lead_c.inverse()
-    hi = tuple((INF if min(ha, hb) == INF else min(ha, hb) - l)
-               for ha, hb, l in zip(a.hi, b.hi, lead_exp))
-    # for exact inputs the top graded parts multiply, bounding the quotient
-    dmax = INF
-    if a.exact and b.exact:
-        dmax = max(sum(e) for e in a.terms) - max(sum(e) for e in b.terms)
-    rem = dict(a.terms)
-    quot: dict = {}
-    guard = 0
-    while rem:
-        guard += 1
-        if guard > 100000:
-            return None
-        exp = min(rem, key=grlex_key)
-        c = rem.pop(exp)
-        qe = tuple(x - y for x, y in zip(exp, lead_exp))
-        if sum(qe) > dmax:
-            return None
-        if any(q >= h for q, h in zip(qe, hi)):
-            continue  # beyond quotient knowledge; remainder tail is unknowable
-        qc = c * lead_inv
-        quot[qe] = qc
-        for be, bc in b_sorted[1:]:
-            te = tuple(x + y for x, y in zip(qe, be))
-            if any(t >= h for t, h in zip(te, a.hi)):
-                continue
-            s = rem.get(te, a.tower.zero()) - qc * bc
-            if s.is_zero():
-                rem.pop(te, None)
-            else:
-                rem[te] = s
-    if quot:
-        support = tuple(min(c) for c in zip(*quot.keys()))
-        lo = tuple(min(s, la - l) for s, la, l in zip(support, a.lo, lead_exp))
-    else:
-        lo = tuple(la - l for la, l in zip(a.lo, lead_exp))
-    return Series(a.nvars, quot, a.tower, lo, hi)
 
 
 def series_exp(g: Series, hi) -> Series:

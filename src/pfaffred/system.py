@@ -7,8 +7,8 @@ A_i -> T^{-1} A_i T - x_i^{p_i+1} T^{-1} dT/dx_i, after which Poincare
 ranks are renormalized by own-variable valuation.  A transformation
 that gives some component a pole in a foreign variable breaks normal
 crossings and is refused.  A gauge transformation carries the T^{-1}
-that the code building T supplies; nothing here inverts a series
-matrix.
+that the code building T supplies, from a constant matrix or from the
+structure of T; the package inverts no series matrix.
 """
 
 from __future__ import annotations
@@ -172,9 +172,10 @@ def normalize_poincare(S: PfaffianSystem):
 class GaugeTransformation:
     """Invertible change of basis F = T G, built together with T^{-1}.
 
-    The constructors read T^{-1} off the structure of T; a caller with a
-    general T passes T.inverse(), which refuses a determinant that is
-    not a unit times a monomial.
+    The constructors read T^{-1} off the structure of T (a constant,
+    diagonal monomial, permutation, unipotent or block-diagonal matrix)
+    and compose keeps it; a caller with another T passes an inverse it
+    already knows.
     """
 
     __slots__ = ("T", "T_inv")

@@ -141,6 +141,29 @@ def test_malformed_solution_is_an_input_error(tmp_path, capsys, key, value):
     assert err["type"] == "InputError"
 
 
+# a solution of another dimension used to end verify in a raw IndexError
+# (a d = 2 solution for a d = 3 system) or a DimensionError about a product
+@pytest.mark.parametrize("system_shape,solution_shape", [
+    ((3, "2,1"), (2, "2,1")),
+    ((2, "2,1"), (3, "2,1")),
+    ((2, "2,1"), (2, "2")),
+], ids=["d3-system-d2-solution", "d2-system-d3-solution", "variables"])
+def test_solution_of_another_dimension_is_an_input_error(
+        tmp_path, capsys, system_shape, solution_shape):
+    def generated(name, shape):
+        d, p = shape
+        return write_json(tmp_path / name, run(capsys, [
+            "generate", "--seed", "0", "--d", str(d), "--p", p]))
+
+    system = generated("system.json", system_shape)
+    sol = write_json(tmp_path / "solution.json", run(capsys, [
+        "reduce", generated("source.json", solution_shape)]))
+    err = run(capsys, ["verify", system, sol], 1)["error"]
+    assert err["type"] == "InputError"
+    for d, p in (system_shape, solution_shape):
+        assert f"{len(p.split(','))} variables and d = {d}" in err["message"]
+
+
 # a scalar system with p = 10^8 used to hang in the scalar leaf
 @pytest.mark.parametrize("system,mutate", [
     (lambda: sys1([[{0: 1}]], 1), lambda doc: doc.update(p=[10 ** 8])),

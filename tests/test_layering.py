@@ -1,5 +1,6 @@
 """Module boundaries: strict layering, no function-level imports, no
-imports of another module's private names, no unused imports."""
+imports of another module's private names, no unused imports, and no
+function that nothing in the package names."""
 
 import ast
 from pathlib import Path
@@ -137,3 +138,60 @@ def test_layering_check_sees_violations(tmp_path):
     assert layering_violations(src, "reduction") == [
         (3, "imports driver"), (4, "imports docio"),
         (8, "function-level import")]
+
+
+# defined but never called by the package, on purpose: rank_reduce_alt is
+# the independent oracle the tests compare rank_reduce against;
+# fingerprint is the identity of a system, a solution and a trace that the
+# tests and the benchmark compare; error is the hook argparse calls
+KEPT = {"rank_reduce_alt", "fingerprint", "error"}
+
+
+def unreferenced_functions(paths):
+    """(file, line, name) for each function or method defined in the
+    modules whose name is read nowhere outside its own body.
+
+    Names are matched across all the modules, so a method counts as used
+    when any attribute, name or import anywhere spells it; dunder methods
+    are called by the language and are left out.
+    """
+    defined, used = [], set()
+
+    def visit(node, path, enclosing):
+        name = None
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defined.append((path.name, node.lineno, node.name))
+            enclosing = enclosing | {node.name}
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        if name is not None and name not in enclosing:
+            used.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, enclosing)
+
+    for path in paths:
+        visit(ast.parse(path.read_text(), str(path)), path, frozenset())
+    return sorted((f, line, name) for f, line, name in defined
+                  if name not in used
+                  and not (name.startswith("__") and name.endswith("__")))
+
+
+def test_every_function_is_named_outside_its_body():
+    found = unreferenced_functions(sorted(PACKAGE.glob("*.py")))
+    assert [name for _, _, name in found if name not in KEPT] == []
+
+
+def test_unreferenced_function_check_sees_a_dead_def(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def used():\n    return 1\n\n\n"
+        "def dead(k):\n    return dead(k - 1) if k else used()\n\n\n"
+        "class C:\n    def __len__(self):\n        return 0\n\n"
+        "    def method(self):\n        return 0\n")
+    (tmp_path / "b.py").write_text(
+        "from .a import C\n\n\ndef f():\n    return C().method()\n")
+    assert unreferenced_functions(sorted(tmp_path.glob("*.py"))) == [
+        ("a.py", 5, "dead"), ("b.py", 4, "f")]

@@ -137,34 +137,6 @@ def test_rank_generic_sees_series_pivots():
     assert b.rank_generic() == 2
 
 
-def test_adjugate_inverse_unimodular():
-    a = sm([[1, X1 + X2], [0, 1]])
-    inv = a.adjugate_inverse()
-    assert inv is not None and inv.exact
-    assert a * inv == SeriesMatrix.identity(2, 2, QQ)
-
-
-def test_adjugate_inverse_monomial_det():
-    # diagonal monomial: det = x1^2, cofactors divide exactly
-    a = sm([[X1, Series.zero(2, QQ)], [Series.zero(2, QQ), X1]])
-    inv = a.adjugate_inverse()
-    assert inv is not None
-    assert inv.rows[0][0].coefficient((-1, 0)) == 1
-    assert a * inv == SeriesMatrix.identity(2, 2, QQ)
-
-
-def test_adjugate_inverse_refuses_nonmonomial_det():
-    a = sm([[1 + X1, Series.zero(2, QQ)], [Series.zero(2, QQ), 1]])
-    assert a.adjugate_inverse() is None   # 1/(1+x1) is not polynomial
-
-
-def test_neumann_inverse_matches_window():
-    a = sm([[(1 + X1).clipped((4, 4)), X2.clipped((4, 4))], [0, 1]]).clipped((4, 4))
-    inv = a.inverse()
-    prod = a * inv
-    assert prod == SeriesMatrix.identity(2, 2, QQ)
-
-
 def test_series_matrix_derivative_and_restrict():
     a = sm([[X1 * X2, X1], [1, X2]])
     da = a.partial_derivative(0)
@@ -193,3 +165,56 @@ def test_charpoly_roots_vs_det(rows):
 def test_det_multiplicative(r1, r2):
     a, b = sm(r1), sm(r2)
     assert (a * b).determinant() == a.determinant() * b.determinant()
+
+
+# -- sympy as a test-only oracle for the minor expansion -----------------
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def const_matrices(draw):
+    d = draw(st.integers(1, 4))
+    return [[draw(rationals) for _ in range(d)] for _ in range(d)]
+
+
+@given(const_matrices())
+@settings(max_examples=40, deadline=None)
+def test_charpoly_matches_sympy(rows):
+    sympy = pytest.importorskip("sympy")
+    lam = sympy.Symbol("lam")
+    want = sympy.Matrix(rows).charpoly(lam).all_coeffs()[::-1]
+    got = cm(rows).charpoly()
+    assert [c.to_fraction() for c in got] == [Fraction(str(c)) for c in want]
+
+
+@st.composite
+def poly_matrices(draw):
+    """(nvars, d x d grid of {exponent: coefficient}) with small degrees."""
+    n = draw(st.integers(1, 2))
+    d = draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(0, 2)] * n)
+    cell = st.dictionaries(exps, rationals.filter(bool), max_size=3)
+    return n, [[draw(cell) for _ in range(d)] for _ in range(d)]
+
+
+@given(poly_matrices())
+@settings(max_examples=40, deadline=None)
+def test_series_determinant_matches_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    n, grid = case
+    xs = sympy.symbols(f"x1:{n + 1}")
+
+    def expr(cell):
+        return sum((sympy.Rational(c.numerator, c.denominator)
+                    * sympy.prod([v ** k for v, k in zip(xs, e)])
+                    for e, c in cell.items()), sympy.Integer(0))
+
+    want = sympy.Poly(sympy.Matrix([[expr(c) for c in r] for r in grid])
+                      .det(method="berkowitz"), *xs)
+    M = SeriesMatrix([[Series(n, {e: QQ.scalar(c) for e, c in cell.items()},
+                              QQ) for cell in r] for r in grid], n, QQ)
+    det = M.determinant()
+    assert det.exact
+    assert {e: c.to_fraction() for e, c in det.terms.items()} == {
+        e: Fraction(str(c)) for e, c in want.terms() if c != 0}

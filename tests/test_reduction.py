@@ -13,6 +13,7 @@ import pytest
 
 from helpers import (
     hyper_system, mat1, mat2, poly1, poly2, shifted_system, sys1,
+    triple_system,
 )
 from pfaffred import reduction
 from pfaffred.docio import generate_equivalent
@@ -336,8 +337,12 @@ def test_rank_reduce_bivariate_reaches_regular_form():
     want1 = mat2([[-2, 0], [{(0, 1): -1}, 1]])
     want2 = mat2([[-2, 0], [{(3, 0): -2}, -1]])
     assert out.A[0].agrees(want1) and out.A[1].agrees(want2)
-    # the composed gauge replays to the same endpoint
-    g = GaugeTransformation(T, T.inverse())
+    # the logged steps compose to T and replay to the same endpoint
+    g = GaugeTransformation.identity(S.d, S.n, QQ)
+    for st in steps:
+        if st["gauge"] is not None:
+            g = g.compose(st["gauge"])
+    assert g.T == T
     assert apply_gauge(S, g).fingerprint() == out.fingerprint()
     assert any(s["kind"] == "shear" for s in steps)
 
@@ -408,36 +413,71 @@ def h_system():
     return PfaffianSystem(["x1", "x2"], [0, 0], [A1, A2], QQ)
 
 
+def quadratic_system():
+    """x dF/dx = [[0, 1], [2, 0]] F: eigenvalues +-sqrt(2)."""
+    return PfaffianSystem(["x"], [0], [mat1([[0, 1], [2, 0]])], QQ)
+
+
+# (grid of a regular one-variable system, its coupling T) where a grade
+# is resonant but consistent
+RESONANT_CONSISTENT = [
+    # the operator vanishes at x^1, where the right-hand side is 0 too,
+    # and is invertible at x^2; the eigenvalue order swaps the blocks
+    ([[1, {2: 1}], [0, 0]], [[{2: 1}, 1], [1, 0]]),
+    # eigenvalues 0 | 1, 3: at x^1 the operator diag(0, 2) is singular
+    # while the right-hand side (0, -1) is not zero; the free unknown
+    # stays 0
+    ([[0, 0, 0], [0, 1, 0], [{1: 1}, 0, 3]],
+     [[1, 0, 0], [0, 1, 0], [{1: Fraction(-1, 2)}, 0, 1]]),
+]
+
+
 def test_split_decouples_lower_triangular_couplings():
     S = h_system()
-    T, top, bottom, whole = split(S, 0)
+    T, top, bottom = split(S, 0)
     assert top.d == 1 and bottom.d == 1
     assert top.A[0].rows[0][0] == -2 and top.A[1].rows[0][0] == -2
     assert bottom.A[0].rows[0][0] == 1 and bottom.A[1].rows[0][0] == -1
     # coupling solves two one-dimensional recurrences with a finite answer
     assert T.rows[1][0] == poly2({(0, 1): Fraction(1, 3), (3, 0): 2})
     assert T.rows[1][0].exact
-    for k in range(2):
-        assert whole.A[k].rows[0][1].is_zero()
-        assert whole.A[k].rows[1][0].is_zero()
 
 
 def test_split_respects_integrability():
     S = h_system()
-    _, top, bottom, _ = split(S, 0)
+    _, top, bottom = split(S, 0)
     assert check_integrability(top).passed
     assert check_integrability(bottom).passed
 
 
 def test_split_with_quadratic_eigenvalues():
-    A = mat1([[0, 1], [2, 0]])
-    S = PfaffianSystem(["x"], [0], [A], QQ)
-    _, top, bottom, whole = split(S, 0)
-    lam = whole.A[0].rows[0][0].coefficient((0,))
-    mu = whole.A[0].rows[1][1].coefficient((0,))
+    _, top, bottom = split(quadratic_system(), 0)
+    lam = top.A[0].rows[0][0].coefficient((0,))
+    mu = bottom.A[0].rows[0][0].coefficient((0,))
     assert (lam * lam).to_fraction() == 2
     assert mu == -lam
-    assert whole.A[0].rows[0][1].is_zero()
+
+
+@pytest.mark.parametrize("build,exact", [
+    (h_system, True),
+    (quadratic_system, True),
+    (lambda: sys1(RESONANT_CONSISTENT[0][0], 0), True),
+    (lambda: sys1(RESONANT_CONSISTENT[1][0], 0), True),
+    (triple_system, False),
+], ids=["h_system", "quadratic", "resonant-1", "resonant-2", "triple"])
+def test_split_satisfies_the_splitting_identity(build, exact):
+    """A_k T - x_k^{p_k+1} dT/dx_k = T Diag(top_k, bottom_k) for every k,
+    on the common window; T is exact only when the couplings are."""
+    S = build()
+    T, top, bottom = split(S, 0)
+    assert T.exact == exact
+    if T.tower is not S.tower:
+        S = S.lift_tower(T.tower)
+    for k in range(S.n):
+        ek = tuple(S.p[k] + 1 if kk == k else 0 for kk in range(S.n))
+        lhs = S.A[k] * T - T.partial_derivative(k).mul_monomial(ek)
+        rhs = T * SeriesMatrix.block_diag([top.A[k], bottom.A[k]])
+        assert lhs == rhs
 
 
 def test_split_requires_distinct_eigenvalues():
@@ -460,25 +500,21 @@ def test_split_resonant_inconsistent_coupling():
         split(sys1([[1, {1: 1}], [0, 0]], 0), 0)
 
 
-@pytest.mark.parametrize("grid,gauge", [
-    # the operator vanishes at x^1, where the right-hand side is 0 too,
-    # and is invertible at x^2; the eigenvalue order swaps the blocks
-    ([[1, {2: 1}], [0, 0]], [[{2: 1}, 1], [1, 0]]),
-    # eigenvalues 0 | 1, 3: at x^1 the operator diag(0, 2) is singular
-    # while the right-hand side (0, -1) is not zero; the free unknown
-    # stays 0
-    ([[0, 0, 0], [0, 1, 0], [{1: 1}, 0, 3]],
-     [[1, 0, 0], [0, 1, 0], [{1: Fraction(-1, 2)}, 0, 1]]),
-])
+def test_split_residue_check_refuses_wrong_couplings(monkeypatch):
+    # a solver that answers 0 leaves the couplings at 0; the Riccati
+    # residuals evaluated afresh on the box are then nonzero
+    solve = reduction.Elimination.solve
+    monkeypatch.setattr(reduction.Elimination, "solve",
+                        lambda self, rhs: [v - v for v in solve(self, rhs)])
+    with pytest.raises(ResonanceError, match="off-diagonal residue"):
+        split(h_system(), 0)
+
+
+@pytest.mark.parametrize("grid,gauge", RESONANT_CONSISTENT)
 def test_split_resonant_consistent_coupling(grid, gauge):
-    T, top, bottom, whole = split(sys1(grid, 0), 0)
+    T, _, _ = split(sys1(grid, 0), 0)
     assert T == mat1(gauge)
     assert T.exact
-    d = len(grid)
-    for i in range(d):
-        for j in range(d):
-            if i != j:
-                assert whole.A[0].rows[i][j].is_zero()
 
 
 # -- shifting and ramification -------------------------------------------

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pfaffred.errors import NotUnitError, TruncationInsufficient
-from pfaffred.linalg import SeriesMatrix
 from pfaffred.scalars import QQ
-from pfaffred.series import Series, divide_exact, series_exp
+from pfaffred.series import Series, series_exp
 
 INF = math.inf
 
@@ -46,19 +45,6 @@ def test_coefficient_beyond_window_raises():
     assert a.coefficient((1,)) == 0
     with pytest.raises(TruncationInsufficient):
         a.coefficient((2,))
-
-
-def unit_inverse(u, hi):
-    """1/u on the window below hi, via the 1x1 matrix inverse."""
-    return SeriesMatrix([[u]], u.nvars, QQ).inverse(hi).rows[0][0]
-
-
-def test_geometric_inverse():
-    one_minus_x = Series.constant(1, 1, QQ) - x(n=1)
-    inv = unit_inverse(one_minus_x, (6,))
-    for k in range(6):
-        assert inv.coefficient((k,)) == 1
-    assert (inv * one_minus_x) == 1
 
 
 def test_partial_derivative():
@@ -113,30 +99,6 @@ def test_agrees_on_common_window_only():
     assert a != c
 
 
-def test_divide_exact_polynomial():
-    num = x() * x() - x(i=1) * x(i=1)
-    den = x() - x(i=1)
-    q = divide_exact(num, den)
-    assert q is not None and q.exact
-    assert q == x() + x(i=1)
-
-
-def test_divide_exact_laurent_quotient():
-    q = divide_exact(x(), x(i=1))
-    assert q is not None
-    assert q.coefficient((1, -1)) == 1
-
-
-def test_divide_exact_failure():
-    num = Series.constant(1, 1, QQ)
-    den = Series.constant(1, 1, QQ) - x(n=1)
-    assert divide_exact(num, den) is None      # 1/(1-x) is not polynomial
-    # but the windowed version yields the truncated geometric series
-    qw = divide_exact(num.clipped((5,)), den)
-    assert qw is not None
-    assert qw.coefficient((4,)) == 1
-
-
 def test_series_exp_matches_log_derivative():
     g = x(n=1) * Fraction(1, 2)
     e = series_exp(g, hi=(7,))
@@ -174,21 +136,3 @@ def test_ring_axioms(a, b, c):
     assert (a + b) * c == a * c + b * c
     assert a * b == b * a
     assert a - a == 0
-
-
-@given(polys(), polys())
-@settings(max_examples=60)
-def test_product_divides_back(a, b):
-    if a.is_zero() or b.is_zero():
-        return
-    q = divide_exact(a * b, b)
-    assert q is not None
-    assert q == a
-
-
-@given(polys())
-@settings(max_examples=40)
-def test_unit_inverse_roundtrip(a):
-    u = a * Series.variable(2, 0, QQ) + 1      # force unit constant term
-    inv = unit_inverse(u, (5, 5))
-    assert u * inv == 1

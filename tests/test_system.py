@@ -4,7 +4,7 @@ import pytest
 
 from helpers import hyper_system, mat2, poly2, shifted_system
 from pfaffred.docio import generate_equivalent
-from pfaffred.errors import InputError, NotUnitError, ReductionError
+from pfaffred.errors import InputError, ReductionError
 from pfaffred.linalg import SeriesMatrix
 from pfaffred.scalars import QQ
 from pfaffred.series import INF, Series
@@ -94,29 +94,22 @@ def test_gauge_identity_roundtrip():
         assert M == N
 
 
-def test_gauge_determinant_guard():
-    # det = x1 + x2 is not monomial x unit
-    T = mat2([[{(1, 0): 1}, 0], [0, 0]])
-    T.rows[1][1] = poly2({(0, 0): 1})
-    T.rows[0][1] = poly2({(0, 0): 0})
-    T.rows[0][0] = poly2({(1, 0): 1, (0, 1): 1})
-    with pytest.raises(NotUnitError):
-        T.inverse()
-
-
 def _structured_gauges():
     N = mat2([[0, 0, {(1, 0): 2, (0, 3): -1}], [0, 0, {(0, 1): 1}],
               [0, 0, 0]])                          # N^2 = 0
     swap = GaugeTransformation.permutation([1, 0], 2, QQ)
     return {
         "permutation": GaugeTransformation.permutation([2, 0, 1], 2, QQ),
+        "diagonal_monomial": GaugeTransformation.diagonal_monomial(
+            [(1, 0), (0, 2), (1, 1)], 2, QQ),
         "unipotent": GaugeTransformation.unipotent(N),
         "block_diag": GaugeTransformation.block_diag(
             [GaugeTransformation.unipotent(N), swap]),
     }
 
 
-@pytest.mark.parametrize("kind", ["permutation", "unipotent", "block_diag"])
+@pytest.mark.parametrize("kind", ["permutation", "diagonal_monomial",
+                                  "unipotent", "block_diag"])
 def test_structured_gauge_inverse_is_exact(kind):
     g = _structured_gauges()[kind]
     I = SeriesMatrix.identity(g.T.nrows, 2, QQ)
@@ -143,11 +136,17 @@ def test_permutation_gauge_moves_coordinates():
         [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
 
 
+def _sheared(shear, exps):
+    """(I + [[0, shear], [0, 0]]) Diag(x^e for e in exps), with its inverse."""
+    return GaugeTransformation.unipotent(mat2([[0, shear], [0, 0]])).compose(
+        GaugeTransformation.diagonal_monomial(exps, 2, QQ))
+
+
 def test_naive_transformation_breaks_crossings():
     """The classic bad gauge: drops p_1 but introduces a foreign pole."""
     S = shifted_system()
-    T = mat2([[{(3, 0): 1}, {(0, 2): -1}], [0, {(0, 1): 1}]])
-    g = GaugeTransformation(T, T.inverse())
+    g = _sheared({(0, 1): -1}, [(3, 0), (0, 1)])
+    assert g.T == mat2([[{(3, 0): 1}, {(0, 2): -1}], [0, {(0, 1): 1}]])
     with pytest.raises(ReductionError, match="component 0 gains a pole in x2"):
         apply_gauge(S, g)
 
@@ -155,8 +154,8 @@ def test_naive_transformation_breaks_crossings():
 def test_good_transformation_reduces_and_stays_compatible():
     """T = [[x2 x1^3, -x2],[0, 1]] drops the ranks to (0,0)."""
     S = shifted_system()
-    T = mat2([[{(3, 1): 1}, {(0, 1): -1}], [0, 1]])
-    g = GaugeTransformation(T, T.inverse())
+    g = _sheared({(0, 1): -1}, [(3, 1), (0, 0)])
+    assert g.T == mat2([[{(3, 1): 1}, {(0, 1): -1}], [0, 1]])
     out = apply_gauge(S, g)
     assert out.p == [0, 0]
     assert out.A[0] == mat2([[-2, 0], [{(0, 1): -1}, 1]])
@@ -165,8 +164,7 @@ def test_good_transformation_reduces_and_stays_compatible():
 
 def test_gauge_roundtrip_restores_system():
     S = shifted_system()
-    T = mat2([[{(3, 1): 1}, {(0, 1): -1}], [0, 1]])
-    g = GaugeTransformation(T, T.inverse())
+    g = _sheared({(0, 1): -1}, [(3, 1), (0, 0)])
     back = apply_gauge(apply_gauge(S, g), GaugeTransformation(g.T_inv, g.T))
     for M, N in zip(back.A, S.A):
         assert M == N
@@ -175,8 +173,7 @@ def test_gauge_roundtrip_restores_system():
 
 def test_integrability_preserved_by_compatible_gauge():
     S = shifted_system()
-    T = mat2([[{(3, 1): 1}, {(0, 1): -1}], [0, 1]])
-    g = GaugeTransformation(T, T.inverse())
+    g = _sheared({(0, 1): -1}, [(3, 1), (0, 0)])
     assert check_integrability(apply_gauge(S, g)).passed
 
 
