@@ -4,9 +4,14 @@ A system document is
     {"vars": [...], "d": d, "p": [p_1..p_n], "A": [matrix_1..matrix_n],
      "trunc": [N_1..N_n] | null, "minpoly": ["c0","c1","1"] | null}
 with matrices row-major, each entry a list of {"exp": [e_1..e_n],
-"coeff": scalar}, rationals as "p" or "p/q" strings and extension
-elements as two-element coefficient lists.  A trunc slot of null means
-the entry data is exact in that variable.
+"coeff": scalar}.  A rational prints as a "p" or "p/q" string in every
+field, so the form of a coefficient does not depend on the field of the
+object holding it; an irrational element of Q(alpha) prints as its
+two-element coefficient list over (1, alpha).  The parser accepts
+either form for a rational.  A trunc slot of null means the entry data
+is exact in that variable.  A solution document lists each q exponent of
+a slot once; a repeated exponent (say "-1/2" beside "-2/4") is bad
+input.
 
 Inputs are bounded: d at most MAX_DIMENSION and every p_i at most
 MAX_POINCARE_RANK, in system documents and generator shapes alike.
@@ -75,10 +80,9 @@ def _tower_from_json(doc) -> FieldTower:
 
 
 def _scalar_to_json(c: Scalar):
-    coeffs = [str(x) for x in c.coeffs]
-    if len(coeffs) == 1:
-        return coeffs[0]
-    return coeffs
+    if c.is_rational():
+        return str(c.coeffs[0])
+    return [str(x) for x in c.coeffs]
 
 
 def _scalar_from_json(v, tower: FieldTower) -> Scalar:
@@ -307,11 +311,15 @@ def parse_solution_dict(doc) -> FormalSolution:
             raise InputError("Q needs one dict per diagonal slot")
         blocks = []
         for q in qs:
-            out = {}
+            out, keys = {}, {}
             for e, c in q.items():
                 exp = _rational_from_json(e)
                 if exp >= 0:
                     raise InputError("q exponents must be negative")
+                if exp in out:
+                    raise InputError(f"q exponents {keys[exp]!r} and {e!r} "
+                                     f"of one slot are both {exp}")
+                keys[exp] = e
                 out[exp] = _scalar_from_json(c, tower)
             blocks.append(out)
         Q.append(blocks)

@@ -9,6 +9,15 @@ fundamental solution
 
 with Phi a matrix over the ramified variables t_i = x_i^{1/s_i}, C_i
 constant, and Q_i diagonal with polynomial entries in 1/t_i.
+
+Each branch keeps one running Phi, starting at the identity: every
+gauge is multiplied in when it is made (a rank reduction, a split, the
+endgame's conjugation, the scalar leaf), and a ramification ramifies Phi
+together with the system.  Ramification scales exponents and windows
+alike, so ramifying a product ramifies each factor.  At a split the two
+branch solutions are ramified to their common s_i, as is the Phi built
+so far, which then takes their block sum.  Every value lives in the join
+of its operands' fields, so nothing is lifted into Q(alpha) by hand.
 """
 
 from __future__ import annotations
@@ -172,8 +181,10 @@ def _qadd(q, key, coeff):
         q[key] = cur
 
 
-def _lift_q(qs, tower):
-    return [{e: tower.scalar(c) for e, c in q.items()} for q in qs]
+def _field_name(tower):
+    if tower.minpoly is None:
+        return "Q"
+    return "Q(a), minpoly " + str([str(c) for c in tower.minpoly.coeffs])
 
 
 def _series_fp(s):
@@ -183,18 +194,6 @@ def _series_fp(s):
 
 def _matrix_fp(M):
     return repr([[_series_fp(s) for s in r] for r in M.rows])
-
-
-def _block_diag_const(A: ConstMatrix, B: ConstMatrix, tower) -> ConstMatrix:
-    d1, d2 = A.nrows, B.nrows
-    out = ConstMatrix.zeros(d1 + d2, d1 + d2, tower)
-    for r in range(d1):
-        for c in range(d1):
-            out.rows[r][c] = tower.scalar(A.rows[r][c])
-    for r in range(d2):
-        for c in range(d2):
-            out.rows[d1 + r][d1 + c] = tower.scalar(B.rows[r][c])
-    return out
 
 
 # -- scalar (d = 1) leaf ----------------------------------------------------
@@ -387,32 +386,23 @@ def regular_endgame(S: PfaffianSystem, order=10):
     if not exact:
         T = T.clipped(hi)
 
-    W, tw2 = _joint_block_diagonalize(C, tower)
-    if tw2.degree > tower.degree:
-        C = [M.lift_tower(tw2) for M in C]
-    if not W == ConstMatrix.identity(d, tw2):
+    W = _joint_block_diagonalize(C)
+    if not W == ConstMatrix.identity(d, tower):
         Winv = W.inverse()
         C = [Winv * M * W for M in C]
-        if tw2.degree > tower.degree:
-            T = T.lift_tower(tw2)
         T = T * W.to_series(n)
     return T, C, None
 
 
-def _joint_block_diagonalize(Cs, tower):
+def _joint_block_diagonalize(Cs):
     """Constant W with W^-1 C_i W block diagonal, one joint eigenvalue
-    tuple per block.  Recurses over the commuting family."""
-    if not Cs:
-        return ConstMatrix.identity(0, tower), tower
+    tuple per block, over the join of the fields of the C_i and their
+    eigenvalues.  Recurses over the commuting family."""
     d = Cs[0].nrows
     for C in Cs:
-        roots, tw2 = roots_of_charpoly(C.charpoly())
+        roots = roots_of_charpoly(C.charpoly())
         if len(roots) < 2:
             continue
-        if tw2.degree > tower.degree:
-            Cs = [M.lift_tower(tw2) for M in Cs]
-            C = C.lift_tower(tw2)
-            tower = tw2
         V, sizes = generalized_eigenspaces(C, roots)
         Vinv = V.inverse()
         conj = [Vinv * M * V for M in Cs]
@@ -429,45 +419,21 @@ def _joint_block_diagonalize(Cs, tower):
                         raise ReductionError(
                             "commuting family failed to respect its own "
                             "eigenblock split")
-        W = ConstMatrix.zeros(d, d, tower)
-        for k, s in enumerate(sizes):
-            lo = offsets[k]
-            subs = [ConstMatrix([[tower.scalar(M.rows[lo + r][lo + c])
-                                  for c in range(s)] for r in range(s)], tower)
-                    for M in conj]
-            Wk, tower = _joint_block_diagonalize(subs, tower)
-            if tower.degree > W.tower.degree:
-                W = W.lift_tower(tower)
-                V = V.lift_tower(tower)
-            for r in range(s):
-                for c in range(s):
-                    W.rows[lo + r][lo + c] = Wk.rows[r][c]
-        return V.lift_tower(tower) * W, tower
-    return ConstMatrix.identity(d, tower), tower
+        return V * ConstMatrix.block_diag([
+            _joint_block_diagonalize(
+                [ConstMatrix([r[lo:lo + s] for r in M.rows[lo:lo + s]],
+                             M.tower) for M in conj])
+            for lo, s in zip(offsets, sizes)])
+    return ConstMatrix.identity(d, Cs[0].tower)
 
 
 # -- the reduction loop -----------------------------------------------------
 
 
-def _collapse(factors, ram, n, d, tower):
-    out = SeriesMatrix.identity(d, n, tower)
-    for M, r in factors:
-        for i in range(n):
-            if ram[i] % r[i] != 0:
-                raise ReductionError("ramification bookkeeping out of step")
-            k = ram[i] // r[i]
-            if k > 1:
-                M = M.ramify(i, k)
-        if M.tower.degree < tower.degree:
-            M = M.lift_tower(tower)
-        out = out * M
-    return out
-
-
 def _reduce(S, ram, order, trace, path, certify=None):
     n, d = S.n, S.d
     ram = list(ram)
-    factors = []
+    phi = SeriesMatrix.identity(d, n, S.tower)
     qacc = [dict() for _ in range(n)]
     diags = []
     just_reduced = False
@@ -478,19 +444,18 @@ def _reduce(S, ram, order, trace, path, certify=None):
         guard += 1
         if guard > 64 * (d + sum(S.p) + 2):
             raise ReductionError("reduction loop failed to make progress")
-        tower = S.tower
 
         if d == 1:
-            phi, residues, qs = _scalar_leaf(S, ram, order)
+            leaf, residues, qs = _scalar_leaf(S, ram, order)
+            phi = phi * leaf
             for i in range(n):
                 for e, c in qacc[i].items():
-                    _qadd(qs[i], e, tower.scalar(c))
-            C = [ConstMatrix([[residues[i] * Fraction(1, ram[i])]], tower)
+                    _qadd(qs[i], e, c)
+            C = [ConstMatrix([[residues[i] * Fraction(1, ram[i])]], S.tower)
                  for i in range(n)]
-            factors.append((phi, tuple(ram)))
             trace.add(path, "scalar", p=list(S.p))
-            return (_collapse(factors, ram, n, d, tower), ram,
-                    [[qs[i]] for i in range(n)], C, ("scalar",), diags)
+            return (phi, ram, [[qs[i]] for i in range(n)], C, ("scalar",),
+                    diags)
 
         if all(p == 0 for p in S.p):
             T, Cs, diag = regular_endgame(S, order=order)
@@ -498,15 +463,12 @@ def _reduce(S, ram, order, trace, path, certify=None):
             if T is None:
                 diags.append(diag)
                 trace.add(path, "endgame", resonant=True)
-                return (_collapse(factors, ram, n, d, tower), ram, Q,
-                        [None] * n, ("regular-resonant", d), diags)
-            tower = T.tower
-            factors.append((T, tuple(ram)))
+                return (phi, ram, Q, [None] * n, ("regular-resonant", d),
+                        diags)
+            phi = phi * T
             C = [Cs[i] * Fraction(1, ram[i]) for i in range(n)]
-            Q = [_lift_q(Q[i], tower) for i in range(n)]
             trace.add(path, "endgame", d=d)
-            return (_collapse(factors, ram, n, d, tower), ram, Q, C,
-                    ("regular", d), diags)
+            return phi, ram, Q, C, ("regular", d), diags
 
         # dispatch on the leading constant of each irregular component
         eig = {}
@@ -515,7 +477,7 @@ def _reduce(S, ram, order, trace, path, certify=None):
             if S.p[i] > 0 and not S.trivial[i]:
                 try:
                     eig[i] = roots_of_charpoly(
-                        S.A[i].constant_term().charpoly())[0]
+                        S.A[i].constant_term().charpoly())
                 except FieldExtensionError as exc:
                     eig[i] = None
                     last_fee = exc
@@ -524,7 +486,7 @@ def _reduce(S, ram, order, trace, path, certify=None):
                         if eig[i] is not None and len(eig[i]) >= 2), None)
         if split_i is not None:
             T, top, bottom = split(S, split_i, order=order)
-            factors.append((T, tuple(ram)))
+            phi = phi * T
             d1 = top.d
             trace.add(path, "split", component=split_i,
                       sizes=[top.d, bottom.d], p=list(S.p))
@@ -535,32 +497,23 @@ def _reduce(S, ram, order, trace, path, certify=None):
             phiB, ramB, QB, CB, stB, dgB = _reduce(
                 bot_n, ram, order, trace, path + f"{split_i}b/", certify)
             s = [math.lcm(a, b) for a, b in zip(ramT, ramB)]
-            tw = common_tower(phiT.tower, phiB.tower)
             for i in range(n):
-                if s[i] > ramT[i]:
-                    phiT = phiT.ramify(i, s[i] // ramT[i])
-                if s[i] > ramB[i]:
-                    phiB = phiB.ramify(i, s[i] // ramB[i])
-            big = SeriesMatrix.block_diag([phiT.lift_tower(tw),
-                                           phiB.lift_tower(tw)])
-            factors.append((big, tuple(s)))
-            C = []
-            for i in range(n):
-                if CT[i] is None or CB[i] is None:
-                    C.append(None)
-                else:
-                    C.append(_block_diag_const(CT[i].lift_tower(tw),
-                                               CB[i].lift_tower(tw), tw))
+                phi = phi.ramify(i, s[i] // ram[i])
+                phiT = phiT.ramify(i, s[i] // ramT[i])
+                phiB = phiB.ramify(i, s[i] // ramB[i])
+            phi = phi * SeriesMatrix.block_diag([phiT, phiB])
+            C = [None if CT[i] is None or CB[i] is None
+                 else ConstMatrix.block_diag([CT[i], CB[i]])
+                 for i in range(n)]
             Q = []
             for i in range(n):
-                blocks = _lift_q(QT[i], tw) + _lift_q(QB[i], tw)
+                blocks = QT[i] + QB[i]
                 for q in blocks:
                     for e, c in qacc[i].items():
-                        _qadd(q, e, tw.scalar(c))
+                        _qadd(q, e, c)
                 Q.append(blocks)
             struct = ("split", split_i, d1, stT, stB)
-            return (_collapse(factors, s, n, d, tw), s, Q, C, struct,
-                    diags + dgT + dgB)
+            return phi, s, Q, C, struct, diags + dgT + dgB
 
         shift_i = next((i for i in sorted(eig)
                         if eig[i] is not None and not eig[i][0][0].is_zero()),
@@ -579,7 +532,7 @@ def _reduce(S, ram, order, trace, path, certify=None):
             p_before = list(S.p)
             T, S, steps = rank_reduce(S, order=order, certify_order=certify)
             if T != SeriesMatrix.identity(d, n, S.tower):
-                factors.append((T, tuple(ram)))
+                phi = phi * T
             trace.add(path, "rank_reduce", p_before=p_before,
                       p_after=list(S.p), gauges=len(steps))
             just_reduced = True
@@ -606,6 +559,7 @@ def _reduce(S, ram, order, trace, path, certify=None):
             raise ReductionError(
                 "nilpotent leading constant with integer growth order")
         S = ramify_system(S, i, m)
+        phi = phi.ramify(i, m)
         ram[i] *= m
         trace.add(path, "ramify", component=i, factor=m, p=list(S.p))
         just_reduced = False
@@ -624,8 +578,10 @@ def verify_solution(S: PfaffianSystem, sol: FormalSolution):
 
     where p~ = s_i p_i and A~_i = s_i A_i(t^s).  Returns a dict with
     "ok", "verified_to" (a total degree, INF when exact), and the
-    per-component detail.  A solution whose variable count or d is not
-    the system's is an InputError.
+    per-component detail.  A solution that does not fit the system is an
+    InputError: another variable count or d, a field that does not join
+    the system's, or a q exponent off the x^(1/s_i) grid or below the
+    pole order.
     """
     if sol.n != S.n or sol.d != S.d:
         raise InputError(
@@ -633,10 +589,13 @@ def verify_solution(S: PfaffianSystem, sol: FormalSolution):
             f"{S.n} variables and d = {S.d}")
     if sol.C is None or any(c is None for c in sol.C):
         raise InputError("solution has no exponent matrices to verify")
-    tower = sol.phi.tower
+    try:
+        tower = common_tower(S.tower, sol.phi.tower, *(c.tower for c in sol.C))
+    except FieldExtensionError:
+        raise InputError(
+            f"solution field {_field_name(sol.phi.tower)} does not match "
+            f"the system field {_field_name(S.tower)}") from None
     St = S
-    if St.tower.degree < tower.degree:
-        St = St.lift_tower(tower)
     for i, m in enumerate(sol.s):
         St = ramify_system(St, i, m)
     n, d = St.n, St.d
@@ -652,19 +611,19 @@ def verify_solution(S: PfaffianSystem, sol: FormalSolution):
             for xe, c in sol.Q[i][j].items():
                 te = xe * sol.s[i]
                 if te.denominator != 1:
-                    raise ReductionError(
+                    raise InputError(
                         f"q exponent {xe} is off the x^(1/{sol.s[i]}) grid")
                 te = int(te)
                 exp = tuple(te + p if k == i else 0 for k in range(n))
                 if exp[i] < 0:
-                    raise ReductionError(
+                    raise InputError(
                         f"q exponent {xe} is below the pole order {p}")
                 cur = acc.get(exp)
-                val = tower.scalar(c) * te
+                val = c * te
                 acc[exp] = val if cur is None else cur + val
             qterms[j][j] = Series(n, acc, tower)
         D = SeriesMatrix(qterms, n, tower)
-        Cser = sol.C[i].lift_tower(tower).to_series(n) \
+        Cser = sol.C[i].to_series(n) \
             .mul_monomial(tuple(p if k == i else 0 for k in range(n))) \
             * sol.s[i]
         R = (sol.phi.partial_derivative(i).mul_monomial(e_deriv)

@@ -9,6 +9,11 @@ endgame solve grade by grade.  SeriesMatrix holds Series entries and
 has no inverse: every series gauge is built together with its inverse
 (see system.GaugeTransformation).  Both the characteristic polynomial
 and the series determinant come from one memoized minor expansion.
+
+Sums, products (by a matrix, a series or a scalar) and block builders
+return their result in the join of the operands' fields
+(scalars.common_tower); entries from a smaller field are kept as they
+are, so no matrix is ever lifted into a larger field by hand.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import operator
 from fractions import Fraction
 
 from .errors import DimensionError, NotInvertibleError
-from .scalars import FieldTower, Scalar, poly_mul, poly_add, poly_trim
+from .scalars import FieldTower, Scalar, common_tower, poly_mul, poly_add, poly_trim
 from .series import INF, Series
 
 
@@ -53,12 +58,12 @@ class ConstMatrix:
     def __add__(self, other):
         return ConstMatrix(
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-            self.tower)
+            common_tower(self.tower, other.tower))
 
     def __sub__(self, other):
         return ConstMatrix(
             [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-            self.tower)
+            common_tower(self.tower, other.tower))
 
     def __neg__(self):
         return ConstMatrix([[-a for a in r] for r in self.rows], self.tower)
@@ -67,12 +72,15 @@ class ConstMatrix:
         if isinstance(other, ConstMatrix):
             if self.ncols != other.nrows:
                 raise DimensionError("shape mismatch in product")
+            tower = common_tower(self.tower, other.tower)
             cols = list(zip(*other.rows))
             return ConstMatrix(
-                [[_dot(r, c, self.tower) for c in cols] for r in self.rows],
-                self.tower)
-        c = self.tower.scalar(other)
-        return ConstMatrix([[a * c for a in r] for r in self.rows], self.tower)
+                [[_dot(r, c, tower) for c in cols] for r in self.rows], tower)
+        if isinstance(other, Scalar):
+            c, tower = other, common_tower(self.tower, other.tower)
+        else:
+            c, tower = self.tower.scalar(other), self.tower
+        return ConstMatrix([[a * c for a in r] for r in self.rows], tower)
 
     __rmul__ = __mul__
 
@@ -170,8 +178,17 @@ class ConstMatrix:
             k >>= 1
         return out
 
-    def lift_tower(self, tower):
-        return ConstMatrix([[tower.embed(a) for a in r] for r in self.rows], tower)
+    @classmethod
+    def block_diag(cls, blocks):
+        """Block-diagonal matrix with the given square blocks."""
+        d = sum(B.nrows for B in blocks)
+        out = cls.zeros(d, d, common_tower(*(B.tower for B in blocks)))
+        lo = 0
+        for B in blocks:
+            for r, row in enumerate(B.rows):
+                out.rows[lo + r][lo:lo + B.ncols] = row
+            lo += B.nrows
+        return out
 
     def to_series(self, nvars):
         return SeriesMatrix(
@@ -273,7 +290,8 @@ def generalized_eigenspaces(A: ConstMatrix, roots):
     d = A.nrows
     cols = []
     sizes = []
-    I = ConstMatrix.identity(d, A.tower)
+    tower = common_tower(A.tower, *(lam.tower for lam, _ in roots))
+    I = ConstMatrix.identity(d, tower)
     for lam, mult in roots:
         B = (A - I * lam).power(mult)
         kb = B.kernel_basis()
@@ -281,7 +299,7 @@ def generalized_eigenspaces(A: ConstMatrix, roots):
         cols.extend(kb)
     if sum(sizes) != d:
         raise NotInvertibleError("eigenspaces do not fill the space")
-    V = ConstMatrix(list(zip(*cols)), A.tower)
+    V = ConstMatrix(list(zip(*cols)), tower)
     return V, sizes
 
 
@@ -346,12 +364,12 @@ class SeriesMatrix:
     def __add__(self, other):
         return SeriesMatrix(
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-            self.nvars, self.tower)
+            self.nvars, common_tower(self.tower, other.tower))
 
     def __sub__(self, other):
         return SeriesMatrix(
             [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-            self.nvars, self.tower)
+            self.nvars, common_tower(self.tower, other.tower))
 
     def __neg__(self):
         return SeriesMatrix([[-a for a in r] for r in self.rows],
@@ -361,12 +379,13 @@ class SeriesMatrix:
         if isinstance(other, SeriesMatrix):
             if self.ncols != other.nrows:
                 raise DimensionError("shape mismatch in product")
+            tower = common_tower(self.tower, other.tower)
             cols = list(zip(*other.rows))
             out = []
             for r in self.rows:
                 out_row = []
                 for c in cols:
-                    acc = Series.zero(self.nvars, self.tower)
+                    acc = Series.zero(self.nvars, tower)
                     for a, b in zip(r, c):
                         if a.is_zero() and a.exact:
                             continue
@@ -375,11 +394,15 @@ class SeriesMatrix:
                         acc = acc + a * b
                     out_row.append(acc)
                 out.append(out_row)
-            return SeriesMatrix(out, self.nvars, self.tower)
-        if isinstance(other, (int, Fraction, Scalar, Series)):
-            return SeriesMatrix([[a * other for a in r] for r in self.rows],
-                                self.nvars, self.tower)
-        return NotImplemented
+            return SeriesMatrix(out, self.nvars, tower)
+        if isinstance(other, (Scalar, Series)):
+            tower = common_tower(self.tower, other.tower)
+        elif isinstance(other, (int, Fraction)):
+            tower = self.tower
+        else:
+            return NotImplemented
+        return SeriesMatrix([[a * other for a in r] for r in self.rows],
+                            self.nvars, tower)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Scalar, Series)):
@@ -434,10 +457,6 @@ class SeriesMatrix:
     def ramify(self, i, m):
         return self.map(lambda s: s.ramify(i, m))
 
-    def lift_tower(self, tower):
-        return SeriesMatrix([[s.lift_tower(tower) for s in r] for r in self.rows],
-                            self.nvars, tower)
-
     def constant_term(self) -> ConstMatrix:
         return ConstMatrix([[s.constant_term() for s in r] for r in self.rows],
                            self.tower)
@@ -473,8 +492,8 @@ class SeriesMatrix:
                 for blk in band:
                     row.extend(blk.rows[i])
                 rows.append(row)
-        b0 = grid[0][0]
-        return cls(rows, b0.nvars, b0.tower)
+        return cls(rows, grid[0][0].nvars,
+                   common_tower(*(blk.tower for band in grid for blk in band)))
 
     @classmethod
     def block_diag(cls, blocks):

@@ -715,19 +715,16 @@ def split(S: PfaffianSystem, i: int, order: int = 10):
 
     Returns (T, top, bottom): T is the eigenbasis change times the
     coupling, and top and bottom are standalone systems on the diagonal
-    blocks, with the Poincare ranks of S and possibly over an extended
-    field.
+    blocks, with the Poincare ranks of S, over the join of the fields of
+    S and the eigenvalues.
     """
     check_order(order)
     n, d = S.n, S.d
     C = S.A[i].constant_term()
-    roots, tower = roots_of_charpoly(C.charpoly())
+    roots = roots_of_charpoly(C.charpoly())
     if len(roots) < 2:
         raise InputError("constant term has a single eigenvalue; "
                          "splitting needs at least two")
-    if tower is not S.tower:
-        S = S.lift_tower(tower)
-        C = C.lift_tower(tower)
     V, sizes = generalized_eigenspaces(C, roots)
     d1 = sizes[0]
     gV = GaugeTransformation.from_constant(V, n)

@@ -3,8 +3,13 @@
 Every scalar lives in a `FieldTower`, which is either plain Q or
 Q(alpha) for a monic irreducible quadratic minimal polynomial.  Scalars
 store their coordinate vector with respect to the basis (1, alpha, ...).
-Rationals embed canonically into any tower, so mixed arithmetic with
-ints/Fractions is allowed; mixing two distinct nontrivial towers is not.
+
+The field of a result is the join of its operands' fields
+(`common_tower`): Q joins any tower, a tower joins itself, and two
+distinct extensions have no join in this package (FieldExtensionError).
+Scalar arithmetic applies the rule itself, ints and Fractions counting
+as Q, and so do the series and matrix layers above, so no caller ever
+lifts a value into a larger field by hand.
 """
 
 from __future__ import annotations
@@ -131,14 +136,16 @@ class FieldTower:
 QQ = FieldTower()
 
 
-def common_tower(a: FieldTower, b: FieldTower) -> FieldTower:
-    if a == b:
-        return a
-    if a.degree == 1:
-        return b
-    if b.degree == 1:
-        return a
-    raise FieldExtensionError("mismatched extension contexts")
+def common_tower(first: FieldTower, *rest: FieldTower) -> FieldTower:
+    """The join of the given fields: the one extension among them, or Q."""
+    out = first
+    for t in rest:
+        if t is out or t == out or t.degree == 1:
+            continue
+        if out.degree != 1:
+            raise FieldExtensionError("mismatched extension contexts")
+        out = t
+    return out
 
 
 class Scalar:
@@ -460,14 +467,10 @@ def _deflate_root(p, root: Scalar):
     return p, mult
 
 
-def _sqrt_in_tower(D: Scalar):
-    """Square root of D inside its (quadratic) tower, or None."""
-    t = D.tower
-    if t.degree == 1:
-        r = fraction_sqrt(D.coeffs[0])
-        return None if r is None else t.scalar(r)
+def _sqrt_in_tower(D: Scalar, t: FieldTower):
+    """Square root of D inside the quadratic tower t, or None."""
     m0, m1, _ = t.minpoly.coeffs
-    D0, D1 = D.coeffs
+    D0, D1 = t.embed(D).coeffs
     # (a + b*alpha)^2 = (a^2 - b^2*m0) + (2ab - b^2*m1) alpha
     if D1 == 0:
         r = fraction_sqrt(D0)
@@ -496,16 +499,17 @@ def _sqrt_in_tower(D: Scalar):
 
 
 def roots_of_charpoly(p):
-    """All roots of a monic polynomial over the current tower.
+    """All roots of a polynomial over the join of its coefficients' fields.
 
-    Returns (roots, tower) where roots is a list of (Scalar, multiplicity)
-    in canonical order and tower is the (possibly extended) field.  Raises
-    FieldExtensionError when the splitting field is out of policy.
+    Returns a list of (Scalar, multiplicity) in canonical order; each root
+    lives in the field it needs, Q or the (possibly new) quadratic
+    extension.  Raises FieldExtensionError when the splitting field is out
+    of policy.
     """
     p = poly_trim(p)
     if not p:
         raise ValueError("zero polynomial has no well-defined roots")
-    tower = p[0].tower
+    tower = common_tower(*(c.tower for c in p))
     p = poly_monic(p)
     total = poly_degree(p)
     roots: list[tuple[Scalar, int]] = []
@@ -522,7 +526,7 @@ def roots_of_charpoly(p):
         for cand in cands:
             if poly_degree(p) < 1:
                 break
-            r = p[0].tower.scalar(cand)
+            r = QQ.scalar(cand)
             if poly_eval(p, r).is_zero():
                 p, m = _deflate_root(p, r)
                 found.append((r, m))
@@ -545,16 +549,13 @@ def roots_of_charpoly(p):
         D = c1 * c1 - 4 * c0
         if tower.degree == 1:
             mp = MinimalPolynomial([c0.to_fraction(), c1.to_fraction(), 1])
-            tower = tower.adjoin(mp)
-            p = [tower.embed(c) for c in p]
-            alpha = tower.generator()
-            r1, r2 = alpha, -tower.embed(c1) - alpha
+            alpha = tower.adjoin(mp).generator()
+            r1, r2 = alpha, -c1 - alpha
         else:
-            rd = _sqrt_in_tower(D)
+            rd = _sqrt_in_tower(D, tower)
             if rd is None:
                 raise FieldExtensionError("eigenvalue field unsupported")
-            two = tower.scalar(2)
-            r1, r2 = (-c1 + rd) / two, (-c1 - rd) / two
+            r1, r2 = (-c1 + rd) / 2, (-c1 - rd) / 2
         for r in (r1, r2):
             p, m = _deflate_root(p, r)
             if m == 0:
@@ -564,4 +565,4 @@ def roots_of_charpoly(p):
     if sum(m for _, m in roots) != total:
         raise ReductionError("root multiplicities do not add up to the degree")
     roots.sort(key=lambda rm: rm[0].sort_key())
-    return roots, tower
+    return roots

@@ -7,7 +7,10 @@ support floor (no terms exist below it, which is what makes elements of
 the monomial localization representable).  A series known exactly (a
 polynomial, closed under all arithmetic performed on it) carries an
 infinite window; a series that merely prints as zero while hi is finite
-is a truncation-limited zero, not a proven one.  Beyond ring arithmetic
+is a truncation-limited zero, not a proven one.  A sum or product lives
+in the join of its operands' fields (scalars.common_tower), a Scalar
+operand counting by its own field, so a coefficient of a smaller field
+is kept as it is and never lifted.  Beyond ring arithmetic
 and window handling, the module offers the exponential of a series
 without constant term (series_exp), the one exp the reduction uses; it
 has no series division.
@@ -38,6 +41,13 @@ def _norm_window(nvars, lo, hi):
     if len(lo) != nvars or len(hi) != nvars:
         raise DimensionError("window length does not match variable count")
     return lo, hi
+
+
+def _join_scalar(value, tower):
+    """(value as a Scalar, the join of its field and tower)."""
+    if isinstance(value, Scalar):
+        return value, common_tower(tower, value.tower)
+    return tower.scalar(value), tower
 
 
 def grlex_key(exp):
@@ -71,12 +81,12 @@ class Series:
 
     @classmethod
     def constant(cls, nvars, value, tower):
-        c = tower.scalar(value)
+        c, tower = _join_scalar(value, tower)
         return cls(nvars, {(0,) * nvars: c}, tower)
 
     @classmethod
     def monomial(cls, nvars, exp, value, tower):
-        c = tower.scalar(value)
+        c, tower = _join_scalar(value, tower)
         lo = tuple(min(0, e) for e in exp)
         return cls(nvars, {tuple(exp): c}, tower, lo=lo)
 
@@ -184,11 +194,11 @@ class Series:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
-            c = self.tower.scalar(other)
+            c, tower = _join_scalar(other, self.tower)
             if c.is_zero():
-                return Series.zero(self.nvars, self.tower, self.lo, self.hi)
+                return Series.zero(self.nvars, tower, self.lo, self.hi)
             return Series(self.nvars, {e: v * c for e, v in self.terms.items()},
-                          self.tower, self.lo, self.hi)
+                          tower, self.lo, self.hi)
         if not isinstance(other, Series):
             return NotImplemented
         self._check_compat(other)
@@ -277,10 +287,6 @@ class Series:
         terms = {e + (0,): c for e, c in self.terms.items()}
         return Series(self.nvars + 1, terms, self.tower, self.lo + (0,),
                       self.hi + (INF,))
-
-    def lift_tower(self, tower: FieldTower):
-        return Series(self.nvars, {e: tower.embed(c) for e, c in self.terms.items()},
-                      tower, self.lo, self.hi)
 
     # -- comparisons -------------------------------------------------------
 

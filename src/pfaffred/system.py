@@ -17,6 +17,7 @@ import hashlib
 
 from .errors import DimensionError, InputError, ReductionError
 from .linalg import SeriesMatrix
+from .scalars import common_tower
 from .series import INF, Series
 
 
@@ -75,11 +76,6 @@ class PfaffianSystem:
     def clipped(self, hi):
         return PfaffianSystem(self.vars, self.p, [M.clipped(hi) for M in self.A],
                               self.tower, self.trivial)
-
-    def lift_tower(self, tower):
-        return PfaffianSystem(self.vars, self.p,
-                              [M.lift_tower(tower) for M in self.A],
-                              tower, self.trivial)
 
     def associated_ods(self, i: int):
         """(p_i, univariate matrix): A_i with every other variable at 0."""
@@ -234,7 +230,8 @@ class GaugeTransformation:
 
 
 def apply_gauge(S: PfaffianSystem, g: GaugeTransformation) -> PfaffianSystem:
-    """The transformed system, its Poincare ranks renormalized.
+    """The transformed system, its Poincare ranks renormalized, over the
+    join of the fields of S and the gauge.
 
     Raises ReductionError, naming the component and the variable, when
     a transformed component has a pole in a foreign variable: the
@@ -263,4 +260,5 @@ def apply_gauge(S: PfaffianSystem, g: GaugeTransformation) -> PfaffianSystem:
                                        for k in range(S.n)))
         newA.append(Ai)
         newp.append(S.p[i] - own)
-    return normalize_poincare(PfaffianSystem(S.vars, newp, newA, S.tower))[0]
+    tower = common_tower(S.tower, T.tower, T_inv.tower)
+    return normalize_poincare(PfaffianSystem(S.vars, newp, newA, tower))[0]

@@ -103,3 +103,30 @@ def triple_system():
         [{(1, 1, 0): -1}, 0],
     ])
     return PfaffianSystem(["x1", "x2", "x3"], [1, 2, 0], [A1, A2, A3], QQ)
+
+
+# systems over Q whose eigenvalues need Q(sqrt 2)
+
+
+def quadratic_system():
+    """x dF/dx = [[0, 1], [2, 0]] F: eigenvalues +-sqrt(2)."""
+    return sys1([[0, 1], [2, 0]], 0)
+
+
+def mixed_system():
+    """x^2 dF/dx = [[0, 1, x], [2, 0, 0], [x, 0, 1]] F.
+
+    The leading eigenvalues are 1 and +-sqrt(2): a branch over Q merges
+    with a branch over Q(sqrt 2).
+    """
+    return sys1([[0, 1, {1: 1}], [2, 0, 0], [{1: 1}, 0, 1]], 1)
+
+
+def kron_system():
+    """x^2 dF/dx = ([[0, 1], [2, 0]] (x) I_2 + x I_2 (x) [[0, 1], [8, 0]]) F.
+
+    Splitting by +-sqrt(2) leaves blocks whose endgame meets t^2 - 8,
+    which splits inside Q(sqrt 2).
+    """
+    return sys1([[0, {1: 1}, 1, 0], [{1: 8}, 0, 0, 1],
+                 [2, 0, 0, {1: 1}], [0, 2, {1: 8}, 0]], 1)

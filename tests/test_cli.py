@@ -14,7 +14,7 @@ from pfaffred.docio import (MAX_DIMENSION, MAX_GAUGE_DEGREE, MAX_GAUGE_OPS,
 from pfaffred.errors import InputError
 from pfaffred.reduction import MAX_ORDER, MAX_RETRIES, check_order
 
-from helpers import hyper_system, sys1
+from helpers import hyper_system, kron_system, mixed_system, sys1
 
 
 def run(capsys, argv, code=0):
@@ -162,6 +162,72 @@ def test_solution_of_another_dimension_is_an_input_error(
     assert err["type"] == "InputError"
     for d, p in (system_shape, solution_shape):
         assert f"{len(p.split(','))} variables and d = {d}" in err["message"]
+
+
+def coefficients(doc):
+    """Every scalar a solution document holds: Phi, C and Q."""
+    out = [t["coeff"] for row in doc["Phi"]["entries"] for entry in row
+           for t in entry]
+    out += [x for c in doc["C"] if c is not None for row in c for x in row]
+    out += [c for qs in doc["Q"] for q in qs for c in q.values()]
+    return out
+
+
+# systems over Q whose solutions live in Q(sqrt 2); a rational coefficient
+# of such a solution prints as a string, as it does over Q
+@pytest.mark.parametrize("build,verified", [
+    (mixed_system, 7),
+    (kron_system, "inf"),
+], ids=["mixed", "kron"])
+def test_extension_solution_reduces_and_verifies(tmp_path, capsys, build,
+                                                 verified):
+    system = write_json(tmp_path / "system.json", serialize_system(build()))
+    out = run(capsys, ["reduce", system, "--order", "8"])
+    doc = out["solution"]
+    assert doc["minpoly"] == ["-2", "0", "1"]
+    assert out["verified_to_order"] == doc["verified_to_order"] == verified
+    sol = write_json(tmp_path / "solution.json", out)
+    assert run(capsys, ["verify", system, sol]) == {
+        "ok": True, "verified_to_order": verified, "per_component": [
+            {"component": 0, "ok": True, "verified_to": verified}]}
+    coeffs = coefficients(doc)
+    assert any(isinstance(c, list) for c in coeffs)
+    for c in coeffs:
+        if isinstance(c, list):
+            assert c[1] != "0", "a rational printed as a coefficient list"
+        else:
+            assert isinstance(c, str)
+
+
+def _set_q(doc, q):
+    doc["solution"]["Q"][0][0] = q
+
+
+def _declare_fields(system, solution):
+    system["minpoly"] = ["-2", "0", "1"]
+    solution["solution"]["minpoly"] = ["-3", "0", "1"]
+
+
+# each edit of Airy's reduce output no longer fits the system; verify
+# used to exit 2 on each, as if the algorithms could not handle it
+@pytest.mark.parametrize("edit,named", [
+    (lambda system, sol: _set_q(sol, {"-1/3": "2"}), "-1/3"),
+    (lambda system, sol: _set_q(sol, {"-7": "2"}), "-7"),
+    (_declare_fields, "'-3', '0', '1'"),
+    (lambda system, sol: _set_q(sol, {"-2/4": "99", "-1/2": "2"}), "-1/2"),
+], ids=["q-off-grid", "q-below-pole-order", "field-mismatch",
+        "q-repeated"])
+def test_solution_that_does_not_fit_is_an_input_error(tmp_path, capsys,
+                                                      edit, named):
+    system = serialize_system(sys1([[0, 1], [{1: 1}, 0]], 1))
+    sol = run(capsys, ["reduce", write_json(tmp_path / "airy.json", system)])
+    assert sol["solution"]["s"] == [2]
+    edit(system, sol)
+    err = run(capsys, ["verify", write_json(tmp_path / "system.json", system),
+                       write_json(tmp_path / "solution.json", sol)],
+              1)["error"]
+    assert err["type"] == "InputError"
+    assert named in err["message"]
 
 
 # a scalar system with p = 10^8 used to hang in the scalar leaf

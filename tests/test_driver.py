@@ -1,11 +1,15 @@
 """Driver tests: scalar leaves, the regular endgame, and full runs."""
 
+import importlib.util
+import json
 import time
+import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from pfaffred import driver
+from pfaffred import docio, driver, linalg, scalars, series, system
 from pfaffred import (
     INF,
     ConstMatrix,
@@ -23,7 +27,9 @@ from pfaffred import (
     exponential_parts,
     fmfs,
     generate_equivalent,
+    parse_solution,
     regular_endgame,
+    serialize_solution,
     true_poincare_rank,
     verify_solution,
 )
@@ -31,7 +37,10 @@ from pfaffred.reduction import MAX_ORDER, MAX_RETRIES
 
 from helpers import (
     hyper_system,
+    kron_system,
     mat2,
+    mixed_system,
+    quadratic_system,
     shifted_system,
     sys1,
     triple_system,
@@ -302,6 +311,15 @@ PINNED = [
     ("plant-regular-n3d3-order24",
      lambda: generate_equivalent(0, {"n": 3, "d": 3, "p": [0, 0, 0]})[0], 24,
      ("9177aefbd72e8c51", "5e33e9b70082e6cd")),
+    # systems over Q whose solutions need Q(sqrt 2): one split, a Q
+    # branch merged with a Q(sqrt 2) branch, and an endgame that meets
+    # t^2 - 8 inside Q(sqrt 2)
+    ("quadratic", quadratic_system, 8,
+     ("ea910afa93f981f7", "8f40e10bfae3a991")),
+    ("mixed", mixed_system, 8,
+     ("8ac502b24bfe2b87", "ee36c6710de6fb21")),
+    ("kron", kron_system, 8,
+     ("85e1c298e4dfce5b", "91d86823f6a436a8")),
 ]
 
 
@@ -311,6 +329,41 @@ PINNED = [
 def test_fmfs_pinned_fingerprints(build, order, expected):
     sol, trace = fmfs(build(), order=order)
     assert (sol.fingerprint(), trace.fingerprint()) == expected
+
+
+def bench_solve_items(corpus_seed):
+    """(id, system, order) of every solve item of the benchmark corpus."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("bench_corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    pf = types.SimpleNamespace(scalars=scalars, series=series, linalg=linalg,
+                               system=system, docio=docio)
+    return [(f"{workload}/{id_}", S, order)
+            for workload in ("split", "ramified", "regular")
+            for id_, S, order, _ in corpus.solve_inputs(pf, workload,
+                                                         corpus_seed)]
+
+
+ROUND_TRIP = bench_solve_items(0) + [
+    (name, build(), 8) for name, build in (
+        ("quadratic", quadratic_system), ("mixed", mixed_system),
+        ("kron", kron_system))]
+
+
+# The fingerprints do not survive the round trip: Phi's entries may carry
+# different windows, and the document keeps only their minimum as trunc.
+@pytest.mark.parametrize("S,order", [case[1:] for case in ROUND_TRIP],
+                         ids=[case[0] for case in ROUND_TRIP])
+def test_solution_document_round_trip(S, order):
+    sol, _ = fmfs(S, order=order)
+    back = parse_solution(json.dumps(serialize_solution(sol, S.vars)))
+    assert verify_solution(S, back)["verified_to"] == sol.verified_to
+    assert back.s == sol.s
+    assert back.C == sol.C
+    assert back.Q == sol.Q
+    assert back.phi.window_hi() == sol.phi.window_hi()
+    assert back.phi.agrees(sol.phi)
 
 
 def test_fmfs_truncation_exhaustion():
@@ -474,7 +527,7 @@ def test_verify_rejects_q_exponent_it_cannot_place(exponent):
     Q = [[dict(q) for q in qs] for qs in sol.Q]
     Q[1][0][exponent] = QQ.scalar(5)
     tampered = FormalSolution(sol.phi, sol.C, Q, sol.s, sol.structure, [])
-    with pytest.raises(ReductionError):
+    with pytest.raises(InputError, match=str(exponent)):
         verify_solution(S, tampered)
 
 

@@ -1,6 +1,6 @@
 """Module boundaries: strict layering, no function-level imports, no
-imports of another module's private names, no unused imports, and no
-function that nothing in the package names."""
+imports of another module's private names, no unused imports, no
+function that nothing in the package names, and no assert statement."""
 
 import ast
 from pathlib import Path
@@ -195,3 +195,25 @@ def test_unreferenced_function_check_sees_a_dead_def(tmp_path):
         "from .a import C\n\n\ndef f():\n    return C().method()\n")
     assert unreferenced_functions(sorted(tmp_path.glob("*.py"))) == [
         ("a.py", 5, "dead"), ("b.py", 4, "f")]
+
+
+def assert_statements(path):
+    """Line of each assert statement in the module.  `python -O` strips
+    them, so an invariant the package relies on is checked by raising."""
+    tree = ast.parse(path.read_text(), str(path))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)]
+
+
+def test_no_module_asserts():
+    offenders = {p.name: assert_statements(p)
+                 for p in sorted(PACKAGE.glob("*.py"))}
+    assert {k: v for k, v in offenders.items() if v} == {}
+
+
+def test_assert_check_sees_a_planted_assert(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("# assert in a comment\n"
+                   "MESSAGE = 'assert in a string'\n\n\n"
+                   "def f(x):\n    assert x > 0, 'positive'\n    return x\n")
+    assert assert_statements(src) == [6]
