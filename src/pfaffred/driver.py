@@ -419,11 +419,17 @@ def _joint_block_diagonalize(Cs):
                         raise ReductionError(
                             "commuting family failed to respect its own "
                             "eigenblock split")
-        return V * ConstMatrix.block_diag([
-            _joint_block_diagonalize(
+        # the sibling blocks share one running field, so a later block
+        # factors its charpoly over what an earlier one adjoined, and
+        # +-sqrt(2) beside +-2 sqrt(2) needs one extension, not two
+        running, blocks = V.tower, []
+        for lo, s in zip(offsets, sizes):
+            Wk = _joint_block_diagonalize(
                 [ConstMatrix([r[lo:lo + s] for r in M.rows[lo:lo + s]],
-                             M.tower) for M in conj])
-            for lo, s in zip(offsets, sizes)])
+                             common_tower(M.tower, running)) for M in conj])
+            running = common_tower(running, Wk.tower)
+            blocks.append(Wk)
+        return V * ConstMatrix.block_diag(blocks)
     return ConstMatrix.identity(d, Cs[0].tower)
 
 

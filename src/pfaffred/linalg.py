@@ -22,7 +22,10 @@ import operator
 from fractions import Fraction
 
 from .errors import DimensionError, NotInvertibleError
-from .scalars import FieldTower, Scalar, common_tower, poly_mul, poly_add, poly_trim
+from .scalars import (
+    FieldTower, Scalar, common_tower, join_scalar, poly_add, poly_mul,
+    poly_trim,
+)
 from .series import INF, Series
 
 
@@ -76,10 +79,7 @@ class ConstMatrix:
             cols = list(zip(*other.rows))
             return ConstMatrix(
                 [[_dot(r, c, tower) for c in cols] for r in self.rows], tower)
-        if isinstance(other, Scalar):
-            c, tower = other, common_tower(self.tower, other.tower)
-        else:
-            c, tower = self.tower.scalar(other), self.tower
+        c, tower = join_scalar(other, self.tower)
         return ConstMatrix([[a * c for a in r] for r in self.rows], tower)
 
     __rmul__ = __mul__
@@ -395,10 +395,10 @@ class SeriesMatrix:
                     out_row.append(acc)
                 out.append(out_row)
             return SeriesMatrix(out, self.nvars, tower)
-        if isinstance(other, (Scalar, Series)):
+        if isinstance(other, Series):
             tower = common_tower(self.tower, other.tower)
-        elif isinstance(other, (int, Fraction)):
-            tower = self.tower
+        elif isinstance(other, (int, Fraction, Scalar)):
+            tower = join_scalar(other, self.tower)[1]
         else:
             return NotImplemented
         return SeriesMatrix([[a * other for a in r] for r in self.rows],

@@ -148,6 +148,15 @@ def common_tower(first: FieldTower, *rest: FieldTower) -> FieldTower:
     return out
 
 
+def join_scalar(value, tower: FieldTower):
+    """(value as a Scalar, the join of its field and tower).
+
+    A Scalar keeps its own field; an int or Fraction takes tower's."""
+    if isinstance(value, Scalar):
+        return value, common_tower(tower, value.tower)
+    return tower.scalar(value), tower
+
+
 class Scalar:
     """Element of the tower's field, coordinates over (1, alpha)."""
 

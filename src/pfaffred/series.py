@@ -27,7 +27,7 @@ from .errors import (
     ReductionError,
     TruncationInsufficient,
 )
-from .scalars import FieldTower, Scalar, common_tower
+from .scalars import FieldTower, Scalar, common_tower, join_scalar
 
 INF = math.inf
 
@@ -41,13 +41,6 @@ def _norm_window(nvars, lo, hi):
     if len(lo) != nvars or len(hi) != nvars:
         raise DimensionError("window length does not match variable count")
     return lo, hi
-
-
-def _join_scalar(value, tower):
-    """(value as a Scalar, the join of its field and tower)."""
-    if isinstance(value, Scalar):
-        return value, common_tower(tower, value.tower)
-    return tower.scalar(value), tower
 
 
 def grlex_key(exp):
@@ -81,12 +74,12 @@ class Series:
 
     @classmethod
     def constant(cls, nvars, value, tower):
-        c, tower = _join_scalar(value, tower)
+        c, tower = join_scalar(value, tower)
         return cls(nvars, {(0,) * nvars: c}, tower)
 
     @classmethod
     def monomial(cls, nvars, exp, value, tower):
-        c, tower = _join_scalar(value, tower)
+        c, tower = join_scalar(value, tower)
         lo = tuple(min(0, e) for e in exp)
         return cls(nvars, {tuple(exp): c}, tower, lo=lo)
 
@@ -194,7 +187,7 @@ class Series:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
-            c, tower = _join_scalar(other, self.tower)
+            c, tower = join_scalar(other, self.tower)
             if c.is_zero():
                 return Series.zero(self.nvars, tower, self.lo, self.hi)
             return Series(self.nvars, {e: v * c for e, v in self.terms.items()},

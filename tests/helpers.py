@@ -130,3 +130,18 @@ def kron_system():
     """
     return sys1([[0, {1: 1}, 1, 0], [{1: 8}, 0, 0, 1],
                  [2, 0, 0, {1: 1}], [0, 2, {1: 8}, 0]], 1)
+
+
+def sibling_system(block):
+    """x1 dF/dx1 = diag(0, 0, 1, 1) F, x2 dF/dx2 = diag(B0, block) F.
+
+    B0 = [[0, 1], [2, 0]] has eigenvalues +-sqrt(2).  The first variable
+    splits F into two sibling blocks, each of which needs Q(sqrt 2); the
+    second block must be factored over the field the first one adjoined.
+    """
+    z = [[0, 0], [0, 0]]
+    rows = lambda top, bottom: ([r + s for r, s in zip(top, z)]
+                                + [r + s for r, s in zip(z, bottom)])
+    A1 = mat2(rows(z, [[1, 0], [0, 1]]))
+    A2 = mat2(rows([[0, 1], [2, 0]], block))
+    return PfaffianSystem(["x1", "x2"], [0, 0], [A1, A2], QQ)

@@ -42,6 +42,7 @@ from helpers import (
     mixed_system,
     quadratic_system,
     shifted_system,
+    sibling_system,
     sys1,
     triple_system,
 )
@@ -320,6 +321,13 @@ PINNED = [
      ("8ac502b24bfe2b87", "ee36c6710de6fb21")),
     ("kron", kron_system, 8,
      ("85e1c298e4dfce5b", "91d86823f6a436a8")),
+    # sibling eigenblocks whose eigenvalues +-sqrt(2) and +-2 sqrt(2), or
+    # +-sqrt(2) and 1 +- sqrt(2), have different minimal polynomials but
+    # one field
+    ("siblings-sqrt8", lambda: sibling_system([[0, 1], [8, 0]]), 8,
+     ("3c8f1fdcfb89be92", "43781bd173e7f868")),
+    ("siblings-shifted", lambda: sibling_system([[0, 1], [1, 2]]), 8,
+     ("88401eba4c35cd8f", "43781bd173e7f868")),
 ]
 
 
@@ -331,31 +339,22 @@ def test_fmfs_pinned_fingerprints(build, order, expected):
     assert (sol.fingerprint(), trace.fingerprint()) == expected
 
 
-def bench_solve_items(corpus_seed):
-    """(id, system, order) of every solve item of the benchmark corpus."""
+def bench_solve_items(workload, corpus_seed):
+    """(id, system, order) of each solve item of a benchmark workload."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
     spec = importlib.util.spec_from_file_location("bench_corpus", path)
     corpus = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(corpus)
     pf = types.SimpleNamespace(scalars=scalars, series=series, linalg=linalg,
                                system=system, docio=docio)
-    return [(f"{workload}/{id_}", S, order)
-            for workload in ("split", "ramified", "regular")
-            for id_, S, order, _ in corpus.solve_inputs(pf, workload,
-                                                         corpus_seed)]
+    return [(id_, S, order) for id_, S, order, _ in
+            corpus.solve_inputs(pf, workload, corpus_seed)]
 
 
-ROUND_TRIP = bench_solve_items(0) + [
-    (name, build(), 8) for name, build in (
-        ("quadratic", quadratic_system), ("mixed", mixed_system),
-        ("kron", kron_system))]
-
-
-# The fingerprints do not survive the round trip: Phi's entries may carry
-# different windows, and the document keeps only their minimum as trunc.
-@pytest.mark.parametrize("S,order", [case[1:] for case in ROUND_TRIP],
-                         ids=[case[0] for case in ROUND_TRIP])
-def test_solution_document_round_trip(S, order):
+def assert_round_trip(S, order):
+    # The fingerprints do not survive the round trip: Phi's entries may
+    # carry different windows, and the document keeps only their minimum
+    # as trunc.
     sol, _ = fmfs(S, order=order)
     back = parse_solution(json.dumps(serialize_solution(sol, S.vars)))
     assert verify_solution(S, back)["verified_to"] == sol.verified_to
@@ -364,6 +363,27 @@ def test_solution_document_round_trip(S, order):
     assert back.Q == sol.Q
     assert back.phi.window_hi() == sol.phi.window_hi()
     assert back.phi.agrees(sol.phi)
+
+
+# The benchmark corpus is read inside the test, so a change to it can
+# fail only this test, not the collection of the module.
+@pytest.mark.parametrize("workload", ["split", "ramified", "regular"])
+def test_solution_document_round_trip_corpus(workload):
+    items = bench_solve_items(workload, 0)
+    assert items
+    for id_, S, order in items:
+        try:
+            assert_round_trip(S, order)
+        except AssertionError as exc:
+            raise AssertionError(f"{workload}/{id_}: {exc}") from exc
+
+
+@pytest.mark.parametrize("build", [
+    quadratic_system, mixed_system, kron_system,
+    lambda: sibling_system([[0, 1], [8, 0]])],
+    ids=["quadratic", "mixed", "kron", "siblings-sqrt8"])
+def test_solution_document_round_trip(build):
+    assert_round_trip(build(), 8)
 
 
 def test_fmfs_truncation_exhaustion():
