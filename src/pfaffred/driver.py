@@ -17,12 +17,13 @@ together with the system.  Ramification scales exponents and windows
 alike, so ramifying a product ramifies each factor.  At a split the two
 branch solutions are ramified to their common s_i, as is the Phi built
 so far, which then takes their block sum.  Every value lives in the join
-of its operands' fields, so nothing is lifted into Q(alpha) by hand.
+of its operands' fields, so nothing is lifted into Q(alpha) by hand; the
+bottom block of a split is reduced in the field the top branch reached,
+so an eigenvalue the top adjoined is found there, not adjoined again.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from fractions import Fraction
 
@@ -31,14 +32,10 @@ from .errors import (
     InputError,
     NonIntegrableError,
     ReductionError,
+    ResonanceError,
     TruncationInsufficient,
 )
-from .linalg import (
-    ConstMatrix,
-    SeriesMatrix,
-    generalized_eigenspaces,
-    sylvester_stack,
-)
+from .linalg import ConstMatrix, SeriesMatrix, generalized_eigenspaces
 from .scalars import common_tower, roots_of_charpoly
 from .series import INF, Series, series_exp
 from .system import (
@@ -54,6 +51,8 @@ from .reduction import (
     katz_order_univariate,
     ramify_system,
     rank_reduce,
+    riccati,
+    solve_graded,
     split,
 )
 
@@ -267,28 +266,24 @@ def _scalar_leaf(S: PfaffianSystem, ram, order):
 def regular_endgame(S: PfaffianSystem, order=10):
     """Reduce a rank-zero system to constant coefficients.
 
-    Solves x_i dT/dx_i = A_i T - T C_i grade by grade with T(0) = I and
-    C_i = A_i(0), all components stacked so a grade left free by one
-    direction can still be pinned by another (free unknowns are 0).
+    Solves x_i dT/dx_i = A_i T - T C_i with T(0) = I and C_i = A_i(0),
+    all components stacked so a grade left free by one direction can
+    still be pinned by another (free unknowns are 0).  Written T = I + X,
+    this is the splitting's Riccati equation with b11 = A_i,
+    b12 = A_i - C_i, b21 = 0, b22 = C_i and p_i = 0, so
+    reduction.solve_graded solves it inside the box of the working order
+    and the input windows, visiting only the grades the support of X
+    reaches.
 
-    The grade loop walks the support of T, not the whole window box:
-    each solved nonzero T_beta is scattered, as A_{i,gamma} T_beta over
-    the nonzero entries of each nonconstant grade of A_i, into a pending
-    right-hand side at beta + gamma when that grade lies in the box.
-    Pending grades pop from a heap in (|beta|, beta) order; every
-    contribution comes from a strictly lower total degree, so a popped
-    grade is complete.  The cost is the nonzero grades of T times the
-    nonzero entries of A, plus one stacked solve per grade with a
-    nonzero right-hand side; grades nothing reaches are never visited.
-
-    Resonance is decided at the popped grades: an inconsistent stacked
-    system returns (None, None, diagnostic) rather than raising, since
-    the input itself is fine.  Certification follows the loop: on exact
-    input, T taken as a polynomial is checked against the full
-    equations, and only then keeps an infinite window.  Finally the
-    commuting family C_i is split into joint generalized eigenblocks by
-    a further constant conjugation W, and (T W, residues, None) comes
-    back; no inverse of T is formed, since nothing applies it.
+    Resonance is decided at those grades: an inconsistent stacked system
+    returns (None, None, diagnostic) rather than raising, since the input
+    itself is fine.  Certification follows: on exact input, T taken as a
+    polynomial is checked against the full equations, since
+    x_i dT/dx_i - A_i T + T C_i = -riccati(..., X, 0, i), and only then
+    keeps an infinite window.  Finally the commuting family C_i is split
+    into joint generalized eigenblocks by a further constant conjugation
+    W, and (T W, residues, None) comes back; no inverse of T is formed,
+    since nothing applies it.
     """
     if any(p != 0 for p in S.p):
         raise InputError("regular endgame needs Poincare rank 0 throughout")
@@ -302,87 +297,22 @@ def regular_endgame(S: PfaffianSystem, order=10):
 
     window = S.window_hi()
     hi = tuple(min(order + 1, w) if w != INF else order + 1 for w in window)
-
-    # sparse support of the nonconstant part of each A_i: per grade
-    # gamma inside the box, its nonzero entries (r, c, coeff)
-    Aterms = []
+    zero = SeriesMatrix.zeros(d, d, n, tower)
+    blocks = []
     for i in range(n):
-        bya = {}
-        for r in range(d):
-            for c in range(d):
-                for e, co in S.A[i].rows[r][c].terms.items():
-                    if all(x == 0 for x in e) or co.is_zero():
-                        continue
-                    if any(x >= h for x, h in zip(e, hi)):
-                        continue
-                    bya.setdefault(e, []).append((r, c, co))
-        Aterms.append(list(bya.items()))
-
-    # pending right-hand sides, one d x d grid per direction, keyed by
-    # the grades that some solved T_beta has reached so far
-    pending = {}
-    heap = []
-
-    def scatter(beta, M):
-        cols = [[(c, v) for c, v in enumerate(row) if not v.is_zero()]
-                for row in M.rows]
-        for i in range(n):
-            for gamma, nz in Aterms[i]:
-                target = tuple(b + g for b, g in zip(beta, gamma))
-                if any(x >= h for x, h in zip(target, hi)):
-                    continue
-                rhs = pending.get(target)
-                if rhs is None:
-                    z = tower.zero()
-                    rhs = pending[target] = [[[z] * d for _ in range(d)]
-                                             for _ in range(n)]
-                    heapq.heappush(heap, (sum(target), target))
-                R = rhs[i]
-                for r, k, a in nz:
-                    for c, v in cols[k]:
-                        R[r][c] = R[r][c] + a * v
-
-    zero_grade = (0,) * n
-    terms = {zero_grade: ConstMatrix.identity(d, tower)}
-    scatter(zero_grade, terms[zero_grade])
-    while heap:
-        _, beta = heapq.heappop(heap)
-        rhs = pending.pop(beta)
-        if all(x.is_zero() for R in rhs for row in R for x in row):
-            continue            # zero is the canonical kernel choice
-        # x_i dT/dx_i = A_i T - T C_i at grade beta: C_i T_beta - T_beta C_i
-        # - beta_i T_beta = -(what lower grades contribute)
-        op = sylvester_stack([(C[i], C[i], beta[i]) for i in range(n)], tower)
-        sol = op.solve_vec([-x for R in rhs for row in R for x in row])
-        if sol is None:
-            return None, None, (f"resonant: no polynomial correction at "
-                                f"grade {tuple(beta)}")
-        M = ConstMatrix([[sol[r * d + c] for c in range(d)] for r in range(d)],
-                        tower)
-        if not M.is_zero():
-            terms[beta] = M
-            scatter(beta, M)
-
-    entries = [[dict() for _ in range(d)] for _ in range(d)]
-    for beta, M in terms.items():
-        for r in range(d):
-            for c in range(d):
-                if not M.rows[r][c].is_zero():
-                    entries[r][c][beta] = M.rows[r][c]
+        Ci = C[i].to_series(n)
+        blocks.append((S.A[i], S.A[i] - Ci, zero, Ci))
+    try:
+        X = solve_graded(blocks, S.p, hi, tower)
+    except ResonanceError as exc:
+        return None, None, f"resonant: {exc}"
 
     # certify: if T taken as an exact polynomial closes the equation,
     # its window is infinite, otherwise it is honest truncated data
-    T = SeriesMatrix([[Series(n, entries[r][c], tower)
-                       for c in range(d)] for r in range(d)], n, tower)
-    exact = all(S.A[i].exact for i in range(n))
-    if exact:
-        for i in range(n):
-            e = tuple(1 if k == i else 0 for k in range(n))
-            R = (T.partial_derivative(i).mul_monomial(e)
-                 - S.A[i] * T + T * C[i].to_series(n))
-            if not (R.is_zero() and R.exact):
-                exact = False
-                break
+    T = SeriesMatrix.identity(d, n, tower) + X
+    exact = S.exact and all(
+        R.is_zero() and R.exact
+        for R in (riccati(b, X, 0, i) for i, b in enumerate(blocks)))
     if not exact:
         T = T.clipped(hi)
 
@@ -500,6 +430,13 @@ def _reduce(S, ram, order, trace, path, certify=None):
             bot_n, _ = normalize_poincare(bottom)
             phiT, ramT, QT, CT, stT, dgT = _reduce(
                 top_n, ram, order, trace, path + f"{split_i}a/", certify)
+            # the bottom block factors its eigenvalues over the field the
+            # top reached, so both branches' fields join at the merge
+            tw = common_tower(bot_n.tower, phiT.tower)
+            bot_n = PfaffianSystem(
+                bot_n.vars, bot_n.p,
+                [SeriesMatrix(M.rows, n, tw) for M in bot_n.A], tw,
+                bot_n.trivial)
             phiB, ramB, QB, CB, stB, dgB = _reduce(
                 bot_n, ram, order, trace, path + f"{split_i}b/", certify)
             s = [math.lcm(a, b) for a, b in zip(ramT, ramB)]
@@ -555,9 +492,7 @@ def _reduce(S, ram, order, trace, path, certify=None):
                 raise last_fee
             raise ReductionError(
                 "ramification exceeded the dimension bound")
-        p_ass, M_ass = S.associated_ods(i)
-        ods = PfaffianSystem([S.vars[i]], [p_ass], [M_ass], S.tower)
-        w = katz_order_univariate(ods, order=order)
+        w = katz_order_univariate(S.associated_ods(i), order=order)
         m = w.denominator
         if m == 1:
             if last_fee is not None:

@@ -58,7 +58,15 @@ class TruncationInsufficient(PfaffError):
 
 
 class ResonanceError(PfaffError):
-    """Block uncoupling/endgame equations are inconsistent (resonant case)."""
+    """Block uncoupling/endgame equations are inconsistent (resonant case).
+
+    grade -- the monomial exponent whose equations have no solution, when
+             the failure comes from a graded solve; None otherwise
+    """
+
+    def __init__(self, message="", grade=None):
+        super().__init__(message)
+        self.grade = grade
 
 
 class ReductionError(PfaffError):

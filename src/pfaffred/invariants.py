@@ -29,14 +29,9 @@ __all__ = [
 ]
 
 
-def _ods_system(S: PfaffianSystem, i: int) -> PfaffianSystem:
-    p, M = S.associated_ods(i)
-    return PfaffianSystem([S.vars[i]], [p], [M], S.tower)
-
-
 def exponential_order(S: PfaffianSystem, order: int = 10):
     """Growth order in each variable, via the associated univariate systems."""
-    return [katz_order_univariate(_ods_system(S, i), order=order)
+    return [katz_order_univariate(S.associated_ods(i), order=order)
             for i in range(S.n)]
 
 
@@ -82,7 +77,7 @@ def exponential_parts(S: PfaffianSystem, order: int = 10, max_retries: int = 4):
     check_order(order, max_retries)
     out = []
     for i in range(S.n):
-        ods = _ods_system(S, i)
+        ods = S.associated_ods(i)
         if ods.A[0].is_zero() and ods.A[0].exact:
             out.append(ExponentialPart(i, 1, [{} for _ in range(S.d)]))
             continue

@@ -1,14 +1,17 @@
 """Matrices over the scalar field and over truncated series.
 
 ConstMatrix holds field scalars and supports exact elimination (rref,
-rank, solve, kernel, inverse; Elimination replays one elimination on
-many right-hand sides) plus characteristic polynomials and generalized
-eigenspace decomposition; sylvester_stack builds the stacked operator
-X -> (L_k X - X R_k - s_k X)_k that the splitting and the regular
-endgame solve grade by grade.  SeriesMatrix holds Series entries and
-has no inverse: every series gauge is built together with its inverse
-(see system.GaugeTransformation).  Both the characteristic polynomial
-and the series determinant come from one memoized minor expansion.
+rank, solve, kernel, inverse) plus characteristic polynomials and
+generalized eigenspace decomposition.  Every elimination is one
+Gauss-Jordan loop, Elimination, which records its row operations: rref
+reads its reduced form, and solve_vec and inverse replay the operations
+on a right-hand side or on unit vectors.  sylvester_stack builds the
+stacked operator X -> (L_k X - X R_k - s_k X)_k that the graded
+solver (reduction.solve_graded) eliminates.  SeriesMatrix holds Series
+entries and has no inverse: every series gauge is built together with
+its inverse (see system.GaugeTransformation).  Both the characteristic
+polynomial and the series determinant come from one memoized minor
+expansion.
 
 Sums, products (by a matrix, a series or a scalar) and block builders
 return their result in the join of the operands' fields
@@ -98,31 +101,10 @@ class ConstMatrix:
     def is_zero(self):
         return all(a.is_zero() for r in self.rows for a in r)
 
-    def rref(self, ncols=None):
-        """(reduced row echelon form, pivot column list).
-
-        With ncols given, pivots are sought only in the first ncols
-        columns; the rest are carried along by the same row operations.
-        """
-        m = [list(r) for r in self.rows]
-        pivots = []
-        pr = 0
-        for pc in range(self.ncols if ncols is None else ncols):
-            piv = next((i for i in range(pr, self.nrows) if not m[i][pc].is_zero()), None)
-            if piv is None:
-                continue
-            m[pr], m[piv] = m[piv], m[pr]
-            inv = m[pr][pc].inverse()
-            m[pr] = [a * inv for a in m[pr]]
-            for i in range(self.nrows):
-                if i != pr and not m[i][pc].is_zero():
-                    f = m[i][pc]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[pr])]
-            pivots.append(pc)
-            pr += 1
-            if pr == self.nrows:
-                break
-        return ConstMatrix(m, self.tower), pivots
+    def rref(self):
+        """(reduced row echelon form, pivot column list)."""
+        el = Elimination(self)
+        return el.R, el.pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -141,15 +123,8 @@ class ConstMatrix:
         return basis
 
     def solve_vec(self, b):
-        """Any x with A x = b, or None when inconsistent."""
-        aug = ConstMatrix([r + [bb] for r, bb in zip(self.rows, b)], self.tower)
-        R, pivots = aug.rref()
-        if self.ncols in pivots:
-            return None
-        x = [self.tower.zero()] * self.ncols
-        for i, p in enumerate(pivots):
-            x[p] = R.rows[i][self.ncols]
-        return x
+        """Any x with A x = b (free unknowns 0), or None when inconsistent."""
+        return Elimination(self).solve(b)
 
     def inverse(self):
         if self.nrows != self.ncols:
@@ -157,7 +132,10 @@ class ConstMatrix:
         el = Elimination(self)
         if el.pivots != list(range(self.nrows)):
             raise NotInvertibleError("singular matrix")
-        return ConstMatrix(el.E, self.tower)
+        zero, one = self.tower.zero(), self.tower.one()
+        cols = [el.solve([one if i == j else zero for i in range(self.nrows)])
+                for j in range(self.nrows)]
+        return ConstMatrix(list(zip(*cols)), self.tower)
 
     def charpoly(self):
         """det(tI - A), monic, coefficients low to high."""
@@ -202,39 +180,55 @@ class ConstMatrix:
 
 
 class Elimination:
-    """The row operations that bring A to reduced echelon form.
+    """Gauss-Jordan elimination of A, with its row operations recorded.
 
-    E is the product of those operations (E A = rref(A)), kept with the
-    pivot columns so that A x = b is solved for many right-hand sides
-    with one elimination: E b is what rref([A | b]) leaves in its last
-    column, so solve(b) returns exactly the x of A.solve_vec(b).
+    Per pivot it keeps the pivot row, the row swapped into it, the
+    pivot's inverse and each (row, factor) elimination, plus the reduced
+    form R and the pivot columns.  solve(b) replays those operations on
+    b, which is exactly what rref([A | b]) does to its last column, so
+    one elimination serves any number of right-hand sides.
     """
 
-    __slots__ = ("E", "pivots", "ncols", "tower")
+    __slots__ = ("R", "pivots", "ops", "ncols", "tower")
 
     def __init__(self, A: ConstMatrix):
-        one, zero = A.tower.one(), A.tower.zero()
-        aug = ConstMatrix([r + [one if j == i else zero for j in range(A.nrows)]
-                           for i, r in enumerate(A.rows)], A.tower)
-        R, self.pivots = aug.rref(A.ncols)
-        self.E = [r[A.ncols:] for r in R.rows]
-        self.ncols = A.ncols
-        self.tower = A.tower
+        m = [list(r) for r in A.rows]
+        self.pivots, self.ops = [], []
+        self.ncols, self.tower = A.ncols, A.tower
+        pr = 0
+        for pc in range(A.ncols):
+            if pr == A.nrows:
+                break
+            piv = next((i for i in range(pr, A.nrows)
+                        if not m[i][pc].is_zero()), None)
+            if piv is None:
+                continue
+            m[pr], m[piv] = m[piv], m[pr]
+            inv = m[pr][pc].inverse()
+            m[pr] = [a * inv for a in m[pr]]
+            elim = []
+            for i in range(A.nrows):
+                if i != pr and not m[i][pc].is_zero():
+                    f = m[i][pc]
+                    m[i] = [a - f * b for a, b in zip(m[i], m[pr])]
+                    elim.append((i, f))
+            self.ops.append((pr, piv, inv, elim))
+            self.pivots.append(pc)
+            pr += 1
+        self.R = ConstMatrix(m, A.tower)
 
     def solve(self, b):
-        """Any x with A x = b (free variables 0), or None when inconsistent."""
-        zero = self.tower.zero()
-        nz = [(j, bj) for j, bj in enumerate(b) if not bj.is_zero()]
-        y = []
-        for row in self.E:
-            acc = zero
-            for j, bj in nz:
-                if not row[j].is_zero():
-                    acc = acc + row[j] * bj
-            y.append(acc)
+        """Any x with A x = b (free unknowns 0), or None when inconsistent."""
+        y = list(b)
+        for pr, piv, inv, elim in self.ops:
+            y[pr], y[piv] = y[piv], y[pr]
+            v = y[pr] = y[pr] * inv
+            if not v.is_zero():
+                for i, f in elim:
+                    y[i] = y[i] - f * v
         if any(not v.is_zero() for v in y[len(self.pivots):]):
             return None
-        x = [zero] * self.ncols
+        x = [self.tower.zero()] * self.ncols
         for i, p in enumerate(self.pivots):
             x[p] = y[i]
         return x
@@ -308,7 +302,9 @@ def sylvester_stack(blocks, tower):
 
     blocks lists (L_k, R_k, s_k): square constant L_k and R_k of the
     row and column sizes of X, and a rational shift s_k.  Row block k
-    of the result holds equation k.
+    of the result holds equation k.  This is the operator of one monomial
+    of the graded solver (reduction.solve_graded), with L_k = b11(0),
+    R_k = b22(0) and s_k the monomial's shift.
     """
     rows, cols = blocks[0][0].nrows, blocks[0][1].nrows
     size = rows * cols

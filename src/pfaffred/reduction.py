@@ -11,18 +11,22 @@ is verified rather than assumed.  The growth order of a one-variable
 system (katz_order_univariate) is read off the characteristic
 polynomial of its rank-reduced form.
 
+One graded solver, solve_graded, serves both splitting and the regular
+endgame: each needs an X without constant term solving the Riccati
+equations b11 X + b12 - X b22 - X b21 X - x_k^{p_k+1} dX/dx_k = 0
+(riccati) of all components jointly, inside a box of monomials.  Each
+monomial's unknowns solve one stacked linear system whose operator
+depends only on the shifts beta_k of the regular components, so each
+distinct operator is eliminated once and its recorded row operations
+are replayed on every right-hand side.  The right-hand sides wait at
+their monomial until every lower total degree is solved, so only the
+monomials the support of X reaches are visited.
+
 Splitting decouples a component whose constant term has at least two
-distinct eigenvalues into two diagonal blocks; the off-diagonal blocks
-of the coupling transformation solve Riccati-type equations grade by
-grade, jointly over all components.  Each monomial's unknowns solve one
-stacked linear system whose operator depends only on the block
-orientation and on the shifts beta_k of the regular components, so each
-distinct operator is eliminated once per split and its row operations
-are replayed on every right-hand side.  The right-hand sides come from
-Riccati residuals kept inside the solve box and updated by each grade's
-increment alone.  Whether the couplings are exact is decided once, by
-evaluating the full equations on the final couplings.  The decoupled
-blocks are read off the splitting identity
+distinct eigenvalues into two diagonal blocks: the couplings P and Q
+solve the equations of the two block orientations.  Whether they are
+exact is decided once, by evaluating the full equations on the final
+couplings.  The decoupled blocks are read off the splitting identity
 A T - x^{p+1} dT = T Diag(a11 + a12 Q, a22 + a21 P), so the coupling is
 never inverted.  Eigenvalue shifting and ramification are the remaining
 primitive moves of the full reduction.
@@ -30,6 +34,7 @@ primitive moves of the full reduction.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from fractions import Fraction
 
@@ -677,6 +682,149 @@ def katz_order_univariate(ods: PfaffianSystem, order: int = 10) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# the graded Riccati solver shared by splitting and the regular endgame
+# ---------------------------------------------------------------------------
+
+def riccati(blocks, X, p, k):
+    """b11 X + b12 - X b22 - X b21 X - x_k^{p+1} dX/dx_k, on the blocks
+    (b11, b12, b21, b22) of component k."""
+    b11, b12, b21, b22 = blocks
+    e = tuple(p + 1 if j == k else 0 for j in range(X.nvars))
+    return (b11 * X + b12 - X * b22 - X * b21 * X
+            - X.partial_derivative(k).mul_monomial(e))
+
+
+def _nonconstant_grades(M, box):
+    """{gamma: [(row, col, coeff)]}: the nonzero entries of M at each
+    nonconstant grade gamma inside the box."""
+    out = {}
+    for r, row in enumerate(M.rows):
+        for c, s in enumerate(row):
+            for e, co in s.terms.items():
+                if any(e) and all(x < h for x, h in zip(e, box)):
+                    out.setdefault(e, []).append((r, c, co))
+    return out
+
+
+def solve_graded(blocks, p, box, tower):
+    """X with no constant term making every riccati(blocks[k], X, p[k], k)
+    vanish on the monomials below box; X is exact.
+
+    blocks lists (b11, b12, b21, b22) per component k; p[k] is its
+    Poincare rank.  Each monomial beta of X solves one stacked system
+    X_beta -> b11(0) X_beta - X_beta b22(0) - s_k X_beta, with s_k = beta_k
+    when p_k = 0 and 0 otherwise; each shift vector is eliminated once
+    and replayed, and free unknowns are 0.  Every other term reaches beta
+    from a strictly lower total degree, so it waits in a right-hand side
+    pending at beta, and the betas pop from a heap in (|beta|, beta)
+    order.  A solved X_beta is scattered at once through the nonconstant
+    grades of b11 and b22 and, when p_k >= 1, through the derivative
+    term, which lands at beta + p_k e_k.  Once a total degree is done,
+    its increment D adds -(D b21 X + (X + D) b21 D) through products
+    clipped to the box.  b12's constant term is not read; an
+    inconsistent beta raises ResonanceError carrying the grade.
+    """
+    n = len(box)
+    nr, nc = blocks[0][1].nrows, blocks[0][1].ncols
+    size = nr * nc
+    consts = [(b[0].constant_term(), b[3].constant_term()) for b in blocks]
+    quadratic = not all(b[2].is_zero() for b in blocks)
+    # per component and nonconstant grade gamma, the terms of
+    # b11_gamma X - X b22_gamma as (source, target, coeff) on vec(X)
+    linear = []
+    for b11, _, _, b22 in blocks:
+        moves = {}
+        for gamma, nz in _nonconstant_grades(b11, box).items():
+            moves.setdefault(gamma, []).extend(
+                (j * nc + c, i * nc + c, a)
+                for i, j, a in nz for c in range(nc))
+        for gamma, nz in _nonconstant_grades(b22, box).items():
+            moves.setdefault(gamma, []).extend(
+                (r * nc + i, r * nc + j, -a)
+                for i, j, a in nz for r in range(nr))
+        linear.append(list(moves.items()))
+
+    # per beta, the beta coefficients of the equations that lower grades
+    # contribute, flat in (component, row, col) order
+    pending: dict = {}
+    heap: list = []
+
+    def rhs(beta):
+        r = pending.get(beta)
+        if r is None:
+            r = pending[beta] = [tower.zero()] * (n * size)
+            heapq.heappush(heap, (sum(beta), beta))
+        return r
+
+    def in_box(beta):
+        return all(x < h for x, h in zip(beta, box))
+
+    for k, b in enumerate(blocks):
+        for gamma, nz in _nonconstant_grades(b[1], box).items():
+            r = rhs(gamma)
+            for i, j, a in nz:
+                r[k * size + i * nc + j] += a
+
+    eliminations: dict = {}
+    X = SeriesMatrix.zeros(nr, nc, n, tower)
+    while heap:
+        g = heap[0][0]
+        terms: dict = {}
+        while heap and heap[0][0] == g:
+            _, beta = heapq.heappop(heap)
+            r = pending.pop(beta)
+            if all(v.is_zero() for v in r):
+                continue            # zero is the canonical kernel choice
+            shifts = tuple(b if pk == 0 else 0 for b, pk in zip(beta, p))
+            el = eliminations.get(shifts)
+            if el is None:
+                el = eliminations[shifts] = Elimination(sylvester_stack(
+                    [(c11, c22, s) for (c11, c22), s in zip(consts, shifts)],
+                    tower))
+            x = el.solve([-v for v in r])
+            if x is None:
+                raise ResonanceError(
+                    f"no polynomial correction at grade {beta}", grade=beta)
+            xs = {i: v for i, v in enumerate(x) if not v.is_zero()}
+            if not xs:
+                continue
+            for i, v in xs.items():
+                terms.setdefault(divmod(i, nc), {})[beta] = v
+            for k in range(n):
+                base = k * size
+                for gamma, moves in linear[k]:
+                    target = tuple(b + c for b, c in zip(beta, gamma))
+                    if in_box(target):
+                        r = rhs(target)
+                        for src, dst, a in moves:
+                            if src in xs:
+                                r[base + dst] += a * xs[src]
+                if p[k] and beta[k]:        # -x_k^{p_k+1} dX/dx_k
+                    target = tuple(b + p[k] if kk == k else b
+                                   for kk, b in enumerate(beta))
+                    if in_box(target):
+                        r = rhs(target)
+                        for i, v in xs.items():
+                            r[base + i] -= beta[k] * v
+        if not terms:
+            continue
+        D = SeriesMatrix.zeros(nr, nc, n, tower)
+        for (i, j), t in terms.items():
+            D.rows[i][j] = Series(n, t, tower)
+        XD = X + D
+        if quadratic:
+            for k, (_, _, b21, _) in enumerate(blocks):
+                R = ((D * b21).clipped(box) * X
+                     + XD * (b21 * D).clipped(box)).clipped(box)
+                for i, row in enumerate(R.rows):
+                    for j, s in enumerate(row):
+                        for e, v in s.terms.items():
+                            rhs(e)[k * size + i * nc + j] -= v
+        X = XD
+    return X
+
+
+# ---------------------------------------------------------------------------
 # splitting along an eigenvalue decomposition
 # ---------------------------------------------------------------------------
 
@@ -684,23 +832,12 @@ def split(S: PfaffianSystem, i: int, order: int = 10):
     """Decouple component i by the eigenvalues of its constant term.
 
     The constant term must have at least two distinct eigenvalues; the
-    first in canonical order drives the top block.  Off-diagonal
-    couplings P (top right) and Q (bottom left) are removed grade by
-    grade, jointly over all components, inside the box W of monomials
-    that the input windows determine:
-
-    - at grade g, every monomial beta in the box solves one stacked
-      system for its coefficients of P (and one for Q), with the
-      residual's beta coefficients on the right.  The operator is
-      eliminated once per (orientation, shifts) and replayed, so the
-      solution, including the free unknowns set to 0 in resonant but
-      consistent cases, is that of a fresh elimination, and an
-      inconsistent right-hand side raises ResonanceError;
-    - the residuals of P and Q are clipped to W and carried across
-      grades: adding the grade's increment D to X adds only
-      b11 D - D b22 - D b21 X - (X + D) b21 D - x_k^{p_k+1} dD/dx_k;
-    - the loop ends when the clipped residuals vanish or the grades of
-      the box run out.
+    first in canonical order drives the top block.  In the eigenbasis,
+    with blocks (a11, a12, a21, a22) per component, the couplings P (top
+    right) and Q (bottom left) solve the Riccati equations
+    riccati((a11, a12, a21, a22), P) = 0 and riccati((a22, a21, a12, a11),
+    Q) = 0 jointly over all components; solve_graded solves each inside
+    the box W of monomials that the input windows determine.
 
     Once P and Q solve their equations, the coupling T = [[I, P], [Q, I]]
     satisfies A_k T - x_k^{p_k+1} dT/dx_k = T Diag(a11 + a12 Q,
@@ -710,8 +847,8 @@ def split(S: PfaffianSystem, i: int, order: int = 10):
     P and Q vanish on an infinite window.  Otherwise P, Q and both blocks
     are clipped to W, and the residue check is decided here: the Riccati
     residuals of the clipped P and Q are evaluated afresh on the input
-    blocks clipped to W (not read off the residuals the loop carries),
-    and any that is nonzero on W raises ResonanceError.
+    blocks clipped to W, and any that is nonzero on W raises
+    ResonanceError.  So does an inconsistent coupling, naming its grade.
 
     Returns (T, top, bottom): T is the eigenbasis change times the
     coupling, and top and bottom are standalone systems on the diagonal
@@ -737,27 +874,10 @@ def split(S: PfaffianSystem, i: int, order: int = 10):
         Ak = S.A[k]
         a.append((Ak.submatrix(rs1, rs1), Ak.submatrix(rs1, rs2),
                   Ak.submatrix(rs2, rs1), Ak.submatrix(rs2, rs2)))
-    a11_0 = [blk[0].constant_term() for blk in a]
-    a22_0 = [blk[3].constant_term() for blk in a]
-
-    def oriented(blocks, up):
-        """(b11, b12, b21, b22) of the equation for P, mirrored for Q."""
-        b11, b12, b21, b22 = blocks
-        return (b11, b12, b21, b22) if up else (b22, b21, b12, b11)
-
-    ei = [tuple(S.p[k] + 1 if kk == k else 0 for kk in range(n))
-          for k in range(n)]
-
-    def riccati(blocks, X, up, k):
-        """b11 X + b12 - X b22 - X b21 X - x_k^{p_k+1} dX/dx_k, on the
-        blocks of component k."""
-        b11, b12, b21, b22 = oriented(blocks, up)
-        return (b11 * X + b12 - X * b22 - X * b21 * X
-                - X.partial_derivative(k).mul_monomial(ei[k]))
 
     # solve only inside the box the input windows can serve: every
-    # monomial read below stays strictly under W in each variable, so
-    # the couplings are correct on the whole box and may be clipped to it
+    # monomial read stays strictly under W in each variable, so the
+    # couplings are correct on the whole box and may be clipped to it
     W = [order + 1] * n
     for blocks in a:
         for M in blocks:
@@ -774,91 +894,19 @@ def split(S: PfaffianSystem, i: int, order: int = 10):
                      else Series.zero(n, tower))
 
     boxed = [tuple(in_box(M) for M in blocks) for blocks in a]
-
-    # The unknowns of one grade solve, per monomial beta, one stacked
-    # linear system: row block k is X -> C1 X - X C2 - shift_k X with
-    # C1, C2 the constant diagonal blocks, shift_k = beta_k when p_k = 0
-    # and 0 otherwise.  The operator depends only on the orientation and
-    # those shifts, so each is eliminated once and replayed per monomial.
-    eliminations: dict = {}
-
-    def solve(up, beta, rhs):
-        shifts = tuple(beta[k] if S.p[k] == 0 else 0 for k in range(n))
-        el = eliminations.get((up, shifts))
-        if el is None:
-            C1, C2 = (a11_0, a22_0) if up else (a22_0, a11_0)
-            el = eliminations[(up, shifts)] = Elimination(sylvester_stack(
-                list(zip(C1, C2, shifts)), tower))
-        sol = el.solve(rhs)
-        if sol is None:
-            raise ResonanceError("off-diagonal elimination is inconsistent; "
-                                 "integrability invariant breached")
-        return sol
-
-    def grade_step(X, res, up, g):
-        """Increment of X solving the residual's grade-g part (None if 0)."""
-        nr, nc = X.nrows, X.ncols
-        add: dict = {}
-        for beta in _monomials_of_grade(list(range(n)), g, n):
-            if any(beta[kk] >= W[kk] for kk in range(n)):
-                continue
-            rhs = [-res[k].rows[rr][cc].coefficient(beta)
-                   for k in range(n) for rr in range(nr) for cc in range(nc)]
-            if all(v.is_zero() for v in rhs):
-                continue
-            x = solve(up, beta, rhs)
-            for rr in range(nr):
-                for cc in range(nc):
-                    val = x[rr * nc + cc]
-                    if not val.is_zero():
-                        add.setdefault((rr, cc), {})[beta] = val
-        if not add:
-            return None
-        inc = SeriesMatrix.zeros(nr, nc, n, tower)
-        for (rr, cc), terms in add.items():
-            inc.rows[rr][cc] = Series(n, terms, tower)
-        return inc
-
-    def advance(X, res, up, D):
-        """(X + D, its residuals inside the box) from X and its residuals:
-        only the terms that involve D are computed."""
-        XD = X + D
-        out = []
-        for k in range(n):
-            b11, _, b21, b22 = oriented(boxed[k], up)
-            DB = (D * b21).clipped(box)
-            BD = (b21 * D).clipped(box)
-            out.append((res[k] + b11 * D - D * b22 - DB * X - XD * BD
-                        - D.partial_derivative(k).mul_monomial(ei[k])
-                        ).clipped(box))
-        return XD, out
-
-    # residuals of P = Q = 0, carried across grades and updated by each
-    # grade's increment; they only steer the solve, certification and the
-    # residue check below evaluate the equations afresh
-    P = SeriesMatrix.zeros(d1, d - d1, n, tower)
-    Q = SeriesMatrix.zeros(d - d1, d1, n, tower)
-    resP = [oriented(boxed[k], True)[1] for k in range(n)]
-    resQ = [oriented(boxed[k], False)[1] for k in range(n)]
-    for g in range(1, sum(w - 1 for w in W) + 1):
-        if all(m.is_zero() for m in resP + resQ):
-            break
-        incP = grade_step(P, resP, True, g)
-        incQ = grade_step(Q, resQ, False, g)
-        if incP is not None:
-            P, resP = advance(P, resP, True, incP)
-        if incQ is not None:
-            Q, resQ = advance(Q, resQ, False, incQ)
+    P = solve_graded(boxed, S.p, box, tower)
+    Q = solve_graded([b[::-1] for b in boxed], S.p, box, tower)
     certified = all(
         m.is_zero() and m.exact
         for k in range(n)
-        for m in (riccati(a[k], P, True, k), riccati(a[k], Q, False, k)))
+        for m in (riccati(a[k], P, S.p[k], k),
+                  riccati(a[k][::-1], Q, S.p[k], k)))
     if not certified:
         P = P.clipped(box)
         Q = Q.clipped(box)
         for k in range(n):
-            for m in (riccati(boxed[k], P, True, k),
-                      riccati(boxed[k], Q, False, k)):
+            for m in (riccati(boxed[k], P, S.p[k], k),
+                      riccati(boxed[k][::-1], Q, S.p[k], k)):
                 if not m.clipped(box).is_zero():
                     raise ResonanceError("off-diagonal residue after splitting")
     tops, bottoms = [], []

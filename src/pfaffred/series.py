@@ -99,9 +99,7 @@ class Series:
         return not self.terms
 
     def constant_term(self) -> Scalar:
-        if any(h <= 0 for h in self.hi):
-            raise TruncationInsufficient("constant term outside validity window")
-        return self.terms.get((0,) * self.nvars, self.tower.zero())
+        return self.coefficient((0,) * self.nvars)
 
     def coefficient(self, exp) -> Scalar:
         exp = tuple(exp)

@@ -77,9 +77,11 @@ class PfaffianSystem:
         return PfaffianSystem(self.vars, self.p, [M.clipped(hi) for M in self.A],
                               self.tower, self.trivial)
 
-    def associated_ods(self, i: int):
-        """(p_i, univariate matrix): A_i with every other variable at 0."""
-        return self.p[i], self.A[i].project_to_var(i)
+    def associated_ods(self, i: int) -> PfaffianSystem:
+        """The one-variable system of component i: A_i with every other
+        variable at 0, and rank p_i."""
+        return PfaffianSystem([self.vars[i]], [self.p[i]],
+                              [self.A[i].project_to_var(i)], self.tower)
 
     def fingerprint(self) -> str:
         parts = [repr((self.vars, self.p))]

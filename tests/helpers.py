@@ -145,3 +145,27 @@ def sibling_system(block):
     A1 = mat2(rows(z, [[1, 0], [0, 1]]))
     A2 = mat2(rows([[0, 1], [2, 0]], block))
     return PfaffianSystem(["x1", "x2"], [0, 0], [A1, A2], QQ)
+
+
+def merge_system(top, bottom):
+    """x^2 dF/dx = (diag(0, 0, 1, 1) + x diag(top, bottom)) F.
+
+    The leading constant splits F into two blocks over Q; each block's
+    x coefficient then needs a quadratic field, and the bottom block must
+    be factored over the field the top one reached, or the two branches
+    do not merge.
+    """
+    z = [[0, 0], [0, 0]]
+    grid = ([[{1: v} for v in r] + s for r, s in zip(top, z)]
+            + [s + [{0: int(i == j), 1: v} for j, v in enumerate(r)]
+               for i, (r, s) in enumerate(zip(bottom, z))])
+    return sys1(grid, 1)
+
+
+# (top, bottom) x coefficients of merge_system: +-sqrt(2) beside
+# +-2 sqrt(2) either way round, and +-sqrt(2) beside 1 +- sqrt(2)
+MERGE_CASES = {
+    "split-sqrt2-sqrt8": ([[0, 1], [2, 0]], [[0, 1], [8, 0]]),
+    "split-sqrt8-sqrt2": ([[0, 1], [8, 0]], [[0, 1], [2, 0]]),
+    "split-sqrt2-shifted": ([[0, 1], [2, 0]], [[0, 1], [1, 2]]),
+}

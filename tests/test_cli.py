@@ -14,7 +14,9 @@ from pfaffred.docio import (MAX_DIMENSION, MAX_GAUGE_DEGREE, MAX_GAUGE_OPS,
 from pfaffred.errors import InputError
 from pfaffred.reduction import MAX_ORDER, MAX_RETRIES, check_order
 
-from helpers import hyper_system, kron_system, mixed_system, sys1
+from helpers import (
+    MERGE_CASES, hyper_system, kron_system, merge_system, mixed_system, sys1,
+)
 
 
 def run(capsys, argv, code=0):
@@ -313,6 +315,18 @@ def test_cubic_eigenvalue_field_exits_two(tmp_path, capsys):
         sys1([[0, 0, 2], [1, 0, 0], [0, 1, 0]], 1)))
     err = run(capsys, ["reduce", doc], 2)["error"]
     assert err["type"] == "FieldExtensionError"
+
+
+# a split over Q whose blocks each need Q(sqrt 2) used to exit 2: the
+# blocks were reduced in two fields that did not join at the merge
+@pytest.mark.parametrize("case", sorted(MERGE_CASES))
+def test_split_blocks_sharing_a_field_reduce_and_verify(tmp_path, capsys,
+                                                        case):
+    doc = write_json(tmp_path / "merge.json",
+                     serialize_system(merge_system(*MERGE_CASES[case])))
+    sol = write_json(tmp_path / "merge.solution.json",
+                     run(capsys, ["reduce", doc, "--order", "8"]))
+    assert run(capsys, ["verify", doc, sol])["ok"] is True
 
 
 # finding rational eigenvalues must take time polynomial in their bit

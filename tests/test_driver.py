@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import random
 import time
 import types
 from fractions import Fraction
@@ -33,12 +34,16 @@ from pfaffred import (
     true_poincare_rank,
     verify_solution,
 )
-from pfaffred.reduction import MAX_ORDER, MAX_RETRIES
+from pfaffred.reduction import (
+    MAX_ORDER, MAX_RETRIES, rank_reduce, rank_reduce_alt,
+)
 
 from helpers import (
+    MERGE_CASES,
     hyper_system,
     kron_system,
     mat2,
+    merge_system,
     mixed_system,
     quadratic_system,
     shifted_system,
@@ -328,6 +333,17 @@ PINNED = [
      ("3c8f1fdcfb89be92", "43781bd173e7f868")),
     ("siblings-shifted", lambda: sibling_system([[0, 1], [1, 2]]), 8,
      ("88401eba4c35cd8f", "43781bd173e7f868")),
+    # a split over Q whose two blocks each need Q(sqrt 2): the bottom block
+    # is reduced in the field the top one reached
+    ("split-sqrt2-sqrt8",
+     lambda: merge_system(*MERGE_CASES["split-sqrt2-sqrt8"]), 8,
+     ("a911acfae97205c1", "0d0f148b5fe461e7")),
+    ("split-sqrt8-sqrt2",
+     lambda: merge_system(*MERGE_CASES["split-sqrt8-sqrt2"]), 8,
+     ("702a06a35e9ed626", "0d0f148b5fe461e7")),
+    ("split-sqrt2-shifted",
+     lambda: merge_system(*MERGE_CASES["split-sqrt2-shifted"]), 8,
+     ("0f5aadb9ad4ae403", "0d0f148b5fe461e7")),
 ]
 
 
@@ -404,6 +420,41 @@ def assert_planted(sol, planted):
     assert sol.omega() == planted["omega"]
     assert [q_canonical(q) for q in sol.Q] == [q_canonical(q)
                                                 for q in planted["Q"]]
+
+
+def sweep_shapes(count, seed):
+    """(generator seed, shape) pairs drawn from random.Random(seed): n in
+    1..2, d in 2..3, p_i in 0..2, ramified with probability 0.3 when
+    p_1 >= 1."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 2)
+        d = rng.randint(2, 3)
+        p = [rng.randint(0, 2) for _ in range(n)]
+        ramified = p[0] >= 1 and rng.random() < 0.3
+        out.append((rng.randrange(1000),
+                    {"n": n, "d": d, "p": p, "ramified": ramified}))
+    return out
+
+
+SWEEP = sweep_shapes(20, 7)
+
+
+# the planted generator as an oracle over seeded shapes: fmfs recovers the
+# plant, the per-variable exponential parts agree with fmfs's Q, and the
+# two rank reductions reach the same ranks
+@pytest.mark.parametrize("seed,shape", SWEEP, ids=[
+    f"{'r' if sh['ramified'] else 'g'}{g}-n{sh['n']}d{sh['d']}p"
+    + "".join(map(str, sh["p"])) for g, sh in SWEEP])
+def test_planted_sweep(seed, shape):
+    S, planted = generate_equivalent(seed, shape)
+    sol, _ = fmfs(S, order=8)
+    assert_planted(sol, planted)
+    for part, qs in zip(exponential_parts(S, order=8), sol.Q):
+        assert q_canonical([{Fraction(-k, part.s): c for k, c in q.items()}
+                            for q in part.qs]) == q_canonical(qs)
+    assert rank_reduce(S, order=8)[1].p == rank_reduce_alt(S, order=8)[1].p
 
 
 def working_orders(monkeypatch):

@@ -29,24 +29,19 @@ from pfaffred.invariants import (
 )
 from pfaffred.reduction import ramify_system, rank_reduce
 from pfaffred.scalars import QQ
-from pfaffred.system import GaugeTransformation, PfaffianSystem, apply_gauge
+from pfaffred.system import GaugeTransformation, apply_gauge
 
 F = Fraction
 
 
 # -- Katz order of univariate systems ---------------------------------------
 
-def ods_of(S, i):
-    p, M = S.associated_ods(i)
-    return PfaffianSystem([S.vars[i]], [p], [M], QQ)
-
-
 def test_katz_hyper_first_direction():
-    assert katz_order_univariate(ods_of(hyper_system(), 0)) == 1
+    assert katz_order_univariate(hyper_system().associated_ods(0)) == 1
 
 
 def test_katz_hyper_second_direction():
-    assert katz_order_univariate(ods_of(hyper_system(), 1)) == 2
+    assert katz_order_univariate(hyper_system().associated_ods(1)) == 2
 
 
 def test_katz_regular_scalar():
@@ -79,7 +74,7 @@ def test_katz_rejects_multivariate_input():
 def test_katz_reduces_rank_first():
     # x2-direction of the shifted system: nilpotent leading matrix at
     # p=1, but the true rank is 0, so the order must come out 0.
-    ods = ods_of(shifted_system(), 1)
+    ods = shifted_system().associated_ods(1)
     assert ods.coeff(0, 0).constant_term().rank() == 1  # nonzero but nilpotent
     assert katz_order_univariate(ods) == 0
 
@@ -87,7 +82,7 @@ def test_katz_reduces_rank_first():
 def test_katz_unreduced_rank_is_a_reduction_error(monkeypatch):
     # the same ods left at p = 1 gives order 0, outside (p - 1, p]: a
     # broken rank reduction must be reported, not returned as an order
-    ods = ods_of(shifted_system(), 1)
+    ods = shifted_system().associated_ods(1)
     monkeypatch.setattr(reduction, "rank_reduce",
                         lambda S, order: (None, S, []))
     with pytest.raises(ReductionError):
@@ -97,7 +92,7 @@ def test_katz_unreduced_rank_is_a_reduction_error(monkeypatch):
 def test_katz_ramification_scales_order():
     base = sys1([[0, 1], [{1: 1}, 0]], 1)
     assert katz_order_univariate(ramify_system(base, 0, 2)) == 1
-    ods = ods_of(hyper_system(), 1)
+    ods = hyper_system().associated_ods(1)
     assert katz_order_univariate(ramify_system(ods, 0, 2)) == 4
 
 

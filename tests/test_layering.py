@@ -217,3 +217,54 @@ def test_assert_check_sees_a_planted_assert(tmp_path):
                    "MESSAGE = 'assert in a string'\n\n\n"
                    "def f(x):\n    assert x > 0, 'positive'\n    return x\n")
     assert assert_statements(src) == [6]
+
+
+# one grade loop and one elimination: outside linalg, only
+# reduction.solve_graded builds a stacked operator or an elimination
+SOLVER_CALLS = {"sylvester_stack", "Elimination"}
+SOLVER_HOME = ("reduction.py", "solve_graded")
+
+
+def stray_solver_calls(paths):
+    """(file, line, callee) for each call of sylvester_stack or
+    Elimination outside linalg and outside reduction.solve_graded; a
+    call in a nested function counts for the function it is nested in."""
+    found = []
+
+    def visit(node, path, top):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            top = top or node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            callee = (f.id if isinstance(f, ast.Name)
+                      else getattr(f, "attr", None))
+            if callee in SOLVER_CALLS and (path.name, top) != SOLVER_HOME:
+                found.append((path.name, node.lineno, callee))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, top)
+
+    for path in paths:
+        if path.name != "linalg.py":
+            visit(ast.parse(path.read_text(), str(path)), path, None)
+    return found
+
+
+def test_only_solve_graded_builds_eliminations():
+    assert stray_solver_calls(sorted(PACKAGE.glob("*.py"))) == []
+
+
+def test_solver_call_check_sees_a_planted_call(tmp_path):
+    (tmp_path / "linalg.py").write_text(
+        "def solve_vec(A, b):\n    return Elimination(A).solve(b)\n")
+    (tmp_path / "reduction.py").write_text(
+        "def solve_graded(blocks, tower):\n"
+        "    return Elimination(sylvester_stack(blocks, tower))\n\n\n"
+        "def split(blocks, tower):\n"
+        "    def solve():\n"
+        "        return linalg.Elimination(blocks)\n"
+        "    return solve()\n")
+    (tmp_path / "driver.py").write_text(
+        "OP = sylvester_stack([], None)\n")
+    assert stray_solver_calls(sorted(tmp_path.glob("*.py"))) == [
+        ("driver.py", 1, "sylvester_stack"),
+        ("reduction.py", 7, "Elimination")]

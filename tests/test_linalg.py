@@ -59,22 +59,40 @@ def test_solve_vec():
     assert b.solve_vec([QQ.scalar(0), QQ.scalar(1)]) is None
 
 
+def sympy_solve(rows, rhs):
+    """x from sympy's rref of [A | b], free unknowns 0; None when b is a
+    pivot column."""
+    sympy = pytest.importorskip("sympy")
+    ncols = len(rows[0])
+    R, pivots = sympy.Matrix([r + [v] for r, v in zip(rows, rhs)]).rref()
+    if ncols in pivots:
+        return None
+    x = [QQ.zero()] * ncols
+    for i, p in enumerate(pivots):
+        x[p] = QQ.scalar(Fraction(str(R[i, ncols])))
+    return x
+
+
 @given(st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3),
                 min_size=4, max_size=4),
        st.lists(st.integers(-3, 3), min_size=4, max_size=4))
-@settings(max_examples=80)
+@settings(max_examples=80, deadline=None)
 def test_elimination_replays_solve_vec(rows, rhs):
-    # tall, often rank-deficient systems: the replayed elimination must
-    # return solve_vec's x (free unknowns 0) or None exactly when it does
+    # tall, often rank-deficient systems: replaying the recorded row
+    # operations on b gives what rref([A | b]) leaves in its last column
+    sympy = pytest.importorskip("sympy")
     a = cm(rows)
-    b = [QQ.scalar(v) for v in rhs]
     el = Elimination(a)
-    assert ConstMatrix(el.E, QQ) * a == a.rref()[0]
-    assert el.solve(b) == a.solve_vec(b)
-    consistent = [sum((r[j] * QQ.scalar(v) for j, v in enumerate(rhs[:3])),
-                      QQ.zero()) for r in a.rows]
-    assert el.solve(consistent) == a.solve_vec(consistent)
-    assert el.solve(consistent) is not None
+    R, pivots = sympy.Matrix(rows).rref()
+    assert el.pivots == list(pivots)
+    assert el.R == cm([[Fraction(str(v)) for v in R.row(i)]
+                       for i in range(R.rows)])
+    consistent = [sum(r[j] * v for j, v in enumerate(rhs[:3])) for r in rows]
+    for b in (rhs, consistent):
+        want = sympy_solve(rows, b)
+        got = el.solve([QQ.scalar(v) for v in b])
+        assert got == want == a.solve_vec([QQ.scalar(v) for v in b])
+    assert want is not None             # the consistent b has a solution
 
 
 def test_inverse_and_failure():

@@ -25,7 +25,7 @@ from pfaffred.errors import (
     RowModuleNotFree,
     TruncationInsufficient,
 )
-from pfaffred.linalg import SeriesMatrix
+from pfaffred.linalg import SeriesMatrix, generalized_eigenspaces
 from pfaffred.reduction import (
     build_Q,
     build_shearing,
@@ -38,9 +38,11 @@ from pfaffred.reduction import (
     rank_reduce,
     rank_reduce_alt,
     ramify_system,
+    riccati,
+    solve_graded,
     split,
 )
-from pfaffred.scalars import QQ
+from pfaffred.scalars import QQ, roots_of_charpoly
 from pfaffred.series import INF, Series
 from pfaffred.system import (
     GaugeTransformation, PfaffianSystem, apply_gauge, check_integrability,
@@ -489,18 +491,78 @@ def test_split_rejects_order_below_one():
 def test_split_resonant_inconsistent_coupling():
     # x F' = [[1, x], [0, 0]] F: the coupling equation at x^1 reads
     # (1 - 0 - 1) p_1 = -1, which no p_1 solves
-    with pytest.raises(ResonanceError):
+    with pytest.raises(ResonanceError, match="grade") as exc:
         split(sys1([[1, {1: 1}], [0, 0]], 0), 0)
+    assert exc.value.grade == (1,)
 
 
 def test_split_residue_check_refuses_wrong_couplings(monkeypatch):
     # a solver that answers 0 leaves the couplings at 0; the Riccati
     # residuals evaluated afresh on the box are then nonzero
-    solve = reduction.Elimination.solve
-    monkeypatch.setattr(reduction.Elimination, "solve",
-                        lambda self, rhs: [v - v for v in solve(self, rhs)])
+    monkeypatch.setattr(
+        reduction, "solve_graded",
+        lambda blocks, p, box, tower: SeriesMatrix.zeros(
+            blocks[0][1].nrows, blocks[0][1].ncols, len(box), tower))
     with pytest.raises(ResonanceError, match="off-diagonal residue"):
         split(h_system(), 0)
+
+
+# -- the graded Riccati solver ----------------------------------------------
+
+def split_blocks(S, i, order):
+    """(system in the eigenbasis of A_i(0), per-component blocks
+    (a11, a12, a21, a22), box of the order and the input windows)."""
+    C = S.A[i].constant_term()
+    V, sizes = generalized_eigenspaces(C, roots_of_charpoly(C.charpoly()))
+    S = apply_gauge(S, GaugeTransformation.from_constant(V, S.n))
+    top, bottom = range(sizes[0]), range(sizes[0], S.d)
+    blocks = [(A.submatrix(top, top), A.submatrix(top, bottom),
+               A.submatrix(bottom, top), A.submatrix(bottom, bottom))
+              for A in S.A]
+    box = tuple(min([order + 1] + [M.window_hi()[k]
+                                   for b in blocks for M in b])
+                for k in range(S.n))
+    return S, blocks, box
+
+
+def endgame_blocks(S, order):
+    """The regular endgame's (A_i, A_i - C_i, 0, C_i) and its box."""
+    zero = SeriesMatrix.zeros(S.d, S.d, S.n, S.tower)
+    blocks = []
+    for A in S.A:
+        C = A.constant_term().to_series(S.n)
+        blocks.append((A, A - C, zero, C))
+    box = tuple(min(order + 1, w) for w in S.window_hi())
+    return blocks, box
+
+
+def assert_solves_riccati(blocks, p, box, tower):
+    X = solve_graded(blocks, p, box, tower)
+    assert X.exact
+    assert X.constant_term().is_zero()
+    for k, b in enumerate(blocks):
+        assert riccati(b, X, p[k], k).clipped(box).is_zero()
+    return X
+
+
+@pytest.mark.parametrize("build", [h_system, triple_system],
+                         ids=["h_system", "triple"])
+def test_solve_graded_solves_both_split_orientations(build):
+    # triple mixes p_k = 0 and p_k > 0 and has a21 != 0, so both the
+    # derivative scatter and the quadratic term are exercised
+    S, blocks, box = split_blocks(build(), 0, 10)
+    P = assert_solves_riccati(blocks, S.p, box, S.tower)
+    Q = assert_solves_riccati([(b22, b21, b12, b11)
+                               for b11, b12, b21, b22 in blocks],
+                              S.p, box, S.tower)
+    assert not (P.is_zero() and Q.is_zero())
+
+
+def test_solve_graded_solves_the_endgame_equation():
+    S = generate_equivalent(0, {"n": 3, "d": 3, "p": [0, 0, 0]})[0]
+    blocks, box = endgame_blocks(S, 8)
+    X = assert_solves_riccati(blocks, S.p, box, S.tower)
+    assert not X.is_zero()
 
 
 @pytest.mark.parametrize("grid,gauge", RESONANT_CONSISTENT)

@@ -75,13 +75,15 @@ def test_rejects_polar_entries():
 
 def test_associated_ods_restriction():
     S = hyper_system()
-    p1, M1 = S.associated_ods(0)
+    ods1 = S.associated_ods(0)
+    p1, M1 = ods1.p[0], ods1.A[0]
+    assert ods1.vars == ["x1"]
     assert p1 == 3
     # A_1(x1, 0) = [[x1^3+x1^2, 0], [-1, x1^3+x1^2]]
     assert M1.rows[0][0].coefficient((3,)) == 1
     assert M1.rows[0][0].coefficient((2,)) == 1
     assert M1.rows[0][1].is_zero()
-    p2, M2 = S.associated_ods(1)
+    M2 = S.associated_ods(1).A[0]
     assert M2.rows[1][0].coefficient((1,)) == -2
 
 
