@@ -15,8 +15,8 @@ input.
 
 Inputs are bounded: d at most MAX_DIMENSION and every p_i at most
 MAX_POINCARE_RANK, in system documents and generator shapes alike.
-The work of a reduction grows with both (the scalar leaf alone walks
-p_i + 1 coefficients), so an absurd value is refused up front instead
+The work of a reduction grows with both (a 1x1 block alone may take
+p_i eigenvalue shifts), so an absurd value is refused up front instead
 of hanging.  The generator's gauge takes at most MAX_GAUGE_OPS row
 operations with exponents at most MAX_GAUGE_DEGREE: each operation
 multiplies the gauge and its inverse by one more polynomial, so their

@@ -1,9 +1,8 @@
 """Complete reduction driver.
 
 Orchestrates block splitting, eigenvalue shifts, rank reduction and
-ramification until every branch bottoms out in a scalar equation or a
-regular (rank-zero) system, then assembles the pieces into a truncated
-fundamental solution
+ramification until every branch is a regular (rank-zero) system, then
+assembles the pieces into a truncated fundamental solution
 
     F = Phi . prod_i x_i^{C_i} . prod_i exp(Q_i)
 
@@ -12,9 +11,11 @@ constant, and Q_i diagonal with polynomial entries in 1/t_i.
 
 Each branch keeps one running Phi, starting at the identity: every
 gauge is multiplied in when it is made (a rank reduction, a split, the
-endgame's conjugation, the scalar leaf), and a ramification ramifies Phi
-together with the system.  Ramification scales exponents and windows
-alike, so ramifying a product ramifies each factor.  At a split the two
+endgame's conjugation), and a ramification ramifies Phi together with
+the system.  Ramification scales exponents and windows alike, so
+ramifying a product ramifies each factor.  A 1x1 block takes the same
+path as any other: its eigenvalue shifts strip the polar part of each
+component, and the endgame integrates the rest.  At a split the two
 branch solutions are ramified to their common s_i, as is the Phi built
 so far, which then takes their block sum.  Every value lives in the join
 of its operands' fields, so nothing is lifted into Q(alpha) by hand; the
@@ -37,7 +38,7 @@ from .errors import (
 )
 from .linalg import ConstMatrix, SeriesMatrix, generalized_eigenspaces
 from .scalars import common_tower, roots_of_charpoly
-from .series import INF, Series, series_exp
+from .series import INF, Series
 from .system import (
     PfaffianSystem,
     check_integrability,
@@ -195,71 +196,6 @@ def _matrix_fp(M):
     return repr([[_series_fp(s) for s in r] for r in M.rows])
 
 
-# -- scalar (d = 1) leaf ----------------------------------------------------
-
-
-def _scalar_leaf(S: PfaffianSystem, ram, order):
-    """Integrate a rank-one system in closed form.
-
-    Returns (phi 1x1, residues, q dicts); residues and exponents are in
-    the current (possibly ramified) coordinates, the caller rescales.
-    Integrability pins every coefficient a_{i,k} with k <= p_i to a
-    constant, which is what makes the split into q + residue + analytic
-    tail well defined.
-    """
-    n, tower = S.n, S.tower
-    qs = [dict() for _ in range(n)]
-    residues = []
-    tails = []
-    for i in range(n):
-        a = S.A[i].rows[0][0]
-        p = S.p[i]
-        poly = Series.zero(n, tower)
-        for k in range(p + 1):
-            ck = a.coeff_in_xi(i, k)    # raises TruncationInsufficient if unseen
-            c = ck.constant_term()
-            if not (ck - c).is_zero():
-                raise ReductionError(
-                    "low-order scalar coefficients must be constant under "
-                    "integrability")
-            if k < p and not c.is_zero():
-                _qadd(qs[i], Fraction(k - p, ram[i]), c * Fraction(1, k - p))
-            if k == p:
-                residues.append(c)
-            if not c.is_zero():
-                e = tuple(k if j == i else 0 for j in range(n))
-                poly = poly + Series.monomial(n, e, c, tower)
-        shift = tuple(-(p + 1) if j == i else 0 for j in range(n))
-        tails.append((a - poly).mul_monomial(shift))
-
-    # d log(phi) = sum tails_i dx_i; each monomial of the primitive is
-    # pinned by the first variable that actually appears in it.
-    gterms = {}
-    for i, r in enumerate(tails):
-        for e, c in r.terms.items():
-            if all(e[j] == 0 for j in range(i)):
-                beta = e[:i] + (e[i] + 1,) + e[i + 1:]
-                gterms[beta] = c * Fraction(1, beta[i])
-    hi = []
-    for j in range(n):
-        h = INF
-        for i, r in enumerate(tails):
-            hj = r.hi[j]
-            if i == j and hj != INF:
-                hj = hj + 1
-            if hj < h:
-                h = hj
-        hi.append(h)
-    g = Series(n, gterms, tower, None, tuple(hi))
-    for i in range(n):
-        if not g.partial_derivative(i).agrees(tails[i]):
-            raise ReductionError(
-                f"scalar tail is not a gradient in component {i}")
-    box = tuple(min(order + 1, h) if h != INF else order + 1 for h in g.hi)
-    phi = SeriesMatrix([[series_exp(g, box)]], n, tower)
-    return phi, residues, qs
-
-
 # -- regular endgame --------------------------------------------------------
 
 
@@ -283,7 +219,10 @@ def regular_endgame(S: PfaffianSystem, order=10):
     keeps an infinite window.  Finally the commuting family C_i is split
     into joint generalized eigenblocks by a further constant conjugation
     W, and (T W, residues, None) comes back; no inverse of T is formed,
-    since nothing applies it.
+    since nothing applies it.  A 1x1 system, what the eigenvalue shifts
+    leave of a scalar equation, takes the same path: X is then the
+    analytic tail of exp(integral of (A_i - C_i)/x_i), one grade at a
+    time, and W is 1.
     """
     if any(p != 0 for p in S.p):
         raise InputError("regular endgame needs Poincare rank 0 throughout")
@@ -381,18 +320,6 @@ def _reduce(S, ram, order, trace, path, certify=None):
         if guard > 64 * (d + sum(S.p) + 2):
             raise ReductionError("reduction loop failed to make progress")
 
-        if d == 1:
-            leaf, residues, qs = _scalar_leaf(S, ram, order)
-            phi = phi * leaf
-            for i in range(n):
-                for e, c in qacc[i].items():
-                    _qadd(qs[i], e, c)
-            C = [ConstMatrix([[residues[i] * Fraction(1, ram[i])]], S.tower)
-                 for i in range(n)]
-            trace.add(path, "scalar", p=list(S.p))
-            return (phi, ram, [[qs[i]] for i in range(n)], C, ("scalar",),
-                    diags)
-
         if all(p == 0 for p in S.p):
             T, Cs, diag = regular_endgame(S, order=order)
             Q = [[dict(qacc[i]) for _ in range(d)] for i in range(n)]
@@ -410,7 +337,7 @@ def _reduce(S, ram, order, trace, path, certify=None):
         eig = {}
         last_fee = None
         for i in range(n):
-            if S.p[i] > 0 and not S.trivial[i]:
+            if S.p[i] > 0:
                 try:
                     eig[i] = roots_of_charpoly(
                         S.A[i].constant_term().charpoly())
@@ -435,8 +362,7 @@ def _reduce(S, ram, order, trace, path, certify=None):
             tw = common_tower(bot_n.tower, phiT.tower)
             bot_n = PfaffianSystem(
                 bot_n.vars, bot_n.p,
-                [SeriesMatrix(M.rows, n, tw) for M in bot_n.A], tw,
-                bot_n.trivial)
+                [SeriesMatrix(M.rows, n, tw) for M in bot_n.A], tw)
             phiB, ramB, QB, CB, stB, dgB = _reduce(
                 bot_n, ram, order, trace, path + f"{split_i}b/", certify)
             s = [math.lcm(a, b) for a, b in zip(ramT, ramB)]
@@ -483,7 +409,7 @@ def _reduce(S, ram, order, trace, path, certify=None):
 
         # nilpotent at true rank: the growth order is fractional and a
         # ramification makes it visible to the leading constant
-        cand = [i for i in range(n) if S.p[i] > 0 and not S.trivial[i]]
+        cand = [i for i in range(n) if S.p[i] > 0]
         if not cand:
             continue
         i = cand[0]

@@ -71,17 +71,14 @@ def exponential_parts(S: PfaffianSystem, order: int = 10, max_retries: int = 4):
     """Per variable: ramification s_i and the multiset of block q's.
 
     Runs the full reduction driver on each associated univariate system;
-    the driver's accumulated shift and scalar contributions are then
-    repackaged as polynomials in x_i^{-1/s_i}.
+    the driver's accumulated eigenvalue shifts are then repackaged as
+    polynomials in x_i^{-1/s_i}.
     """
     check_order(order, max_retries)
     out = []
     for i in range(S.n):
-        ods = S.associated_ods(i)
-        if ods.A[0].is_zero() and ods.A[0].exact:
-            out.append(ExponentialPart(i, 1, [{} for _ in range(S.d)]))
-            continue
-        sol, _ = fmfs(ods, order=order, max_retries=max_retries)
+        sol, _ = fmfs(S.associated_ods(i), order=order,
+                      max_retries=max_retries)
         s = sol.s[0]
         qs = []
         for q in sol.Q[0]:

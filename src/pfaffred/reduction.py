@@ -551,7 +551,7 @@ def rank_reduce(S: PfaffianSystem, order: int = 10,
     for i in range(S.n):
         guard = (S.p[i] + 1) * S.d + S.d
         it = 0
-        while S.p[i] > 0 and not S.trivial[i]:
+        while S.p[i] > 0:
             it += 1
             if it > guard:
                 raise ReductionError(
@@ -602,7 +602,7 @@ def rank_reduce_alt(S: PfaffianSystem, order: int = 10):
     steps = []
     for i in range(S.n):
         j = 0
-        while j < S.d - 1 and S.p[i] > 0 and not S.trivial[i]:
+        while j < S.d - 1 and S.p[i] > 0:
             colred = column_reduce(S.coeff(i, 0), i, order)
             if not colred.gauge.is_identity():
                 S = _apply_logged(S, colred.gauge, steps, "column_reduce", i)
@@ -765,7 +765,10 @@ def solve_graded(blocks, p, box, tower):
             for i, j, a in nz:
                 r[k * size + i * nc + j] += a
 
+    # with every p_k = 0 the shift vector is beta itself, met only once,
+    # so an elimination is kept for replay only when some p_k >= 1
     eliminations: dict = {}
+    replay = any(p)
     X = SeriesMatrix.zeros(nr, nc, n, tower)
     while heap:
         g = heap[0][0]
@@ -778,9 +781,11 @@ def solve_graded(blocks, p, box, tower):
             shifts = tuple(b if pk == 0 else 0 for b, pk in zip(beta, p))
             el = eliminations.get(shifts)
             if el is None:
-                el = eliminations[shifts] = Elimination(sylvester_stack(
+                el = Elimination(sylvester_stack(
                     [(c11, c22, s) for (c11, c22), s in zip(consts, shifts)],
                     tower))
+                if replay:
+                    eliminations[shifts] = el
             x = el.solve([-v for v in r])
             if x is None:
                 raise ResonanceError(
@@ -941,7 +946,7 @@ def eigen_shift(S: PfaffianSystem, i: int, gamma: Scalar):
     gI = SeriesMatrix.identity(S.d, S.n, S.tower) * gamma
     A = list(S.A)
     A[i] = A[i] - gI
-    out = PfaffianSystem(S.vars, S.p, A, S.tower, S.trivial)
+    out = PfaffianSystem(S.vars, S.p, A, S.tower)
     out, _ = normalize_poincare(out)
     return (p, -gamma * Fraction(1, p)), out
 
@@ -956,4 +961,4 @@ def ramify_system(S: PfaffianSystem, i: int, m: int) -> PfaffianSystem:
     A[i] = A[i] * m
     p = list(S.p)
     p[i] = m * p[i]
-    return PfaffianSystem(S.vars, p, A, S.tower, S.trivial)
+    return PfaffianSystem(S.vars, p, A, S.tower)

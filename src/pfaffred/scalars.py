@@ -521,6 +521,9 @@ def roots_of_charpoly(p):
     tower = common_tower(*(c.tower for c in p))
     p = poly_monic(p)
     total = poly_degree(p)
+    if total == 1:
+        r = -p[0]
+        return [(QQ.scalar(r.to_fraction()) if r.is_rational() else r, 1)]
     roots: list[tuple[Scalar, int]] = []
 
     def extract_known_roots(p):

@@ -10,10 +10,8 @@ infinite window; a series that merely prints as zero while hi is finite
 is a truncation-limited zero, not a proven one.  A sum or product lives
 in the join of its operands' fields (scalars.common_tower), a Scalar
 operand counting by its own field, so a coefficient of a smaller field
-is kept as it is and never lifted.  Beyond ring arithmetic
-and window handling, the module offers the exponential of a series
-without constant term (series_exp), the one exp the reduction uses; it
-has no series division.
+is kept as it is and never lifted.  The module offers ring arithmetic
+and window handling; it has no series division.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from fractions import Fraction
 from .errors import (
     DimensionError,
     NotUnitError,
-    ReductionError,
     TruncationInsufficient,
 )
 from .scalars import FieldTower, Scalar, common_tower, join_scalar
@@ -329,27 +326,3 @@ class Series:
     def __repr__(self):
         return f"Series({self})"
 
-
-def series_exp(g: Series, hi) -> Series:
-    """exp(g) below hi, for g with no constant term and no polar part.
-
-    Every power of g is clipped to hi, so the sum ends once a power
-    vanishes there; 512 terms without that is a ReductionError.
-    """
-    if any(l < 0 for l in g.lo) or any(e < 0 for exp in g.terms for e in exp):
-        raise NotUnitError("series_exp needs a nonnegative support")
-    if g.is_zero() and g.exact:
-        return Series.constant(g.nvars, 1, g.tower)
-    if not g.constant_term().is_zero():
-        raise NotUnitError("series_exp needs a zero constant term")
-    g = g.clipped(hi)
-    out = Series.constant(g.nvars, 1, g.tower) + g
-    term = g
-    k = 1
-    while not term.is_zero():
-        k += 1
-        if k > 512:
-            raise ReductionError("exponential series failed to terminate")
-        term = (term * g).clipped(hi) * Fraction(1, k)
-        out = out + term
-    return out.clipped(hi)

@@ -32,9 +32,9 @@ def digest(parts) -> str:
 class PfaffianSystem:
     """Immutable model of the n-component system."""
 
-    __slots__ = ("vars", "n", "d", "p", "A", "tower", "trivial")
+    __slots__ = ("vars", "n", "d", "p", "A", "tower")
 
-    def __init__(self, vars, p, A, tower, trivial=None):
+    def __init__(self, vars, p, A, tower):
         self.vars = list(vars)
         self.n = len(self.vars)
         if len(p) != self.n or len(A) != self.n:
@@ -58,7 +58,6 @@ class PfaffianSystem:
                                          "without poles")
         self.d = d
         self.tower = tower
-        self.trivial = list(trivial) if trivial else [False] * self.n
 
     # -- views -------------------------------------------------------------
 
@@ -75,7 +74,7 @@ class PfaffianSystem:
 
     def clipped(self, hi):
         return PfaffianSystem(self.vars, self.p, [M.clipped(hi) for M in self.A],
-                              self.tower, self.trivial)
+                              self.tower)
 
     def associated_ods(self, i: int) -> PfaffianSystem:
         """The one-variable system of component i: A_i with every other
@@ -139,22 +138,24 @@ def normalize_poincare(S: PfaffianSystem):
     """Shift own-variable valuation of each A_i into p_i, flooring at 0.
 
     Returns (system, notes); a component that vanishes within its window
-    is flagged trivial and treated as regular.
+    is treated as regular.  Its data is then x_i^{-p_i} A_i, known only
+    below hi_i - p_i, so its window in x_i is clipped there.
     """
-    newA, newp, notes, trivial = [], [], [], []
+    newA, newp, notes = [], [], []
     for i in range(S.n):
         M, p = S.A[i], S.p[i]
         v, limited = M.valuation(i)
         if v == INF:
-            trivial.append(True)
             if limited:
                 notes.append((i, "zero within window; treated as regular"))
+                hi = [INF] * S.n
+                hi[i] = max(M.window_hi()[i] - p, 0)
+                M = M.clipped(tuple(hi))
             else:
                 notes.append((i, "identically zero; regular component"))
             newA.append(M)
             newp.append(0)
             continue
-        trivial.append(False)
         if v < 0:
             raise InputError("component has a pole in its own variable")
         shift = min(v, p)
@@ -164,7 +165,7 @@ def normalize_poincare(S: PfaffianSystem):
             notes.append((i, f"valuation {v}: rank lowered by {shift}"))
         newA.append(M)
         newp.append(p)
-    return PfaffianSystem(S.vars, newp, newA, S.tower, trivial), notes
+    return PfaffianSystem(S.vars, newp, newA, S.tower), notes
 
 
 class GaugeTransformation:

@@ -232,7 +232,7 @@ def test_solution_that_does_not_fit_is_an_input_error(tmp_path, capsys,
     assert named in err["message"]
 
 
-# a scalar system with p = 10^8 used to hang in the scalar leaf
+# a scalar system with p = 10^8 used to hang in the reduction
 @pytest.mark.parametrize("system,mutate", [
     (lambda: sys1([[{0: 1}]], 1), lambda doc: doc.update(p=[10 ** 8])),
     (hyper_system, lambda doc: doc.update(p=[MAX_POINCARE_RANK + 1, 2])),

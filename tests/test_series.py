@@ -1,12 +1,11 @@
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pfaffred.errors import NotUnitError, TruncationInsufficient
 from pfaffred.scalars import QQ
-from pfaffred.series import Series, series_exp
+from pfaffred.series import Series
 
 INF = math.inf
 
@@ -97,24 +96,6 @@ def test_agrees_on_common_window_only():
     assert a == b          # the x^5 term sits outside a's window
     c = Series.constant(1, 1, QQ) + x(n=1)
     assert a != c
-
-
-def test_series_exp_matches_log_derivative():
-    g = x(n=1) * Fraction(1, 2)
-    e = series_exp(g, hi=(7,))
-    # d/dx exp(g) = g' exp(g)
-    lhs = e.partial_derivative(0)
-    rhs = g.partial_derivative(0) * e
-    assert lhs == rhs
-    assert e.coefficient((2,)) == Fraction(1, 8)
-
-
-def test_series_exp_rejects_polar_argument():
-    g = Series.monomial(1, (-1,), 1, QQ)
-    with pytest.raises(NotUnitError):
-        series_exp(g, hi=(3,))
-    with pytest.raises(NotUnitError):
-        series_exp(x(n=1) + 1, hi=(3,))
 
 
 coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)

@@ -56,8 +56,8 @@ def test_normalize_flags_zero_component():
     Z = SeriesMatrix.zeros(2, 2, 2, QQ)
     S = PfaffianSystem(["x1", "x2"], [2, 1], [hyper_system().A[0], Z], QQ)
     out, notes = normalize_poincare(S)
-    assert out.trivial == [False, True]
-    assert out.p[1] == 0
+    assert out.p == [2, 0]
+    assert notes == [(1, "identically zero; regular component")]
 
 
 def test_rejects_negative_rank():
