@@ -160,8 +160,6 @@ def _fmt_series(s, vars_):
     parts = []
     for e in sorted(s.terms, key=lambda e: (sum(e), e)):
         c = s.terms[e]
-        if c.is_zero():
-            continue
         mono = "*".join(f"{v}^{k}" if k > 1 else v
                         for v, k in zip(vars_, e) if k)
         cs = str(c)

@@ -99,12 +99,8 @@ def _scalar_from_json(v, tower: FieldTower) -> Scalar:
 
 
 def _series_to_json(s: Series):
-    out = []
-    for e in sorted(s.terms, key=lambda e: (sum(e), e)):
-        c = s.terms[e]
-        if not c.is_zero():
-            out.append({"exp": list(e), "coeff": _scalar_to_json(c)})
-    return out
+    return [{"exp": list(e), "coeff": _scalar_to_json(s.terms[e])}
+            for e in sorted(s.terms, key=lambda e: (sum(e), e))]
 
 
 def _series_from_json(lst, nvars, tower, hi) -> Series:

@@ -21,6 +21,12 @@ so far, which then takes their block sum.  Every value lives in the join
 of its operands' fields, so nothing is lifted into Q(alpha) by hand; the
 bottom block of a split is reduced in the field the top branch reached,
 so an eigenvalue the top adjoined is found there, not adjoined again.
+
+The loop dispatches on the eigenvalues of each irregular component's
+leading constant A_i(0).  It keeps them from pass to pass and finds
+them again only for what a step changed: the component an eigenvalue
+shift or a ramification acted on (x_i = t^m leaves every other A_j(0)
+as it was), or every component after a rank reduction.
 """
 
 from __future__ import annotations
@@ -188,7 +194,7 @@ def _field_name(tower):
 
 
 def _series_fp(s):
-    items = sorted((e, str(c)) for e, c in s.terms.items() if not c.is_zero())
+    items = sorted((e, str(c)) for e, c in s.terms.items())
     return repr((items, s.lo, s.hi))
 
 
@@ -314,6 +320,10 @@ def _reduce(S, ram, order, trace, path, certify=None):
     just_reduced = False
     guard = 0
     ram_cap = math.lcm(*range(1, d + 1)) * max(ram)
+    # per irregular component, the roots of A_i(0)'s charpoly (eig) or
+    # the FieldExtensionError finding them raised (fee); stale lists the
+    # components changed since
+    eig, fee, stale = {}, {}, set(range(n))
 
     while True:
         guard += 1
@@ -334,19 +344,19 @@ def _reduce(S, ram, order, trace, path, certify=None):
             return phi, ram, Q, C, ("regular", d), diags
 
         # dispatch on the leading constant of each irregular component
-        eig = {}
-        last_fee = None
-        for i in range(n):
+        for i in stale:
+            eig.pop(i, None)
+            fee.pop(i, None)
             if S.p[i] > 0:
                 try:
                     eig[i] = roots_of_charpoly(
                         S.A[i].constant_term().charpoly())
                 except FieldExtensionError as exc:
-                    eig[i] = None
-                    last_fee = exc
+                    fee[i] = exc
+        stale = set()
+        last_fee = fee[max(fee)] if fee else None
 
-        split_i = next((i for i in sorted(eig)
-                        if eig[i] is not None and len(eig[i]) >= 2), None)
+        split_i = next((i for i in sorted(eig) if len(eig[i]) >= 2), None)
         if split_i is not None:
             T, top, bottom = split(S, split_i, order=order)
             phi = phi * T
@@ -385,11 +395,11 @@ def _reduce(S, ram, order, trace, path, certify=None):
             return phi, s, Q, C, struct, diags + dgT + dgB
 
         shift_i = next((i for i in sorted(eig)
-                        if eig[i] is not None and not eig[i][0][0].is_zero()),
-                       None)
+                        if not eig[i][0][0].is_zero()), None)
         if shift_i is not None:
             gamma = eig[shift_i][0][0]
             (pw, coeff), S = eigen_shift(S, shift_i, gamma)
+            stale = {shift_i}
             _qadd(qacc[shift_i], Fraction(-pw, ram[shift_i]), coeff)
             trace.add(path, "shift", component=shift_i,
                       exponent=str(Fraction(-pw, ram[shift_i])),
@@ -405,6 +415,7 @@ def _reduce(S, ram, order, trace, path, certify=None):
             trace.add(path, "rank_reduce", p_before=p_before,
                       p_after=list(S.p), gauges=len(steps))
             just_reduced = True
+            stale = set(range(n))
             continue
 
         # nilpotent at true rank: the growth order is fractional and a
@@ -425,7 +436,9 @@ def _reduce(S, ram, order, trace, path, certify=None):
                 raise last_fee
             raise ReductionError(
                 "nilpotent leading constant with integer growth order")
+        # x_i = t^m keeps every other A_j(0)
         S = ramify_system(S, i, m)
+        stale = {i}
         phi = phi.ramify(i, m)
         ram[i] *= m
         trace.add(path, "ramify", component=i, factor=m, p=list(S.p))
@@ -502,8 +515,7 @@ def verify_solution(S: PfaffianSystem, sol: FormalSolution):
             if k < verified:
                 verified = k
         else:
-            bad = min(sum(e) for r in R.rows for s_ in r
-                      for e, c in s_.terms.items() if not c.is_zero())
+            bad = min(sum(e) for r in R.rows for s_ in r for e in s_.terms)
             ok = False
             per.append({"component": i, "ok": False,
                         "verified_to": bad - 1})

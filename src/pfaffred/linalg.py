@@ -9,9 +9,10 @@ on a right-hand side or on unit vectors.  sylvester_stack builds the
 stacked operator X -> (L_k X - X R_k - s_k X)_k that the graded
 solver (reduction.solve_graded) eliminates.  SeriesMatrix holds Series
 entries and has no inverse: every series gauge is built together with
-its inverse (see system.GaugeTransformation).  Both the characteristic
-polynomial and the series determinant come from one memoized minor
-expansion.
+its inverse (see system.GaugeTransformation); its product sums each
+entry's products in one Series.sum_of.  Both the characteristic
+polynomial (read off directly for a 1x1 matrix) and the series
+determinant come from one memoized minor expansion.
 
 Sums, products (by a matrix, a series or a scalar) and block builders
 return their result in the join of the operands' fields
@@ -140,6 +141,8 @@ class ConstMatrix:
     def charpoly(self):
         """det(tI - A), monic, coefficients low to high."""
         o = self.tower.one()
+        if self.nrows == 1:
+            return [-self.rows[0][0] * o, o]
         entries = [[([-a, o] if i == j else [-a]) for j, a in enumerate(r)]
                    for i, r in enumerate(self.rows)]
         return poly_trim(_minor_expansion(
@@ -377,20 +380,13 @@ class SeriesMatrix:
                 raise DimensionError("shape mismatch in product")
             tower = common_tower(self.tower, other.tower)
             cols = list(zip(*other.rows))
-            out = []
-            for r in self.rows:
-                out_row = []
-                for c in cols:
-                    acc = Series.zero(self.nvars, tower)
-                    for a, b in zip(r, c):
-                        if a.is_zero() and a.exact:
-                            continue
-                        if b.is_zero() and b.exact:
-                            continue
-                        acc = acc + a * b
-                    out_row.append(acc)
-                out.append(out_row)
-            return SeriesMatrix(out, self.nvars, tower)
+            n = self.nvars
+            return SeriesMatrix(
+                [[Series.sum_of((a * b for a, b in zip(r, c)
+                                 if not (a.is_zero() and a.exact)
+                                 and not (b.is_zero() and b.exact)),
+                                n, tower)
+                  for c in cols] for r in self.rows], n, tower)
         if isinstance(other, Series):
             tower = common_tower(self.tower, other.tower)
         elif isinstance(other, (int, Fraction, Scalar)):

@@ -10,6 +10,12 @@ distinct extensions have no join in this package (FieldExtensionError).
 Scalar arithmetic applies the rule itself, ints and Fractions counting
 as Q, and so do the series and matrix layers above, so no caller ever
 lifts a value into a larger field by hand.
+
+Scalars are immutable: nothing assigns coeffs or tower after
+construction.  So when both operands are in the same FieldTower object,
+arithmetic uses them as they are (Scalar._coerce returns the pair,
+FieldTower.embed returns its argument) instead of copying them into
+the join; operations over Q work on the single coordinate directly.
 """
 
 from __future__ import annotations
@@ -115,7 +121,9 @@ class FieldTower:
         return Scalar((Fraction(0), Fraction(1)), self)
 
     def embed(self, s: "Scalar") -> "Scalar":
-        if s.tower is self or s.tower.minpoly == self.minpoly:
+        if s.tower is self:
+            return s
+        if s.tower.minpoly == self.minpoly:
             return Scalar(s.coeffs, self)
         if s.tower.degree == 1:
             return self.scalar(s.coeffs[0])
@@ -168,6 +176,8 @@ class Scalar:
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
+            if other.tower is self.tower:
+                return self, other
             t = common_tower(self.tower, other.tower)
             return t.embed(self), t.embed(other)
         if isinstance(other, (int, Fraction)):
@@ -175,7 +185,7 @@ class Scalar:
         return None
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
@@ -190,6 +200,8 @@ class Scalar:
         if pair is None:
             return NotImplemented
         a, b = pair
+        if a.tower.minpoly is None:
+            return Scalar((a.coeffs[0] + b.coeffs[0],), a.tower)
         return Scalar(tuple(x + y for x, y in zip(a.coeffs, b.coeffs)), a.tower)
 
     __radd__ = __add__
@@ -202,6 +214,8 @@ class Scalar:
         if pair is None:
             return NotImplemented
         a, b = pair
+        if a.tower.minpoly is None:
+            return Scalar((a.coeffs[0] - b.coeffs[0],), a.tower)
         return Scalar(tuple(x - y for x, y in zip(a.coeffs, b.coeffs)), a.tower)
 
     def __rsub__(self, other):
@@ -213,7 +227,7 @@ class Scalar:
             return NotImplemented
         a, b = pair
         t = a.tower
-        if t.degree == 1:
+        if t.minpoly is None:
             return Scalar((a.coeffs[0] * b.coeffs[0],), t)
         # quadratic: alpha^2 = -m1*alpha - m0
         m0, m1, _ = t.minpoly.coeffs

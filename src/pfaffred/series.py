@@ -12,11 +12,23 @@ in the join of its operands' fields (scalars.common_tower), a Scalar
 operand counting by its own field, so a coefficient of a smaller field
 is kept as it is and never lifted.  The module offers ring arithmetic
 and window handling; it has no series division.
+
+Stored-term invariant: every stored coefficient is nonzero and every
+stored exponent lies in [lo, hi).  The public constructor Series(...)
+establishes it for any input: it raises DimensionError on a term below
+the floor and drops zero coefficients and terms at or above the top.
+Results whose invariant holds by construction skip those checks and go
+through the module-private Series._trusted: negation, the product by a
+scalar, mul_monomial, and the sum and product of two series, which
+drop what cancelled and what a narrower top cuts off themselves.
+Series.sum_of adds any number of series the way a fold of + from
+Series.zero does; + is its two-operand case.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .errors import (
@@ -38,6 +50,38 @@ def _norm_window(nvars, lo, hi):
     if len(lo) != nvars or len(hi) != nvars:
         raise DimensionError("window length does not match variable count")
     return lo, hi
+
+
+def _sum(parts, nvars, tower, lo, hi):
+    """Sum of parts in the join of tower and their fields, on the window
+    [min(lo, their floors), min(hi, their tops)).
+
+    Coefficients add in the order of parts.  A partial sum that cancelled
+    to zero restarts from the next coefficient, as a fold of + does,
+    which drops each zero as it appears; what cancelled and what lies at
+    or above the narrowed top are dropped at the end.
+    """
+    terms: dict = {}
+    for s in parts:
+        if s.nvars != nvars:
+            raise DimensionError("variable counts differ")
+        lo = tuple(map(min, lo, s.lo))
+        hi = tuple(map(min, hi, s.hi))
+        tower = common_tower(tower, s.tower)
+        for exp, c in s.terms.items():
+            t = terms.get(exp)
+            terms[exp] = c if t is None or t.is_zero() else t + c
+    cut = [(k, h) for k, h in enumerate(hi) if h != INF]
+    clean = {}
+    for exp, c in terms.items():
+        if c.is_zero():
+            continue
+        for k, h in cut:
+            if exp[k] >= h:
+                break
+        else:
+            clean[exp] = c
+    return Series._trusted(nvars, clean, tower, lo, hi)
 
 
 def grlex_key(exp):
@@ -64,6 +108,21 @@ class Series:
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, nvars, terms, tower, lo, hi):
+        """A series on terms that already keep the stored-term invariant,
+        with lo and hi already tuples: nothing is checked or copied."""
+        s = object.__new__(cls)
+        s.nvars, s.terms, s.tower, s.lo, s.hi = nvars, terms, tower, lo, hi
+        return s
+
+    @classmethod
+    def sum_of(cls, parts, nvars, tower):
+        """The sum of the series parts yields (read once), exactly as
+        folding + from Series.zero(nvars, tower) gives it: the floor
+        starts at 0, the top at infinity and the field at tower."""
+        return _sum(parts, nvars, tower, (0,) * nvars, (INF,) * nvars)
 
     @classmethod
     def zero(cls, nvars, tower, lo=None, hi=None):
@@ -154,21 +213,14 @@ class Series:
             other = Series.constant(self.nvars, other, self.tower)
         if not isinstance(other, Series):
             return NotImplemented
-        self._check_compat(other)
-        lo = tuple(min(a, b) for a, b in zip(self.lo, other.lo))
-        hi = tuple(min(a, b) for a, b in zip(self.hi, other.hi))
-        terms = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = terms.get(exp)
-            terms[exp] = c if s is None else s + c
-        return Series(self.nvars, terms,
-                      common_tower(self.tower, other.tower), lo, hi)
+        return _sum((self, other), self.nvars, self.tower, self.lo, self.hi)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Series(self.nvars, {e: -c for e, c in self.terms.items()},
-                      self.tower, self.lo, self.hi)
+        return Series._trusted(self.nvars,
+                               {e: -c for e, c in self.terms.items()},
+                               self.tower, self.lo, self.hi)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -185,26 +237,34 @@ class Series:
             c, tower = join_scalar(other, self.tower)
             if c.is_zero():
                 return Series.zero(self.nvars, tower, self.lo, self.hi)
-            return Series(self.nvars, {e: v * c for e, v in self.terms.items()},
-                          tower, self.lo, self.hi)
+            return Series._trusted(self.nvars,
+                                   {e: v * c for e, v in self.terms.items()},
+                                   tower, self.lo, self.hi)
         if not isinstance(other, Series):
             return NotImplemented
         self._check_compat(other)
         fla, flb = self.effective_floor(), other.effective_floor()
-        lo = tuple(a + b for a, b in zip(fla, flb))
+        lo = tuple(map(operator.add, fla, flb))
         hi = tuple(min(ha + lb, hb + la)
                    for ha, hb, la, lb in zip(self.hi, other.hi, fla, flb))
         tower = common_tower(self.tower, other.tower)
+        # a product of stored terms lies above lo; only a finite top cuts
+        cut = [(k, h) for k, h in enumerate(hi) if h != INF]
+        add = operator.add
         terms: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                if any(e >= h for e, h in zip(exp, hi)):
-                    continue
-                prod = c1 * c2
-                s = terms.get(exp)
-                terms[exp] = prod if s is None else s + prod
-        return Series(self.nvars, terms, tower, lo, hi)
+                exp = tuple(map(add, e1, e2))
+                for k, h in cut:
+                    if exp[k] >= h:
+                        break
+                else:
+                    prod = c1 * c2
+                    s = terms.get(exp)
+                    terms[exp] = prod if s is None else s + prod
+        return Series._trusted(
+            self.nvars, {e: c for e, c in terms.items() if not c.is_zero()},
+            tower, lo, hi)
 
     __rmul__ = __mul__
 
@@ -213,9 +273,9 @@ class Series:
         exp = tuple(exp)
         lo = tuple(l + e for l, e in zip(self.lo, exp))
         hi = tuple(h + e for h, e in zip(self.hi, exp))
-        terms = {tuple(a + b for a, b in zip(t, exp)): v
+        terms = {tuple(map(operator.add, t, exp)): v
                  for t, v in self.terms.items()}
-        return Series(self.nvars, terms, self.tower, lo, hi)
+        return Series._trusted(self.nvars, terms, self.tower, lo, hi)
 
     def partial_derivative(self, i: int):
         terms = {}

@@ -365,6 +365,19 @@ def test_fmfs_pinned_trace_fingerprints(build, order, expected):
     assert trace.fingerprint() == expected[1]
 
 
+@pytest.mark.parametrize("build,order", [case[1:3] for case in PINNED],
+                         ids=[case[0] for case in PINNED])
+def test_pinned_solutions_keep_the_stored_term_invariant(build, order):
+    # Phi comes out of the kernel's unchecked constructions: no stored
+    # coefficient may be zero and no term may lie outside its window
+    sol, _ = fmfs(build(), order=order)
+    for row in sol.phi.rows:
+        for s in row:
+            for exp, c in s.terms.items():
+                assert not c.is_zero()
+                assert all(l <= e < h for e, l, h in zip(exp, s.lo, s.hi))
+
+
 def bench_solve_items(workload, corpus_seed):
     """(id, system, order) of each solve item of a benchmark workload."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"

@@ -1,0 +1,220 @@
+"""The series kernel's fast paths against the loops they replaced.
+
+Series.__mul__ and Series.__add__ build their results without the public
+constructor's checks, and SeriesMatrix.__mul__ sums each entry's
+products in one pass.  The reference implementations below are the
+plain loops those replaced: every result goes through the public
+constructor, and a matrix entry is the fold acc = acc + a * b from
+Series.zero.  On random series the fast paths must give the same terms
+(each coefficient in the same field), the same window and the same
+field.
+"""
+
+import math
+
+from hypothesis import given, settings, strategies as st
+
+from pfaffred.linalg import SeriesMatrix
+from pfaffred.scalars import QQ, Scalar, common_tower
+from pfaffred.series import Series
+
+INF = math.inf
+K = QQ.adjoin([-2, 0, 1])  # Q(sqrt 2)
+K2 = QQ.adjoin([-2, 0, 1])  # the same field, another object
+
+
+# -- reference implementations ----------------------------------------------
+
+
+def ref_add(a, b):
+    lo = tuple(min(x, y) for x, y in zip(a.lo, b.lo))
+    hi = tuple(min(x, y) for x, y in zip(a.hi, b.hi))
+    terms = dict(a.terms)
+    for exp, c in b.terms.items():
+        s = terms.get(exp)
+        terms[exp] = c if s is None else s + c
+    return Series(a.nvars, terms, common_tower(a.tower, b.tower), lo, hi)
+
+
+def ref_neg(a):
+    return Series(a.nvars, {e: -c for e, c in a.terms.items()}, a.tower,
+                  a.lo, a.hi)
+
+
+def ref_mul(a, b):
+    fla, flb = a.effective_floor(), b.effective_floor()
+    lo = tuple(x + y for x, y in zip(fla, flb))
+    hi = tuple(min(ha + lb, hb + la)
+               for ha, hb, la, lb in zip(a.hi, b.hi, fla, flb))
+    terms = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            exp = tuple(x + y for x, y in zip(e1, e2))
+            if any(e >= h for e, h in zip(exp, hi)):
+                continue
+            prod = c1 * c2
+            s = terms.get(exp)
+            terms[exp] = prod if s is None else s + prod
+    return Series(a.nvars, terms, common_tower(a.tower, b.tower), lo, hi)
+
+
+def ref_matmul(A, B):
+    tower = common_tower(A.tower, B.tower)
+    out = []
+    for r in A.rows:
+        row = []
+        for c in zip(*B.rows):
+            acc = Series.zero(A.nvars, tower)
+            for a, b in zip(r, c):
+                if a.is_zero() and a.exact:
+                    continue
+                if b.is_zero() and b.exact:
+                    continue
+                acc = ref_add(acc, ref_mul(a, b))
+            row.append(acc)
+        out.append(row)
+    return out, tower
+
+
+# -- random series ----------------------------------------------------------
+
+RATIONALS = [-2, -1, 1, 2]
+
+
+@st.composite
+def scalars(draw, field):
+    if field is QQ:
+        return QQ.scalar(draw(st.sampled_from(RATIONALS + [0])))
+    a, b = draw(st.sampled_from([-1, 0, 1])), draw(st.sampled_from([-1, 0, 1]))
+    return field.from_coeffs((a, b))
+
+
+@st.composite
+def series(draw, nvars, exact=None):
+    """A series over Q, Q(sqrt 2) or its twin, with a floor in [-2, 0]
+    and a finite or infinite top; drawn terms at or above the top and
+    zero coefficients are dropped by the public constructor."""
+    field = draw(st.sampled_from([QQ, QQ, K, K2]))
+    lo = tuple(draw(st.integers(-2, 0)) for _ in range(nvars))
+    if exact is None:
+        exact = draw(st.booleans())
+    hi = tuple(INF if exact or draw(st.booleans())
+               else l + draw(st.integers(1, 4)) for l in lo)
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        exp = tuple(l + draw(st.integers(0, 4)) for l in lo)
+        terms[exp] = draw(scalars(field))
+    return Series(nvars, terms, field, lo, hi)
+
+
+@st.composite
+def series_pairs(draw):
+    n = draw(st.integers(1, 3))
+    return draw(series(n)), draw(series(n))
+
+
+def signature(s):
+    """Everything a result is compared on: each term with its
+    coefficient's field, the window and the field."""
+    return ({e: (c, c.tower) for e, c in s.terms.items()},
+            s.lo, s.hi, s.tower)
+
+
+def assert_invariant(s):
+    """No stored zero, no stored term outside [lo, hi)."""
+    for exp, c in s.terms.items():
+        assert not c.is_zero()
+        assert all(l <= e < h for e, l, h in zip(exp, s.lo, s.hi))
+
+
+# -- the fast paths against the references ----------------------------------
+
+
+@given(series_pairs())
+@settings(max_examples=150, deadline=None)
+def test_product_matches_the_reference_loop(pair):
+    a, b = pair
+    got = a * b
+    assert signature(got) == signature(ref_mul(a, b))
+    assert_invariant(got)
+
+
+@given(series_pairs())
+@settings(max_examples=150, deadline=None)
+def test_sum_matches_the_reference_loop(pair):
+    a, b = pair
+    for got, want in ((a + b, ref_add(a, b)), (b + a, ref_add(b, a)),
+                      (a - b, ref_add(a, ref_neg(b)))):
+        assert signature(got) == signature(want)
+        assert_invariant(got)
+
+
+@given(series_pairs(), st.sampled_from([QQ, K]).flatmap(scalars))
+@settings(max_examples=100, deadline=None)
+def test_negation_scalar_product_and_shift_keep_the_invariant(pair, c):
+    a, _ = pair
+    neg, scaled = -a, a * c
+    assert_invariant(neg)
+    assert_invariant(scaled)
+    assert neg.terms == {e: -v for e, v in a.terms.items()}
+    assert scaled.terms == {e: v * c for e, v in a.terms.items()
+                            if not (v * c).is_zero()}
+    assert (neg.lo, neg.hi, scaled.lo, scaled.hi) == (a.lo, a.hi) * 2
+    assert scaled.tower == common_tower(a.tower, c.tower)
+    shift = tuple(range(-1, a.nvars - 1))
+    moved = a.mul_monomial(shift)
+    assert_invariant(moved)
+    assert moved.lo == tuple(l + k for l, k in zip(a.lo, shift))
+
+
+def test_a_cancelling_product_stores_no_zero():
+    x = Series.variable(1, 0, QQ)
+    got = (1 + x) * (1 - x)
+    assert got.terms == {(0,): QQ.one(), (2,): QQ.scalar(-1)}
+    r2 = K.generator()
+    y = Series.variable(2, 1, K)
+    got = (y + r2) * (y - r2)  # y^2 - 2, the middle terms cancel
+    assert set(got.terms) == {(0, 0), (0, 2)}
+    assert_invariant(got)
+
+
+@st.composite
+def matrix_pairs(draw):
+    n = draw(st.integers(1, 3))
+    d, e, f = (draw(st.integers(1, 3)) for _ in range(3))
+
+    def matrix(rows, cols):
+        grid = [[draw(st.one_of(series(n), st.just(Series.zero(n, QQ))))
+                 for _ in range(cols)] for _ in range(rows)]
+        tower = common_tower(QQ, *(s.tower for r in grid for s in r))
+        return SeriesMatrix(grid, n, tower)
+
+    return matrix(d, e), matrix(e, f)
+
+
+@given(matrix_pairs())
+@settings(max_examples=60, deadline=None)
+def test_matrix_product_matches_the_folded_sum(pair):
+    A, B = pair
+    got = A * B
+    want, tower = ref_matmul(A, B)
+    assert got.tower == tower
+    for r1, r2 in zip(got.rows, want):
+        for g, w in zip(r1, r2):
+            assert signature(g) == signature(w)
+            assert_invariant(g)
+
+
+def test_sum_of_nothing_is_the_exact_zero():
+    z = Series.sum_of([], 2, K)
+    assert (z.terms, z.lo, z.hi, z.tower) == ({}, (0, 0), (INF, INF), K)
+
+
+def test_sum_of_restarts_a_cancelled_coefficient_in_its_own_field():
+    # the fold drops x - x at once, so the later 1 stays over Q
+    x = Series.monomial(1, (1,), K.one(), K)
+    one = Series.monomial(1, (1,), 1, QQ)
+    got = Series.sum_of([x, -x, one], 1, QQ)
+    c = got.terms[(1,)]
+    assert isinstance(c, Scalar) and c == 1 and c.tower is QQ
+    assert got.tower is K

@@ -1,6 +1,7 @@
 """Module boundaries: strict layering, no function-level imports, no
-imports of another module's private names, no unused imports, no
-function that nothing in the package names, and no assert statement."""
+imports of another module's private names, no use of the private members
+of another module's classes, no unused imports, no function that nothing
+in the package names, and no assert statement."""
 
 import ast
 from pathlib import Path
@@ -30,6 +31,67 @@ def test_no_module_imports_private_names_of_another():
     assert len(modules) > 5
     offenders = {p.name: private_imports(p) for p in modules}
     assert {k: v for k, v in offenders.items() if v} == {}
+
+
+def is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_members(tree):
+    """Private names a module's classes define: methods, class-level
+    assignments and attributes assigned on self."""
+    names = set()
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Assign):
+                names |= {t.id for t in node.targets
+                          if isinstance(t, ast.Name)}
+        names |= {node.attr for node in ast.walk(cls)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Store)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "self"}
+    return {name for name in names if is_private(name)}
+
+
+def foreign_private_members(paths):
+    """(file, line, name) for each X._name read in a module whose own
+    classes do not define _name, when a class of another module does."""
+    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in paths}
+    own = {name: private_members(tree) for name, tree in trees.items()}
+    found = []
+    for name, tree in trees.items():
+        elsewhere = set().union(*(v for k, v in own.items() if k != name))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and is_private(node.attr)
+                    and node.attr in elsewhere - own[name]):
+                found.append((name, node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_no_module_reaches_into_another_modules_classes():
+    assert foreign_private_members(sorted(PACKAGE.glob("*.py"))) == []
+
+
+def test_private_member_check_sees_a_planted_reference(tmp_path):
+    (tmp_path / "series.py").write_text(
+        "class Series:\n"
+        "    _cache = None\n\n"
+        "    def __init__(self):\n        _local = {}\n"
+        "        self._terms = _local\n\n"
+        "    @classmethod\n    def _trusted(cls):\n"
+        "        return cls._cache or cls()\n")
+    (tmp_path / "linalg.py").write_text(
+        "from .series import Series\n\n\n"
+        "class Matrix:\n    def _rows(self):\n        return []\n\n"
+        "    def product(self, s):\n"
+        "        return Series._trusted(), s._terms, self._rows(), s._local\n")
+    assert foreign_private_members(sorted(tmp_path.glob("*.py"))) == [
+        ("linalg.py", 9, "_terms"), ("linalg.py", 9, "_trusted")]
 
 
 def unused_imports(path):

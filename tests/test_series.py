@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pfaffred.errors import NotUnitError, TruncationInsufficient
+from pfaffred.errors import DimensionError, NotUnitError, TruncationInsufficient
 from pfaffred.scalars import QQ
 from pfaffred.series import Series
 
@@ -28,6 +28,16 @@ def test_mul_window_rule():
     prod = a * b.mul_monomial((1,))                 # a * x^2
     assert prod.hi == (5,)
     assert prod.lo == (2,)
+
+
+def test_public_constructor_checks_every_term():
+    with pytest.raises(DimensionError, match="below the support floor"):
+        Series(1, {(-1,): QQ.one()}, QQ)
+    with pytest.raises(DimensionError, match="below the support floor"):
+        Series(2, {(0, -2): QQ.one()}, QQ, lo=(0, -1))
+    s = Series(2, {(0, 0): QQ.one(), (1, 0): QQ.zero(), (0, 3): QQ.one(),
+                   (2, 1): QQ.scalar(5)}, QQ, hi=(INF, 3))
+    assert s.terms == {(0, 0): QQ.one(), (2, 1): QQ.scalar(5)}
 
 
 def test_truncated_zero_is_not_proven_zero():
