@@ -11,7 +11,6 @@ from .errors import (
     PfaffError,
     ReductionError,
     ResonanceError,
-    RowModuleNotFree,
     TruncationInsufficient,
 )
 from .docio import (
@@ -36,7 +35,6 @@ from .invariants import (
 )
 from .linalg import ConstMatrix, SeriesMatrix
 from .reduction import (
-    build_Q,
     build_shearing,
     column_reduce,
     eigen_shift,
@@ -82,13 +80,11 @@ __all__ = [
     "ReductionError",
     "ReductionTrace",
     "ResonanceError",
-    "RowModuleNotFree",
     "Scalar",
     "Series",
     "SeriesMatrix",
     "TruncationInsufficient",
     "apply_gauge",
-    "build_Q",
     "build_shearing",
     "check_integrability",
     "column_reduce",

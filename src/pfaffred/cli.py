@@ -68,15 +68,14 @@ from .driver import fmfs, verify_solution
 from .errors import (ColumnModuleNotFree, DimensionError, FieldExtensionError,
                      InputError, NonIntegrableError, NotInvertibleError,
                      NotUnitError, ReductionError, ResonanceError,
-                     RowModuleNotFree, TruncationInsufficient)
+                     TruncationInsufficient)
 from .invariants import exponential_parts
 from .reduction import MAX_RETRIES, rank_reduce
 from .system import check_integrability
 
 _INPUT_ERRORS = (InputError, NonIntegrableError, DimensionError)
-_UNSUPPORTED = (ColumnModuleNotFree, RowModuleNotFree, FieldExtensionError,
-                ResonanceError, NotInvertibleError, NotUnitError,
-                ReductionError)
+_UNSUPPORTED = (ColumnModuleNotFree, FieldExtensionError, ResonanceError,
+                NotInvertibleError, NotUnitError, ReductionError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -148,8 +147,6 @@ def _fmt_q(q, var):
 
 
 def _fmt_const_matrix(M):
-    if M is None:
-        return "(resonant: no exponent matrix)"
     return "[" + "; ".join(
         ", ".join(str(x) for x in row) for row in M.rows) + "]"
 

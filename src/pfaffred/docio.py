@@ -235,12 +235,10 @@ def serialize_solution(sol: FormalSolution, vars_) -> dict:
         "s": list(sol.s),
         "Phi": {"entries": matrix_to_json(sol.phi),
                 "trunc": _trunc_to_json(sol.phi.window_hi())},
-        "C": [None if c is None else
-              [[_scalar_to_json(x) for x in r] for r in c.rows]
+        "C": [[[_scalar_to_json(x) for x in r] for r in c.rows]
               for c in sol.C],
         "Q": [[qdict(q) for q in qs] for qs in sol.Q],
         "structure": _structure_to_json(sol.structure),
-        "diagnostics": list(sol.diagnostics),
         "verified_to_order": order_to_json(sol.verified_to),
     }
     tower = sol.phi.tower
@@ -288,12 +286,9 @@ def parse_solution_dict(doc) -> FormalSolution:
         [[_series_from_json(entries[r][c], n, tower, hi) for c in range(d)]
          for r in range(d)], n, tower)
     if not isinstance(doc["C"], list) or len(doc["C"]) != n:
-        raise InputError("C must hold one matrix (or null) per variable")
+        raise InputError("C must hold one matrix per variable")
     C = []
     for cm in doc["C"]:
-        if cm is None:
-            C.append(None)
-            continue
         if not _is_square(cm, d):
             raise InputError("each C must be d x d")
         C.append(ConstMatrix([[_scalar_from_json(x, tower) for x in r]
@@ -320,10 +315,7 @@ def parse_solution_dict(doc) -> FormalSolution:
             blocks.append(out)
         Q.append(blocks)
     structure = _structure_from_json(doc.get("structure", ["unknown"]))
-    diagnostics = doc.get("diagnostics", [])
-    if not isinstance(diagnostics, list):
-        raise InputError("diagnostics must be a list")
-    return FormalSolution(phi, C, Q, s, structure, diagnostics)
+    return FormalSolution(phi, C, Q, s, structure)
 
 
 def _structure_from_json(st):

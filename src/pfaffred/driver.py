@@ -23,10 +23,11 @@ bottom block of a split is reduced in the field the top branch reached,
 so an eigenvalue the top adjoined is found there, not adjoined again.
 
 The loop dispatches on the eigenvalues of each irregular component's
-leading constant A_i(0).  It keeps them from pass to pass and finds
-them again only for what a step changed: the component an eigenvalue
-shift or a ramification acted on (x_i = t^m leaves every other A_j(0)
-as it was), or every component after a rank reduction.
+leading constant A_i(0), and a split takes them from it.  It keeps them
+from pass to pass and finds them again only for what a step changed:
+the component an eigenvalue shift or a ramification acted on
+(x_i = t^m leaves every other A_j(0) as it was), or every component
+after a rank reduction.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .errors import (
     InputError,
     NonIntegrableError,
     ReductionError,
-    ResonanceError,
     TruncationInsufficient,
 )
 from .linalg import ConstMatrix, SeriesMatrix, generalized_eigenspaces
@@ -68,23 +68,20 @@ class FormalSolution:
     """Truncated formal fundamental matrix in factored form.
 
     phi   -- SeriesMatrix in the ramified coordinates t_i = x_i^{1/s_i}
-    C     -- per variable, a constant matrix (exponent of x_i), or None
-             when the regular endgame reported a resonance
+    C     -- per variable, a constant matrix (exponent of x_i)
     Q     -- per variable, one dict per diagonal slot mapping a negative
              rational x_i-exponent to its coefficient
     s     -- per variable ramification index
     """
 
-    __slots__ = ("phi", "C", "Q", "s", "structure", "diagnostics",
-                 "verified_to")
+    __slots__ = ("phi", "C", "Q", "s", "structure", "verified_to")
 
-    def __init__(self, phi, C, Q, s, structure, diagnostics):
+    def __init__(self, phi, C, Q, s, structure):
         self.phi = phi
         self.C = C
         self.Q = Q
         self.s = list(s)
         self.structure = structure
-        self.diagnostics = list(diagnostics)
         self.verified_to = None
 
     @property
@@ -114,8 +111,6 @@ class FormalSolution:
         the exp factors commute exactly when C is block diagonal with
         respect to the common refinement of the Q block structures.
         """
-        if self.C is None or any(c is None for c in self.C):
-            return
         d = self.d
         for c in self.C:
             for r in range(d):
@@ -130,12 +125,7 @@ class FormalSolution:
 
     def fingerprint(self) -> str:
         parts = [_matrix_fp(self.phi)]
-        if self.C is None:
-            parts.append("C:none")
-        else:
-            parts += ["C:none" if c is None else
-                      repr([[str(x) for x in r] for r in c.rows])
-                      for c in self.C]
+        parts += [repr([[str(x) for x in r] for r in c.rows]) for c in self.C]
         parts += [repr([_qkey(q) for q in qs]) for qs in self.Q]
         parts.append(repr(self.s))
         return digest(parts)
@@ -218,15 +208,14 @@ def regular_endgame(S: PfaffianSystem, order=10):
     reaches.
 
     Resonance is decided at those grades: an inconsistent stacked system
-    returns (None, None, diagnostic) rather than raising, since the input
-    itself is fine.  Certification follows: on exact input, T taken as a
-    polynomial is checked against the full equations, since
-    x_i dT/dx_i - A_i T + T C_i = -riccati(..., X, 0, i), and only then
-    keeps an infinite window.  Finally the commuting family C_i is split
-    into joint generalized eigenblocks by a further constant conjugation
-    W, and (T W, residues, None) comes back; no inverse of T is formed,
-    since nothing applies it.  A 1x1 system, what the eigenvalue shifts
-    leave of a scalar equation, takes the same path: X is then the
+    raises ResonanceError naming its grade.  Certification follows: on
+    exact input, T taken as a polynomial is checked against the full
+    equations, since x_i dT/dx_i - A_i T + T C_i = -riccati(..., X, 0, i),
+    and only then keeps an infinite window.  Finally the commuting family
+    C_i is split into joint generalized eigenblocks by a further constant
+    conjugation W, and (T W, residues) comes back; no inverse of T is
+    formed, since nothing applies it.  A 1x1 system, what the eigenvalue
+    shifts leave of a scalar equation, takes the same path: X is then the
     analytic tail of exp(integral of (A_i - C_i)/x_i), one grade at a
     time, and W is 1.
     """
@@ -247,10 +236,7 @@ def regular_endgame(S: PfaffianSystem, order=10):
     for i in range(n):
         Ci = C[i].to_series(n)
         blocks.append((S.A[i], S.A[i] - Ci, zero, Ci))
-    try:
-        X = solve_graded(blocks, S.p, hi, tower)
-    except ResonanceError as exc:
-        return None, None, f"resonant: {exc}"
+    X = solve_graded(blocks, S.p, hi, tower)
 
     # certify: if T taken as an exact polynomial closes the equation,
     # its window is infinite, otherwise it is honest truncated data
@@ -266,7 +252,7 @@ def regular_endgame(S: PfaffianSystem, order=10):
         Winv = W.inverse()
         C = [Winv * M * W for M in C]
         T = T * W.to_series(n)
-    return T, C, None
+    return T, C
 
 
 def _joint_block_diagonalize(Cs):
@@ -311,12 +297,11 @@ def _joint_block_diagonalize(Cs):
 # -- the reduction loop -----------------------------------------------------
 
 
-def _reduce(S, ram, order, trace, path, certify=None):
+def _reduce(S, ram, order, trace, path):
     n, d = S.n, S.d
     ram = list(ram)
     phi = SeriesMatrix.identity(d, n, S.tower)
     qacc = [dict() for _ in range(n)]
-    diags = []
     just_reduced = False
     guard = 0
     ram_cap = math.lcm(*range(1, d + 1)) * max(ram)
@@ -331,17 +316,12 @@ def _reduce(S, ram, order, trace, path, certify=None):
             raise ReductionError("reduction loop failed to make progress")
 
         if all(p == 0 for p in S.p):
-            T, Cs, diag = regular_endgame(S, order=order)
+            T, Cs = regular_endgame(S, order=order)
             Q = [[dict(qacc[i]) for _ in range(d)] for i in range(n)]
-            if T is None:
-                diags.append(diag)
-                trace.add(path, "endgame", resonant=True)
-                return (phi, ram, Q, [None] * n, ("regular-resonant", d),
-                        diags)
             phi = phi * T
             C = [Cs[i] * Fraction(1, ram[i]) for i in range(n)]
             trace.add(path, "endgame", d=d)
-            return phi, ram, Q, C, ("regular", d), diags
+            return phi, ram, Q, C, ("regular", d)
 
         # dispatch on the leading constant of each irregular component
         for i in stale:
@@ -358,32 +338,30 @@ def _reduce(S, ram, order, trace, path, certify=None):
 
         split_i = next((i for i in sorted(eig) if len(eig[i]) >= 2), None)
         if split_i is not None:
-            T, top, bottom = split(S, split_i, order=order)
+            T, top, bottom = split(S, split_i, eig[split_i], order=order)
             phi = phi * T
             d1 = top.d
             trace.add(path, "split", component=split_i,
                       sizes=[top.d, bottom.d], p=list(S.p))
             top_n, _ = normalize_poincare(top)
             bot_n, _ = normalize_poincare(bottom)
-            phiT, ramT, QT, CT, stT, dgT = _reduce(
-                top_n, ram, order, trace, path + f"{split_i}a/", certify)
+            phiT, ramT, QT, CT, stT = _reduce(
+                top_n, ram, order, trace, path + f"{split_i}a/")
             # the bottom block factors its eigenvalues over the field the
             # top reached, so both branches' fields join at the merge
             tw = common_tower(bot_n.tower, phiT.tower)
             bot_n = PfaffianSystem(
                 bot_n.vars, bot_n.p,
                 [SeriesMatrix(M.rows, n, tw) for M in bot_n.A], tw)
-            phiB, ramB, QB, CB, stB, dgB = _reduce(
-                bot_n, ram, order, trace, path + f"{split_i}b/", certify)
+            phiB, ramB, QB, CB, stB = _reduce(
+                bot_n, ram, order, trace, path + f"{split_i}b/")
             s = [math.lcm(a, b) for a, b in zip(ramT, ramB)]
             for i in range(n):
                 phi = phi.ramify(i, s[i] // ram[i])
                 phiT = phiT.ramify(i, s[i] // ramT[i])
                 phiB = phiB.ramify(i, s[i] // ramB[i])
             phi = phi * SeriesMatrix.block_diag([phiT, phiB])
-            C = [None if CT[i] is None or CB[i] is None
-                 else ConstMatrix.block_diag([CT[i], CB[i]])
-                 for i in range(n)]
+            C = [ConstMatrix.block_diag([CT[i], CB[i]]) for i in range(n)]
             Q = []
             for i in range(n):
                 blocks = QT[i] + QB[i]
@@ -392,7 +370,7 @@ def _reduce(S, ram, order, trace, path, certify=None):
                         _qadd(q, e, c)
                 Q.append(blocks)
             struct = ("split", split_i, d1, stT, stB)
-            return phi, s, Q, C, struct, diags + dgT + dgB
+            return phi, s, Q, C, struct
 
         shift_i = next((i for i in sorted(eig)
                         if not eig[i][0][0].is_zero()), None)
@@ -409,7 +387,7 @@ def _reduce(S, ram, order, trace, path, certify=None):
 
         if not just_reduced:
             p_before = list(S.p)
-            T, S, steps = rank_reduce(S, order=order, certify_order=certify)
+            T, S, steps = rank_reduce(S, order=order)
             if T != SeriesMatrix.identity(d, n, S.tower):
                 phi = phi * T
             trace.add(path, "rank_reduce", p_before=p_before,
@@ -467,8 +445,6 @@ def verify_solution(S: PfaffianSystem, sol: FormalSolution):
         raise InputError(
             f"solution has {sol.n} variables and d = {sol.d}, the system "
             f"{S.n} variables and d = {S.d}")
-    if sol.C is None or any(c is None for c in sol.C):
-        raise InputError("solution has no exponent matrices to verify")
     try:
         tower = common_tower(S.tower, sol.phi.tower, *(c.tower for c in sol.C))
     except FieldExtensionError:
@@ -560,21 +536,19 @@ def fmfs(S: PfaffianSystem, order=10, max_retries=4):
             Sn, notes = normalize_poincare(S)
             for i, msg in notes:
                 trace.add("", "normalize", component=i, note=msg)
-            phi, ram, Q, C, struct, diags = _reduce(
-                Sn, [1] * S.n, N, trace, "", order)
-            sol = FormalSolution(phi, C, Q, ram, struct, diags)
+            phi, ram, Q, C, struct = _reduce(Sn, [1] * S.n, N, trace, "")
+            sol = FormalSolution(phi, C, Q, ram, struct)
             sol.check_block_compatibility()
-            if all(c is not None for c in sol.C):
-                report = verify_solution(S, sol)
-                if not report["ok"]:
-                    raise ReductionError(
-                        "residual is nonzero inside its validity window")
-                sol.verified_to = report["verified_to"]
-                if report["verified_to"] < order - 2:
-                    raise TruncationInsufficient(
-                        f"solution verified only to total degree "
-                        f"{report['verified_to']}",
-                        verified_to=report["verified_to"])
+            report = verify_solution(S, sol)
+            if not report["ok"]:
+                raise ReductionError(
+                    "residual is nonzero inside its validity window")
+            sol.verified_to = report["verified_to"]
+            if report["verified_to"] < order - 2:
+                raise TruncationInsufficient(
+                    f"solution verified only to total degree "
+                    f"{report['verified_to']}",
+                    verified_to=report["verified_to"])
             return sol, trace
         except TruncationInsufficient as exc:
             v = exc.verified_to

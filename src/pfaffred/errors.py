@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: bad input -> 1, structure the
-algorithms cannot handle (non-free modules, field towers) -> 2,
+algorithms cannot handle (non-free modules, field towers, resonance) -> 2,
 truncation budget exhausted -> 3.
 """
 
@@ -36,10 +36,6 @@ class NonIntegrableError(PfaffError):
 
 class ColumnModuleNotFree(PfaffError):
     """No column basis of the leading matrix admits integral cofactors."""
-
-
-class RowModuleNotFree(PfaffError):
-    """Row-module reduction (the transposed analog) found no basis."""
 
 
 class TruncationInsufficient(PfaffError):

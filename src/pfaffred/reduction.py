@@ -1,13 +1,16 @@
 """Transformation constructors for the reduction pipeline.
 
-The rank-reduction loop alternates three kinds of moves on one
-component at a time: unimodular column reductions of the leading
+Rank reduction is Levelt's loop (Levelt, Ark. Mat. 13, 1975), run on
+one component at a time: a unimodular column reduction of the leading
 coefficient (computed over the power-series ring in the remaining
-variables, with basis columns certified by integral cofactors), a
-unimodular reorganization Q of the reduced pencil, and diagonal
-monomial shearings.  Each move is applied to the full system through
-apply_gauge, which refuses a move that breaks normal crossings, so that
-is verified rather than assumed.  The growth order of a one-variable
+variables, with basis columns certified by integral cofactors), then a
+diagonal monomial shearing of its rank block.  Each move is applied to
+the full system through apply_gauge, which refuses a move that breaks
+normal crossings, so that is verified rather than assumed.  The loop
+stops where the rank is plainly minimal (a leading coefficient of full
+rank, or one not nilpotent at the origin); otherwise Levelt's bound
+ends it: d - 1 shears in a row that leave the rank as it was prove it
+minimal, and are rolled back.  The growth order of a one-variable
 system (katz_order_univariate) is read off the characteristic
 polynomial of its rank-reduced form.
 
@@ -43,7 +46,6 @@ from .errors import (
     InputError,
     ReductionError,
     ResonanceError,
-    RowModuleNotFree,
     TruncationInsufficient,
 )
 from .linalg import (
@@ -53,7 +55,7 @@ from .linalg import (
     generalized_eigenspaces,
     sylvester_stack,
 )
-from .scalars import Scalar, roots_of_charpoly
+from .scalars import Scalar
 from .series import INF, Series
 from .system import (
     GaugeTransformation,
@@ -264,17 +266,15 @@ def _module_column_basis(A0: SeriesMatrix, r: int, ell: int, slots):
 
 
 # ---------------------------------------------------------------------------
-# column reduction to the three-block leading form
+# column reduction of the leading coefficient
 # ---------------------------------------------------------------------------
 
 class ColumnReduction:
-    __slots__ = ("gauge", "r", "v", "A0_reduced")
+    __slots__ = ("gauge", "r")
 
-    def __init__(self, gauge, r, v, A0_reduced):
+    def __init__(self, gauge, r):
         self.gauge = gauge
         self.r = r
-        self.v = v
-        self.A0_reduced = A0_reduced
 
 
 def _basis_gauge(relations, sub, d, nvars, tower):
@@ -292,229 +292,48 @@ def _basis_gauge(relations, sub, d, nvars, tower):
 
 
 def column_reduce(A0: SeriesMatrix, i: int, ell: int) -> ColumnReduction:
-    """Unimodular U with U^{-1} A0 U in the three-block leading form:
-    columns r..d vanish, and columns v..r vanish in the top r rows.
+    """Unimodular U with columns r..d of U^{-1} A0 U zero, r the generic
+    rank of A0.
 
     A0 must be free of x_i; U has entries in the series ring of the
-    remaining variables and determinant +-1.
+    remaining variables and determinant +-1.  It moves a basis of the
+    column module first and subtracts from every other column its
+    integral combination of the basis, so that the shear
+    Diag(x_i I_r, I_{d-r}) that follows cannot raise p_i.
     """
     d = A0.ncols
     nvars, tower = A0.nvars, A0.tower
     slots = [j for j in range(nvars) if j != i]
     r = A0.rank_generic()
     if r == 0 or r == d:
-        g = GaugeTransformation.identity(d, nvars, tower)
-        return ColumnReduction(g, r, r, A0)
+        return ColumnReduction(GaugeTransformation.identity(d, nvars, tower),
+                               r)
     sub, relations = _module_column_basis(A0, r, ell, slots)
-    g1 = _basis_gauge(relations, sub, d, nvars, tower)
-    A0r = g1.T_inv * A0 * g1.T
+    g = _basis_gauge(relations, sub, d, nvars, tower)
+    A0r = g.T_inv * A0 * g.T
     for t in range(d):
         for j in range(r, d):
             if not A0r.rows[t][j].is_zero():
                 raise ReductionError("column elimination left a nonzero tail")
-    B11 = A0r.submatrix(range(r), range(r))
-    v = B11.rank_generic()
-    if 0 < v < r:
-        sub2, rel2 = _module_column_basis(B11, v, ell, slots)
-        g2 = GaugeTransformation.block_diag([
-            _basis_gauge(rel2, sub2, r, nvars, tower),
-            GaugeTransformation.identity(d - r, nvars, tower)])
-        g1 = g1.compose(g2)
-        A0r = g2.T_inv * A0r * g2.T
-    for t in range(r):
-        for j in range(v, r):
-            if not A0r.rows[t][j].is_zero():
-                raise ReductionError("reduced form violates the block pattern")
-    return ColumnReduction(g1, r, v, A0r)
+    return ColumnReduction(g, r)
+
+
+def build_shearing(i: int, r: int, d: int, nvars, tower):
+    """Diag(x_i I_r, I_{d-r})."""
+    e_i = tuple(1 if k == i else 0 for k in range(nvars))
+    exps = [e_i] * r + [(0,) * nvars] * (d - r)
+    return GaugeTransformation.diagonal_monomial(exps, nvars, tower)
 
 
 # ---------------------------------------------------------------------------
-# the reduction pencil and its vanishing test
+# rank reduction
 # ---------------------------------------------------------------------------
-
-class MoserData:
-    __slots__ = ("r", "v", "rho", "theta", "theta_zero", "theta_limited",
-                 "A0", "A1")
-
-    def __init__(self, r, v, theta, theta_zero, theta_limited, A0, A1):
-        self.r = r
-        self.v = v
-        self.rho = None
-        self.theta = theta          # over (x, lambda); lambda is the last slot
-        self.theta_zero = theta_zero
-        self.theta_limited = theta_limited
-        self.A0 = A0
-        self.A1 = A1
-
-
-def _swap_to_last(s: Series, i: int) -> Series:
-    """Move slot-i content of s into a fresh last slot."""
-    ext = s.append_slot()
-    terms = {}
-    for e, c in ext.terms.items():
-        e2 = list(e)
-        e2[-1], e2[i] = e2[i], 0
-        terms[tuple(e2)] = c
-    lo, hi = list(ext.lo), list(ext.hi)
-    lo[-1], lo[i] = lo[i], 0
-    hi[-1], hi[i] = hi[i], INF
-    return Series(ext.nvars, terms, ext.tower, tuple(lo), tuple(hi))
-
-
-def moser_data(S: PfaffianSystem, i: int, colred: ColumnReduction,
-               certify_order: int | None = None) -> MoserData:
-    """Assemble the lambda-pencil of component i and test its vanishing.
-
-    The pencil G takes its first r columns from the leading coefficient
-    and the rest from the next one, with lambda, in the free slot i,
-    added on the trailing diagonal.  theta is det G with lambda moved to
-    a last slot; it equals x_i^r det(lambda I + A_{i,0}/x_i + A_{i,1})
-    at x_i = 0 because columns r..d of A_{i,0} vanish.  That premise is
-    checked: a ReductionError reports a corrupt block form.
-
-    A determinant that vanishes only within a finite window counts as
-    vanishing when the window still covers certify_order; with no budget
-    given, anything short of exactness is reported truncation-limited.
-    """
-    d, n, tower = S.d, S.n, S.tower
-    r = colred.r
-    A0 = S.coeff(i, 0)
-    A1 = S.coeff(i, 1)
-    if not all(A0.rows[t][j].is_zero() for t in range(d) for j in range(r, d)):
-        raise ReductionError("leading coefficient has nonzero columns past "
-                             "its rank; block form is corrupt")
-    lam = Series.variable(n, i, tower)
-    G = SeriesMatrix.zeros(d, d, n, tower)
-    for t in range(d):
-        for j in range(d):
-            if j < r:
-                G.rows[t][j] = A0.rows[t][j]
-            else:
-                G.rows[t][j] = A1.rows[t][j] + (lam if t == j
-                                                else Series.zero(n, tower))
-    theta = _swap_to_last(G.determinant(), i)
-    zero = theta.is_zero()
-    limited = zero and not theta.exact
-    if limited and certify_order is not None:
-        limited = any(h != INF and h <= certify_order for h in theta.hi)
-    return MoserData(r, colred.v, theta, zero, limited, A0, A1)
-
 
 def moser_rank(S: PfaffianSystem, i: int) -> Fraction:
     """p_i + rank(A_{i,0})/d, floored at zero."""
     m = Fraction(S.p[i]) + Fraction(S.coeff(i, 0).rank_generic(), S.d)
     return m if m > 0 else Fraction(0)
 
-
-# ---------------------------------------------------------------------------
-# the unimodular pencil reorganization Q
-# ---------------------------------------------------------------------------
-
-def _hstack(parts):
-    parts = [p for p in parts if p is not None and p.ncols > 0]
-    if not parts:
-        return None
-    if len(parts) == 1:
-        return parts[0]
-    return SeriesMatrix.block([parts])
-
-
-def build_Q(S: PfaffianSystem, i: int, md: MoserData, order: int = 10):
-    """Unimodular Q = Diag(I_r, Q33) reorganizing the vanished pencil.
-
-    Q33 eliminates the rows of the lower 32-block that are integral
-    combinations of the others and moves them to the bottom rho
-    coordinates, taking the largest rho for which both rank conditions
-    of the sheared pencil hold.  With an empty core (v = 0) the reduced
-    form needs no reorganization at all and rho = 0.  Raises
-    RowModuleNotFree when the row module admits no basis, and
-    ReductionError when every arrangement fails the rank conditions.
-    """
-    d, n, tower = S.d, S.n, S.tower
-    r, v = md.r, md.v
-    if S.p[i] < 1 or r < 1 or r >= d:
-        raise InputError("pencil reorganization needs p >= 1 and 0 < r < d")
-    if v == r:
-        raise ReductionError("vanishing pencil with an invertible core")
-    A0, A1 = md.A0, md.A1
-    m = d - r
-    if v == 0:
-        md2 = MoserData(r, v, md.theta, md.theta_zero, md.theta_limited,
-                        A0, A1)
-        md2.rho = 0
-        return GaugeTransformation.identity(d, n, tower), md2
-    slots = [k for k in range(n) if k != i]
-    a32 = A0.submatrix(range(r, d), range(v, r))
-    # N clears each non-basis row j of a32 by c_{jk} times basis row k;
-    # rows and columns of N are disjoint index sets, so N^2 = 0
-    N = SeriesMatrix.zeros(m, m, n, tower)
-    basis_rows = []
-    rowrank = a32.rank_generic()
-    if rowrank:
-        try:
-            sub, relations = _module_column_basis(
-                a32.transpose(), rowrank, order, slots)
-        except ColumnModuleNotFree as exc:
-            raise RowModuleNotFree("row module not free") from exc
-        basis_rows = list(sub)
-        for j, cof in relations.items():
-            for k_idx, k in enumerate(sub):
-                if not cof[k_idx].is_zero():
-                    N.rows[j][k] = cof[k_idx]
-    clear = GaugeTransformation.unipotent(N)
-    cleared = [t for t in range(m) if t not in basis_rows]
-    head = GaugeTransformation.identity(r, n, tower)
-
-    def candidate(bottom):
-        order33 = [t for t in range(m) if t not in bottom] + list(bottom)
-        return GaugeTransformation.block_diag([head, clear.compose(
-            GaugeTransformation.permutation(order33, n, tower))])
-
-    for rho in range(len(cleared), -1, -1):
-        for chosen in itertools.combinations(cleared, rho):
-            g = candidate(list(chosen))
-            A0n = g.T_inv * A0 * g.T
-            A1n = g.T_inv * A1 * g.T
-            if not all(A0n.rows[t][j].is_zero()
-                       for t in range(d - rho, d) for j in range(v, r)):
-                continue
-            top = _hstack([
-                A0n.submatrix(range(r), range(v)) if v else None,
-                A1n.submatrix(range(r), range(r, d - rho))
-                if d - rho > r else None])
-            rk_top = top.rank_generic() if top is not None else 0
-            if rk_top >= r:
-                continue
-            if rho:
-                bot = _hstack([
-                    A0n.submatrix(range(d - rho, d), range(v)) if v else None,
-                    A1n.submatrix(range(d - rho, d), range(r, d - rho))
-                    if d - rho > r else None])
-                if bot is not None and top is not None:
-                    both = SeriesMatrix.block([[top], [bot]])
-                    if both.rank_generic() != rk_top:
-                        continue
-                elif bot is not None and not bot.is_zero():
-                    continue
-            md2 = MoserData(r, v, md.theta, md.theta_zero, md.theta_limited,
-                            A0n, A1n)
-            md2.rho = rho
-            return g, md2
-    raise ReductionError("unable to reach the sheared pencil form; "
-                         "rank conditions fail for every kernel choice")
-
-
-def build_shearing(i: int, r: int, rho: int, d: int, nvars, tower):
-    """Diag(x_i I_r, I_{d-r-rho}, x_i I_rho)."""
-    e_i = tuple(1 if k == i else 0 for k in range(nvars))
-    zero = (0,) * nvars
-    exps = [e_i] * r + [zero] * (d - r - rho) + [e_i] * rho
-    return GaugeTransformation.diagonal_monomial(exps, nvars, tower)
-
-
-# ---------------------------------------------------------------------------
-# rank reduction loops
-# ---------------------------------------------------------------------------
 
 def _apply_logged(S, g, steps, kind, i):
     out = apply_gauge(S, g)
@@ -532,25 +351,27 @@ def _product(steps, S):
     return T
 
 
-def rank_reduce(S: PfaffianSystem, order: int = 10,
-                certify_order: int | None = None):
+def rank_reduce(S: PfaffianSystem, order: int = 10):
     """Lower every Poincare rank to its minimal integer value.
 
-    Per component: column-reduce the leading coefficient; while the
-    pencil determinant vanishes and p stays positive, reorganize with Q
-    and shear, renormalizing as the valuation allows.  Returns
-    (T, system, steps), T the product of the steps' transformations.
-    certify_order is the window depth at which pencil vanishing is
-    accepted on truncated data (default: order).
+    Levelt's loop, one component i at a time: column-reduce the leading
+    coefficient A_{i,0} to its generic rank r, then shear by
+    Diag(x_i I_r, I_{d-r}), which never raises p_i.  When r = 0 the
+    valuation lowers p_i instead.  p_i is minimal once r = d or A_{i,0}(0)
+    is not nilpotent, and the loop stops there.  Otherwise Levelt's bound
+    decides: if p_i can be lowered at all, d - 1 shears in a row lower
+    it.  So after d - 1 sterile shears (each leaving p_i as it was) p_i
+    is minimal, and the system and the steps roll back to where the
+    first of them began.  Returns (T, system, steps), T the product of
+    the steps' transformations.
     """
     check_order(order)
-    if certify_order is None:
-        certify_order = order
     S, _ = normalize_poincare(S)
     steps = []
     for i in range(S.n):
         guard = (S.p[i] + 1) * S.d + S.d
         it = 0
+        sterile, saved = 0, None
         while S.p[i] > 0:
             it += 1
             if it > guard:
@@ -568,54 +389,21 @@ def rank_reduce(S: PfaffianSystem, order: int = 10,
                 steps.append({"kind": "renormalize", "component": i,
                               "gauge": None, "p_before": None,
                               "p_after": list(S.p)})
+                sterile = 0
                 continue
-            md = moser_data(S, i, colred, certify_order)
-            if md.theta_limited:
-                raise TruncationInsufficient(
-                    f"component {i}: pencil vanishing is truncation-limited")
-            if not md.theta_zero:
+            if (colred.r == S.d
+                    or not S.A[i].constant_term().power(S.d).is_zero()):
                 break
-            gq, md = build_Q(S, i, md, order)
-            if not gq.is_identity():
-                S = _apply_logged(S, gq, steps, "pencil_reorganize", i)
+            if not sterile:
+                saved = (S, len(steps))
             p_before = S.p[i]
-            shear = build_shearing(i, md.r, md.rho, S.d, S.n, S.tower)
+            shear = build_shearing(i, colred.r, S.d, S.n, S.tower)
             S = _apply_logged(S, shear, steps, "shear", i)
-            if (S.p[i] >= p_before
-                    and S.coeff(i, 0).rank_generic() >= colred.r):
-                raise ReductionError(
-                    f"shearing failed to make progress on component {i}")
-    return _product(steps, S), S, steps
-
-
-def rank_reduce_alt(S: PfaffianSystem, order: int = 10):
-    """Levelt-style loop: always shear the full rank block.
-
-    The sterile-iteration counter resets whenever p drops; d-1 sterile
-    rounds in a row certify that the current p is minimal.  Returns
-    what rank_reduce does.  Nothing in the pipeline calls it: it is kept
-    as the independent test oracle for the final ranks that rank_reduce
-    reaches.
-    """
-    check_order(order)
-    S, _ = normalize_poincare(S)
-    steps = []
-    for i in range(S.n):
-        j = 0
-        while j < S.d - 1 and S.p[i] > 0:
-            colred = column_reduce(S.coeff(i, 0), i, order)
-            if not colred.gauge.is_identity():
-                S = _apply_logged(S, colred.gauge, steps, "column_reduce", i)
-            if colred.r == 0:
-                S, _ = normalize_poincare(S)
-                steps.append({"kind": "renormalize", "component": i,
-                              "gauge": None, "p_before": None,
-                              "p_after": list(S.p)})
-                continue
-            p_before = S.p[i]
-            shear = build_shearing(i, colred.r, 0, S.d, S.n, S.tower)
-            S = _apply_logged(S, shear, steps, "shear", i)
-            j = 0 if S.p[i] < p_before else j + 1
+            sterile = 0 if S.p[i] < p_before else sterile + 1
+            if sterile == S.d - 1:
+                S, kept = saved
+                del steps[kept:]
+                break
     return _product(steps, S), S, steps
 
 
@@ -833,13 +621,14 @@ def solve_graded(blocks, p, box, tower):
 # splitting along an eigenvalue decomposition
 # ---------------------------------------------------------------------------
 
-def split(S: PfaffianSystem, i: int, order: int = 10):
+def split(S: PfaffianSystem, i: int, roots, order: int = 10):
     """Decouple component i by the eigenvalues of its constant term.
 
-    The constant term must have at least two distinct eigenvalues; the
-    first in canonical order drives the top block.  In the eigenbasis,
-    with blocks (a11, a12, a21, a22) per component, the couplings P (top
-    right) and Q (bottom left) solve the Riccati equations
+    roots are that constant term's eigenvalues with their
+    multiplicities, as roots_of_charpoly gives them; there must be at
+    least two distinct ones, and the first drives the top block.  In the
+    eigenbasis, with blocks (a11, a12, a21, a22) per component, the
+    couplings P (top right) and Q (bottom left) solve the Riccati equations
     riccati((a11, a12, a21, a22), P) = 0 and riccati((a22, a21, a12, a11),
     Q) = 0 jointly over all components; solve_graded solves each inside
     the box W of monomials that the input windows determine.
@@ -862,12 +651,10 @@ def split(S: PfaffianSystem, i: int, order: int = 10):
     """
     check_order(order)
     n, d = S.n, S.d
-    C = S.A[i].constant_term()
-    roots = roots_of_charpoly(C.charpoly())
     if len(roots) < 2:
         raise InputError("constant term has a single eigenvalue; "
                          "splitting needs at least two")
-    V, sizes = generalized_eigenspaces(C, roots)
+    V, sizes = generalized_eigenspaces(S.A[i].constant_term(), roots)
     d1 = sizes[0]
     gV = GaugeTransformation.from_constant(V, n)
     S = apply_gauge(S, gV)

@@ -126,10 +126,10 @@ def test_boolean_ramification_is_an_input_error(tmp_path, capsys):
     ("vars", 3),
     ("structure", 5),
     ("structure", ["split", 0, 1, 5, ["regular", 1]]),
-    ("diagnostics", 5),
+    ("C", [None]),
     (None, 5),
 ], ids=["Phi-list", "Phi-entries", "C", "Q", "vars", "structure",
-        "structure-branch", "diagnostics", "document"])
+        "structure-branch", "C-null", "document"])
 def test_malformed_solution_is_an_input_error(tmp_path, capsys, key, value):
     S = sys1([[{0: 1}, 0], [0, {0: 2}]], 1)
     doc = serialize_solution(fmfs(S, order=4)[0], S.vars)
@@ -170,7 +170,7 @@ def coefficients(doc):
     """Every scalar a solution document holds: Phi, C and Q."""
     out = [t["coeff"] for row in doc["Phi"]["entries"] for entry in row
            for t in entry]
-    out += [x for c in doc["C"] if c is not None for row in c for x in row]
+    out += [x for c in doc["C"] for row in c for x in row]
     out += [c for qs in doc["Q"] for q in qs for c in q.values()]
     return out
 
@@ -315,6 +315,16 @@ def test_cubic_eigenvalue_field_exits_two(tmp_path, capsys):
         sys1([[0, 0, 2], [1, 0, 0], [0, 1, 0]], 1)))
     err = run(capsys, ["reduce", doc], 2)["error"]
     assert err["type"] == "FieldExtensionError"
+
+
+# residue Diag(0, 1) with an x coupling: the solution needs a logarithm,
+# which x^C cannot carry, so no verified solution exists to print
+@pytest.mark.parametrize("command", ["reduce", "invariants"])
+def test_resonant_system_exits_two(tmp_path, capsys, command):
+    doc = write_json(tmp_path / "resonant.json", serialize_system(
+        sys1([[0, 0], [{1: 1}, 1]], 0)))
+    err = run(capsys, [command, doc], 2)["error"]
+    assert err["type"] == "ResonanceError"
 
 
 # a split over Q whose blocks each need Q(sqrt 2) used to exit 2: the

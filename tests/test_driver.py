@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import random
 import time
 import types
@@ -21,6 +22,7 @@ from pfaffred import (
     PfaffianSystem,
     QQ,
     ReductionError,
+    ResonanceError,
     Series,
     SeriesMatrix,
     TruncationInsufficient,
@@ -34,9 +36,7 @@ from pfaffred import (
     true_poincare_rank,
     verify_solution,
 )
-from pfaffred.reduction import (
-    MAX_ORDER, MAX_RETRIES, rank_reduce, rank_reduce_alt,
-)
+from pfaffred.reduction import MAX_ORDER, MAX_RETRIES, rank_reduce
 
 from helpers import (
     MERGE_CASES,
@@ -117,8 +117,7 @@ def h_system():
 
 
 def test_endgame_polynomial_certified():
-    T, C, diag = regular_endgame(h_system(), order=10)
-    assert diag is None
+    T, C = regular_endgame(h_system(), order=10)
     assert strm(C[0]) == [["-2", "0"], ["0", "1"]]
     assert strm(C[1]) == [["-2", "0"], ["0", "-1"]]
     t21 = T.rows[1][0]
@@ -136,26 +135,24 @@ def test_endgame_polynomial_certified():
     sys1([[Fraction(1, 3), 1], [{1: 1}, Fraction(-1, 2)]], 0),
 ], ids=["h", "nondiagonal-residue"])
 def test_endgame_matrix_conjugates_to_the_residues(S):
-    T, C, diag = regular_endgame(S, order=10)
+    T, C = regular_endgame(S, order=10)
     for i in range(S.n):
         ei = tuple(S.p[i] + 1 if k == i else 0 for k in range(S.n))
         lhs = T.partial_derivative(i).mul_monomial(ei)
         assert lhs == S.A[i] * T - T * C[i].to_series(S.n)
 
 
-def test_endgame_resonant_is_diagnostic_not_error():
+# fmfs returns only residual-verified solutions, so a resonance is an
+# error (exit 2), never a solution without exponent matrices
+def test_endgame_resonance_is_an_error():
     # residue Diag(0, 1); the x^1 coupling lands on the singular grade
     # inconsistently, so no polynomial T exists
     S = sys1([[0, 0], [{1: 1}, 1]], 0)
-    T, C, diag = regular_endgame(S, order=10)
-    assert T is None and C is None
-    assert "resonant" in diag
-
-    sol, trace = fmfs(S, order=10)
-    assert sol.structure == ("regular-resonant", 2)
-    assert sol.C == [None]
-    assert sol.verified_to is None
-    assert any("resonant" in d for d in sol.diagnostics)
+    with pytest.raises(ResonanceError) as exc:
+        regular_endgame(S, order=10)
+    assert exc.value.grade == (1,)
+    with pytest.raises(ResonanceError):
+        fmfs(S, order=10)
 
 
 def test_endgame_bivariate_resonance_names_its_grade():
@@ -164,14 +161,12 @@ def test_endgame_bivariate_resonance_names_its_grade():
     A1 = mat2([[0, 0], [{(1, 0): 1}, 1]])
     A2 = mat2([[3, 0], [0, 3]])
     S = PfaffianSystem(["x1", "x2"], [0, 0], [A1, A2], QQ)
-    T, C, diag = regular_endgame(S, order=6)
-    assert (T, C) == (None, None)
-    assert diag == "resonant: no polynomial correction at grade (1, 0)"
-
-    sol, _ = fmfs(S, order=6)
-    assert sol.structure == ("regular-resonant", 2)
-    assert sol.C == [None, None]
-    assert sol.diagnostics == [diag]
+    with pytest.raises(ResonanceError) as exc:
+        regular_endgame(S, order=6)
+    assert exc.value.grade == (1, 0)
+    assert str(exc.value) == "no polynomial correction at grade (1, 0)"
+    with pytest.raises(ResonanceError, match=r"grade \(1, 0\)"):
+        fmfs(S, order=6)
 
 
 def test_endgame_integer_spacing_without_resonance():
@@ -346,6 +341,15 @@ PINNED = [
     ("split-sqrt2-shifted",
      lambda: merge_system(*MERGE_CASES["split-sqrt2-shifted"]), 8,
      ("0f5aadb9ad4ae403", "0d0f148b5fe461e7")),
+    # rank reductions that need sterile shears: p = 3 down to 1, and the
+    # growth order 4/3 ramified by 3 (p = 6 down to 4)
+    ("sterile-p3",
+     lambda: sys1([[{4: 2}, {2: -1, 4: 2}, 0], [{3: 1, 4: 1}, {4: 1}, {4: 2}],
+                   [{4: -1}, {0: 2}, {2: 1, 4: -1}]], 3), 8,
+     ("0c9dcc607ac8f58f", "d9363a2bfc678539")),
+    ("ramified-4/3",
+     lambda: sys1([[0, 1, 0], [0, 0, 1], [{2: 1}, 0, {1: 1}]], 2), 8,
+     ("700179820aa0414c", "1cf12dbb045574da")),
 ]
 
 
@@ -466,7 +470,8 @@ SWEEP = sweep_shapes(20, 7)
 
 # the planted generator as an oracle over seeded shapes: fmfs recovers the
 # plant, the per-variable exponential parts agree with fmfs's Q, and the
-# two rank reductions reach the same ranks
+# rank reduction reaches the least integers above the planted growth
+# orders
 @pytest.mark.parametrize("seed,shape", SWEEP, ids=[
     f"{'r' if sh['ramified'] else 'g'}{g}-n{sh['n']}d{sh['d']}p"
     + "".join(map(str, sh["p"])) for g, sh in SWEEP])
@@ -477,7 +482,56 @@ def test_planted_sweep(seed, shape):
     for part, qs in zip(exponential_parts(S, order=8), sol.Q):
         assert q_canonical([{Fraction(-k, part.s): c for k, c in q.items()}
                             for q in part.qs]) == q_canonical(qs)
-    assert rank_reduce(S, order=8)[1].p == rank_reduce_alt(S, order=8)[1].p
+    assert rank_reduce(S, order=8)[1].p == [math.ceil(w)
+                                            for w in planted["omega"]]
+
+
+def random_grids(count, seed):
+    """(grid, p) pairs for sys1, x^{p+1} dF/dx = A F, drawn from
+    random.Random(seed): d in 2..4, p in 1..3, each coefficient of A of
+    degree at most p + 1 nonzero with probability 0.3, from 1, -1, 2."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        d, p = rng.randint(2, 4), rng.randint(1, 3)
+        grid = []
+        for _ in range(d):
+            row = []
+            for _ in range(d):
+                terms = {}
+                for e in range(p + 2):
+                    if rng.random() < 0.3:
+                        terms[e] = rng.choice([1, -1, 2])
+                row.append(terms or 0)
+            grid.append(row)
+        out.append((grid, p))
+    return out
+
+
+R150 = random_grids(150, 11)
+
+# the items of R150 with no verified solution, and the error each exits 2
+# with: eigenvalues beyond one quadratic extension, and resonant residues
+# whose solutions need logarithms
+R150_UNSUPPORTED = {
+    k: FieldExtensionError for k in (
+        6, 9, 14, 35, 37, 38, 40, 42, 47, 51, 52, 61, 63, 64, 66, 69, 74,
+        76, 94, 104, 107, 109, 119, 128, 134, 138, 142, 145)}
+R150_UNSUPPORTED.update({k: ResonanceError
+                         for k in (25, 59, 67, 92, 98, 110)})
+
+
+# systems outside the planted envelope, where residual verification is
+# the oracle: every item verifies or is refused with its documented error
+@pytest.mark.parametrize("k", range(len(R150)))
+def test_random_systems_verify_or_exit_with_their_code(k):
+    S = sys1(*R150[k])
+    if k in R150_UNSUPPORTED:
+        with pytest.raises(R150_UNSUPPORTED[k]):
+            fmfs(S, order=8)
+    else:
+        sol, _ = fmfs(S, order=8)
+        assert sol.verified_to >= 6
 
 
 def working_orders(monkeypatch):
@@ -485,10 +539,10 @@ def working_orders(monkeypatch):
     orders = []
     reduce_ = driver._reduce
 
-    def spy(S, ram, order, trace, path, certify=None):
+    def spy(S, ram, order, trace, path):
         if not path:
             orders.append(order)
-        return reduce_(S, ram, order, trace, path, certify)
+        return reduce_(S, ram, order, trace, path)
 
     monkeypatch.setattr(driver, "_reduce", spy)
     return orders
@@ -610,7 +664,7 @@ def test_verify_detects_wrong_exponent_matrix():
     bad = ConstMatrix([[QQ.scalar(7), QQ.zero()],
                        [QQ.zero(), QQ.scalar(1)]], QQ)
     tampered = FormalSolution(sol.phi, [bad, sol.C[1]], sol.Q, sol.s,
-                              sol.structure, [])
+                              sol.structure)
     assert not verify_solution(S, tampered)["ok"]
 
 
@@ -619,7 +673,7 @@ def test_verify_detects_wrong_q():
     sol, _ = fmfs(S, order=10)
     Q = [[dict(q) for q in qs] for qs in sol.Q]
     Q[1][0][Fraction(-2)] = QQ.scalar(5)
-    tampered = FormalSolution(sol.phi, sol.C, Q, sol.s, sol.structure, [])
+    tampered = FormalSolution(sol.phi, sol.C, Q, sol.s, sol.structure)
     assert not verify_solution(S, tampered)["ok"]
 
 
@@ -632,16 +686,17 @@ def test_verify_rejects_q_exponent_it_cannot_place(exponent):
     sol, _ = fmfs(S, order=10)
     Q = [[dict(q) for q in qs] for qs in sol.Q]
     Q[1][0][exponent] = QQ.scalar(5)
-    tampered = FormalSolution(sol.phi, sol.C, Q, sol.s, sol.structure, [])
+    tampered = FormalSolution(sol.phi, sol.C, Q, sol.s, sol.structure)
     with pytest.raises(InputError, match=str(exponent)):
         verify_solution(S, tampered)
 
 
 def test_verify_needs_exponent_matrices():
-    S = sys1([[0, 0], [{1: 1}, 1]], 0)
-    sol, _ = fmfs(S, order=10)
-    with pytest.raises(InputError):
-        verify_solution(S, sol)
+    S = hyper_system()
+    doc = serialize_solution(fmfs(S, order=10)[0], S.vars)
+    doc["C"][1] = None
+    with pytest.raises(InputError, match="each C must be"):
+        parse_solution(json.dumps(doc))
 
 
 def test_block_compatibility_guard():
@@ -650,7 +705,7 @@ def test_block_compatibility_guard():
     coupled = ConstMatrix([[QQ.zero(), QQ.one()],
                            [QQ.zero(), QQ.zero()]], QQ)
     broken = FormalSolution(sol.phi, [coupled, sol.C[1], sol.C[2]],
-                            sol.Q, sol.s, sol.structure, [])
+                            sol.Q, sol.s, sol.structure)
     with pytest.raises(ReductionError):
         broken.check_block_compatibility()
 

@@ -202,11 +202,10 @@ def test_layering_check_sees_violations(tmp_path):
         (8, "function-level import")]
 
 
-# defined but never called by the package, on purpose: rank_reduce_alt is
-# the independent oracle the tests compare rank_reduce against;
-# fingerprint is the identity of a system, a solution and a trace that the
-# tests and the benchmark compare; error is the hook argparse calls
-KEPT = {"rank_reduce_alt", "fingerprint", "error"}
+# defined but never called by the package, on purpose: fingerprint is the
+# identity of a system, a solution and a trace that the tests and the
+# benchmark compare; error is the hook argparse calls
+KEPT = {"fingerprint", "error"}
 
 
 def unreferenced_functions(paths):

@@ -2,11 +2,13 @@
 
 Reference data is hand-computed: cofactor solves and column reductions
 are checked against worked 3x4 / 4x4 matrices, the shearing against the
-block-exchange picture on a rank-2 leading term, and the full loops
+block-exchange picture on a rank-2 leading term, and the rank reduction
 against the bivariate systems from helpers (whose reduced forms were
-verified entry by entry through an independent gauge).
+verified entry by entry through an independent gauge) and against the
+growth orders the planted generator plants.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,27 +19,21 @@ from helpers import (
 )
 from pfaffred import reduction
 from pfaffred.docio import generate_equivalent
-from pfaffred.driver import fmfs
 from pfaffred.errors import (
     ColumnModuleNotFree,
     InputError,
     ResonanceError,
-    RowModuleNotFree,
     TruncationInsufficient,
 )
 from pfaffred.linalg import SeriesMatrix, generalized_eigenspaces
 from pfaffred.reduction import (
-    build_Q,
     build_shearing,
     column_reduce,
     eigen_shift,
     integral_cofactors,
-    moser_data,
     moser_rank,
     ramify_system,
     rank_reduce,
-    rank_reduce_alt,
-    ramify_system,
     riccati,
     solve_graded,
     split,
@@ -103,12 +99,13 @@ def test_cofactors_window_inexact_but_sufficient():
 
 def test_column_reduce_eliminates_dependent_column():
     S = shifted_system()
-    colred = column_reduce(S.coeff(0, 0), 0, 10)
-    assert (colred.r, colred.v) == (1, 0)
+    A0 = S.coeff(0, 0)
+    colred = column_reduce(A0, 0, 10)
+    assert colred.r == 1
     g = colred.gauge
     assert g.T.rows[0][1] == poly2({(0, 1): -1})
     assert g.T.rows[0][0] == 1 and g.T.rows[1][1] == 1
-    red = colred.A0_reduced
+    red = g.T_inv * A0 * g.T
     assert red.rows[1][0] == -1
     assert all(red.rows[t][j].is_zero()
                for t in range(2) for j in range(2) if (t, j) != (1, 0))
@@ -117,23 +114,8 @@ def test_column_reduce_eliminates_dependent_column():
 def test_column_reduce_full_rank_is_identity():
     A0 = mat2([[1, 1], [0, 2]])
     colred = column_reduce(A0, 0, 10)
-    assert (colred.r, colred.v) == (2, 2)
+    assert colred.r == 2
     assert colred.gauge.is_identity()
-
-
-def test_column_reduce_refines_core_block():
-    A0 = mat1([
-        [1, 2, 0, 0],
-        [0, 0, 0, 0],
-        [-2, 0, 0, 0],
-        [0, 1, 0, 0],
-    ])
-    colred = column_reduce(A0, 0, 10)
-    assert (colred.r, colred.v) == (2, 1)
-    red = colred.A0_reduced
-    # second core column is a multiple of the first; after elimination
-    # only column 0 survives in the top two rows
-    assert red.rows[0][1].is_zero() and red.rows[1][1].is_zero()
 
 
 def test_column_module_not_free():
@@ -147,159 +129,17 @@ def test_column_module_not_free():
     assert "column module not free" in str(exc.value)
 
 
-# -- the reduction pencil ------------------------------------------------
-
-def test_pencil_regular_case():
-    # A = diag(1, 0) + x diag(5, 7): pencil determinant is lambda + 7
-    S = sys1([[{0: 1, 1: 5}, 0], [0, {1: 7}]], 1)
-    colred = column_reduce(S.coeff(0, 0), 0, 10)
-    md = moser_data(S, 0, colred)
-    assert not md.theta_zero
-    assert md.theta.coefficient((0, 1)) == QQ.one()
-    assert md.theta.coefficient((0, 0)) == QQ.scalar(7)
-
-
-def test_pencil_vanishes_for_nilpotent_leading_term():
-    S = sys1([[0, 0], [1, 0]], 1)
-    colred = column_reduce(S.coeff(0, 0), 0, 10)
-    md = moser_data(S, 0, colred)
-    assert md.theta_zero and not md.theta_limited
-
-
-def test_pencil_invertible_leading_term():
-    S = sys1([[1, 1], [0, 2]], 1)
-    colred = column_reduce(S.coeff(0, 0), 0, 10)
-    md = moser_data(S, 0, colred)
-    assert not md.theta_zero
-    assert md.theta.coefficient((0, 0)) == QQ.scalar(2)
-
-
-def laurent_pencil(S, i, r):
-    """Oracle for theta: x_i^r det(lambda I + A_{i,0}/x_i + A_{i,1}) at
-    x_i = 0, expanded over n + 1 variables with lambda last."""
-    d, n, tower = S.d, S.n, S.tower
-    A0e = S.coeff(i, 0).map(Series.append_slot)
-    A1e = S.coeff(i, 1).map(Series.append_slot)
-    lam = Series.variable(n + 1, n, tower)
-    shift = tuple(-1 if k == i else 0 for k in range(n + 1))
-    P = SeriesMatrix([[A0e.rows[t][j].mul_monomial(shift) + A1e.rows[t][j]
-                       + (lam if t == j else Series.zero(n + 1, tower))
-                       for j in range(d)] for t in range(d)], n + 1, tower)
-    return P.determinant().mul_monomial(
-        tuple(r if k == i else 0 for k in range(n + 1))).restrict([i])
-
-
-def assert_pencil_matches_oracle(S, i, colred, md):
-    want = laurent_pencil(S, i, colred.r)
-    assert md.theta.terms == want.terms
-    assert (md.theta.lo, md.theta.hi) == (want.lo, want.hi)
-
-
-def _row_module_system():
-    rows = [[Series.zero(3, QQ) for _ in range(4)] for _ in range(4)]
-    rows[0][0] = Series.constant(3, 1, QQ)
-    rows[2][1] = Series.variable(3, 1, QQ)
-    rows[3][1] = Series.variable(3, 2, QQ)
-    Z = SeriesMatrix.zeros(4, 4, 3, QQ)
-    return PfaffianSystem(["x1", "x2", "x3"], [1, 0, 0],
-                          [SeriesMatrix(rows, 3, QQ), Z, Z], QQ)
-
-
-@pytest.mark.parametrize("build", [
-    lambda: sys1([[{0: 1, 1: 5}, 0], [0, {1: 7}]], 1),
-    lambda: sys1([[0, 0], [1, 0]], 1),
-    lambda: sys1([[1, 1], [0, 2]], 1),
-    lambda: PfaffianSystem(["x1", "x2"], [3, 1], [
-        mat2([[{(3, 0): 1}, 0], [-1, {(3, 0): 1}]]),
-        mat2([[{(0, 1): -1}, 0], [-2, {(0, 1): -1}]])], QQ),
-    lambda: sys1([[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0]], 1),
-    _row_module_system,
-], ids=["regular", "nilpotent", "invertible", "empty-core", "widest-rho",
-        "row-module"])
-def test_pencil_matches_the_laurent_expansion(build):
-    S = build()
-    colred = column_reduce(S.coeff(0, 0), 0, 10)
-    assert_pencil_matches_oracle(S, 0, colred, moser_data(S, 0, colred))
-
-
-@pytest.mark.parametrize("seed,shape", [
-    (3, {"n": 2, "d": 2, "p": [2, 1], "ramified": True}),
-    (0, {"n": 2, "d": 3, "p": [2, 1], "ramified": True}),
-], ids=["r3-n2d2p21", "r0-n2d3p21"])
-def test_pencil_matches_the_laurent_expansion_on_plants(monkeypatch, seed,
-                                                        shape):
-    # every pencil a full reduction builds, vanishing and truncated
-    # ones included
-    seen = []
-
-    def checked(S, i, colred, certify_order=None):
-        md = moser_data(S, i, colred, certify_order)
-        assert_pencil_matches_oracle(S, i, colred, md)
-        seen.append((md.theta_zero, md.theta.exact))
-        return md
-
-    monkeypatch.setattr(reduction, "moser_data", checked)
-    fmfs(generate_equivalent(seed, shape)[0], order=8)
-    assert any(zero for zero, _ in seen)
-
-
 def test_moser_rank_values():
     S = shifted_system()
     assert moser_rank(S, 0) == Fraction(7, 2)
     assert moser_rank(S, 1) == Fraction(3, 2)
 
 
-# -- pencil reorganization and shearing ----------------------------------
-
-def test_build_q_trivial_when_core_empty():
-    # v = 0 requires no reorganization at all
-    A1 = mat2([[{(3, 0): 1}, 0], [-1, {(3, 0): 1}]])
-    A2 = mat2([[{(0, 1): -1}, 0], [-2, {(0, 1): -1}]])
-    S = PfaffianSystem(["x1", "x2"], [3, 1], [A1, A2], QQ)
-    colred = column_reduce(S.coeff(0, 0), 0, 10)
-    md = moser_data(S, 0, colred)
-    assert md.theta_zero
-    g, md2 = build_Q(S, 0, md)
-    assert g.is_identity()
-    assert md2.rho == 0
-
-
-def test_build_q_selects_widest_valid_rho():
-    S = sys1([
-        [0, 0, 0, 0],
-        [1, 0, 0, 0],
-        [0, 1, 0, 0],
-        [0, 0, 0, 0],
-    ], 1)
-    colred = column_reduce(S.coeff(0, 0), 0, 10)
-    md = moser_data(S, 0, colred)
-    assert md.theta_zero
-    g, md2 = build_Q(S, 0, md)
-    assert md2.rho == 1
-
-
-def test_build_q_row_module_not_free():
-    # 32-block rows x2 and x3 span a rank-one module needing two
-    # generators, so no unimodular reorganization can clear either
-    rows = [[Series.zero(3, QQ) for _ in range(4)] for _ in range(4)]
-    rows[0][0] = Series.constant(3, 1, QQ)
-    rows[2][1] = Series.variable(3, 1, QQ)
-    rows[3][1] = Series.variable(3, 2, QQ)
-    A1 = SeriesMatrix(rows, 3, QQ)
-    Z = SeriesMatrix.zeros(4, 4, 3, QQ)
-    S = PfaffianSystem(["x1", "x2", "x3"], [1, 0, 0], [A1, Z, Z], QQ)
-    colred = column_reduce(S.coeff(0, 0), 0, 10)
-    assert (colred.r, colred.v) == (2, 1)
-    md = moser_data(S, 0, colred)
-    assert md.theta_zero
-    with pytest.raises(RowModuleNotFree) as exc:
-        build_Q(S, 0, md)
-    assert "row module not free" in str(exc.value)
-
+# -- shearing ----------------------------------------------------------
 
 def test_shearing_shape():
-    g = build_shearing(0, 2, 1, 4, 1, QQ)
-    for k, e in enumerate([(1,), (1,), (0,), (1,)]):
+    g = build_shearing(0, 2, 4, 1, QQ)
+    for k, e in enumerate([(1,), (1,), (0,), (0,)]):
         assert g.T.rows[k][k] == Series.monomial(1, e, 1, QQ)
 
 
@@ -313,9 +153,8 @@ def test_shearing_block_exchange():
         [{1: 5}, {0: 1, 1: 6}, {1: 3}, {1: 3}],
     ])
     S = PfaffianSystem(["x"], [2], [A], QQ)
-    colred = column_reduce(S.coeff(0, 0), 0, 10)
-    assert (colred.r, colred.v) == (2, 1)
-    g = build_shearing(0, 2, 0, 4, 1, QQ)
+    assert column_reduce(S.coeff(0, 0), 0, 10).r == 2
+    g = build_shearing(0, 2, 4, 1, QQ)
     out = apply_gauge(S, g)
     assert out.p == [2]
     A0 = out.coeff(0, 0)
@@ -332,6 +171,16 @@ def test_shearing_block_exchange():
 
 # -- rank reduction ------------------------------------------------------
 
+def assert_steps_replay(S, T, out, steps):
+    """The logged steps compose to T and replay to the same endpoint."""
+    g = GaugeTransformation.identity(S.d, S.n, S.tower)
+    for st in steps:
+        if st["gauge"] is not None:
+            g = g.compose(st["gauge"])
+    assert g.T == T
+    assert apply_gauge(S, g).fingerprint() == out.fingerprint()
+
+
 def test_rank_reduce_bivariate_reaches_regular_form():
     S = shifted_system()
     T, out, steps = rank_reduce(S)
@@ -339,13 +188,7 @@ def test_rank_reduce_bivariate_reaches_regular_form():
     want1 = mat2([[-2, 0], [{(0, 1): -1}, 1]])
     want2 = mat2([[-2, 0], [{(3, 0): -2}, -1]])
     assert out.A[0].agrees(want1) and out.A[1].agrees(want2)
-    # the logged steps compose to T and replay to the same endpoint
-    g = GaugeTransformation.identity(S.d, S.n, QQ)
-    for st in steps:
-        if st["gauge"] is not None:
-            g = g.compose(st["gauge"])
-    assert g.T == T
-    assert apply_gauge(S, g).fingerprint() == out.fingerprint()
+    assert_steps_replay(S, T, out, steps)
     assert any(s["kind"] == "shear" for s in steps)
 
 
@@ -361,25 +204,44 @@ def test_rank_reduce_stops_at_true_ranks():
 
 
 def test_rank_reduce_uses_reorganization_path():
+    # a nilpotent chain of length three: the first shear of the rank
+    # block leaves p = 1, and the second, within Levelt's d - 1, lowers it
     S = sys1([
         [0, 0, 0, 0],
         [1, 0, 0, 0],
         [0, 1, 0, 0],
         [0, 0, 0, 0],
     ], 1)
-    _, out, steps = rank_reduce(S)
+    T, out, steps = rank_reduce(S)
     assert out.p == [0]
-    final = out.A[0]
-    expect = [[-2, 0, 0, 0], [1, -1, 0, 0], [0, 1, 0, 0], [0, 0, 0, -1]]
-    for t in range(4):
-        for j in range(4):
-            assert final.rows[t][j] == expect[t][j]
-    shears = [s for s in steps if s["kind"] == "shear"]
-    assert len(shears) == 2
-    # first pass isolates one clearable row (exponents x,x,1,x), second
-    # pass runs with an empty core and shears the rank block alone
-    assert shears[0]["gauge"].T.rows[3][3] == Series.variable(1, 0, QQ)
-    assert shears[1]["gauge"].T.rows[3][3] == 1
+    assert [(s["kind"], s["p_after"]) for s in steps] == [
+        ("shear", [1]), ("shear", [0])]
+    assert_steps_replay(S, T, out, steps)
+
+
+def test_rank_reduce_alt_univariate():
+    # the same chain through the graded reduction that replaced the
+    # pencil one reaches p = 0 however its steps are logged
+    S = sys1([
+        [0, 0, 0, 0],
+        [1, 0, 0, 0],
+        [0, 1, 0, 0],
+        [0, 0, 0, 0],
+    ], 1)
+    _, out, _ = rank_reduce(S)
+    assert out.p == [0]
+
+
+def test_rank_reduce_rolls_back_sterile_shears():
+    # Airy has growth order 1/2, so p = 1 is minimal: the one shear
+    # allowed at d = 2 leaves p as it was and is taken back, and the
+    # column reduction before it stays
+    S = sys1([[0, 1], [{1: 1}, 0]], 1)
+    T, out, steps = rank_reduce(S)
+    assert out.p == [1]
+    assert [s["kind"] for s in steps] == ["column_reduce"]
+    assert out.fingerprint() == apply_gauge(S, steps[0]["gauge"]).fingerprint()
+    assert_steps_replay(S, T, out, steps)
 
 
 def test_rank_reduce_propagates_window_exhaustion():
@@ -388,25 +250,40 @@ def test_rank_reduce_propagates_window_exhaustion():
         rank_reduce(S)
 
 
-def test_rank_reduce_alt_agrees_on_final_ranks():
-    for build in (shifted_system, hyper_system):
-        _, out, _ = rank_reduce(build())
-        _, out2, _ = rank_reduce_alt(build())
-        assert out.p == out2.p
+# the planted growth orders are the oracle: minimal integer ranks are the
+# least integers above them; the ramified plants need sterile shears
+@pytest.mark.parametrize("seed,shape", [
+    (2, {"n": 2, "d": 4, "p": [1, 1]}),
+    (3, {"n": 2, "d": 2, "p": [2, 1], "ramified": True}),
+    (0, {"n": 2, "d": 3, "p": [2, 1], "ramified": True}),
+    (1, {"n": 1, "d": 3, "p": [2], "ramified": True}),
+], ids=["g2-n2d4p11", "r3-n2d2p21", "r0-n2d3p21", "r1-n1d3p2"])
+def test_rank_reduce_reaches_the_planted_ranks(seed, shape):
+    S, planted = generate_equivalent(seed, shape)
+    T, out, steps = rank_reduce(S, order=8)
+    assert out.p == [math.ceil(w) for w in planted["omega"]]
+    assert_steps_replay(S, T, out, steps)
 
 
-def test_rank_reduce_alt_univariate():
-    S = sys1([
-        [0, 0, 0, 0],
-        [1, 0, 0, 0],
-        [0, 1, 0, 0],
-        [0, 0, 0, 0],
-    ], 1)
-    _, out, _ = rank_reduce_alt(S)
-    assert out.p == [0]
+def test_rank_reduce_lowers_past_a_sterile_shear():
+    # growth order 1 at p = 3: the second shear leaves p = 2 as it was,
+    # and the third, after a new column reduction, lowers it to 1
+    S = sys1([[{4: 2}, {2: -1, 4: 2}, 0], [{3: 1, 4: 1}, {4: 1}, {4: 2}],
+              [{4: -1}, {0: 2}, {2: 1, 4: -1}]], 3)
+    T, out, steps = rank_reduce(S)
+    assert [s["p_after"] for s in steps if s["kind"] == "shear"] == [
+        [2], [2], [1]]
+    assert out.p == [1]
+    assert_steps_replay(S, T, out, steps)
 
 
 # -- splitting -----------------------------------------------------------
+
+def eigenvalues(S, i):
+    """The roots of A_i(0)'s characteristic polynomial, as the driver
+    hands them to split."""
+    return roots_of_charpoly(S.A[i].constant_term().charpoly())
+
 
 def h_system():
     """Regular form of the shifted system: eigenvalues (-2, 1) and (-2, -1)."""
@@ -431,7 +308,7 @@ RESONANT_CONSISTENT = [
 
 def test_split_decouples_lower_triangular_couplings():
     S = h_system()
-    T, top, bottom = split(S, 0)
+    T, top, bottom = split(S, 0, eigenvalues(S, 0))
     assert top.d == 1 and bottom.d == 1
     assert top.A[0].rows[0][0] == -2 and top.A[1].rows[0][0] == -2
     assert bottom.A[0].rows[0][0] == 1 and bottom.A[1].rows[0][0] == -1
@@ -442,13 +319,14 @@ def test_split_decouples_lower_triangular_couplings():
 
 def test_split_respects_integrability():
     S = h_system()
-    _, top, bottom = split(S, 0)
+    _, top, bottom = split(S, 0, eigenvalues(S, 0))
     assert check_integrability(top).passed
     assert check_integrability(bottom).passed
 
 
 def test_split_with_quadratic_eigenvalues():
-    _, top, bottom = split(quadratic_system(), 0)
+    S = quadratic_system()
+    _, top, bottom = split(S, 0, eigenvalues(S, 0))
     lam = top.A[0].rows[0][0].coefficient((0,))
     mu = bottom.A[0].rows[0][0].coefficient((0,))
     assert (lam * lam).to_fraction() == 2
@@ -466,7 +344,7 @@ def test_split_satisfies_the_splitting_identity(build, exact):
     """A_k T - x_k^{p_k+1} dT/dx_k = T Diag(top_k, bottom_k) for every k,
     on the common window; T is exact only when the couplings are."""
     S = build()
-    T, top, bottom = split(S, 0)
+    T, top, bottom = split(S, 0, eigenvalues(S, 0))
     assert T.exact == exact
     for k in range(S.n):
         ek = tuple(S.p[k] + 1 if kk == k else 0 for kk in range(S.n))
@@ -478,21 +356,22 @@ def test_split_satisfies_the_splitting_identity(build, exact):
 def test_split_requires_distinct_eigenvalues():
     S = sys1([[0, 1], [0, 0]], 0)
     with pytest.raises(InputError):
-        split(S, 0)
+        split(S, 0, eigenvalues(S, 0))
 
 
 def test_split_rejects_order_below_one():
     S = sys1([[1, 0], [0, 0]], 0)
     for order in (0, -5):
         with pytest.raises(InputError):
-            split(S, 0, order=order)
+            split(S, 0, eigenvalues(S, 0), order=order)
 
 
 def test_split_resonant_inconsistent_coupling():
     # x F' = [[1, x], [0, 0]] F: the coupling equation at x^1 reads
     # (1 - 0 - 1) p_1 = -1, which no p_1 solves
+    S = sys1([[1, {1: 1}], [0, 0]], 0)
     with pytest.raises(ResonanceError, match="grade") as exc:
-        split(sys1([[1, {1: 1}], [0, 0]], 0), 0)
+        split(S, 0, eigenvalues(S, 0))
     assert exc.value.grade == (1,)
 
 
@@ -503,8 +382,9 @@ def test_split_residue_check_refuses_wrong_couplings(monkeypatch):
         reduction, "solve_graded",
         lambda blocks, p, box, tower: SeriesMatrix.zeros(
             blocks[0][1].nrows, blocks[0][1].ncols, len(box), tower))
+    S = h_system()
     with pytest.raises(ResonanceError, match="off-diagonal residue"):
-        split(h_system(), 0)
+        split(S, 0, eigenvalues(S, 0))
 
 
 # -- the graded Riccati solver ----------------------------------------------
@@ -512,8 +392,8 @@ def test_split_residue_check_refuses_wrong_couplings(monkeypatch):
 def split_blocks(S, i, order):
     """(system in the eigenbasis of A_i(0), per-component blocks
     (a11, a12, a21, a22), box of the order and the input windows)."""
-    C = S.A[i].constant_term()
-    V, sizes = generalized_eigenspaces(C, roots_of_charpoly(C.charpoly()))
+    V, sizes = generalized_eigenspaces(S.A[i].constant_term(),
+                                       eigenvalues(S, i))
     S = apply_gauge(S, GaugeTransformation.from_constant(V, S.n))
     top, bottom = range(sizes[0]), range(sizes[0], S.d)
     blocks = [(A.submatrix(top, top), A.submatrix(top, bottom),
@@ -567,7 +447,8 @@ def test_solve_graded_solves_the_endgame_equation():
 
 @pytest.mark.parametrize("grid,gauge", RESONANT_CONSISTENT)
 def test_split_resonant_consistent_coupling(grid, gauge):
-    T, _, _ = split(sys1(grid, 0), 0)
+    S = sys1(grid, 0)
+    T, _, _ = split(S, 0, eigenvalues(S, 0))
     assert T == mat1(gauge)
     assert T.exact
 
