@@ -132,14 +132,15 @@ def _fmt_exp(var: str, e: Fraction) -> str:
 
 
 def _fmt_q(q, var):
-    """{-2: 3, -1: 2} over x2 -> '3/x2^2 + 2/x2'."""
+    """{-2: 3, -1: a - 1} over x2 -> '3/x2^2 + (-1 + a)/x2'."""
     if not q:
         return "0"
     out = ""
     for e in sorted(q):
-        c = str(q[e])
-        sign = " + "
-        if c.startswith("-"):
+        c, sign = str(q[e]), " + "
+        if not q[e].is_rational():
+            c = f"({c})"
+        elif c.startswith("-"):
             sign, c = " - ", c[1:]
         term = f"{c}/{_fmt_exp(var, e)}"
         out += (sign if out else ("-" if sign == " - " else "")) + term

@@ -99,8 +99,7 @@ class FormalSolution:
             w = Fraction(0)
             for q in qs:
                 for e in q:
-                    if -e > w:
-                        w = -e
+                    w = max(w, -e)
             out.append(w)
         return out
 
@@ -111,17 +110,13 @@ class FormalSolution:
         the exp factors commute exactly when C is block diagonal with
         respect to the common refinement of the Q block structures.
         """
-        d = self.d
         for c in self.C:
-            for r in range(d):
-                for k in range(d):
-                    if r == k or c.rows[r][k].is_zero():
-                        continue
-                    for qs in self.Q:
-                        if _qkey(qs[r]) != _qkey(qs[k]):
-                            raise ReductionError(
-                                "exponent matrix couples slots with "
-                                "distinct exponential parts")
+            for r, row in enumerate(c.rows):
+                for k, a in enumerate(row):
+                    if r != k and not a.is_zero() and any(
+                            _qkey(qs[r]) != _qkey(qs[k]) for qs in self.Q):
+                        raise ReductionError("exponent matrix couples slots "
+                                             "with distinct exponential parts")
 
     def fingerprint(self) -> str:
         parts = [_matrix_fp(self.phi)]
@@ -259,7 +254,6 @@ def _joint_block_diagonalize(Cs):
     """Constant W with W^-1 C_i W block diagonal, one joint eigenvalue
     tuple per block, over the join of the fields of the C_i and their
     eigenvalues.  Recurses over the commuting family."""
-    d = Cs[0].nrows
     for C in Cs:
         roots = roots_of_charpoly(C.charpoly())
         if len(roots) < 2:
@@ -268,18 +262,12 @@ def _joint_block_diagonalize(Cs):
         Vinv = V.inverse()
         conj = [Vinv * M * V for M in Cs]
         # commuting family: each conjugate must respect the block split
-        offsets = [0]
-        for s in sizes:
-            offsets.append(offsets[-1] + s)
-        for M in conj:
-            for r in range(d):
-                for c in range(d):
-                    rb = max(k for k in range(len(sizes)) if offsets[k] <= r)
-                    cb = max(k for k in range(len(sizes)) if offsets[k] <= c)
-                    if rb != cb and not M.rows[r][c].is_zero():
-                        raise ReductionError(
-                            "commuting family failed to respect its own "
-                            "eigenblock split")
+        owner = [k for k, s in enumerate(sizes) for _ in range(s)]
+        if any(owner[r] != owner[c] and not a.is_zero() for M in conj
+               for r, row in enumerate(M.rows) for c, a in enumerate(row)):
+            raise ReductionError(
+                "commuting family failed to respect its own eigenblock split")
+        offsets = [sum(sizes[:k]) for k in range(len(sizes))]
         # the sibling blocks share one running field, so a later block
         # factors its charpoly over what an earlier one adjoined, and
         # +-sqrt(2) beside +-2 sqrt(2) needs one extension, not two
@@ -291,7 +279,7 @@ def _joint_block_diagonalize(Cs):
             running = common_tower(running, Wk.tower)
             blocks.append(Wk)
         return V * ConstMatrix.block_diag(blocks)
-    return ConstMatrix.identity(d, Cs[0].tower)
+    return ConstMatrix.identity(Cs[0].nrows, Cs[0].tower)
 
 
 # -- the reduction loop -----------------------------------------------------
@@ -488,15 +476,13 @@ def verify_solution(S: PfaffianSystem, sol: FormalSolution):
             w = min(h for r in R.rows for s_ in r for h in s_.hi)
             k = w if w == INF else w - 1
             per.append({"component": i, "ok": True, "verified_to": k})
-            if k < verified:
-                verified = k
+            verified = min(verified, k)
         else:
             bad = min(sum(e) for r in R.rows for s_ in r for e in s_.terms)
             ok = False
             per.append({"component": i, "ok": False,
                         "verified_to": bad - 1})
-            if bad - 1 < verified:
-                verified = bad - 1
+            verified = min(verified, bad - 1)
     return {"ok": ok, "verified_to": verified, "per_component": per}
 
 

@@ -5,9 +5,10 @@ rank, solve, kernel, inverse) plus characteristic polynomials and
 generalized eigenspace decomposition.  Every elimination is one
 Gauss-Jordan loop, Elimination, which records its row operations: rref
 reads its reduced form, and solve_vec and inverse replay the operations
-on a right-hand side or on unit vectors.  sylvester_stack builds the
-stacked operator X -> (L_k X - X R_k - s_k X)_k that the graded
-solver (reduction.solve_graded) eliminates.  SeriesMatrix holds Series
+on a right-hand side or on unit vectors.  SylvesterSolver solves the
+stacked equations (L_k X - X R_k - s_k X)_k = b of the graded solver
+(reduction.solve_graded) from one invertible block, eliminated once per
+shift, checking it against the others.  SeriesMatrix holds Series
 entries and has no inverse: every series gauge is built together with
 its inverse (see system.GaugeTransformation); its product sums each
 entry's products in one Series.sum_of.  Both the characteristic
@@ -150,14 +151,11 @@ class ConstMatrix:
             poly_mul, poly_add, lambda p: [-c for c in p]))
 
     def power(self, k: int):
-        out = ConstMatrix.identity(self.nrows, self.tower)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        """A^k by repeated squaring: no product for k = 1, one for k = 2."""
+        if k < 2:
+            return self if k else ConstMatrix.identity(self.nrows, self.tower)
+        half = (self * self).power(k >> 1)
+        return half * self if k & 1 else half
 
     @classmethod
     def block_diag(cls, blocks):
@@ -300,33 +298,64 @@ def generalized_eigenspaces(A: ConstMatrix, roots):
     return V, sizes
 
 
-def sylvester_stack(blocks, tower):
-    """Matrix of X -> (L_k X - X R_k - s_k X)_k on row-major vec(X).
+class SylvesterSolver:
+    """The equations L_k X - X R_k - s_k X = b_k of one grade of the
+    graded solver (reduction.solve_graded), stacked over the components
+    k on row-major vec(X), with (L_k, R_k) = pairs[k] and the grade's
+    shifts s_k.  Each block (k, s_k) is built and eliminated at most
+    once, and kept as long as the solver."""
 
-    blocks lists (L_k, R_k, s_k): square constant L_k and R_k of the
-    row and column sizes of X, and a rational shift s_k.  Row block k
-    of the result holds equation k.  This is the operator of one monomial
-    of the graded solver (reduction.solve_graded), with L_k = b11(0),
-    R_k = b22(0) and s_k the monomial's shift.
-    """
-    rows, cols = blocks[0][0].nrows, blocks[0][1].nrows
-    size = rows * cols
-    out = []
-    for L, R, shift in blocks:
-        M = ConstMatrix.zeros(size, size, tower)
-        s = tower.scalar(shift)
-        for rr in range(rows):
-            for cc in range(cols):
-                ci = rr * cols + cc
-                for r2 in range(rows):
-                    M.rows[r2 * cols + cc][ci] = \
-                        M.rows[r2 * cols + cc][ci] + L.rows[r2][rr]
-                for c2 in range(cols):
-                    M.rows[rr * cols + c2][ci] = \
-                        M.rows[rr * cols + c2][ci] - R.rows[cc][c2]
-                M.rows[ci][ci] = M.rows[ci][ci] - s
-        out.extend(M.rows)
-    return ConstMatrix(out, tower)
+    __slots__ = ("pairs", "tower", "blocks")
+
+    def __init__(self, pairs, tower):
+        self.pairs, self.tower, self.blocks = pairs, tower, {}
+
+    def solve(self, shifts, b):
+        """x solving the stack, or None when it is inconsistent.
+
+        The first block of full rank, in component order, gives the
+        stack's unique solution, which every other block must map to its
+        own b_k.  Only when no block has full rank is the whole stack
+        eliminated, with its free unknowns 0.
+        """
+        blocks = []
+        for k, s in enumerate(shifts):
+            # [matrix, its nonzero (col, entry) per row, its Elimination]
+            blk = self.blocks.get((k, s))
+            if blk is None:
+                (L, R), nc = self.pairs[k], self.pairs[k][1].nrows
+                M = ConstMatrix.zeros(L.nrows * nc, L.nrows * nc, self.tower)
+                for ij, row in enumerate(M.rows):
+                    i, j = divmod(ij, nc)
+                    for r in range(L.nrows):
+                        row[r * nc + j] = row[r * nc + j] + L.rows[i][r]
+                    for c in range(nc):
+                        row[i * nc + c] = row[i * nc + c] - R.rows[c][j]
+                    row[ij] = row[ij] - s
+                blk = self.blocks[k, s] = [M, [
+                    [(c, a) for c, a in enumerate(r) if not a.is_zero()]
+                    for r in M.rows], None]
+            blocks.append(blk)
+        size = len(b) // len(blocks)
+        for k, blk in enumerate(blocks):
+            if blk[2] is None:
+                blk[2] = Elimination(blk[0])
+            if len(blk[2].pivots) < size:
+                continue
+            x = blk[2].solve(b[k * size:(k + 1) * size])
+            xs = {c: v for c, v in enumerate(x) if not v.is_zero()}
+            for j, other in enumerate(blocks):
+                if j == k:
+                    continue
+                for row, y in zip(other[1], b[j * size:]):
+                    for c, a in row:
+                        if c in xs:
+                            y = y - a * xs[c]
+                    if not y.is_zero():
+                        return None
+            return x
+        return Elimination(ConstMatrix(
+            [r for blk in blocks for r in blk[0].rows], self.tower)).solve(b)
 
 
 class SeriesMatrix:

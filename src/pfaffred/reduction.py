@@ -18,12 +18,12 @@ One graded solver, solve_graded, serves both splitting and the regular
 endgame: each needs an X without constant term solving the Riccati
 equations b11 X + b12 - X b22 - X b21 X - x_k^{p_k+1} dX/dx_k = 0
 (riccati) of all components jointly, inside a box of monomials.  Each
-monomial's unknowns solve one stacked linear system whose operator
-depends only on the shifts beta_k of the regular components, so each
-distinct operator is eliminated once and its recorded row operations
-are replayed on every right-hand side.  The right-hand sides wait at
-their monomial until every lower total degree is solved, so only the
-monomials the support of X reaches are visited.
+monomial's unknowns solve one stacked linear system, one Sylvester block
+per component (linalg.SylvesterSolver): the first invertible block
+solves it and the others only check that solution, and each block is
+eliminated once per shift.  The right-hand sides wait at their monomial
+until every lower total degree is solved, so only the monomials the
+support of X reaches are visited.
 
 Splitting decouples a component whose constant term has at least two
 distinct eigenvalues into two diagonal blocks: the couplings P and Q
@@ -50,10 +50,9 @@ from .errors import (
 )
 from .linalg import (
     ConstMatrix,
-    Elimination,
     SeriesMatrix,
+    SylvesterSolver,
     generalized_eigenspaces,
-    sylvester_stack,
 )
 from .scalars import Scalar
 from .series import INF, Series
@@ -342,15 +341,6 @@ def _apply_logged(S, g, steps, kind, i):
     return out
 
 
-def _product(steps, S):
-    """The product of the transformations the steps applied, in order."""
-    T = SeriesMatrix.identity(S.d, S.n, S.tower)
-    for st in steps:
-        if st["gauge"] is not None:
-            T = T * st["gauge"].T
-    return T
-
-
 def rank_reduce(S: PfaffianSystem, order: int = 10):
     """Lower every Poincare rank to its minimal integer value.
 
@@ -404,7 +394,11 @@ def rank_reduce(S: PfaffianSystem, order: int = 10):
                 S, kept = saved
                 del steps[kept:]
                 break
-    return _product(steps, S), S, steps
+    T = SeriesMatrix.identity(S.d, S.n, S.tower)
+    for st in steps:
+        if st["gauge"] is not None:
+            T = T * st["gauge"].T
+    return T, S, steps
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +446,7 @@ def katz_order_univariate(ods: PfaffianSystem, order: int = 10) -> Fraction:
             seen[kl] = kx
     best = Fraction(0)
     for j, v in seen.items():
-        slope = p - Fraction(v, d - j)
-        if slope > best:
-            best = slope
+        best = max(best, p - Fraction(v, d - j))
     for j in range(d):
         # an all-zero coefficient column is only safe if even a term
         # sitting right at the window could not beat the current max
@@ -501,8 +493,10 @@ def solve_graded(blocks, p, box, tower):
     blocks lists (b11, b12, b21, b22) per component k; p[k] is its
     Poincare rank.  Each monomial beta of X solves one stacked system
     X_beta -> b11(0) X_beta - X_beta b22(0) - s_k X_beta, with s_k = beta_k
-    when p_k = 0 and 0 otherwise; each shift vector is eliminated once
-    and replayed, and free unknowns are 0.  Every other term reaches beta
+    when p_k = 0 and 0 otherwise, through linalg.SylvesterSolver: the
+    first component whose block is invertible solves it and every other
+    component checks the result; only when no block is invertible is the
+    stack eliminated, free unknowns 0.  Every other term reaches beta
     from a strictly lower total degree, so it waits in a right-hand side
     pending at beta, and the betas pop from a heap in (|beta|, beta)
     order.  A solved X_beta is scattered at once through the nonconstant
@@ -515,7 +509,8 @@ def solve_graded(blocks, p, box, tower):
     n = len(box)
     nr, nc = blocks[0][1].nrows, blocks[0][1].ncols
     size = nr * nc
-    consts = [(b[0].constant_term(), b[3].constant_term()) for b in blocks]
+    solver = SylvesterSolver(
+        [(b[0].constant_term(), b[3].constant_term()) for b in blocks], tower)
     quadratic = not all(b[2].is_zero() for b in blocks)
     # per component and nonconstant grade gamma, the terms of
     # b11_gamma X - X b22_gamma as (source, target, coeff) on vec(X)
@@ -553,10 +548,6 @@ def solve_graded(blocks, p, box, tower):
             for i, j, a in nz:
                 r[k * size + i * nc + j] += a
 
-    # with every p_k = 0 the shift vector is beta itself, met only once,
-    # so an elimination is kept for replay only when some p_k >= 1
-    eliminations: dict = {}
-    replay = any(p)
     X = SeriesMatrix.zeros(nr, nc, n, tower)
     while heap:
         g = heap[0][0]
@@ -566,15 +557,8 @@ def solve_graded(blocks, p, box, tower):
             r = pending.pop(beta)
             if all(v.is_zero() for v in r):
                 continue            # zero is the canonical kernel choice
-            shifts = tuple(b if pk == 0 else 0 for b, pk in zip(beta, p))
-            el = eliminations.get(shifts)
-            if el is None:
-                el = Elimination(sylvester_stack(
-                    [(c11, c22, s) for (c11, c22), s in zip(consts, shifts)],
-                    tower))
-                if replay:
-                    eliminations[shifts] = el
-            x = el.solve([-v for v in r])
+            x = solver.solve([b if pk == 0 else 0 for b, pk in zip(beta, p)],
+                             [-v for v in r])
             if x is None:
                 raise ResonanceError(
                     f"no polynomial correction at grade {beta}", grade=beta)
@@ -673,10 +657,7 @@ def split(S: PfaffianSystem, i: int, roots, order: int = 10):
     W = [order + 1] * n
     for blocks in a:
         for M in blocks:
-            wh = M.window_hi()
-            for kk in range(n):
-                if wh[kk] != INF and wh[kk] < W[kk]:
-                    W[kk] = wh[kk]
+            W = list(map(min, W, M.window_hi()))
     box = tuple(W)
 
     def in_box(M):
@@ -688,7 +669,8 @@ def split(S: PfaffianSystem, i: int, roots, order: int = 10):
     boxed = [tuple(in_box(M) for M in blocks) for blocks in a]
     P = solve_graded(boxed, S.p, box, tower)
     Q = solve_graded([b[::-1] for b in boxed], S.p, box, tower)
-    certified = all(
+    # an inexact a12 or a21, a summand of a residual, rules certification out
+    certified = all(b[1].exact and b[2].exact for b in a) and all(
         m.is_zero() and m.exact
         for k in range(n)
         for m in (riccati(a[k], P, S.p[k], k),

@@ -17,10 +17,10 @@ Stored-term invariant: every stored coefficient is nonzero and every
 stored exponent lies in [lo, hi).  The public constructor Series(...)
 establishes it for any input: it raises DimensionError on a term below
 the floor and drops zero coefficients and terms at or above the top.
-Results whose invariant holds by construction skip those checks and go
-through the module-private Series._trusted: negation, the product by a
-scalar, mul_monomial, and the sum and product of two series, which
-drop what cancelled and what a narrower top cuts off themselves.
+Results whose invariant holds by construction skip those checks through
+the module-private Series._trusted; only constant, monomial, variable
+and with_window take the public constructor.  Sums, products and clipped
+drop what cancels and what a narrower top cuts off themselves.
 Series.sum_of adds any number of series the way a fold of + from
 Series.zero does; + is its two-operand case.
 """
@@ -126,7 +126,7 @@ class Series:
 
     @classmethod
     def zero(cls, nvars, tower, lo=None, hi=None):
-        return cls(nvars, {}, tower, lo, hi)
+        return cls._trusted(nvars, {}, tower, *_norm_window(nvars, lo, hi))
 
     @classmethod
     def constant(cls, nvars, value, tower):
@@ -199,8 +199,10 @@ class Series:
 
     def clipped(self, hi):
         """Explicitly forget terms at or above hi."""
-        hi = tuple(min(a, b) for a, b in zip(self.hi, hi))
-        return Series(self.nvars, self.terms, self.tower, self.lo, hi)
+        hi = tuple(map(min, self.hi, hi))
+        terms = {e: c for e, c in self.terms.items()
+                 if all(map(operator.lt, e, hi))}
+        return Series._trusted(self.nvars, terms, self.tower, self.lo, hi)
 
     def _check_compat(self, other):
         if self.nvars != other.nvars:
@@ -286,7 +288,7 @@ class Series:
             terms[ne] = c * exp[i]
         lo = self.lo[:i] + (self.lo[i] - 1 if self.lo[i] != -INF else -INF,) + self.lo[i + 1:]
         hi = self.hi[:i] + (self.hi[i] - 1 if self.hi[i] != INF else INF,) + self.hi[i + 1:]
-        return Series(self.nvars, terms, self.tower, lo, hi)
+        return Series._trusted(self.nvars, terms, self.tower, lo, hi)
 
     def restrict(self, zero_vars):
         """Set the listed variables to 0."""
@@ -300,7 +302,7 @@ class Series:
                  if all(e[i] == 0 for i in zero_vars)}
         lo = tuple(0 if i in zero_vars else l for i, l in enumerate(self.lo))
         hi = tuple(INF if i in zero_vars else h for i, h in enumerate(self.hi))
-        return Series(self.nvars, terms, self.tower, lo, hi)
+        return Series._trusted(self.nvars, terms, self.tower, lo, hi)
 
     def coeff_in_xi(self, i: int, k: int):
         """The x_i^k coefficient, as a series in the remaining variables."""
@@ -310,7 +312,7 @@ class Series:
                  for e, c in self.terms.items() if e[i] == k}
         lo = tuple(0 if j == i else l for j, l in enumerate(self.lo))
         hi = tuple(INF if j == i else h for j, h in enumerate(self.hi))
-        return Series(self.nvars, terms, self.tower, lo, hi)
+        return Series._trusted(self.nvars, terms, self.tower, lo, hi)
 
     def ramify(self, i: int, m: int):
         """Substitute x_i -> t^m (exponent scaling in slot i)."""
@@ -322,19 +324,19 @@ class Series:
         scale = lambda v: v * m if v not in (INF, -INF) else v
         lo = self.lo[:i] + (scale(self.lo[i]),) + self.lo[i + 1:]
         hi = self.hi[:i] + (scale(self.hi[i]),) + self.hi[i + 1:]
-        return Series(self.nvars, terms, self.tower, lo, hi)
+        return Series._trusted(self.nvars, terms, self.tower, lo, hi)
 
     def project_to_var(self, i: int):
         """Restrict all other variables to 0 and reindex to one variable."""
         r = self.restrict([j for j in range(self.nvars) if j != i])
         terms = {(e[i],): c for e, c in r.terms.items()}
-        return Series(1, terms, self.tower, (r.lo[i],), (r.hi[i],))
+        return Series._trusted(1, terms, self.tower, (r.lo[i],), (r.hi[i],))
 
     def append_slot(self):
         """The same series over one more variable, appended last and absent."""
         terms = {e + (0,): c for e, c in self.terms.items()}
-        return Series(self.nvars + 1, terms, self.tower, self.lo + (0,),
-                      self.hi + (INF,))
+        return Series._trusted(self.nvars + 1, terms, self.tower,
+                               self.lo + (0,), self.hi + (INF,))
 
     # -- comparisons -------------------------------------------------------
 

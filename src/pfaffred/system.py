@@ -50,12 +50,10 @@ class PfaffianSystem:
                 raise DimensionError("components must be square of equal size")
             if M.nvars != self.n:
                 raise DimensionError("matrix variable count mismatch")
-            for row in M.rows:
-                for e in row:
-                    sm = e.support_min()
-                    if sm and any(v < 0 for v in sm):
-                        raise InputError("matrix entries must be series "
-                                         "without poles")
+            if any(v < 0 for row in M.rows for e in row
+                   for v in e.support_min() or ()):
+                raise InputError("matrix entries must be series without "
+                                 "poles")
         self.d = d
         self.tower = tower
 

@@ -4,15 +4,17 @@ import json
 import os
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
-from pfaffred import fmfs, serialize_solution, serialize_system
+from pfaffred import cli, fmfs, serialize_solution, serialize_system
 from pfaffred.cli import main
 from pfaffred.docio import (MAX_DIMENSION, MAX_GAUGE_DEGREE, MAX_GAUGE_OPS,
                             MAX_POINCARE_RANK, generate_equivalent)
 from pfaffred.errors import InputError
 from pfaffred.reduction import MAX_ORDER, MAX_RETRIES, check_order
+from pfaffred.scalars import QQ
 
 from helpers import (
     MERGE_CASES, hyper_system, kron_system, merge_system, mixed_system, sys1,
@@ -429,3 +431,22 @@ def test_broken_pipe_keeps_the_exit_code(airy_doc, tmp_path, monkeypatch,
         assert main(argv[:1] + [airy_doc] + argv[1:]) == code
     finally:
         os.close(fd)
+
+
+def test_pretty_q_parenthesizes_coefficients_outside_q(tmp_path, capsys):
+    # the ramified-4/3 pin: two of its q's have coefficients in Q(a), and
+    # a rational coefficient still loses its sign to the joining " - "
+    doc = write_json(tmp_path / "r43.json", serialize_system(
+        sys1([[0, 1, 0], [0, 0, 1], [{2: 1}, 0, {1: 1}]], 2)))
+    q1 = "-3/4/x^(4/3) - 1/3/x - 1/6/x^(2/3) - 2/27/x^(1/3)"
+    q3 = ("(3/4 + 1/4*a)/x^(4/3) - 1/3/x + (-1/18*a)/x^(2/3)"
+          " + (2/27 + 2/81*a)/x^(1/3)")
+    for command, prefix in (("reduce", "q_{}(x) = "),
+                            ("invariants", "  q_{} = ")):
+        assert main([command, doc, "--order", "8", "--pretty"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert prefix.format(1) + q1 in lines
+        assert prefix.format(3) + q3 in lines
+    K = QQ.adjoin([-2, 0, 1])
+    a_minus_1 = K.from_coeffs((-1, 1))
+    assert cli._fmt_q({Fraction(-1): a_minus_1}, "x") == "(-1 + a)/x"

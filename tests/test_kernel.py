@@ -5,15 +5,19 @@ constructor's checks, and SeriesMatrix.__mul__ sums each entry's
 products in one pass.  The reference implementations below are the
 plain loops those replaced: every result goes through the public
 constructor, and a matrix entry is the fold acc = acc + a * b from
-Series.zero.  On random series the fast paths must give the same terms
-(each coefficient in the same field), the same window and the same
-field.
+Series.zero.  The series derived from one series (derivative,
+restriction, coefficient, ramification, projection, extra slot,
+clipping, zero) skip that constructor too; their references feed the
+same terms through it.  On random series the fast paths must give the
+same terms (each coefficient in the same field), the same window and the
+same field.
 """
 
 import math
 
 from hypothesis import given, settings, strategies as st
 
+from pfaffred.errors import NotUnitError, TruncationInsufficient
 from pfaffred.linalg import SeriesMatrix
 from pfaffred.scalars import QQ, Scalar, common_tower
 from pfaffred.series import Series
@@ -218,3 +222,89 @@ def test_sum_of_restarts_a_cancelled_coefficient_in_its_own_field():
     c = got.terms[(1,)]
     assert isinstance(c, Scalar) and c == 1 and c.tower is QQ
     assert got.tower is K
+
+
+# -- derived series against the public constructor --------------------------
+#
+# zero, partial_derivative, restrict, coeff_in_xi, ramify, project_to_var,
+# append_slot and clipped build their results without the public
+# constructor's checks.  Each reference below feeds the same terms and
+# window through Series(...), as the constructors once did.
+
+
+def ref_partial_derivative(a, i):
+    terms = {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+             for e, c in a.terms.items() if e[i]}
+    step = lambda w: tuple(v - 1 if j == i else v for j, v in enumerate(w))
+    return Series(a.nvars, terms, a.tower, step(a.lo), step(a.hi))
+
+
+def ref_restrict(a, zero):
+    terms = {e: c for e, c in a.terms.items() if all(e[i] == 0 for i in zero)}
+    lo = tuple(0 if i in zero else v for i, v in enumerate(a.lo))
+    hi = tuple(INF if i in zero else v for i, v in enumerate(a.hi))
+    return Series(a.nvars, terms, a.tower, lo, hi)
+
+
+def ref_coeff_in_xi(a, i, k):
+    terms = {e[:i] + (0,) + e[i + 1:]: c
+             for e, c in a.terms.items() if e[i] == k}
+    lo = tuple(0 if j == i else v for j, v in enumerate(a.lo))
+    hi = tuple(INF if j == i else v for j, v in enumerate(a.hi))
+    return Series(a.nvars, terms, a.tower, lo, hi)
+
+
+def ref_ramify(a, i, m):
+    scale = lambda w: tuple(v * m if j == i else v for j, v in enumerate(w))
+    terms = {scale(e): c for e, c in a.terms.items()}
+    return Series(a.nvars, terms, a.tower, scale(a.lo), scale(a.hi))
+
+
+def ref_project_to_var(a, i):
+    r = ref_restrict(a, [j for j in range(a.nvars) if j != i])
+    return Series(1, {(e[i],): c for e, c in r.terms.items()}, a.tower,
+                  (r.lo[i],), (r.hi[i],))
+
+
+def ref_append_slot(a):
+    return Series(a.nvars + 1, {e + (0,): c for e, c in a.terms.items()},
+                  a.tower, a.lo + (0,), a.hi + (INF,))
+
+
+def ref_clipped(a, hi):
+    return Series(a.nvars, a.terms, a.tower, a.lo,
+                  tuple(min(x, y) for x, y in zip(a.hi, hi)))
+
+
+@given(series_pairs(), st.integers(0, 2), st.integers(0, 3),
+       st.integers(2, 3), st.lists(st.integers(-1, 3), min_size=3,
+                                   max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_derived_series_match_the_public_constructor(pair, i, k, m, top):
+    a, _ = pair
+    i %= a.nvars
+    top = tuple(INF if t == 3 else t for t in top[:a.nvars])
+    others = [j for j in range(a.nvars) if j != i]
+    cases = [
+        (lambda: a.partial_derivative(i),
+         lambda: ref_partial_derivative(a, i)),
+        (lambda: a.restrict([i]), lambda: ref_restrict(a, [i])),
+        (lambda: a.restrict(others), lambda: ref_restrict(a, others)),
+        (lambda: a.coeff_in_xi(i, a.lo[i] + k),
+         lambda: ref_coeff_in_xi(a, i, a.lo[i] + k)),
+        (lambda: a.ramify(i, m), lambda: ref_ramify(a, i, m)),
+        (lambda: a.project_to_var(i), lambda: ref_project_to_var(a, i)),
+        (lambda: a.append_slot(), lambda: ref_append_slot(a)),
+        (lambda: a.clipped(top), lambda: ref_clipped(a, top)),
+        (lambda: Series.zero(a.nvars, a.tower, a.lo, list(a.hi)),
+         lambda: Series(a.nvars, {}, a.tower, a.lo, a.hi)),
+        (lambda: Series.zero(a.nvars, a.tower),
+         lambda: Series(a.nvars, {}, a.tower)),
+    ]
+    for build, ref in cases:
+        try:
+            got = build()
+        except (TruncationInsufficient, NotUnitError):
+            continue            # the same checks run before any term is built
+        assert signature(got) == signature(ref())
+        assert_invariant(got)

@@ -281,13 +281,13 @@ def test_assert_check_sees_a_planted_assert(tmp_path):
 
 
 # one grade loop and one elimination: outside linalg, only
-# reduction.solve_graded builds a stacked operator or an elimination
-SOLVER_CALLS = {"sylvester_stack", "Elimination"}
+# reduction.solve_graded builds a Sylvester solver or an elimination
+SOLVER_CALLS = {"SylvesterSolver", "Elimination"}
 SOLVER_HOME = ("reduction.py", "solve_graded")
 
 
 def stray_solver_calls(paths):
-    """(file, line, callee) for each call of sylvester_stack or
+    """(file, line, callee) for each call of SylvesterSolver or
     Elimination outside linalg and outside reduction.solve_graded; a
     call in a nested function counts for the function it is nested in."""
     found = []
@@ -319,13 +319,13 @@ def test_solver_call_check_sees_a_planted_call(tmp_path):
         "def solve_vec(A, b):\n    return Elimination(A).solve(b)\n")
     (tmp_path / "reduction.py").write_text(
         "def solve_graded(blocks, tower):\n"
-        "    return Elimination(sylvester_stack(blocks, tower))\n\n\n"
+        "    return SylvesterSolver(blocks, tower)\n\n\n"
         "def split(blocks, tower):\n"
         "    def solve():\n"
         "        return linalg.Elimination(blocks)\n"
         "    return solve()\n")
     (tmp_path / "driver.py").write_text(
-        "OP = sylvester_stack([], None)\n")
+        "OP = SylvesterSolver([], None)\n")
     assert stray_solver_calls(sorted(tmp_path.glob("*.py"))) == [
-        ("driver.py", 1, "sylvester_stack"),
+        ("driver.py", 1, "SylvesterSolver"),
         ("reduction.py", 7, "Elimination")]

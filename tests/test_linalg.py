@@ -115,6 +115,22 @@ def test_charpoly_companion():
     assert acc.is_zero()
 
 
+@pytest.mark.parametrize("k", range(6))
+def test_power_matches_repeated_products(monkeypatch, k):
+    a = cm([[1, 2, 0], [-1, 3, 1], [2, 0, -2]])
+    want = ConstMatrix.identity(3, QQ)
+    for _ in range(k):
+        want = want * a
+    products = []
+    mul = ConstMatrix.__mul__
+    monkeypatch.setattr(ConstMatrix, "__mul__",
+                        lambda x, y: products.append(1) or mul(x, y))
+    assert a.power(k) == want
+    # a squaring per bit below the top one of k and a product per
+    # further set bit: none for k = 1, one for k = 2
+    assert len(products) == [0, 0, 1, 2, 2, 3][k]
+
+
 def test_generalized_eigenspaces_jordan():
     # eigenvalue 2 with a 2x2 Jordan block, eigenvalue -1 simple
     a = cm([[2, 1, 0], [0, 2, 0], [0, 0, -1]])

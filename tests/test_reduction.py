@@ -8,7 +8,9 @@ verified entry by entry through an independent gauge) and against the
 growth orders the planted generator plants.
 """
 
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,15 +19,19 @@ from helpers import (
     hyper_system, mat1, mat2, poly1, poly2, quadratic_system, shifted_system,
     sys1, triple_system,
 )
-from pfaffred import reduction
+from pfaffred import linalg, reduction
 from pfaffred.docio import generate_equivalent
+from pfaffred.driver import regular_endgame
 from pfaffred.errors import (
     ColumnModuleNotFree,
     InputError,
     ResonanceError,
     TruncationInsufficient,
 )
-from pfaffred.linalg import SeriesMatrix, generalized_eigenspaces
+from pfaffred.linalg import (
+    ConstMatrix, Elimination, SeriesMatrix, SylvesterSolver,
+    generalized_eigenspaces,
+)
 from pfaffred.reduction import (
     build_shearing,
     column_reduce,
@@ -443,6 +449,159 @@ def test_solve_graded_solves_the_endgame_equation():
     blocks, box = endgame_blocks(S, 8)
     X = assert_solves_riccati(blocks, S.p, box, S.tower)
     assert not X.is_zero()
+
+
+def stack_solve(self, shifts, b):
+    """The reference per-grade solve: eliminate the whole stack of
+    X -> L_k X - X R_k - s_k X, built entry by entry, free unknowns 0."""
+    nr, nc = self.pairs[0][0].nrows, self.pairs[0][1].nrows
+    cells = list(itertools.product(range(nr), range(nc)))
+    rows = []
+    for (L, R), s in zip(self.pairs, shifts):
+        for i, j in cells:
+            row = []
+            for r, c in cells:
+                v = QQ.zero()
+                if c == j:
+                    v = v + L.rows[i][r]
+                if r == i:
+                    v = v - R.rows[c][j]
+                if (r, c) == (i, j):
+                    v = v - s
+                row.append(v)
+            rows.append(row)
+    return Elimination(ConstMatrix(rows, self.tower)).solve(b)
+
+
+def graded_outcome(blocks, p, box):
+    """solve_graded's X as plain term dicts, or the grade it refuses."""
+    try:
+        X = solve_graded(blocks, p, box, QQ)
+    except ResonanceError as exc:
+        return exc.grade
+    return [[s.terms for s in r] for r in X.rows]
+
+
+def random_graded_problem(seed, square):
+    """(blocks, p, box) on two variables with commuting constant terms.
+
+    square: the endgame's shape, b11(0) = b22(0) = C_k with integer
+    eigenvalues (so some grades are resonant), b21 = 0 and p = 0.
+    Otherwise a 2x3 X, b21 != 0 and p = [1, 0] or [1, 1].  b12 is made
+    so that a random X_true solves every equation, and sometimes gets
+    one more random term, which may make a grade inconsistent.
+    """
+    rng = random.Random(seed)
+    n, box = 2, (4, 4)
+    d1, d2 = (3, 3) if square else (2, 3)
+    small = lambda: QQ.scalar(rng.randint(-2, 2))
+
+    def series(lo_deg, hi_deg):
+        terms = {}
+        for _ in range(rng.randint(0, 2)):
+            e = (rng.randint(0, hi_deg), rng.randint(0, hi_deg))
+            if lo_deg <= sum(e) <= hi_deg:
+                terms[e] = small()
+        return Series(n, terms, QQ)
+
+    def matrix(r, c, lo_deg, hi_deg):
+        return SeriesMatrix([[series(lo_deg, hi_deg) for _ in range(c)]
+                             for _ in range(r)], n, QQ)
+
+    def commuting(d, count):
+        # square: V D_k V^-1 for one V and integer diagonals D_k, so some
+        # grades are resonant; otherwise a_k I + b_k M for one M
+        if square:
+            V = ConstMatrix([[QQ.scalar(1 if i == j else
+                                        rng.randint(-1, 1) if i < j else 0)
+                              for j in range(d)] for i in range(d)], QQ)
+            Vi = V.inverse()
+            return [V * ConstMatrix([[QQ.scalar(rng.randint(-1, 2))
+                                      if i == j else QQ.zero()
+                                      for j in range(d)] for i in range(d)],
+                                    QQ) * Vi for _ in range(count)]
+        M = ConstMatrix([[small() for _ in range(d)] for _ in range(d)], QQ)
+        I = ConstMatrix.identity(d, QQ)
+        return [I * small() + M * small() for _ in range(count)]
+
+    Ls = commuting(d1, n)
+    Rs = Ls if square else commuting(d2, n)
+    p = [0, 0] if square else [1, rng.randint(0, 1)]
+    X_true = matrix(d1, d2, 1, 3)
+    blocks = []
+    for k in range(n):
+        b11 = Ls[k].to_series(n) + matrix(d1, d1, 1, 2)
+        b22 = Rs[k].to_series(n) + matrix(d2, d2, 1, 2)
+        b21 = (SeriesMatrix.zeros(d2, d1, n, QQ) if square
+               else matrix(d2, d1, 0, 2))
+        zero = SeriesMatrix.zeros(d1, d2, n, QQ)
+        b12 = -riccati((b11, zero, b21, b22), X_true, p[k], k)
+        if rng.random() < 0.3:
+            b12 = b12 + matrix(d1, d2, 1, 2)
+        blocks.append(tuple(M.clipped(box) for M in (b11, b12, b21, b22)))
+    return blocks, p, box
+
+
+@pytest.mark.parametrize("square", [True, False], ids=["endgame", "split"])
+def test_solve_graded_matches_the_stacked_elimination(monkeypatch, square):
+    # the first invertible block solves each grade and the others check
+    # it; eliminating the full stack at every grade must give the same
+    # X or refuse the same grade
+    problems = [random_graded_problem(seed, square) for seed in range(12)]
+    got = [graded_outcome(*pr) for pr in problems]
+    monkeypatch.setattr(SylvesterSolver, "solve", stack_solve)
+    want = [graded_outcome(*pr) for pr in problems]
+    assert got == want
+    # both outcomes occur, so neither path is compared vacuously
+    assert any(isinstance(g, tuple) for g in got)
+    assert any(isinstance(g, list) for g in got)
+
+
+def stacked_eliminations(monkeypatch):
+    """Record the shape of every Elimination the solver builds."""
+    shapes = []
+
+    class Recorded(Elimination):
+        def __init__(self, A):
+            shapes.append((A.nrows, A.ncols))
+            super().__init__(A)
+
+    monkeypatch.setattr(linalg, "Elimination", Recorded)
+    return shapes
+
+
+def test_solve_graded_falls_back_to_the_stack(monkeypatch):
+    # residues Diag(0, 1) in x1 and Diag(0, 2) in x2: at grade (1, 0)
+    # neither block is invertible, x1's leaves X_21 free and x2's leaves
+    # the diagonal free, but the stack pins X_21 = -1/2
+    shapes = stacked_eliminations(monkeypatch)
+    C1, C2 = mat2([[0, 0], [0, 1]]), mat2([[0, 0], [0, 2]])
+    zero = mat2([[0, 0], [0, 0]])
+    blocks = [(C1, zero, zero, C1),
+              (C2, mat2([[0, 0], [{(1, 0): 1}, 0]]), zero, C2)]
+    X = solve_graded(blocks, [0, 0], (3, 3), QQ)
+    assert X == mat2([[0, 0], [{(1, 0): Fraction(-1, 2)}, 0]])
+    assert (8, 4) in shapes
+
+
+def test_solve_graded_checks_the_other_components():
+    # residue Diag(0, 3) in x1 gives an invertible block at grade (1, 0),
+    # whose X_11 = 1 fails the x2 equation 0 * X_11 = -1
+    E = mat2([[{(1, 0): 1}, 0], [0, 0]])
+    C1, C2 = mat2([[0, 0], [0, 3]]), mat2([[0, 0], [0, 1]])
+    zero = mat2([[0, 0], [0, 0]])
+    with pytest.raises(ResonanceError) as exc:
+        solve_graded([(C1, E, zero, C1), (C2, E, zero, C2)], [0, 0], (3, 3),
+                     QQ)
+    assert exc.value.grade == (1, 0)
+
+
+def test_endgame_solves_no_stacked_elimination(monkeypatch):
+    shapes = stacked_eliminations(monkeypatch)
+    S = generate_equivalent(0, {"n": 3, "d": 3, "p": [0, 0, 0]})[0]
+    regular_endgame(S, order=8)
+    assert shapes
+    assert all(rows <= cols for rows, cols in shapes)
 
 
 @pytest.mark.parametrize("grid,gauge", RESONANT_CONSISTENT)
