@@ -40,7 +40,6 @@ from .reduction import (
     eigen_shift,
     integral_cofactors,
     katz_order_univariate,
-    moser_rank,
     ramify_system,
     rank_reduce,
     split,
@@ -95,7 +94,6 @@ __all__ = [
     "generate_equivalent",
     "integral_cofactors",
     "katz_order_univariate",
-    "moser_rank",
     "true_poincare_rank",
     "normalize_poincare",
     "parse_solution",

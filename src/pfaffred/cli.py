@@ -228,8 +228,7 @@ def _cmd_rank_reduce(args):
         "steps": [{
             "kind": st["kind"],
             "component": st["component"],
-            "matrix": None if st["gauge"] is None
-            else matrix_to_json(st["gauge"].T),
+            "matrix": matrix_to_json(st["gauge"].T),
             "p_before": st["p_before"],
             "p_after": st["p_after"],
         } for st in steps],

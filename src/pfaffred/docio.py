@@ -8,7 +8,8 @@ with matrices row-major, each entry a list of {"exp": [e_1..e_n],
 field, so the form of a coefficient does not depend on the field of the
 object holding it; an irrational element of Q(alpha) prints as its
 two-element coefficient list over (1, alpha).  The parser accepts
-either form for a rational.  A trunc slot of null means the entry data
+either form for a rational, and a JSON integer; a decimal, an exponent
+or blanks in the string are bad input.  A trunc slot of null means the entry data
 is exact in that variable.  A solution document lists each q exponent of
 a slot once; a repeated exponent (say "-1/2" beside "-2/4") is bad
 input.
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from fractions import Fraction
 
 from .driver import FormalSolution
@@ -44,6 +46,8 @@ MAX_POINCARE_RANK = 64
 MAX_GAUGE_OPS = 16
 MAX_GAUGE_DEGREE = 16
 
+_RATIONAL = re.compile(r"[-+]?[0-9]+(/[0-9]+)?")
+
 
 # -- scalars -----------------------------------------------------------------
 
@@ -54,9 +58,13 @@ def _is_int(x) -> bool:
 
 
 def _rational_from_json(v) -> Fraction:
-    """A rational literal: an integer or a "p" / "p/q" string."""
+    """A rational literal: an integer or a "p" / "p/q" string.  Fraction
+    alone would also read decimals and exponents, and "1e10000000" is an
+    integer of ten million digits."""
     if not (_is_int(v) or isinstance(v, str)):
         raise InputError(f"bad scalar: {v!r}")
+    if isinstance(v, str) and not _RATIONAL.fullmatch(v):
+        raise InputError(f"bad rational literal: {v!r}")
     try:
         return Fraction(v)
     except (ValueError, ZeroDivisionError) as exc:
@@ -219,7 +227,7 @@ def parse_system_dict(doc) -> PfaffianSystem:
 def parse_system(text: str) -> PfaffianSystem:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:       # JSONDecodeError, or too many digits
         raise InputError(f"not valid JSON: {exc}") from exc
     return parse_system_dict(doc)
 
@@ -329,7 +337,7 @@ def _structure_from_json(st):
 def parse_solution(text: str) -> FormalSolution:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:       # JSONDecodeError, or too many digits
         raise InputError(f"not valid JSON: {exc}") from exc
     if isinstance(doc, dict) and "solution" in doc:
         doc = doc["solution"]

@@ -426,13 +426,18 @@ def verify_solution(S: PfaffianSystem, sol: FormalSolution):
     "ok", "verified_to" (a total degree, INF when exact), and the
     per-component detail.  A solution that does not fit the system is an
     InputError: another variable count or d, a field that does not join
-    the system's, or a q exponent off the x^(1/s_i) grid or below the
-    pole order.
+    the system's, a q exponent off the x^(1/s_i) grid or below the pole
+    order, or a C coupling slots whose q's differ, where the factored
+    form is not a product of commuting factors.
     """
     if sol.n != S.n or sol.d != S.d:
         raise InputError(
             f"solution has {sol.n} variables and d = {sol.d}, the system "
             f"{S.n} variables and d = {S.d}")
+    try:
+        sol.check_block_compatibility()
+    except ReductionError as exc:
+        raise InputError(str(exc)) from None
     try:
         tower = common_tower(S.tower, sol.phi.tower, *(c.tower for c in sol.C))
     except FieldExtensionError:

@@ -16,7 +16,7 @@ from math import ceil
 
 from .driver import fmfs
 from .errors import InputError, ReductionError
-from .reduction import check_order, katz_order_univariate, moser_rank
+from .reduction import check_order, katz_order_univariate
 from .system import PfaffianSystem
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "exponential_order",
     "exponential_parts",
     "katz_order_univariate",
-    "moser_rank",
     "true_poincare_rank",
 ]
 

@@ -354,8 +354,8 @@ class SylvesterSolver:
                     if not y.is_zero():
                         return None
             return x
-        return Elimination(ConstMatrix(
-            [r for blk in blocks for r in blk[0].rows], self.tower)).solve(b)
+        return ConstMatrix([r for blk in blocks for r in blk[0].rows],
+                           self.tower).solve_vec(b)
 
 
 class SeriesMatrix:

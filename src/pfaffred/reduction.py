@@ -2,15 +2,17 @@
 
 Rank reduction is Levelt's loop (Levelt, Ark. Mat. 13, 1975), run on
 one component at a time: a unimodular column reduction of the leading
-coefficient (computed over the power-series ring in the remaining
-variables, with basis columns certified by integral cofactors), then a
-diagonal monomial shearing of its rank block.  Each move is applied to
-the full system through apply_gauge, which refuses a move that breaks
-normal crossings, so that is verified rather than assumed.  The loop
-stops where the rank is plainly minimal (a leading coefficient of full
-rank, or one not nilpotent at the origin); otherwise Levelt's bound
-ends it: d - 1 shears in a row that leave the rank as it was prove it
-minimal, and are rolled back.  The growth order of a one-variable
+coefficient over the power-series ring in the remaining variables, then
+a diagonal monomial shearing of its rank block.  The column reduction
+keeps the first basis candidate whose Cramer identities det(B) c =
+det(B_i) give integral cofactors for every other column, each found by
+dividing by the lowest form of det(B) one grade at a time.  Each move is
+applied to the full system through apply_gauge, which refuses a move
+that breaks normal crossings, so that is verified rather than assumed.
+The loop stops where the rank is plainly minimal (a leading coefficient
+of full rank, or one not nilpotent at the origin); otherwise Levelt's
+bound ends it: d - 1 shears in a row that leave the rank as it was prove
+it minimal, and are rolled back.  The growth order of a one-variable
 system (katz_order_univariate) is read off the characteristic
 polynomial of its rank-reduced form.
 
@@ -49,7 +51,6 @@ from .errors import (
     TruncationInsufficient,
 )
 from .linalg import (
-    ConstMatrix,
     SeriesMatrix,
     SylvesterSolver,
     generalized_eigenspaces,
@@ -83,46 +84,63 @@ def check_order(order, max_retries=0):
 
 
 # ---------------------------------------------------------------------------
-# integral cofactors (module membership by coefficient comparison)
+# column reduction of the leading coefficient
 # ---------------------------------------------------------------------------
-
-def _monomials_of_grade(slots, g, nvars):
-    """All exponent tuples of total degree g supported on the given slots."""
-    if not slots:
-        return [(0,) * nvars] if g == 0 else []
-    out = []
-
-    def rec(idx, rem, acc):
-        if idx == len(slots) - 1:
-            exp = [0] * nvars
-            for s, v in zip(slots, acc + [rem]):
-                exp[s] = v
-            out.append(tuple(exp))
-            return
-        for v in range(rem + 1):
-            rec(idx + 1, rem - v, acc + [v])
-
-    rec(0, g, [])
-    return out
-
 
 def _graded_piece(s: Series, g: int):
     return {e: c for e, c in s.terms.items() if sum(e) == g}
 
 
-def integral_cofactors(B: SeriesMatrix, vcol, ell: int, slots):
-    """Solve B c = v for c over the series ring, degree by degree.
+def _divide_form(F: dict, Dk: dict, slots):
+    """The form c, supported on the slot variables, with Dk c = F, or
+    None when there is none; F and Dk are homogeneous {exponent: scalar}.
 
-    B is square with det(B) != 0 over the fraction field; the defining
-    identities det(B) c_i = det(B_i) pin c uniquely, and are solved by
-    coefficient comparison.  Grades run far enough that a window of
-    ell+1 in each free variable is honest.  Returns (cofactors, info);
-    cofactors is None when some grade is inconsistent, which certifies
-    that v is not an integral combination at this truncation.
+    Each step divides the lex-leading term of what is left of F by that
+    of Dk.  Dk alone is a Groebner basis of the ideal it generates, so
+    this finds c whenever it exists, and otherwise meets a term it
+    cannot divide; c is unique, since multiplying by Dk is injective.
     """
-    tower = B.tower
-    nvars = B.nvars
-    D = B.determinant()
+    lead = max(Dk)
+    inv = Dk[lead].inverse()
+    F, c = dict(F), {}
+    while F:
+        m = max(F)
+        q = tuple(a - b for a, b in zip(m, lead))
+        if min(q) < 0 or sum(q[j] for j in slots) < sum(q):
+            return None
+        cq = c[q] = F[m] * inv
+        for e, a in Dk.items():
+            t = tuple(x + y for x, y in zip(e, q))
+            v = F.pop(t, None)
+            v = -a * cq if v is None else v - a * cq
+            if not v.is_zero():
+                F[t] = v
+    return c
+
+
+def integral_cofactors(cols: SeriesMatrix, others, ell: int, slots):
+    """Cofactors c with cols c = v for each column v of others, over the
+    series ring in the slot variables.
+
+    cols is d x r of generic rank r; its pivot rows cut it to a square B
+    with D = det(B) != 0.  The Cramer identities D c_i = det(B_i), B_i
+    being B with column i replaced by v on those rows, pin c; each c_i is
+    found grade by grade, dividing the residual's form of degree k + g by
+    D_k, the lowest form of D.  Grades run far enough that a window of
+    ell+1 in each slot variable is honest; then cols c = v is checked on
+    all d rows.  Returns (cofactors, info), r series per column of
+    others; cofactors is None when a grade leaves a remainder or a row
+    fails, which certifies that some v is not an integral combination at
+    this truncation.
+    """
+    if not others:
+        return [], {"exact": True, "inconsistent_at": None}
+    tower, nvars, r = cols.tower, cols.nvars, cols.ncols
+    rows = cols.pivot_rows()
+    B = cols.submatrix(rows, range(r))
+    # fewer than r pivot rows: every r x r minor vanishes on the data
+    D = (B.determinant() if len(rows) == r
+         else Series.zero(nvars, tower, hi=cols.window_hi()))
     if D.is_zero():
         if D.exact:
             raise InputError("basis determinant vanishes")
@@ -131,7 +149,7 @@ def integral_cofactors(B: SeriesMatrix, vcol, ell: int, slots):
     k = D.total_valuation()
     rate = max(1, len(slots))
     depth = rate * ell
-    win = min((h for h in B.window_hi()), default=INF)
+    win = min(B.window_hi(), default=INF)
     if win != INF and win <= depth + k:
         # windows are clipped at ell + 1, times any later ramification
         # index, so the window grows by about win / (ell + 1) per unit
@@ -140,70 +158,37 @@ def integral_cofactors(B: SeriesMatrix, vcol, ell: int, slots):
             f"cofactor solve needs data beyond total degree {depth + k}",
             final=rate >= -(-win // (ell + 1)))
     Dk = _graded_piece(D, k)
-    r = B.nrows
-    cof = []
-    all_exact = True
-    for i in range(r):
-        Ri = B.with_col(i, vcol).determinant()
-        c_terms: dict = {}
-        residual = Ri
-        inconsistent = None
-        for g in range(depth + 1):
-            target = _graded_piece(residual, k + g)
-            unknowns = _monomials_of_grade(slots, g, nvars)
-            if not unknowns:
-                if target:
-                    inconsistent = g
-                break
-            rows = sorted({tuple(a + b for a, b in zip(de, ue))
-                           for de in Dk for ue in unknowns}
-                          | set(target.keys()))
-            row_ix = {m: j for j, m in enumerate(rows)}
-            M = ConstMatrix.zeros(len(rows), len(unknowns), tower)
-            for uj, ue in enumerate(unknowns):
-                for de, dc in Dk.items():
-                    m = tuple(a + b for a, b in zip(de, ue))
-                    M.rows[row_ix[m]][uj] = M.rows[row_ix[m]][uj] + dc
-            b = [target.get(m, tower.zero()) for m in rows]
-            x = M.solve_vec(b)
-            if x is None:
-                inconsistent = g
-                break
-            grade_terms = {ue: xv for ue, xv in zip(unknowns, x)
-                           if not xv.is_zero()}
-            if grade_terms:
-                c_terms.update(grade_terms)
-                piece = Series(nvars, grade_terms, tower)
-                residual = residual - D * piece
-            if residual.is_zero() and residual.exact:
-                break
-        if inconsistent is not None:
-            return None, {"exact": False, "checked_to": ell,
-                          "inconsistent_at": inconsistent, "column": i}
-        ci = Series(nvars, c_terms, tower)
-        if not (D.exact and Ri.exact and (D * ci - Ri).is_zero()
-                and (D * ci - Ri).exact):
-            all_exact = False
-            hi = tuple(ell + 1 if j in slots else INF for j in range(nvars))
-            ci = ci.with_window(hi=hi)
-        cof.append(ci)
-    # the Cramer identities pin c over the fraction field; confirm the
-    # column relation directly as far as the data allows
-    for t in range(r):
-        e = sum((B.rows[t][i] * cof[i] for i in range(r)),
-                Series.zero(nvars, tower)) - vcol[t]
-        if not e.is_zero():
-            return None, {"exact": False, "checked_to": ell,
-                          "inconsistent_at": e.total_valuation(), "column": t}
-    return cof, {"exact": all_exact, "checked_to": ell,
-                 "inconsistent_at": None}
-
-
-def _rank_at_origin(M: SeriesMatrix):
-    try:
-        return M.constant_term().rank()
-    except TruncationInsufficient:
-        return -1
+    hi = tuple(ell + 1 if j in slots else INF for j in range(nvars))
+    out, exact = [], True
+    for v in others:
+        cof = []
+        for i in range(r):
+            Ri = B.with_col(i, [v[t] for t in rows]).determinant()
+            residual, c_terms = Ri, {}
+            for g in range(depth + 1):
+                if residual.is_zero():
+                    break
+                c = _divide_form(_graded_piece(residual, k + g), Dk, slots)
+                if c is None:
+                    return None, {"exact": False, "inconsistent_at": g}
+                if c:
+                    c_terms.update(c)
+                    residual = residual - D * Series(nvars, c, tower)
+            ci = Series(nvars, c_terms, tower)
+            if not (D.exact and Ri.exact and residual.is_zero()):
+                exact = False
+                ci = ci.with_window(hi=hi)
+            cof.append(ci)
+        # the Cramer identities pin c over the fraction field; confirm
+        # the column relation on every row as far as the data allows
+        for t in range(cols.nrows):
+            e = Series.sum_of((cols.rows[t][c] * cof[c] for c in range(r)),
+                              nvars, tower) - v[t]
+            if not e.is_zero():
+                return None, {"exact": False,
+                              "inconsistent_at": e.total_valuation()}
+        out.append(cof)
+    return out, {"exact": exact, "inconsistent_at": None}
 
 
 def _basis_candidates(A0: SeriesMatrix, r: int):
@@ -212,7 +197,11 @@ def _basis_candidates(A0: SeriesMatrix, r: int):
     scored = []
     for sub in itertools.combinations(range(d), r):
         cols = A0.submatrix(range(A0.nrows), sub)
-        if _rank_at_origin(cols) == r:
+        try:
+            at_origin = cols.constant_term().rank()
+        except TruncationInsufficient:
+            at_origin = -1
+        if at_origin == r:
             scored.append((0, 0, sub))
             continue
         rows = cols.pivot_rows()
@@ -224,70 +213,12 @@ def _basis_candidates(A0: SeriesMatrix, r: int):
     return [s[2] for s in scored]
 
 
-def _module_column_basis(A0: SeriesMatrix, r: int, ell: int, slots):
-    """(basis subset, {other column -> cofactors}), or raises.
-
-    ColumnModuleNotFree when the data is exact and no subset admits
-    integral cofactors for all remaining columns; TruncationInsufficient
-    when the data is truncated, since the same failure could then be an
-    artifact of the window.
-    """
-    d = A0.ncols
-    nontrivial = [j for j in range(d)
-                  if any(not A0.rows[t][j].is_zero() for t in range(A0.nrows))]
-    for sub in _basis_candidates(A0, r):
-        basis_cols = A0.submatrix(range(A0.nrows), sub)
-        rows = basis_cols.pivot_rows()
-        B = basis_cols.submatrix(rows, range(r))
-        ok = True
-        relations = {}
-        for j in nontrivial:
-            if j in sub:
-                continue
-            cof, _info = integral_cofactors(
-                B, [A0.rows[t][j] for t in rows], ell, slots)
-            if cof is None:
-                ok = False
-                break
-            resid = [sum((basis_cols.rows[t][c] * cof[c] for c in range(r)),
-                         Series.zero(A0.nvars, A0.tower)) - A0.rows[t][j]
-                     for t in range(A0.nrows)]
-            if any(not e.is_zero() for e in resid):
-                ok = False
-                break
-            relations[j] = cof
-        if ok:
-            return sub, relations
-    if A0.exact:
-        raise ColumnModuleNotFree("column module not free")
-    raise TruncationInsufficient(
-        "no column basis certified at this truncation")
-
-
-# ---------------------------------------------------------------------------
-# column reduction of the leading coefficient
-# ---------------------------------------------------------------------------
-
 class ColumnReduction:
     __slots__ = ("gauge", "r")
 
     def __init__(self, gauge, r):
         self.gauge = gauge
         self.r = r
-
-
-def _basis_gauge(relations, sub, d, nvars, tower):
-    """Basis columns sub first, then each other column j minus
-    c_{kj} times basis column k."""
-    order = list(sub) + [j for j in range(d) if j not in sub]
-    pos = {old: new for new, old in enumerate(order)}
-    N = SeriesMatrix.zeros(d, d, nvars, tower)
-    for j, cof in relations.items():
-        for k_idx, k in enumerate(sub):
-            if not cof[k_idx].is_zero():
-                N.rows[pos[k]][pos[j]] = -cof[k_idx]
-    return GaugeTransformation.permutation(order, nvars, tower).compose(
-        GaugeTransformation.unipotent(N))
 
 
 def column_reduce(A0: SeriesMatrix, i: int, ell: int) -> ColumnReduction:
@@ -298,17 +229,41 @@ def column_reduce(A0: SeriesMatrix, i: int, ell: int) -> ColumnReduction:
     remaining variables and determinant +-1.  It moves a basis of the
     column module first and subtracts from every other column its
     integral combination of the basis, so that the shear
-    Diag(x_i I_r, I_{d-r}) that follows cannot raise p_i.
+    Diag(x_i I_r, I_{d-r}) that follows cannot raise p_i.  The basis is
+    the first of _basis_candidates with integral cofactors for every
+    other nonzero column.  If none has them: ColumnModuleNotFree on exact
+    data, else TruncationInsufficient, as the window may be at fault.
     """
     d = A0.ncols
     nvars, tower = A0.nvars, A0.tower
-    slots = [j for j in range(nvars) if j != i]
     r = A0.rank_generic()
     if r == 0 or r == d:
         return ColumnReduction(GaugeTransformation.identity(d, nvars, tower),
                                r)
-    sub, relations = _module_column_basis(A0, r, ell, slots)
-    g = _basis_gauge(relations, sub, d, nvars, tower)
+    slots = [j for j in range(nvars) if j != i]
+    nonzero = [j for j in range(d)
+               if any(not A0.rows[t][j].is_zero() for t in range(d))]
+    for sub in _basis_candidates(A0, r):
+        others = [j for j in nonzero if j not in sub]
+        cof, _ = integral_cofactors(
+            A0.submatrix(range(d), sub),
+            [[A0.rows[t][j] for t in range(d)] for j in others], ell, slots)
+        if cof is not None:
+            break
+    else:
+        if A0.exact:
+            raise ColumnModuleNotFree("column module not free")
+        raise TruncationInsufficient(
+            "no column basis certified at this truncation")
+    # basis columns first, then each column j minus c_kj basis column k
+    rest = [j for j in range(d) if j not in sub]
+    N = SeriesMatrix.zeros(d, d, nvars, tower)
+    for j, cj in zip(others, cof):
+        for k, c in enumerate(cj):
+            if not c.is_zero():
+                N.rows[k][r + rest.index(j)] = -c
+    g = GaugeTransformation.permutation(list(sub) + rest, nvars, tower)
+    g = g.compose(GaugeTransformation.unipotent(N))
     A0r = g.T_inv * A0 * g.T
     for t in range(d):
         for j in range(r, d):
@@ -328,12 +283,6 @@ def build_shearing(i: int, r: int, d: int, nvars, tower):
 # rank reduction
 # ---------------------------------------------------------------------------
 
-def moser_rank(S: PfaffianSystem, i: int) -> Fraction:
-    """p_i + rank(A_{i,0})/d, floored at zero."""
-    m = Fraction(S.p[i]) + Fraction(S.coeff(i, 0).rank_generic(), S.d)
-    return m if m > 0 else Fraction(0)
-
-
 def _apply_logged(S, g, steps, kind, i):
     out = apply_gauge(S, g)
     steps.append({"kind": kind, "component": i, "gauge": g,
@@ -346,14 +295,15 @@ def rank_reduce(S: PfaffianSystem, order: int = 10):
 
     Levelt's loop, one component i at a time: column-reduce the leading
     coefficient A_{i,0} to its generic rank r, then shear by
-    Diag(x_i I_r, I_{d-r}), which never raises p_i.  When r = 0 the
-    valuation lowers p_i instead.  p_i is minimal once r = d or A_{i,0}(0)
-    is not nilpotent, and the loop stops there.  Otherwise Levelt's bound
-    decides: if p_i can be lowered at all, d - 1 shears in a row lower
-    it.  So after d - 1 sterile shears (each leaving p_i as it was) p_i
-    is minimal, and the system and the steps roll back to where the
-    first of them began.  Returns (T, system, steps), T the product of
-    the steps' transformations.
+    Diag(x_i I_r, I_{d-r}), which never raises p_i.  S is normalized on
+    entry and after every gauge, so p_i > 0 leaves A_{i,0} nonzero and
+    r >= 1.  p_i is minimal once r = d or A_{i,0}(0) is not nilpotent,
+    and the loop stops there.  Otherwise Levelt's bound decides: if p_i
+    can be lowered at all, d - 1 shears in a row lower it.  So after
+    d - 1 sterile shears (each leaving p_i as it was) p_i is minimal,
+    and the system and the steps roll back to where the first of them
+    began.  Returns (T, system, steps), T the product of the steps'
+    transformations.
     """
     check_order(order)
     S, _ = normalize_poincare(S)
@@ -374,13 +324,6 @@ def rank_reduce(S: PfaffianSystem, order: int = 10):
                 raise
             if not colred.gauge.is_identity():
                 S = _apply_logged(S, colred.gauge, steps, "column_reduce", i)
-            if colred.r == 0:
-                S, _ = normalize_poincare(S)
-                steps.append({"kind": "renormalize", "component": i,
-                              "gauge": None, "p_before": None,
-                              "p_after": list(S.p)})
-                sterile = 0
-                continue
             if (colred.r == S.d
                     or not S.A[i].constant_term().power(S.d).is_zero()):
                 break
@@ -396,8 +339,7 @@ def rank_reduce(S: PfaffianSystem, order: int = 10):
                 break
     T = SeriesMatrix.identity(S.d, S.n, S.tower)
     for st in steps:
-        if st["gauge"] is not None:
-            T = T * st["gauge"].T
+        T = T * st["gauge"].T
     return T, S, steps
 
 

@@ -249,6 +249,59 @@ def test_system_beyond_the_bounds_is_an_input_error(tmp_path, capsys, system,
     assert err["type"] == "InputError" and "bound" in err["message"]
 
 
+# json.loads refuses an integer literal of more than 4300 digits with a
+# plain ValueError, which check printed as a traceback; Fraction reads
+# "1e100000" as an integer of 100001 digits, which reduce printed as a
+# traceback, and "1e10000000" took seconds to parse.  Each literal is
+# JSON text put in place of one coefficient of Airy's system, or of the
+# first q slot of its solution
+@pytest.mark.parametrize("command,literal", [
+    ("check", "7" * 5000),
+    ("reduce", '"1e100000"'),
+    ("check", '"1e10000000"'),
+    ("check", '"1.5"'),
+    ("check", '" 1"'),
+    ("verify", '{"-1e100000": "1"}'),
+    ("verify", '{"-1/2": -' + "7" * 5000 + "}"),
+], ids=["long-integer", "exponent", "huge-exponent", "decimal", "space",
+        "q-exponent", "q-long-integer"])
+def test_literal_beyond_p_or_p_over_q_is_an_input_error(tmp_path, capsys,
+                                                        command, literal):
+    system = serialize_system(sys1([[0, 1], [{1: 1}, 0]], 1))
+    path = write_json(tmp_path / "system.json", system)
+    if command == "verify":
+        doc = run(capsys, ["reduce", path])
+        doc["solution"]["Q"][0][0] = "EDIT"
+        argv = [command, path, str(tmp_path / "edited.json")]
+    else:
+        doc = system
+        doc["A"][0][0][1][0]["coeff"] = "EDIT"
+        argv = [command, str(tmp_path / "edited.json")]
+    (tmp_path / "edited.json").write_text(
+        json.dumps(doc).replace('"EDIT"', literal))
+    start = time.perf_counter()
+    err = run(capsys, argv, 1)["error"]
+    assert time.perf_counter() - start < 1
+    assert err["type"] == "InputError"
+
+
+def test_verify_refuses_c_coupling_distinct_exponential_parts(tmp_path,
+                                                              capsys):
+    # x^C e^Q with C = [[0, 1], [0, 0]] and q = (1/x, 2/x) misses the
+    # (1, 2) entry by log(x) e^(2/x); verify used to report ok to inf
+    S = sys1([[-1, {1: 1}], [0, -2]], 1)
+    system = write_json(tmp_path / "system.json", serialize_system(S))
+    one = [{"exp": [0], "coeff": "1"}]
+    sol = write_json(tmp_path / "solution.json", {
+        "vars": ["x"], "d": 2, "s": [1],
+        "Phi": {"entries": [[one, []], [[], one]]},
+        "C": [[["0", "1"], ["0", "0"]]],
+        "Q": [[{"-1": "1"}, {"-1": "2"}]]})
+    err = run(capsys, ["verify", system, sol], 1)["error"]
+    assert err["type"] == "InputError"
+    assert "distinct exponential parts" in err["message"]
+
+
 # out of bounds or malformed; each gauge operation costs one more
 # series product, so an unbounded count would hang the generator
 @pytest.mark.parametrize("option,value", [

@@ -668,6 +668,19 @@ def test_verify_detects_wrong_exponent_matrix():
     assert not verify_solution(S, tampered)["ok"]
 
 
+def test_verify_refuses_c_coupling_distinct_exponential_parts():
+    # x^C e^Q with C = [[0, 1], [0, 0]] and q = (1/x, 2/x) misses the
+    # (1, 2) entry by log(x) e^(2/x); fmfs finds C = 0 for this system
+    S = sys1([[-1, {1: 1}], [0, -2]], 1)
+    C = ConstMatrix([[QQ.zero(), QQ.one()], [QQ.zero(), QQ.zero()]], QQ)
+    Q = [[{Fraction(-1): QQ.one()}, {Fraction(-1): QQ.scalar(2)}]]
+    sol = FormalSolution(SeriesMatrix.identity(2, 1, QQ), [C], Q, [1],
+                         ("regular", 2))
+    with pytest.raises(InputError, match="distinct exponential parts"):
+        verify_solution(S, sol)
+    assert fmfs(S, order=6)[0].C[0].is_zero()
+
+
 def test_verify_detects_wrong_q():
     S = hyper_system()
     sol, _ = fmfs(S, order=10)

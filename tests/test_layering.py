@@ -204,8 +204,9 @@ def test_layering_check_sees_violations(tmp_path):
 
 # defined but never called by the package, on purpose: fingerprint is the
 # identity of a system, a solution and a trace that the tests and the
-# benchmark compare; error is the hook argparse calls
-KEPT = {"fingerprint", "error"}
+# benchmark compare; error is the hook argparse calls; true_poincare_rank
+# is the oracle the tests hold the reduced ranks to
+KEPT = {"fingerprint", "error", "true_poincare_rank"}
 
 
 def unreferenced_functions(paths):
@@ -213,8 +214,10 @@ def unreferenced_functions(paths):
     modules whose name is read nowhere outside its own body.
 
     Names are matched across all the modules, so a method counts as used
-    when any attribute, name or import anywhere spells it; dunder methods
-    are called by the language and are left out.
+    when any attribute or name read anywhere spells it.  An import, an
+    alias or an __all__ entry is no use: a function only re-exported is
+    reported.  Dunder methods are called by the language and are left
+    out.
     """
     defined, used = [], set()
 
@@ -223,12 +226,11 @@ def unreferenced_functions(paths):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             defined.append((path.name, node.lineno, node.name))
             enclosing = enclosing | {node.name}
-        elif isinstance(node, ast.Name):
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             name = node.id
-        elif isinstance(node, ast.Attribute):
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)):
             name = node.attr
-        elif isinstance(node, ast.alias):
-            name = node.name
         if name is not None and name not in enclosing:
             used.add(name)
         for child in ast.iter_child_nodes(node):
@@ -256,6 +258,23 @@ def test_unreferenced_function_check_sees_a_dead_def(tmp_path):
         "from .a import C\n\n\ndef f():\n    return C().method()\n")
     assert unreferenced_functions(sorted(tmp_path.glob("*.py"))) == [
         ("a.py", 5, "dead"), ("b.py", 4, "f")]
+
+
+def test_unreferenced_function_check_sees_a_re_exported_def(tmp_path):
+    # an import, an alias and an __all__ entry name a function without
+    # using it; a stored attribute is no read either
+    (tmp_path / "a.py").write_text(
+        "def exported():\n    return 1\n\n\n"
+        "def aliased():\n    return 2\n\n\n"
+        "def called():\n    return 3\n")
+    (tmp_path / "b.py").write_text(
+        "from .a import aliased as alias, called, exported\n\n"
+        "__all__ = ['exported', 'alias']\n\n\n"
+        "class C:\n    def method(self):\n        return called()\n\n"
+        "    def __init__(self):\n        self.method = None\n")
+    assert unreferenced_functions(sorted(tmp_path.glob("*.py"))) == [
+        ("a.py", 1, "exported"), ("a.py", 5, "aliased"),
+        ("b.py", 7, "method")]
 
 
 def assert_statements(path):
