@@ -16,12 +16,16 @@ Options:
                          of JSON
     --max-retries N      invariants, reduce: restarts at a larger working
                          order after a truncation failure (default 4).  A
-                         restart adds the degrees the residual check fell
-                         short by, or doubles the order when the failure
-                         reports no verified degree;
-                         a failure that a larger order cannot mend, a
-                         restart verifying no further than the one before,
-                         or a restart past MAX_ORDER, exits 3 at once
+                         reduce restart adds the degrees the residual
+                         check fell short by, or doubles the order when
+                         the failure reports no verified degree.
+                         invariants stops at Poincare rank 0 and has no
+                         residual check: a window too short for its
+                         answer raises, and each restart doubles the
+                         order.  A failure that a larger order cannot
+                         mend, a restart verifying no further than the
+                         one before, or a restart past MAX_ORDER, exits 3
+                         at once
     --trace              reduce: include the full step log
     --seed, --d, --p, --ramified, --gauge-ops, --gauge-degree
                          generate: seed, dimension, comma-separated
@@ -29,8 +33,10 @@ Options:
                          and degree of the obfuscating row operations
     --help, --version    print and exit 0
 
-Exit codes: 0 success, 1 bad input (parse/schema/non-integrable, and
-usage errors such as an unknown option or a malformed value), 2
+Exit codes: 0 success, 1 bad input (parse/schema/non-integrable, usage
+errors such as an unknown option or a malformed value, and a result
+with a coefficient past the interpreter's limit on printing integers,
+4300 digits by default, which long input literals can reach), 2
 structure the algorithms do not cover (non-free module, field
 extension, resonance), 3 truncation budget exhausted.  Failures print
 a machine-readable {"error": {"type", "message"}} object; usage errors
@@ -42,6 +48,8 @@ Input bounds, each refused with exit 1 before any work starts:
     --max-retries       0 to reduction.MAX_RETRIES (8)
     d                   at most docio.MAX_DIMENSION (32)
     p_i                 at most docio.MAX_POINCARE_RANK (64), per variable
+    rational literals   at most docio.MAX_LITERAL_DIGITS (1000) digits in
+                        the numerator and in the denominator
     --gauge-ops         at most docio.MAX_GAUGE_OPS (16), not negative
     --gauge-degree      at most docio.MAX_GAUGE_DEGREE (16), not negative
 The d and p_i bounds hold for system documents and for generate.
@@ -322,8 +330,8 @@ def main(argv=None) -> int:
                                  "(default 10)")
         if retries:
             sp.add_argument("--max-retries", type=int, default=4,
-                            help="restarts at a larger order on truncation "
-                                 "failure while each verifies further "
+                            help="restarts at a larger order after a "
+                                 "truncation failure "
                                  f"(0-{MAX_RETRIES}, default 4)")
         sp.add_argument("--pretty", action="store_true",
                         help="human-readable output instead of JSON")

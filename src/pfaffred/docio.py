@@ -18,10 +18,13 @@ Inputs are bounded: d at most MAX_DIMENSION and every p_i at most
 MAX_POINCARE_RANK, in system documents and generator shapes alike.
 The work of a reduction grows with both (a 1x1 block alone may take
 p_i eigenvalue shifts), so an absurd value is refused up front instead
-of hanging.  The generator's gauge takes at most MAX_GAUGE_OPS row
-operations with exponents at most MAX_GAUGE_DEGREE: each operation
-multiplies the gauge and its inverse by one more polynomial, so their
-size grows with both.
+of hanging.  A rational literal has at most MAX_LITERAL_DIGITS digits in
+its numerator and in its denominator: coefficients grow through the
+reduction, and one past the interpreter's limit on printing integers
+(4300 digits by default) makes serialization raise InputError.  The
+generator's gauge takes at most MAX_GAUGE_OPS row operations with
+exponents at most MAX_GAUGE_DEGREE: each operation multiplies the gauge
+and its inverse by one more polynomial, so their size grows with both.
 A minpoly that is not monic of degree >= 2, or a quadratic with a
 rational root, is not a minimal polynomial and is bad input.
 """
@@ -36,16 +39,18 @@ from fractions import Fraction
 from .driver import FormalSolution
 from .errors import InputError
 from .linalg import ConstMatrix, SeriesMatrix
-from .scalars import QQ, FieldTower, MinimalPolynomial, Scalar
+from .scalars import QQ, FieldTower, MinimalPolynomial, Scalar, rational_str
 from .series import INF, Series
 from .system import GaugeTransformation, PfaffianSystem, apply_gauge
 
 
 MAX_DIMENSION = 32
 MAX_POINCARE_RANK = 64
+MAX_LITERAL_DIGITS = 1000
 MAX_GAUGE_OPS = 16
 MAX_GAUGE_DEGREE = 16
 
+_LITERAL_LIMIT = 10 ** MAX_LITERAL_DIGITS
 _RATIONAL = re.compile(r"[-+]?[0-9]+(/[0-9]+)?")
 
 
@@ -66,9 +71,13 @@ def _rational_from_json(v) -> Fraction:
     if isinstance(v, str) and not _RATIONAL.fullmatch(v):
         raise InputError(f"bad rational literal: {v!r}")
     try:
-        return Fraction(v)
+        q = Fraction(v)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational literal: {v!r}") from exc
+    if max(abs(q.numerator), q.denominator) >= _LITERAL_LIMIT:
+        raise InputError(f"a rational literal has more than "
+                         f"{MAX_LITERAL_DIGITS} digits")
+    return q
 
 
 def _tower_from_json(doc) -> FieldTower:
@@ -89,8 +98,8 @@ def _tower_from_json(doc) -> FieldTower:
 
 def _scalar_to_json(c: Scalar):
     if c.is_rational():
-        return str(c.coeffs[0])
-    return [str(x) for x in c.coeffs]
+        return rational_str(c.coeffs[0])
+    return [rational_str(x) for x in c.coeffs]
 
 
 def _scalar_from_json(v, tower: FieldTower) -> Scalar:

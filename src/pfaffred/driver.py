@@ -9,6 +9,19 @@ assembles the pieces into a truncated fundamental solution
 with Phi a matrix over the ramified variables t_i = x_i^{1/s_i}, C_i
 constant, and Q_i diagonal with polynomial entries in 1/t_i.
 
+The reduction has two phases with one loop.  Phase one, the irregular
+reduction, ends at rank-zero leaves: by then every eigenvalue shift has
+been read and every ramification made, so s and Q are fixed.  Phase two,
+the regular endgame, builds each leaf's Phi and C, and the split merges
+assemble them.  fmfs runs both; exponential_data stops at the leaves,
+with no Phi, no endgame and no residual check, since nothing after rank
+zero changes s or Q.  Truncation stays honest there without the check:
+every constant term the loop reads raises beyond its window, and a leaf
+whose window holds no term in some variable raises too, since not even
+its constant term is known: a component that vanished within a window
+hi <= p, say, may still have poles past it, and normalize_poincare
+clips it to an empty window.
+
 Each branch keeps one running Phi, starting at the identity: every
 gauge is multiplied in when it is made (a rank reduction, a split, the
 endgame's conjugation), and a ramification ramifies Phi together with
@@ -19,8 +32,9 @@ component, and the endgame integrates the rest.  At a split the two
 branch solutions are ramified to their common s_i, as is the Phi built
 so far, which then takes their block sum.  Every value lives in the join
 of its operands' fields, so nothing is lifted into Q(alpha) by hand; the
-bottom block of a split is reduced in the field the top branch reached,
-so an eigenvalue the top adjoined is found there, not adjoined again.
+bottom block of a split is reduced in the field the top branch reached
+(its Phi's, or in phase one its leaves'), so an eigenvalue the top
+adjoined is found there, not adjoined again.
 
 The loop dispatches on the eigenvalues of each irregular component's
 leading constant A_i(0), and a split takes them from it.  It keeps them
@@ -285,10 +299,16 @@ def _joint_block_diagonalize(Cs):
 # -- the reduction loop -----------------------------------------------------
 
 
-def _reduce(S, ram, order, trace, path):
+def _reduce(S, ram, order, trace, path, endgame=True):
+    """Reduce one branch; returns (phi, field, s, Q, C, structure).
+
+    With endgame False the branch stops at its rank-zero leaves (phase
+    one): phi and C are None, no gauge is multiplied in, and field is
+    the leaves' field, which holds every value a q can use.
+    """
     n, d = S.n, S.d
     ram = list(ram)
-    phi = SeriesMatrix.identity(d, n, S.tower)
+    phi = SeriesMatrix.identity(d, n, S.tower) if endgame else None
     qacc = [dict() for _ in range(n)]
     just_reduced = False
     guard = 0
@@ -304,12 +324,17 @@ def _reduce(S, ram, order, trace, path):
             raise ReductionError("reduction loop failed to make progress")
 
         if all(p == 0 for p in S.p):
-            T, Cs = regular_endgame(S, order=order)
             Q = [[dict(qacc[i]) for _ in range(d)] for i in range(n)]
+            if not endgame:
+                if min(S.window_hi()) <= 0:
+                    raise TruncationInsufficient(
+                        "a rank-zero leaf holds no term of its window")
+                return None, S.tower, ram, Q, None, ("regular", d)
+            T, Cs = regular_endgame(S, order=order)
             phi = phi * T
             C = [Cs[i] * Fraction(1, ram[i]) for i in range(n)]
             trace.add(path, "endgame", d=d)
-            return phi, ram, Q, C, ("regular", d)
+            return phi, phi.tower, ram, Q, C, ("regular", d)
 
         # dispatch on the leading constant of each irregular component
         for i in stale:
@@ -327,29 +352,24 @@ def _reduce(S, ram, order, trace, path):
         split_i = next((i for i in sorted(eig) if len(eig[i]) >= 2), None)
         if split_i is not None:
             T, top, bottom = split(S, split_i, eig[split_i], order=order)
-            phi = phi * T
+            if endgame:
+                phi = phi * T
             d1 = top.d
             trace.add(path, "split", component=split_i,
                       sizes=[top.d, bottom.d], p=list(S.p))
             top_n, _ = normalize_poincare(top)
             bot_n, _ = normalize_poincare(bottom)
-            phiT, ramT, QT, CT, stT = _reduce(
-                top_n, ram, order, trace, path + f"{split_i}a/")
+            phiT, fieldT, ramT, QT, CT, stT = _reduce(
+                top_n, ram, order, trace, path + f"{split_i}a/", endgame)
             # the bottom block factors its eigenvalues over the field the
             # top reached, so both branches' fields join at the merge
-            tw = common_tower(bot_n.tower, phiT.tower)
+            tw = common_tower(bot_n.tower, fieldT)
             bot_n = PfaffianSystem(
                 bot_n.vars, bot_n.p,
                 [SeriesMatrix(M.rows, n, tw) for M in bot_n.A], tw)
-            phiB, ramB, QB, CB, stB = _reduce(
-                bot_n, ram, order, trace, path + f"{split_i}b/")
+            phiB, fieldB, ramB, QB, CB, stB = _reduce(
+                bot_n, ram, order, trace, path + f"{split_i}b/", endgame)
             s = [math.lcm(a, b) for a, b in zip(ramT, ramB)]
-            for i in range(n):
-                phi = phi.ramify(i, s[i] // ram[i])
-                phiT = phiT.ramify(i, s[i] // ramT[i])
-                phiB = phiB.ramify(i, s[i] // ramB[i])
-            phi = phi * SeriesMatrix.block_diag([phiT, phiB])
-            C = [ConstMatrix.block_diag([CT[i], CB[i]]) for i in range(n)]
             Q = []
             for i in range(n):
                 blocks = QT[i] + QB[i]
@@ -358,7 +378,17 @@ def _reduce(S, ram, order, trace, path):
                         _qadd(q, e, c)
                 Q.append(blocks)
             struct = ("split", split_i, d1, stT, stB)
-            return phi, s, Q, C, struct
+            if not endgame:
+                # the bottom was reduced over the top's field, so its
+                # leaves' field holds both
+                return None, fieldB, s, Q, None, struct
+            for i in range(n):
+                phi = phi.ramify(i, s[i] // ram[i])
+                phiT = phiT.ramify(i, s[i] // ramT[i])
+                phiB = phiB.ramify(i, s[i] // ramB[i])
+            phi = phi * SeriesMatrix.block_diag([phiT, phiB])
+            C = [ConstMatrix.block_diag([CT[i], CB[i]]) for i in range(n)]
+            return phi, phi.tower, s, Q, C, struct
 
         shift_i = next((i for i in sorted(eig)
                         if not eig[i][0][0].is_zero()), None)
@@ -376,7 +406,7 @@ def _reduce(S, ram, order, trace, path):
         if not just_reduced:
             p_before = list(S.p)
             T, S, steps = rank_reduce(S, order=order)
-            if T != SeriesMatrix.identity(d, n, S.tower):
+            if endgame and T != SeriesMatrix.identity(d, n, S.tower):
                 phi = phi * T
             trace.add(path, "rank_reduce", p_before=p_before,
                       p_after=list(S.p), gauges=len(steps))
@@ -405,7 +435,8 @@ def _reduce(S, ram, order, trace, path):
         # x_i = t^m keeps every other A_j(0)
         S = ramify_system(S, i, m)
         stale = {i}
-        phi = phi.ramify(i, m)
+        if endgame:
+            phi = phi.ramify(i, m)
         ram[i] *= m
         trace.add(path, "ramify", component=i, factor=m, p=list(S.p))
         just_reduced = False
@@ -491,6 +522,42 @@ def verify_solution(S: PfaffianSystem, sol: FormalSolution):
     return {"ok": ok, "verified_to": verified, "per_component": per}
 
 
+def _retrying(S, order, max_retries, run):
+    """Check S, then run(normalized S, working order, trace),
+    restarting at a larger order after a TruncationInsufficient as fmfs
+    describes; returns (run's result, the last trace)."""
+    check_order(order, max_retries)
+    rep = check_integrability(S)
+    if not rep:
+        raise NonIntegrableError(
+            f"system is not completely integrable; first failure at "
+            f"components {rep.worst[0]},{rep.worst[1]}")
+    retry_log = []
+    N = order
+    attempt = 0
+    previous = None
+    while True:
+        trace = ReductionTrace(order=N, retries=attempt, retry_log=retry_log)
+        try:
+            Sn, notes = normalize_poincare(S)
+            for i, msg in notes:
+                trace.add("", "normalize", component=i, note=msg)
+            return run(Sn, N, trace), trace
+        except TruncationInsufficient as exc:
+            v = exc.verified_to
+            stalled = v is not None and previous is not None and v <= previous
+            if exc.final or stalled or attempt >= max_retries:
+                raise
+            nxt = 2 * N if v is None else N + (order - 2 - v)
+            if nxt > MAX_ORDER:
+                raise
+            previous = v
+            retry_log.append({"order": N, "verified_to": v,
+                              "next_order": nxt, "reason": str(exc)})
+            N = nxt
+            attempt += 1
+
+
 def fmfs(S: PfaffianSystem, order=10, max_retries=4):
     """Formal fundamental matrix of solutions, with retry on truncation.
 
@@ -511,46 +578,35 @@ def fmfs(S: PfaffianSystem, order=10, max_retries=4):
     Each retry logs the order it ran at, the degree it verified (None
     when unknown), the next order and the reason, in the trace.
     """
-    check_order(order, max_retries)
-    rep = check_integrability(S)
-    if not rep:
-        raise NonIntegrableError(
-            f"system is not completely integrable; first failure at "
-            f"components {rep.worst[0]},{rep.worst[1]}")
-    retry_log = []
-    N = order
-    attempt = 0
-    previous = None
-    while True:
-        trace = ReductionTrace(order=N, retries=attempt, retry_log=retry_log)
-        try:
-            Sn, notes = normalize_poincare(S)
-            for i, msg in notes:
-                trace.add("", "normalize", component=i, note=msg)
-            phi, ram, Q, C, struct = _reduce(Sn, [1] * S.n, N, trace, "")
-            sol = FormalSolution(phi, C, Q, ram, struct)
-            sol.check_block_compatibility()
-            report = verify_solution(S, sol)
-            if not report["ok"]:
-                raise ReductionError(
-                    "residual is nonzero inside its validity window")
-            sol.verified_to = report["verified_to"]
-            if report["verified_to"] < order - 2:
-                raise TruncationInsufficient(
-                    f"solution verified only to total degree "
-                    f"{report['verified_to']}",
-                    verified_to=report["verified_to"])
-            return sol, trace
-        except TruncationInsufficient as exc:
-            v = exc.verified_to
-            stalled = v is not None and previous is not None and v <= previous
-            if exc.final or stalled or attempt >= max_retries:
-                raise
-            nxt = 2 * N if v is None else N + (order - 2 - v)
-            if nxt > MAX_ORDER:
-                raise
-            previous = v
-            retry_log.append({"order": N, "verified_to": v,
-                              "next_order": nxt, "reason": str(exc)})
-            N = nxt
-            attempt += 1
+    def solve(Sn, N, trace):
+        phi, _, ram, Q, C, struct = _reduce(Sn, [1] * S.n, N, trace, "")
+        sol = FormalSolution(phi, C, Q, ram, struct)
+        sol.check_block_compatibility()
+        report = verify_solution(S, sol)
+        if not report["ok"]:
+            raise ReductionError(
+                "residual is nonzero inside its validity window")
+        sol.verified_to = report["verified_to"]
+        if report["verified_to"] < order - 2:
+            raise TruncationInsufficient(
+                f"solution verified only to total degree "
+                f"{report['verified_to']}",
+                verified_to=report["verified_to"])
+        return sol
+
+    return _retrying(S, order, max_retries, solve)
+
+
+def exponential_data(S: PfaffianSystem, order=10, max_retries=4):
+    """(s, Q) of fmfs's solution from phase one alone: per variable the
+    ramification index, and per variable one q dict per diagonal slot.
+
+    The reduction stops at its rank-zero leaves and restarts as fmfs
+    does; a truncation failure here reports no verified degree, so each
+    restart doubles the working order.
+    """
+    def leaves(Sn, N, trace):
+        _, _, ram, Q, _, _ = _reduce(Sn, [1] * S.n, N, trace, "", False)
+        return ram, Q
+
+    return _retrying(S, order, max_retries, leaves)[0]

@@ -7,14 +7,18 @@ order of such a system is the steepest slope of the Newton polygon of
 its characteristic polynomial, taken straight from the coefficient
 valuations once the Poincare rank has been minimized
 (reduction.katz_order_univariate, which the driver also uses to pick
-ramification indices); the full exponential parts come from running the
-reduction driver on the same univariate systems, once per variable.
+ramification indices).  The full exponential parts are those of the same
+univariate systems (the paper's main result), and they are fixed once
+the reduction of each reaches Poincare rank 0: exponential_parts runs
+the driver's first phase alone, once per variable, and never builds a
+fundamental matrix, so a resonant regular residue, which has no
+x^C-solution, does not stop it.
 """
 
 from fractions import Fraction
 from math import ceil
 
-from .driver import fmfs
+from .driver import exponential_data
 from .errors import InputError, ReductionError
 from .reduction import check_order, katz_order_univariate
 from .system import PfaffianSystem
@@ -69,18 +73,22 @@ class ExponentialPart:
 def exponential_parts(S: PfaffianSystem, order: int = 10, max_retries: int = 4):
     """Per variable: ramification s_i and the multiset of block q's.
 
-    Runs the full reduction driver on each associated univariate system;
-    the driver's accumulated eigenvalue shifts are then repackaged as
-    polynomials in x_i^{-1/s_i}.
+    Runs the driver's irregular phase (driver.exponential_data) on each
+    associated univariate system, down to its rank-zero leaves and no
+    further: no regular endgame, no Phi and no residual check.  The
+    eigenvalue shifts it accumulated are then repackaged as polynomials
+    in x_i^{-1/s_i}.  A window too short for the answer raises
+    TruncationInsufficient after max_retries restarts, each at double
+    the working order.
     """
     check_order(order, max_retries)
     out = []
     for i in range(S.n):
-        sol, _ = fmfs(S.associated_ods(i), order=order,
-                      max_retries=max_retries)
-        s = sol.s[0]
+        ram, Q = exponential_data(S.associated_ods(i), order=order,
+                                  max_retries=max_retries)
+        s = ram[0]
         qs = []
-        for q in sol.Q[0]:
+        for q in Q[0]:
             z = {}
             for e, c in q.items():
                 k = -e * s

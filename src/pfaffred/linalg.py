@@ -105,8 +105,8 @@ class ConstMatrix:
 
     def rref(self):
         """(reduced row echelon form, pivot column list)."""
-        el = Elimination(self)
-        return el.R, el.pivots
+        m, pivots, _ = _gauss_jordan(self)
+        return ConstMatrix(m, self.tower), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -180,43 +180,49 @@ class ConstMatrix:
         return f"ConstMatrix[{body}]"
 
 
+def _gauss_jordan(A: ConstMatrix):
+    """(reduced rows, pivot columns, row operations) of A; per pivot the
+    operations hold the pivot row, the row swapped into it, the pivot's
+    inverse and each (row, factor) elimination."""
+    m = [list(r) for r in A.rows]
+    pivots, ops = [], []
+    pr = 0
+    for pc in range(A.ncols):
+        if pr == A.nrows:
+            break
+        piv = next((i for i in range(pr, A.nrows)
+                    if not m[i][pc].is_zero()), None)
+        if piv is None:
+            continue
+        m[pr], m[piv] = m[piv], m[pr]
+        inv = m[pr][pc].inverse()
+        m[pr] = [a * inv for a in m[pr]]
+        elim = []
+        for i in range(A.nrows):
+            if i != pr and not m[i][pc].is_zero():
+                f = m[i][pc]
+                m[i] = [a - f * b for a, b in zip(m[i], m[pr])]
+                elim.append((i, f))
+        ops.append((pr, piv, inv, elim))
+        pivots.append(pc)
+        pr += 1
+    return m, pivots, ops
+
+
 class Elimination:
     """Gauss-Jordan elimination of A, with its row operations recorded.
 
-    Per pivot it keeps the pivot row, the row swapped into it, the
-    pivot's inverse and each (row, factor) elimination, plus the reduced
-    form R and the pivot columns.  solve(b) replays those operations on
-    b, which is exactly what rref([A | b]) does to its last column, so
-    one elimination serves any number of right-hand sides.
+    It keeps the pivot columns and the row operations, not the reduced
+    form, which only rref reads.  solve(b) replays the operations on b,
+    which is exactly what rref([A | b]) does to its last column, so one
+    elimination serves any number of right-hand sides.
     """
 
-    __slots__ = ("R", "pivots", "ops", "ncols", "tower")
+    __slots__ = ("pivots", "ops", "ncols", "tower")
 
     def __init__(self, A: ConstMatrix):
-        m = [list(r) for r in A.rows]
-        self.pivots, self.ops = [], []
+        _, self.pivots, self.ops = _gauss_jordan(A)
         self.ncols, self.tower = A.ncols, A.tower
-        pr = 0
-        for pc in range(A.ncols):
-            if pr == A.nrows:
-                break
-            piv = next((i for i in range(pr, A.nrows)
-                        if not m[i][pc].is_zero()), None)
-            if piv is None:
-                continue
-            m[pr], m[piv] = m[piv], m[pr]
-            inv = m[pr][pc].inverse()
-            m[pr] = [a * inv for a in m[pr]]
-            elim = []
-            for i in range(A.nrows):
-                if i != pr and not m[i][pc].is_zero():
-                    f = m[i][pc]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[pr])]
-                    elim.append((i, f))
-            self.ops.append((pr, piv, inv, elim))
-            self.pivots.append(pc)
-            pr += 1
-        self.R = ConstMatrix(m, A.tower)
 
     def solve(self, b):
         """Any x with A x = b (free unknowns 0), or None when inconsistent."""

@@ -21,9 +21,10 @@ the join; operations over Q work on the single coordinate directly.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
-from .errors import FieldExtensionError, ReductionError
+from .errors import FieldExtensionError, InputError, ReductionError
 
 Rational = Fraction
 
@@ -34,6 +35,18 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"not a rational value: {x!r}")
+
+
+def rational_str(q: Fraction) -> str:
+    """str(q); a numerator or denominator past the interpreter's limit on
+    printing integers is an InputError: the input's literals were too
+    long for the result to be printed."""
+    try:
+        return str(q)
+    except ValueError:
+        raise InputError(
+            f"a coefficient passes the {sys.get_int_max_str_digits()}-digit "
+            f"limit on printing integers") from None
 
 
 def fraction_sqrt(q: Fraction):
@@ -296,13 +309,13 @@ class Scalar:
 
     def __str__(self):
         if self.is_rational():
-            return str(self.coeffs[0])
+            return rational_str(self.coeffs[0])
         a0, a1 = self.coeffs
         parts = []
         if a0 != 0:
-            parts.append(str(a0))
+            parts.append(rational_str(a0))
         if a1 != 0:
-            parts.append(f"{a1}*a" if a1 != 1 else "a")
+            parts.append(f"{rational_str(a1)}*a" if a1 != 1 else "a")
         return " + ".join(parts) if parts else "0"
 
 

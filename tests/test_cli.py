@@ -8,10 +8,12 @@ from fractions import Fraction
 
 import pytest
 
-from pfaffred import cli, fmfs, serialize_solution, serialize_system
+from pfaffred import (cli, fmfs, parse_system, serialize_solution,
+                      serialize_system)
 from pfaffred.cli import main
 from pfaffred.docio import (MAX_DIMENSION, MAX_GAUGE_DEGREE, MAX_GAUGE_OPS,
-                            MAX_POINCARE_RANK, generate_equivalent)
+                            MAX_LITERAL_DIGITS, MAX_POINCARE_RANK,
+                            generate_equivalent)
 from pfaffred.errors import InputError
 from pfaffred.reduction import MAX_ORDER, MAX_RETRIES, check_order
 from pfaffred.scalars import QQ
@@ -263,8 +265,10 @@ def test_system_beyond_the_bounds_is_an_input_error(tmp_path, capsys, system,
     ("check", '" 1"'),
     ("verify", '{"-1e100000": "1"}'),
     ("verify", '{"-1/2": -' + "7" * 5000 + "}"),
+    ("check", "7" * (MAX_LITERAL_DIGITS + 1)),
+    ("check", '"1/' + "7" * (MAX_LITERAL_DIGITS + 1) + '"'),
 ], ids=["long-integer", "exponent", "huge-exponent", "decimal", "space",
-        "q-exponent", "q-long-integer"])
+        "q-exponent", "q-long-integer", "digits-bound", "denominator-bound"])
 def test_literal_beyond_p_or_p_over_q_is_an_input_error(tmp_path, capsys,
                                                         command, literal):
     system = serialize_system(sys1([[0, 1], [{1: 1}, 0]], 1))
@@ -283,6 +287,26 @@ def test_literal_beyond_p_or_p_over_q_is_an_input_error(tmp_path, capsys,
     err = run(capsys, argv, 1)["error"]
     assert time.perf_counter() - start < 1
     assert err["type"] == "InputError"
+
+
+def test_literal_at_the_digits_bound_parses():
+    doc = serialize_system(sys1([[0, 1], [{1: 1}, 0]], 1))
+    doc["A"][0][0][1][0]["coeff"] = "-" + "7" * MAX_LITERAL_DIGITS
+    assert parse_system(json.dumps(doc)).A[0].rows[0][1].terms
+
+
+# coefficients grow through the reduction: x^2 F' = [[1 + N x, 1],
+# [2, 5 + x]] F with N of 300 digits, well inside the literal bound, has
+# a solution coefficient past the interpreter's 4300-digit limit on
+# printing integers, which reduce printed as a ValueError traceback
+def test_coefficient_too_long_to_print_is_an_input_error(tmp_path, capsys):
+    N = int("7" * 300)
+    S = sys1([[{0: 1, 1: N}, 1], [2, {0: 5, 1: 1}]], 1)
+    doc = write_json(tmp_path / "long.json", serialize_system(S))
+    err = run(capsys, ["reduce", doc], 1)["error"]
+    assert err["type"] == "InputError" and "4300" in err["message"]
+    with pytest.raises(InputError, match="limit on printing"):
+        serialize_system(sys1([[10 ** 5000]], 0))
 
 
 def test_verify_refuses_c_coupling_distinct_exponential_parts(tmp_path,
@@ -374,12 +398,21 @@ def test_cubic_eigenvalue_field_exits_two(tmp_path, capsys):
 
 # residue Diag(0, 1) with an x coupling: the solution needs a logarithm,
 # which x^C cannot carry, so no verified solution exists to print
-@pytest.mark.parametrize("command", ["reduce", "invariants"])
-def test_resonant_system_exits_two(tmp_path, capsys, command):
+def test_resonant_system_exits_two(tmp_path, capsys):
     doc = write_json(tmp_path / "resonant.json", serialize_system(
         sys1([[0, 0], [{1: 1}, 1]], 0)))
-    err = run(capsys, [command, doc], 2)["error"]
+    err = run(capsys, ["reduce", doc], 2)["error"]
     assert err["type"] == "ResonanceError"
+
+
+# the same system is regular from the start: its exponential parts are
+# fixed at rank 0, before the endgame meets the resonance
+def test_resonant_system_has_trivial_exponential_parts(tmp_path, capsys):
+    doc = write_json(tmp_path / "resonant.json", serialize_system(
+        sys1([[0, 0], [{1: 1}, 1]], 0)))
+    out = run(capsys, ["invariants", doc])
+    assert out["omega"] == ["0"]
+    assert out["Q"] == [{"var": 0, "s": 1, "q": [{}, {}]}]
 
 
 # a split over Q whose blocks each need Q(sqrt 2) used to exit 2: the

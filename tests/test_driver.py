@@ -442,6 +442,11 @@ def q_canonical(qs):
                   for q in qs)
 
 
+def x_qs(part):
+    """An ExponentialPart's q's keyed by their x exponents, as in fmfs."""
+    return [{Fraction(-k, part.s): c for k, c in q.items()} for q in part.qs]
+
+
 def assert_planted(sol, planted):
     assert sol.s == planted["s"]
     assert sol.omega() == planted["omega"]
@@ -480,8 +485,7 @@ def test_planted_sweep(seed, shape):
     sol, _ = fmfs(S, order=8)
     assert_planted(sol, planted)
     for part, qs in zip(exponential_parts(S, order=8), sol.Q):
-        assert q_canonical([{Fraction(-k, part.s): c for k, c in q.items()}
-                            for q in part.qs]) == q_canonical(qs)
+        assert q_canonical(x_qs(part)) == q_canonical(qs)
     assert rank_reduce(S, order=8)[1].p == [math.ceil(w)
                                             for w in planted["omega"]]
 
@@ -521,17 +525,73 @@ R150_UNSUPPORTED.update({k: ResonanceError
                          for k in (25, 59, 67, 92, 98, 110)})
 
 
+# the items of R150_UNSUPPORTED whose exponential parts the reduction
+# still finds, since it stops at rank 0, with their growth orders (every
+# s is 1): the resonant residues, and 51, 66 and 145, whose second field
+# extension only the endgame's residues need
+R150_PHASE_ONE = {25: 0, 51: 0, 59: 2, 66: 0, 67: 0, 92: 0, 98: 0,
+                  110: 1, 145: 0}
+
+
 # systems outside the planted envelope, where residual verification is
-# the oracle: every item verifies or is refused with its documented error
+# the oracle: every item verifies or is refused with its documented error,
+# and the exponential parts, read at rank 0 without the endgame or the
+# residual check, are those of the verified solution
 @pytest.mark.parametrize("k", range(len(R150)))
 def test_random_systems_verify_or_exit_with_their_code(k):
     S = sys1(*R150[k])
-    if k in R150_UNSUPPORTED:
+    if k in R150_PHASE_ONE:
         with pytest.raises(R150_UNSUPPORTED[k]):
             fmfs(S, order=8)
+        [part] = exponential_parts(S, order=8)
+        assert (part.s, part.omega()) == (1, R150_PHASE_ONE[k])
+    elif k in R150_UNSUPPORTED:
+        for run in (fmfs, exponential_parts):
+            with pytest.raises(FieldExtensionError):
+                run(S, order=8)
     else:
         sol, _ = fmfs(S, order=8)
         assert sol.verified_to >= 6
+        [part] = exponential_parts(S, order=8)
+        assert part.s == sol.s[0]
+        assert q_canonical(x_qs(part)) == q_canonical(sol.Q[0])
+
+
+# windows cut short near the pole order, where the data a rank-0 leaf
+# rests on runs out: R150 items at every 15th index (those that verify),
+# and ramified and split plants.  Without the residual check, the
+# exponential parts must still be those of the uncut system, or refused
+HONESTY_PLANTS = {
+    "ramified": {"n": 1, "d": 3, "p": [2], "ramified": True},
+    "ramified-n2": {"n": 2, "d": 3, "p": [2, 1], "ramified": True},
+    "split": {"n": 2, "d": 3, "p": [2, 1]},
+    "split-p3": {"n": 1, "d": 3, "p": [3]},
+}
+HONESTY = ([(f"R{k}", N) for k in range(0, len(R150), 15)
+            if k not in R150_UNSUPPORTED
+            for N in (R150[k][1] + 1, R150[k][1] + 3)]
+           + [(f"{name}/{seed}", N) for name in HONESTY_PLANTS
+              for seed in (1, 4) for N in (1, 2, 3)])
+
+
+@pytest.mark.parametrize("case,N", HONESTY)
+def test_clipped_window_keeps_the_exponential_parts_or_refuses(case, N):
+    if case.startswith("R"):
+        S = sys1(*R150[int(case[1:])])
+    else:
+        name, seed = case.split("/")
+        S = generate_equivalent(int(seed), HONESTY_PLANTS[name])[0]
+
+    def parts(T):
+        return [(pt.s, q_canonical(x_qs(pt)))
+                for pt in exponential_parts(T, order=8)]
+
+    want = parts(S)
+    try:
+        got = parts(S.clipped((N,) * S.n))
+    except TruncationInsufficient:
+        return
+    assert got == want
 
 
 def working_orders(monkeypatch):
@@ -539,10 +599,10 @@ def working_orders(monkeypatch):
     orders = []
     reduce_ = driver._reduce
 
-    def spy(S, ram, order, trace, path):
+    def spy(S, ram, order, trace, path, *mode):
         if not path:
             orders.append(order)
-        return reduce_(S, ram, order, trace, path)
+        return reduce_(S, ram, order, trace, path, *mode)
 
     monkeypatch.setattr(driver, "_reduce", spy)
     return orders

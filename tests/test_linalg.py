@@ -85,8 +85,8 @@ def test_elimination_replays_solve_vec(rows, rhs):
     el = Elimination(a)
     R, pivots = sympy.Matrix(rows).rref()
     assert el.pivots == list(pivots)
-    assert el.R == cm([[Fraction(str(v)) for v in R.row(i)]
-                       for i in range(R.rows)])
+    assert a.rref() == (cm([[Fraction(str(v)) for v in R.row(i)]
+                            for i in range(R.rows)]), list(pivots))
     consistent = [sum(r[j] * v for j, v in enumerate(rhs[:3])) for r in rows]
     for b in (rhs, consistent):
         want = sympy_solve(rows, b)
