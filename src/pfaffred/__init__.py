@@ -28,7 +28,6 @@ from .driver import (
     verify_solution,
 )
 from .invariants import (
-    ExponentialPart,
     exponential_order,
     exponential_parts,
     true_poincare_rank,
@@ -63,7 +62,6 @@ __all__ = [
     "ColumnModuleNotFree",
     "ConstMatrix",
     "DimensionError",
-    "ExponentialPart",
     "FieldExtensionError",
     "FormalSolution",
     "FieldTower",

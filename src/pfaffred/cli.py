@@ -33,6 +33,14 @@ Options:
                          and degree of the obfuscating row operations
     --help, --version    print and exit 0
 
+invariants prints {"omega": [...], "p_true": [...], "Q": [{"var": i,
+"s": s_i, "q": [slot, ...]}, ...]}.  A slot maps each negative
+x_i-exponent of its q to the coefficient, written as in solution
+documents.  An entry whose q's leave Q also has a "minpoly" naming
+their field: each variable has its own, since each associated system
+is reduced on its own.  With --pretty, reduce and invariants name the
+field of a by its minimal polynomial whenever they print a value in it.
+
 Exit codes: 0 success, 1 bad input (parse/schema/non-integrable, usage
 errors such as an unknown option or a malformed value, and a result
 with a coefficient past the interpreter's limit on printing integers,
@@ -70,15 +78,17 @@ from fractions import Fraction
 
 from . import __version__
 from .docio import (generate_equivalent, matrix_to_json, order_to_json,
-                    parse_solution, parse_system, serialize_solution,
-                    serialize_system)
-from .driver import fmfs, verify_solution
+                    parse_solution, parse_system, qs_to_json,
+                    serialize_solution, serialize_system, with_minpoly)
+from .driver import fmfs, growth_order, verify_solution
 from .errors import (ColumnModuleNotFree, DimensionError, FieldExtensionError,
                      InputError, NonIntegrableError, NotInvertibleError,
                      NotUnitError, ReductionError, ResonanceError,
                      TruncationInsufficient)
 from .invariants import exponential_parts
 from .reduction import MAX_RETRIES, rank_reduce
+from .scalars import QQ
+from .series import Series
 from .system import check_integrability
 
 _INPUT_ERRORS = (InputError, NonIntegrableError, DimensionError)
@@ -155,6 +165,13 @@ def _fmt_q(q, var):
     return out
 
 
+def _fmt_field(tower):
+    """'a: root of -2 + a^2' names the a in a value of tower's field."""
+    mp = Series(1, {(k,): QQ.scalar(c)
+                    for k, c in enumerate(tower.minpoly.coeffs) if c}, QQ)
+    return f"a: root of {_fmt_series(mp, ['a'])}"
+
+
 def _fmt_const_matrix(M):
     return "[" + "; ".join(
         ", ".join(str(x) for x in row) for row in M.rows) + "]"
@@ -204,26 +221,23 @@ def _cmd_check(args):
 
 def _cmd_invariants(args):
     S = parse_system(_read(args.system))
-    parts = exponential_parts(S, order=args.order,
-                              max_retries=args.max_retries)
-    omega = [pt.omega() for pt in parts]
-    p_true = [-((-w.numerator) // w.denominator) for w in omega]
-    qs_x = []
-    for i, pt in enumerate(parts):
-        blocks = [{Fraction(-k, pt.s): c for k, c in q.items()}
-                  for q in pt.qs]
-        qs_x.append({"var": i, "s": pt.s,
-                     "q": [{str(e): str(c) for e, c in sorted(b.items())}
-                           for b in blocks]})
-    payload = {"omega": [str(w) for w in omega], "p_true": p_true, "Q": qs_x}
+    s, Q = exponential_parts(S, order=args.order,
+                             max_retries=args.max_retries)
+    omega = [growth_order(qs) for qs in Q]
+    p_true = [math.ceil(w) for w in omega]
+    fields = [next((c.tower for q in qs for c in q.values()
+                    if not c.is_rational()), QQ) for qs in Q]
+    payload = {"omega": [str(w) for w in omega], "p_true": p_true,
+               "Q": [with_minpoly({"var": i, "s": s[i], "q": qs_to_json(qs)},
+                                  fields[i]) for i, qs in enumerate(Q)]}
     lines = [f"omega: ({', '.join(str(w) for w in omega)})",
              f"p_true: ({', '.join(str(x) for x in p_true)})"]
-    for i, pt in enumerate(parts):
-        v = S.vars[i]
-        lines.append(f"{v}: s={pt.s}")
-        for j, q in enumerate(pt.qs):
-            qq = {Fraction(-k, pt.s): c for k, c in q.items()}
-            lines.append(f"  q_{j + 1} = {_fmt_q(qq, v)}")
+    for i, v in enumerate(S.vars):
+        lines.append(f"{v}: s={s[i]}")
+        for j, q in enumerate(Q[i]):
+            lines.append(f"  q_{j + 1} = {_fmt_q(q, v)}")
+        if fields[i].minpoly is not None:
+            lines.append(f"  {_fmt_field(fields[i])}")
     return payload, "\n".join(lines)
 
 
@@ -276,6 +290,8 @@ def _cmd_reduce(args):
     for row in sol.phi.rows:
         lines.append("  [" + ", ".join(_fmt_series(e, tvars) for e in row)
                      + "]")
+    if sol.phi.tower.minpoly is not None:
+        lines.append(_fmt_field(sol.phi.tower))
     lines.append(f"verified to order: {order_to_json(sol.verified_to)}")
     if trace.retries:
         lines.append(f"retries: {trace.retries}")
@@ -307,8 +323,7 @@ def _cmd_generate(args):
         "s": planted["s"],
         "omega": [str(w) for w in planted["omega"]],
         "p_true": planted["p_true"],
-        "Q": [[{str(e): str(c) for e, c in sorted(q.items())} for q in qs]
-              for qs in planted["Q"]],
+        "Q": [qs_to_json(qs) for qs in planted["Q"]],
     }
     return doc, None
 

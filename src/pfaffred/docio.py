@@ -32,11 +32,12 @@ rational root, is not a minimal polynomial and is bad input.
 from __future__ import annotations
 
 import json
+import math
 import random
 import re
 from fractions import Fraction
 
-from .driver import FormalSolution
+from .driver import FormalSolution, growth_order
 from .errors import InputError
 from .linalg import ConstMatrix, SeriesMatrix
 from .scalars import QQ, FieldTower, MinimalPolynomial, Scalar, rational_str
@@ -100,6 +101,20 @@ def _scalar_to_json(c: Scalar):
     if c.is_rational():
         return rational_str(c.coeffs[0])
     return [rational_str(x) for x in c.coeffs]
+
+
+def with_minpoly(doc: dict, tower: FieldTower) -> dict:
+    """doc, naming tower's field by its minimal polynomial under
+    "minpoly" unless the field is Q."""
+    if tower.minpoly is not None:
+        doc["minpoly"] = [rational_str(c) for c in tower.minpoly.coeffs]
+    return doc
+
+
+def qs_to_json(qs):
+    """One variable's q's: per slot, {exponent: scalar} in increasing
+    exponent order."""
+    return [{str(e): _scalar_to_json(q[e]) for e in sorted(q)} for q in qs]
 
 
 def _scalar_from_json(v, tower: FieldTower) -> Scalar:
@@ -190,16 +205,13 @@ def _is_square(M, d):
 
 
 def serialize_system(S: PfaffianSystem) -> dict:
-    doc = {
+    return with_minpoly({
         "vars": list(S.vars),
         "d": S.d,
         "p": list(S.p),
         "A": [matrix_to_json(A) for A in S.A],
         "trunc": _trunc_to_json(S.window_hi()),
-    }
-    if S.tower.minpoly is not None:
-        doc["minpoly"] = [str(c) for c in S.tower.minpoly.coeffs]
-    return doc
+    }, S.tower)
 
 
 def parse_system_dict(doc) -> PfaffianSystem:
@@ -242,11 +254,7 @@ def parse_system(text: str) -> PfaffianSystem:
 
 
 def serialize_solution(sol: FormalSolution, vars_) -> dict:
-    def qdict(q):
-        return {str(e): _scalar_to_json(c)
-                for e, c in sorted(q.items(), key=lambda kv: kv[0])}
-
-    doc = {
+    return with_minpoly({
         "vars": list(vars_),
         "d": sol.d,
         "s": list(sol.s),
@@ -254,14 +262,10 @@ def serialize_solution(sol: FormalSolution, vars_) -> dict:
                 "trunc": _trunc_to_json(sol.phi.window_hi())},
         "C": [[[_scalar_to_json(x) for x in r] for r in c.rows]
               for c in sol.C],
-        "Q": [[qdict(q) for q in qs] for qs in sol.Q],
+        "Q": [qs_to_json(qs) for qs in sol.Q],
         "structure": _structure_to_json(sol.structure),
         "verified_to_order": order_to_json(sol.verified_to),
-    }
-    tower = sol.phi.tower
-    if tower.minpoly is not None:
-        doc["minpoly"] = [str(c) for c in tower.minpoly.coeffs]
-    return doc
+    }, sol.phi.tower)
 
 
 def order_to_json(k):
@@ -435,9 +439,6 @@ def generate_equivalent(seed, shape):
                 Q[i][1] = dict(Q[i][0])
         A.append(SeriesMatrix(rows, n, tower))
 
-    omega = [max((Fraction(-e) for q in Q[i] for e in q), default=Fraction(0))
-             for i in range(n)]
-
     if ramified:
         # slots 0,1 of the first variable get [[0,1],[g^2 x,0]] with
         # rank p: eigenvalues +-g x^{1/2}, hence s_1 = 2, growth order
@@ -452,7 +453,6 @@ def generate_equivalent(seed, shape):
         exp = Fraction(-(2 * pi - 1), 2)
         Q[0][0] = {exp: tower.scalar(co)}
         Q[0][1] = {exp: tower.scalar(-co)}
-        omega[0] = max(omega[0], -exp)
 
     S = PfaffianSystem([f"x{i + 1}" for i in range(n)], p, A, tower)
 
@@ -473,11 +473,12 @@ def generate_equivalent(seed, shape):
         gauge = gauge.compose(GaugeTransformation.unipotent(N))
     out = apply_gauge(S, gauge)
 
+    omega = [growth_order(qs) for qs in Q]
     planted = {
         "Q": Q,
         "s": s_true,
         "omega": omega,
-        "p_true": [max(0, -(-w.numerator // w.denominator)) for w in omega],
+        "p_true": [math.ceil(w) for w in omega],
         "gauge": gauge,
         "diagonal": S,
     }

@@ -107,15 +107,8 @@ class FormalSolution:
         return len(self.s)
 
     def omega(self):
-        """Per variable: the growth order max(-e) over all q exponents."""
-        out = []
-        for qs in self.Q:
-            w = Fraction(0)
-            for q in qs:
-                for e in q:
-                    w = max(w, -e)
-            out.append(w)
-        return out
+        """Per variable: the growth order of its q's."""
+        return [growth_order(qs) for qs in self.Q]
 
     def check_block_compatibility(self):
         """Every C_i must vanish across slots whose q's differ anywhere.
@@ -147,13 +140,17 @@ class FormalSolution:
 class ReductionTrace:
     """Flat record of what the driver did, in order."""
 
-    __slots__ = ("order", "retries", "retry_log", "steps")
+    __slots__ = ("order", "retry_log", "steps")
 
-    def __init__(self, order, retries=0, retry_log=None):
+    def __init__(self, order, retry_log=()):
         self.order = order
-        self.retries = retries
-        self.retry_log = list(retry_log or [])
+        self.retry_log = list(retry_log)
         self.steps = []
+
+    @property
+    def retries(self):
+        """The restarts made before this attempt, one per retry_log entry."""
+        return len(self.retry_log)
 
     def add(self, path, kind, **kw):
         step = {"path": path, "kind": kind}
@@ -171,6 +168,12 @@ class ReductionTrace:
 
 
 # -- small helpers ----------------------------------------------------------
+
+
+def growth_order(qs):
+    """Growth order of one variable's q's: the largest -e over their
+    exponents e, or 0 when every q is zero."""
+    return max((-e for q in qs for e in q), default=Fraction(0))
 
 
 def _qkey(q):
@@ -534,10 +537,9 @@ def _retrying(S, order, max_retries, run):
             f"components {rep.worst[0]},{rep.worst[1]}")
     retry_log = []
     N = order
-    attempt = 0
     previous = None
     while True:
-        trace = ReductionTrace(order=N, retries=attempt, retry_log=retry_log)
+        trace = ReductionTrace(order=N, retry_log=retry_log)
         try:
             Sn, notes = normalize_poincare(S)
             for i, msg in notes:
@@ -546,7 +548,7 @@ def _retrying(S, order, max_retries, run):
         except TruncationInsufficient as exc:
             v = exc.verified_to
             stalled = v is not None and previous is not None and v <= previous
-            if exc.final or stalled or attempt >= max_retries:
+            if exc.final or stalled or len(retry_log) >= max_retries:
                 raise
             nxt = 2 * N if v is None else N + (order - 2 - v)
             if nxt > MAX_ORDER:
@@ -555,7 +557,6 @@ def _retrying(S, order, max_retries, run):
             retry_log.append({"order": N, "verified_to": v,
                               "next_order": nxt, "reason": str(exc)})
             N = nxt
-            attempt += 1
 
 
 def fmfs(S: PfaffianSystem, order=10, max_retries=4):

@@ -57,12 +57,6 @@ class ConstMatrix:
             m.rows[i][i] = tower.one()
         return m
 
-    def copy(self):
-        return ConstMatrix(self.rows, self.tower)
-
-    def __getitem__(self, ij):
-        return self.rows[ij[0]][ij[1]]
-
     def __add__(self, other):
         return ConstMatrix(
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
@@ -96,9 +90,6 @@ class ConstMatrix:
                         for a, b in zip(r1, r2)))
 
     __hash__ = None
-
-    def transpose(self):
-        return ConstMatrix(list(zip(*self.rows)), self.tower)
 
     def is_zero(self):
         return all(a.is_zero() for r in self.rows for a in r)
@@ -392,9 +383,6 @@ class SeriesMatrix:
     def copy(self):
         return SeriesMatrix(self.rows, self.nvars, self.tower)
 
-    def __getitem__(self, ij):
-        return self.rows[ij[0]][ij[1]]
-
     def __add__(self, other):
         return SeriesMatrix(
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
@@ -470,9 +458,6 @@ class SeriesMatrix:
 
     def partial_derivative(self, i):
         return self.map(lambda s: s.partial_derivative(i))
-
-    def restrict(self, zero_vars):
-        return self.map(lambda s: s.restrict(zero_vars))
 
     def coeff_in_xi(self, i, k):
         return self.map(lambda s: s.coeff_in_xi(i, k))

@@ -536,3 +536,36 @@ def test_pretty_q_parenthesizes_coefficients_outside_q(tmp_path, capsys):
     K = QQ.adjoin([-2, 0, 1])
     a_minus_1 = K.from_coeffs((-1, 1))
     assert cli._fmt_q({Fraction(-1): a_minus_1}, "x") == "(-1 + a)/x"
+
+
+# x^2 F' = [[0, 1], [2, 0]] F has q = -+sqrt(2)/x: invariants writes the
+# q's and their field as the solution document does, and --pretty names
+# the field of a wherever it prints a value in it
+def test_irrational_qs_name_their_field(tmp_path, capsys):
+    doc = write_json(tmp_path / "sqrt2.json", serialize_system(
+        sys1([[0, 1], [2, 0]], 1)))
+    sol = run(capsys, ["reduce", doc])["solution"]
+    [entry] = run(capsys, ["invariants", doc])["Q"]
+    assert entry == {"var": 0, "s": 1, "q": sol["Q"][0],
+                     "minpoly": sol["minpoly"]}
+    assert entry["minpoly"] == ["-2", "0", "1"]
+    for command in ("reduce", "invariants"):
+        assert main([command, doc, "--pretty"]) == 0
+        assert "a: root of -2 + a^2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags", [[], ["--ramified"]],
+                         ids=["split", "ramified"])
+def test_generate_expects_the_qs_invariants_finds(tmp_path, capsys, flags):
+    doc = run(capsys, ["generate", "--seed", "1", "--d", "3", "--p", "2,1"]
+              + flags)
+    got = run(capsys, ["invariants", write_json(tmp_path / "g.json", doc)])
+
+    def slots(qs):
+        return sorted(json.dumps(q, sort_keys=True) for q in qs)
+
+    want = doc["expected"]
+    assert got["omega"] == want["omega"] and got["p_true"] == want["p_true"]
+    assert [e["s"] for e in got["Q"]] == want["s"]
+    assert [slots(e["q"]) for e in got["Q"]] == [slots(qs)
+                                                  for qs in want["Q"]]

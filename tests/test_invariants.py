@@ -20,9 +20,9 @@ import pytest
 
 from helpers import hyper_system, mat1, shifted_system, sys1, triple_system
 from pfaffred import reduction
+from pfaffred.driver import growth_order
 from pfaffred.errors import InputError, ReductionError, TruncationInsufficient
 from pfaffred.invariants import (
-    ExponentialPart,
     exponential_order,
     katz_order_univariate,
     true_poincare_rank,
@@ -139,13 +139,9 @@ def test_order_invariant_under_polynomial_gauge():
     assert exponential_order(out) == exponential_order(S)
 
 
-# -- exponential part container ----------------------------------------------
+# -- growth order of q slots -------------------------------------------------
 
-def test_exponential_part_omega_and_orders():
-    ep = ExponentialPart(0, 2, [{1: QQ.scalar(3)}, {}, {4: QQ.scalar(-1)}])
-    assert ep.omega() == F(2)
-
-
-def test_exponential_part_rejects_constant_term():
-    with pytest.raises(InputError):
-        ExponentialPart(0, 1, [{0: QQ.scalar(1)}])
+def test_growth_order_of_q_slots():
+    qs = [{F(-1, 2): QQ.scalar(3)}, {}, {F(-2): QQ.scalar(-1)}]
+    assert growth_order(qs) == F(2)
+    assert growth_order([{}, {}]) == 0

@@ -176,8 +176,6 @@ def test_series_matrix_derivative_and_restrict():
     da = a.partial_derivative(0)
     assert da.rows[0][0] == X2
     assert da.rows[1][1].is_zero()
-    r = a.restrict([1])
-    assert r.rows[0][0].is_zero() and r.rows[1][0] == 1
 
 
 entries = st.integers(-3, 3)
