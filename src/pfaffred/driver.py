@@ -67,12 +67,12 @@ from .system import (
 )
 from .reduction import (
     MAX_ORDER,
+    certify,
     check_order,
     eigen_shift,
     katz_order_univariate,
     ramify_system,
     rank_reduce,
-    riccati,
     solve_graded,
     split,
 )
@@ -222,8 +222,9 @@ def regular_endgame(S: PfaffianSystem, order=10):
     Resonance is decided at those grades: an inconsistent stacked system
     raises ResonanceError naming its grade.  Certification follows: on
     exact input, T taken as a polynomial is checked against the full
-    equations, since x_i dT/dx_i - A_i T + T C_i = -riccati(..., X, 0, i),
-    and only then keeps an infinite window.  Finally the commuting family
+    equations by reduction.certify, the test splitting uses, since
+    x_i dT/dx_i - A_i T + T C_i = -riccati(..., X, 0, i), and only then
+    keeps an infinite window.  Finally the commuting family
     C_i is split into joint generalized eigenblocks by a further constant
     conjugation W, and (T W, residues) comes back; no inverse of T is
     formed, since nothing applies it.  A 1x1 system, what the eigenvalue
@@ -253,10 +254,8 @@ def regular_endgame(S: PfaffianSystem, order=10):
     # certify: if T taken as an exact polynomial closes the equation,
     # its window is infinite, otherwise it is honest truncated data
     T = SeriesMatrix.identity(d, n, tower) + X
-    exact = S.exact and all(
-        R.is_zero() and R.exact
-        for R in (riccati(b, X, 0, i) for i, b in enumerate(blocks)))
-    if not exact:
+    if not certify([(b, X, 0, i) for i, b in enumerate(blocks)], hi,
+                   check=False):
         T = T.clipped(hi)
 
     W = _joint_block_diagonalize(C)
@@ -331,7 +330,8 @@ def _reduce(S, ram, order, trace, path, endgame=True):
             if not endgame:
                 if min(S.window_hi()) <= 0:
                     raise TruncationInsufficient(
-                        "a rank-zero leaf holds no term of its window")
+                        "a rank-zero leaf holds no term of its window",
+                        window=S.window_hi())
                 return None, S.tower, ram, Q, None, ("regular", d)
             T, Cs = regular_endgame(S, order=order)
             phi = phi * T
@@ -537,7 +537,7 @@ def _retrying(S, order, max_retries, run):
             f"components {rep.worst[0]},{rep.worst[1]}")
     retry_log = []
     N = order
-    previous = None
+    previous = None, None
     while True:
         trace = ReductionTrace(order=N, retry_log=retry_log)
         try:
@@ -546,14 +546,20 @@ def _retrying(S, order, max_retries, run):
                 trace.add("", "normalize", component=i, note=msg)
             return run(Sn, N, trace), trace
         except TruncationInsufficient as exc:
-            v = exc.verified_to
-            stalled = v is not None and previous is not None and v <= previous
+            v, w = exc.verified_to, exc.window
+            pv, pw = previous
+            # the input's own window limits an attempt that verified no
+            # further, or whose leaf ran out in no wider a window, than
+            # the attempt before it
+            stalled = (v is not None and pv is not None and v <= pv
+                       or w is not None and pw is not None
+                       and all(a <= b for a, b in zip(w, pw)))
             if exc.final or stalled or len(retry_log) >= max_retries:
                 raise
             nxt = 2 * N if v is None else N + (order - 2 - v)
             if nxt > MAX_ORDER:
                 raise
-            previous = v
+            previous = v, w
             retry_log.append({"order": N, "verified_to": v,
                               "next_order": nxt, "reason": str(exc)})
             N = nxt
@@ -604,7 +610,10 @@ def exponential_data(S: PfaffianSystem, order=10, max_retries=4):
 
     The reduction stops at its rank-zero leaves and restarts as fmfs
     does; a truncation failure here reports no verified degree, so each
-    restart doubles the working order.
+    restart doubles the working order.  A leaf that holds no term of its
+    window reports that window instead, and an attempt whose leaf ran
+    out in a window no wider than the attempt before it ends the
+    retries: the input's own window limits it.
     """
     def leaves(Sn, N, trace):
         _, _, ram, Q, _, _ = _reduce(Sn, [1] * S.n, N, trace, "", False)

@@ -45,12 +45,16 @@ class TruncationInsufficient(PfaffError):
                    failure comes from that check; None otherwise
     final       -- a larger working order cannot help: the demand grows
                    at least as fast as the window does
+    window      -- the data window of the rank-zero leaf that ran out,
+                   when the failure is that leaf's; None otherwise
     """
 
-    def __init__(self, message="", verified_to=None, final=False):
+    def __init__(self, message="", verified_to=None, final=False,
+                 window=None):
         super().__init__(message)
         self.verified_to = verified_to
         self.final = final
+        self.window = window
 
 
 class ResonanceError(PfaffError):

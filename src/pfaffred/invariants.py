@@ -49,8 +49,9 @@ def exponential_parts(S: PfaffianSystem, order: int = 10, max_retries: int = 4):
     Runs the driver's irregular phase (driver.exponential_data) on each
     associated univariate system, down to its rank-zero leaves and no
     further: no regular endgame, no Phi and no residual check.  A window
-    too short for the answer raises TruncationInsufficient after
-    max_retries restarts, each at double the working order.
+    too short for the answer raises TruncationInsufficient after at most
+    max_retries restarts, each at double the working order; sooner when
+    a restart leaves a rank-zero leaf's window no wider than before.
     """
     check_order(order, max_retries)
     s, Q = [], []

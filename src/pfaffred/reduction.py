@@ -30,8 +30,12 @@ support of X reaches are visited.
 Splitting decouples a component whose constant term has at least two
 distinct eigenvalues into two diagonal blocks: the couplings P and Q
 solve the equations of the two block orientations.  Whether they are
-exact is decided once, by evaluating the full equations on the final
-couplings.  The decoupled blocks are read off the splitting identity
+exact is decided by certify, the test the regular endgame uses too, from
+the full equations on the final couplings, each evaluated once: a
+coupling that reaches the edge of its box is first evaluated one grade
+past it, where a cut-off series shows a term of the full residual, and
+the in-box residue check is read off the same evaluation.  The
+decoupled blocks are read off the splitting identity
 A T - x^{p+1} dT = T Diag(a11 + a12 Q, a22 + a21 P), so the coupling is
 never inverted.  Eigenvalue shifting and ramification are the remaining
 primitive moves of the full reduction.
@@ -416,6 +420,53 @@ def riccati(blocks, X, p, k):
             - X.partial_derivative(k).mul_monomial(e))
 
 
+def _clipped(M, hi):
+    # zero entries become exact zeros, which products skip; only
+    # coefficients below hi are ever read
+    return M.map(lambda s: s.clipped(hi) if s.terms
+                 else Series.zero(M.nvars, M.tower))
+
+
+def _residual(blocks, X, p, k, hi):
+    """riccati(blocks, X, p, k) on operands clipped to hi."""
+    return riccati(tuple(_clipped(M, hi) for M in blocks), _clipped(X, hi),
+                   p, k)
+
+
+def certify(equations, box, check=True):
+    """Whether the solutions X of equations are exact: True only when
+    every full riccati residual, nothing clipped, is zero on an infinite
+    window.
+
+    equations lists (blocks, X, p, k), each X exact and solved inside
+    box; an inexact b12 or b21 rules certification out.  Each residual
+    is evaluated once.  While certification stands, an X with a term at
+    exponent box_j - 1 is evaluated on operands clipped to box + 1: X is
+    exact, so any term of that layer is one of the full residual and
+    refuses certification, and only a zero layer leads on to the full
+    residual.  After a refusal, the rest is evaluated clipped to the
+    box.  With check, a residual nonzero inside the box raises
+    ResonanceError; without it, the first refusal ends the work.
+    """
+    certified = all(b[1].exact and b[2].exact for b, _, _, _ in equations)
+    for blocks, X, p, k in equations:
+        if not certified:
+            if not check:
+                break
+            R = _residual(blocks, X, p, k, box)
+        else:
+            if any(e[j] == h - 1 for row in X.rows for s in row
+                   for e in s.terms for j, h in enumerate(box)):
+                R = _residual(blocks, X, p, k, tuple(h + 1 for h in box))
+                certified = R.is_zero()
+            if certified:
+                R = riccati(blocks, X, p, k)
+                certified = R.is_zero() and R.exact
+        if check and not R.clipped(box).is_zero():
+            raise ResonanceError("off-diagonal residue after splitting")
+    return certified
+
+
 def _nonconstant_grades(M, box):
     """{gamma: [(row, col, coeff)]}: the nonzero entries of M at each
     nonconstant grade gamma inside the box."""
@@ -562,13 +613,13 @@ def split(S: PfaffianSystem, i: int, roots, order: int = 10):
     Once P and Q solve their equations, the coupling T = [[I, P], [Q, I]]
     satisfies A_k T - x_k^{p_k+1} dT/dx_k = T Diag(a11 + a12 Q,
     a22 + a21 P) in the eigenbasis, so the decoupled blocks are read off
-    that identity and T is never inverted.  The couplings are certified
-    exact only when the full, unclipped equations evaluated on the final
-    P and Q vanish on an infinite window.  Otherwise P, Q and both blocks
-    are clipped to W, and the residue check is decided here: the Riccati
-    residuals of the clipped P and Q are evaluated afresh on the input
-    blocks clipped to W, and any that is nonzero on W raises
-    ResonanceError.  So does an inconsistent coupling, naming its grade.
+    that identity and T is never inverted.  certify decides whether the
+    couplings are exact: only when the full, unclipped equations
+    evaluated on the final P and Q vanish on an infinite window.
+    Otherwise P, Q and both blocks are clipped to W.  The residue check
+    is read off the same evaluations: a Riccati residual nonzero inside
+    W raises ResonanceError.  So does an inconsistent coupling, naming
+    its grade.
 
     Returns (T, top, bottom): T is the eigenbasis change times the
     coupling, and top and bottom are standalone systems on the diagonal
@@ -602,29 +653,15 @@ def split(S: PfaffianSystem, i: int, roots, order: int = 10):
             W = list(map(min, W, M.window_hi()))
     box = tuple(W)
 
-    def in_box(M):
-        # zero entries become exact zeros, which products skip; only
-        # coefficients inside the box are ever read
-        return M.map(lambda s: s.clipped(box) if s.terms
-                     else Series.zero(n, tower))
-
-    boxed = [tuple(in_box(M) for M in blocks) for blocks in a]
+    boxed = [tuple(_clipped(M, box) for M in blocks) for blocks in a]
     P = solve_graded(boxed, S.p, box, tower)
     Q = solve_graded([b[::-1] for b in boxed], S.p, box, tower)
-    # an inexact a12 or a21, a summand of a residual, rules certification out
-    certified = all(b[1].exact and b[2].exact for b in a) and all(
-        m.is_zero() and m.exact
-        for k in range(n)
-        for m in (riccati(a[k], P, S.p[k], k),
-                  riccati(a[k][::-1], Q, S.p[k], k)))
+    certified = certify(
+        [eq for k in range(n)
+         for eq in ((a[k], P, S.p[k], k), (a[k][::-1], Q, S.p[k], k))], box)
     if not certified:
         P = P.clipped(box)
         Q = Q.clipped(box)
-        for k in range(n):
-            for m in (riccati(boxed[k], P, S.p[k], k),
-                      riccati(boxed[k][::-1], Q, S.p[k], k)):
-                if not m.clipped(box).is_zero():
-                    raise ResonanceError("off-diagonal residue after splitting")
     tops, bottoms = [], []
     for a11, a12, a21, a22 in a:
         t, b = a11 + a12 * Q, a22 + a21 * P

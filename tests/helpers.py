@@ -1,5 +1,7 @@
 """Shared constructors for the bivariate test systems."""
 
+import random
+
 from pfaffred.linalg import SeriesMatrix
 from pfaffred.scalars import QQ
 from pfaffred.series import Series
@@ -20,6 +22,28 @@ def mat1(grid):
 
 def sys1(grid, p, var="x"):
     return PfaffianSystem([var], [p], [mat1(grid)], QQ)
+
+
+def random_grids(count, seed):
+    """(grid, p) pairs for sys1, x^{p+1} dF/dx = A F, drawn from
+    random.Random(seed): d in 2..4, p in 1..3, each coefficient of A of
+    degree at most p + 1 nonzero with probability 0.3, from 1, -1, 2."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        d, p = rng.randint(2, 4), rng.randint(1, 3)
+        grid = []
+        for _ in range(d):
+            row = []
+            for _ in range(d):
+                terms = {}
+                for e in range(p + 2):
+                    if rng.random() < 0.3:
+                        terms[e] = rng.choice([1, -1, 2])
+                row.append(terms or 0)
+            grid.append(row)
+        out.append((grid, p))
+    return out
 
 
 def poly2(termmap):

@@ -47,6 +47,7 @@ from helpers import (
     merge_system,
     mixed_system,
     quadratic_system,
+    random_grids,
     shifted_system,
     sibling_system,
     sys1,
@@ -487,28 +488,6 @@ def test_planted_sweep(seed, shape):
                                             for w in planted["omega"]]
 
 
-def random_grids(count, seed):
-    """(grid, p) pairs for sys1, x^{p+1} dF/dx = A F, drawn from
-    random.Random(seed): d in 2..4, p in 1..3, each coefficient of A of
-    degree at most p + 1 nonzero with probability 0.3, from 1, -1, 2."""
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        d, p = rng.randint(2, 4), rng.randint(1, 3)
-        grid = []
-        for _ in range(d):
-            row = []
-            for _ in range(d):
-                terms = {}
-                for e in range(p + 2):
-                    if rng.random() < 0.3:
-                        terms[e] = rng.choice([1, -1, 2])
-                row.append(terms or 0)
-            grid.append(row)
-        out.append((grid, p))
-    return out
-
-
 R150 = random_grids(150, 11)
 
 # the items of R150 with no verified solution, and the error each exits 2
@@ -592,7 +571,8 @@ def test_clipped_window_keeps_the_exponential_parts_or_refuses(case, N):
 
 
 def working_orders(monkeypatch):
-    """The working order of every attempt fmfs makes from now on."""
+    """The working order of every attempt fmfs or exponential_data
+    makes from now on."""
     orders = []
     reduce_ = driver._reduce
 
@@ -701,6 +681,20 @@ def test_window_that_never_fits_is_not_retried(monkeypatch):
     assert time.perf_counter() - start < 30
     assert exc.value.final
     assert orders == [8]
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_input_limited_leaf_is_not_retried(monkeypatch, N):
+    # the input's window, not the working order, empties the rank-zero
+    # leaf: the attempt at 16 runs out in the same window as the one at
+    # 8, which ends the retries
+    S = generate_equivalent(1, {"n": 1, "d": 3, "p": [3]})[0].clipped((N,))
+    orders = working_orders(monkeypatch)
+    with pytest.raises(TruncationInsufficient,
+                       match="rank-zero leaf") as exc:
+        driver.exponential_data(S, order=8, max_retries=MAX_RETRIES)
+    assert exc.value.window == (0,)
+    assert orders == [8, 16]
 
 
 def test_fmfs_growth_orders_match_invariants():

@@ -16,14 +16,15 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
-    hyper_system, mat1, mat2, poly1, poly2, quadratic_system, shifted_system,
-    sys1, triple_system,
+    hyper_system, mat1, mat2, poly1, poly2, quadratic_system, random_grids,
+    shifted_system, sys1, triple_system,
 )
-from pfaffred import linalg, reduction
+from pfaffred import driver, linalg, reduction
 from pfaffred.docio import generate_equivalent
-from pfaffred.driver import regular_endgame
+from pfaffred.driver import fmfs, regular_endgame
 from pfaffred.errors import (
     ColumnModuleNotFree,
+    FieldExtensionError,
     InputError,
     ResonanceError,
     TruncationInsufficient,
@@ -469,15 +470,118 @@ def test_split_resonant_inconsistent_coupling():
 
 
 def test_split_residue_check_refuses_wrong_couplings(monkeypatch):
-    # a solver that answers 0 leaves the couplings at 0; the Riccati
-    # residuals evaluated afresh on the box are then nonzero
-    monkeypatch.setattr(
-        reduction, "solve_graded",
-        lambda blocks, p, box, tower: SeriesMatrix.zeros(
-            blocks[0][1].nrows, blocks[0][1].ncols, len(box), tower))
+    # a solver that answers 0 leaves the couplings at 0, and one that
+    # answers x1^(box - 1) leaves them at the box edge, where the
+    # certification evaluates one grade past the box first; either way
+    # the Riccati residuals are nonzero inside the box
+    def zero(blocks, p, box, tower):
+        return SeriesMatrix.zeros(blocks[0][1].nrows, blocks[0][1].ncols,
+                                  len(box), tower)
+
+    def edge(blocks, p, box, tower):
+        X = zero(blocks, p, box, tower)
+        X.rows[0][0] = Series.monomial(len(box), (box[0] - 1, 0), 1, tower)
+        return X
+
     S = h_system()
-    with pytest.raises(ResonanceError, match="off-diagonal residue"):
-        split(S, 0, eigenvalues(S, 0))
+    for stub in (zero, edge):
+        monkeypatch.setattr(reduction, "solve_graded", stub)
+        with pytest.raises(ResonanceError, match="off-diagonal residue"):
+            split(S, 0, eigenvalues(S, 0))
+
+
+def riccati_operands(monkeypatch):
+    """The X of every riccati evaluation from now on."""
+    seen = []
+    riccati_ = reduction.riccati
+
+    def spy(blocks, X, p, k):
+        seen.append(X)
+        return riccati_(blocks, X, p, k)
+
+    monkeypatch.setattr(reduction, "riccati", spy)
+    return seen
+
+
+def test_split_certifies_an_exact_coupling_at_the_box_edge(monkeypatch):
+    # x F' = [[1, x^10], [0, 0]] F at order 10: the box is (11,), and the
+    # coupling x^10/9 is a polynomial ending at its edge.  The layer one
+    # grade past the box is zero, so the full residual decides, and it
+    # certifies: the edge only orders the work
+    seen = riccati_operands(monkeypatch)
+    S = sys1([[1, {10: 1}], [0, 0]], 0)
+    T, top, bottom = split(S, 0, eigenvalues(S, 0), order=10)
+    assert T == mat1([[{10: Fraction(1, 9)}, 1], [1, 0]])
+    assert T.exact and top.A[0].exact and bottom.A[0].exact
+    # the witness one grade past the box, then the full residual of P
+    assert any(X.window_hi() == (12,) for X in seen)
+    assert any(X.exact and not X.is_zero() for X in seen)
+
+
+def test_split_refuses_a_cut_off_coupling_one_grade_past_the_box(
+        monkeypatch):
+    # x^2 F' = [[1, x], [0, 0]] F: the coupling sum (k - 1)! x^k never
+    # ends, so its residual has a term at x^11, one grade past the box of
+    # order 10; that refuses certification before the full residual of
+    # that coupling is evaluated, and P, Q and both blocks are clipped to
+    # the box
+    seen = riccati_operands(monkeypatch)
+    S = sys1([[1, {1: 1}], [0, 0]], 1)
+    T, top, bottom = split(S, 0, eigenvalues(S, 0), order=10)
+    assert T.rows[0][0] == poly1({k: -math.factorial(k - 1)
+                                  for k in range(1, 11)})
+    assert T.window_hi() == top.A[0].window_hi() == (11,)
+    assert bottom.A[0].window_hi() == (11,)
+    assert any(X.window_hi() == (12,) for X in seen)
+    assert not any(X.exact and not X.is_zero() for X in seen)
+
+
+def full_residual_certified(equations):
+    """The certification split and the endgame made before the edge
+    witness: every full riccati residual, nothing clipped, is zero on an
+    infinite window."""
+    return all(b[1].exact and b[2].exact for b, _, _, _ in equations) and all(
+        R.is_zero() and R.exact
+        for R in (riccati(b, X, p, k) for b, X, p, k in equations))
+
+
+# the plant shapes of the split and ramified benchmark workloads, seeds
+# 0-3, and every tenth system of the R150 oracle in tests/test_driver.py
+ORACLE_SHAPES = [
+    {"n": 2, "d": 4, "p": [1, 1]},
+    {"n": 2, "d": 3, "p": [1, 1]},
+    {"n": 3, "d": 3, "p": [1, 1, 0]},
+    {"n": 2, "d": 3, "p": [2, 1]},
+    {"n": 2, "d": 2, "p": [2, 1], "ramified": True},
+    {"n": 2, "d": 3, "p": [2, 1], "ramified": True},
+    {"n": 1, "d": 3, "p": [2], "ramified": True},
+]
+
+
+def test_certification_matches_the_full_residual_test(monkeypatch):
+    # every split's and every endgame's certification, on the systems
+    # below, is the one the full residuals give
+    decisions = []
+    certify_ = reduction.certify
+
+    def oracle(equations, box, check=True):
+        got = certify_(equations, box, check)
+        decisions.append((got, full_residual_certified(equations)))
+        return got
+
+    monkeypatch.setattr(reduction, "certify", oracle)
+    monkeypatch.setattr(driver, "certify", oracle)
+    systems = [generate_equivalent(seed, shape)[0]
+               for shape in ORACLE_SHAPES for seed in range(4)]
+    systems += [sys1(*g) for g in random_grids(150, 11)[::10]]
+    for S in systems:
+        try:
+            fmfs(S, order=8)
+        except (FieldExtensionError, ResonanceError):
+            pass
+    assert all(got == want for got, want in decisions)
+    # both outcomes occur, so neither is compared vacuously
+    assert {got for got, _ in decisions} == {True, False}
 
 
 # -- the graded Riccati solver ----------------------------------------------
