@@ -48,7 +48,9 @@ with a coefficient past the interpreter's limit on printing integers,
 structure the algorithms do not cover (non-free module, field
 extension, resonance), 3 truncation budget exhausted.  Failures print
 a machine-readable {"error": {"type", "message"}} object; usage errors
-have the type InputError.
+have the type InputError.  check, invariants and reduce refuse a
+non-integrable system with one message naming the failing pair of
+variables; rank-reduce does not check, as a gauge acts on any system.
 
 Input bounds, each refused with exit 1 before any work starts:
     --order             at least 1, at most reduction.MAX_ORDER (256),
@@ -60,7 +62,8 @@ Input bounds, each refused with exit 1 before any work starts:
                         the numerator and in the denominator
     --gauge-ops         at most docio.MAX_GAUGE_OPS (16), not negative
     --gauge-degree      at most docio.MAX_GAUGE_DEGREE (16), not negative
-The d and p_i bounds hold for system documents and for generate.
+The d and p_i bounds hold for system documents and for generate.  They
+do not bound the time: determinants are minor expansions, O(2^d).
 
 Output cut short by the reader (`pfaffred reduce --pretty doc | head -1`)
 is not an error: the rest goes to os.devnull and the command's own exit
@@ -89,7 +92,7 @@ from .invariants import exponential_parts
 from .reduction import MAX_RETRIES, rank_reduce
 from .scalars import QQ
 from .series import Series
-from .system import check_integrability
+from .system import require_integrable
 
 _INPUT_ERRORS = (InputError, NonIntegrableError, DimensionError)
 _UNSUPPORTED = (ColumnModuleNotFree, FieldExtensionError, ResonanceError,
@@ -201,11 +204,7 @@ def _fmt_series(s, vars_):
 
 def _cmd_check(args):
     S = parse_system(_read(args.system))
-    rep = check_integrability(S)
-    if not rep:
-        i, j = rep.worst[0], rep.worst[1]
-        raise NonIntegrableError(
-            f"integrability residual at (i,j)=({i + 1},{j + 1})")
+    rep = require_integrable(S)
     payload = {
         "integrable": True,
         "vars": list(S.vars),

@@ -61,9 +61,9 @@ from .scalars import common_tower, roots_of_charpoly
 from .series import INF, Series
 from .system import (
     PfaffianSystem,
-    check_integrability,
     digest,
     normalize_poincare,
+    require_integrable,
 )
 from .reduction import (
     MAX_ORDER,
@@ -259,7 +259,7 @@ def regular_endgame(S: PfaffianSystem, order=10):
         T = T.clipped(hi)
 
     W = _joint_block_diagonalize(C)
-    if not W == ConstMatrix.identity(d, tower):
+    if not W.is_identity():
         Winv = W.inverse()
         C = [Winv * M * W for M in C]
         T = T * W.to_series(n)
@@ -409,7 +409,7 @@ def _reduce(S, ram, order, trace, path, endgame=True):
         if not just_reduced:
             p_before = list(S.p)
             T, S, steps = rank_reduce(S, order=order)
-            if endgame and T != SeriesMatrix.identity(d, n, S.tower):
+            if endgame and not T.is_identity():
                 phi = phi * T
             trace.add(path, "rank_reduce", p_before=p_before,
                       p_after=list(S.p), gauges=len(steps))
@@ -487,7 +487,6 @@ def verify_solution(S: PfaffianSystem, sol: FormalSolution):
     per = []
     for i in range(n):
         p = St.p[i]
-        e_deriv = tuple(p + 1 if k == i else 0 for k in range(n))
         qterms = [[Series.zero(n, tower) for _ in range(d)] for _ in range(d)]
         for j in range(d):
             acc = {}
@@ -509,8 +508,7 @@ def verify_solution(S: PfaffianSystem, sol: FormalSolution):
         Cser = sol.C[i].to_series(n) \
             .mul_monomial(tuple(p if k == i else 0 for k in range(n))) \
             * sol.s[i]
-        R = (sol.phi.partial_derivative(i).mul_monomial(e_deriv)
-             + sol.phi * (D + Cser) - St.A[i] * sol.phi)
+        R = sol.phi.euler(i, p) + sol.phi * (D + Cser) - St.A[i] * sol.phi
         if R.is_zero():
             w = min(h for r in R.rows for s_ in r for h in s_.hi)
             k = w if w == INF else w - 1
@@ -530,11 +528,7 @@ def _retrying(S, order, max_retries, run):
     restarting at a larger order after a TruncationInsufficient as fmfs
     describes; returns (run's result, the last trace)."""
     check_order(order, max_retries)
-    rep = check_integrability(S)
-    if not rep:
-        raise NonIntegrableError(
-            f"system is not completely integrable; first failure at "
-            f"components {rep.worst[0]},{rep.worst[1]}")
+    require_integrable(S)
     retry_log = []
     N = order
     previous = None, None

@@ -20,7 +20,7 @@ from math import ceil
 
 from .driver import exponential_data
 from .reduction import check_order, katz_order_univariate
-from .system import PfaffianSystem
+from .system import PfaffianSystem, require_integrable
 
 __all__ = [
     "exponential_order",
@@ -32,6 +32,7 @@ __all__ = [
 
 def exponential_order(S: PfaffianSystem, order: int = 10):
     """Growth order in each variable, via the associated univariate systems."""
+    require_integrable(S)
     return [katz_order_univariate(S.associated_ods(i), order=order)
             for i in range(S.n)]
 
@@ -52,8 +53,10 @@ def exponential_parts(S: PfaffianSystem, order: int = 10, max_retries: int = 4):
     too short for the answer raises TruncationInsufficient after at most
     max_retries restarts, each at double the working order; sooner when
     a restart leaves a rank-zero leaf's window no wider than before.
+    The associated systems are always integrable; S is checked first.
     """
     check_order(order, max_retries)
+    require_integrable(S)
     s, Q = [], []
     for i in range(S.n):
         ram, qs = exponential_data(S.associated_ods(i), order=order,

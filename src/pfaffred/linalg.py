@@ -1,8 +1,10 @@
 """Matrices over the scalar field and over truncated series.
 
-ConstMatrix holds field scalars and supports exact elimination (rref,
-rank, solve, kernel, inverse) plus characteristic polynomials and
-generalized eigenspace decomposition.  Every elimination is one
+Both kinds derive from Matrix, which holds what they share: the ragged
+check, + and -, equality, is_zero, is_identity, submatrix, block_diag
+and printing.  ConstMatrix holds field scalars and supports exact
+elimination (rref, rank, solve, kernel, inverse) plus characteristic
+polynomials and generalized eigenspace decomposition.  Every elimination is one
 Gauss-Jordan loop, Elimination, which records its row operations: rref
 reads its reduced form, and solve_vec and inverse replay the operations
 on a right-hand side or on unit vectors.  SylvesterSolver solves the
@@ -34,7 +36,10 @@ from .scalars import (
 from .series import INF, Series
 
 
-class ConstMatrix:
+class Matrix:
+    """A grid of entries over a field.  A subclass supplies _zero(tower),
+    its zero entry, and _like(rows, tower) when it needs more than that."""
+
     __slots__ = ("rows", "nrows", "ncols", "tower")
 
     def __init__(self, rows, tower: FieldTower):
@@ -44,6 +49,66 @@ class ConstMatrix:
         if any(len(r) != self.ncols for r in self.rows):
             raise DimensionError("ragged matrix")
         self.tower = tower
+
+    def _like(self, rows, tower):
+        return type(self)(rows, tower)
+
+    def __add__(self, other):
+        return self._like(
+            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
+            common_tower(self.tower, other.tower))
+
+    def __sub__(self, other):
+        return self._like(
+            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
+            common_tower(self.tower, other.tower))
+
+    def __eq__(self, other):
+        return (isinstance(other, type(self))
+                and self.nrows == other.nrows and self.ncols == other.ncols
+                and all(a == b for r1, r2 in zip(self.rows, other.rows)
+                        for a, b in zip(r1, r2)))
+
+    __hash__ = None
+
+    def is_zero(self):
+        return all(a.is_zero() for r in self.rows for a in r)
+
+    def is_identity(self):
+        """Square, with 1 on the diagonal and 0 elsewhere; a series entry
+        is compared on its own window, so a truncated one agrees."""
+        return self.nrows == self.ncols and all(
+            a == 1 if i == j else a.is_zero()
+            for i, r in enumerate(self.rows) for j, a in enumerate(r))
+
+    def submatrix(self, rows, cols):
+        return self._like([[self.rows[i][j] for j in cols] for i in rows],
+                          self.tower)
+
+    @staticmethod
+    def block_diag(blocks):
+        """Block-diagonal matrix of the given square blocks, like the first."""
+        tower = common_tower(*(B.tower for B in blocks))
+        d = sum(B.nrows for B in blocks)
+        zero = blocks[0]._zero(tower)
+        rows = [[zero] * d for _ in range(d)]
+        lo = 0
+        for B in blocks:
+            for r, row in enumerate(B.rows):
+                rows[lo + r][lo:lo + B.ncols] = row
+            lo += B.nrows
+        return blocks[0]._like(rows, tower)
+
+    def __repr__(self):
+        body = "; ".join(" ".join(str(a) for a in r) for r in self.rows)
+        return f"{type(self).__name__}[{body}]"
+
+
+class ConstMatrix(Matrix):
+    __slots__ = ()
+
+    def _zero(self, tower):
+        return tower.zero()
 
     @classmethod
     def zeros(cls, nrows, ncols, tower):
@@ -57,19 +122,6 @@ class ConstMatrix:
             m.rows[i][i] = tower.one()
         return m
 
-    def __add__(self, other):
-        return ConstMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-            common_tower(self.tower, other.tower))
-
-    def __sub__(self, other):
-        return ConstMatrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-            common_tower(self.tower, other.tower))
-
-    def __neg__(self):
-        return ConstMatrix([[-a for a in r] for r in self.rows], self.tower)
-
     def __mul__(self, other):
         if isinstance(other, ConstMatrix):
             if self.ncols != other.nrows:
@@ -80,19 +132,6 @@ class ConstMatrix:
                 [[_dot(r, c, tower) for c in cols] for r in self.rows], tower)
         c, tower = join_scalar(other, self.tower)
         return ConstMatrix([[a * c for a in r] for r in self.rows], tower)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (isinstance(other, ConstMatrix)
-                and self.nrows == other.nrows and self.ncols == other.ncols
-                and all(a == b for r1, r2 in zip(self.rows, other.rows)
-                        for a, b in zip(r1, r2)))
-
-    __hash__ = None
-
-    def is_zero(self):
-        return all(a.is_zero() for r in self.rows for a in r)
 
     def rref(self):
         """(reduced row echelon form, pivot column list)."""
@@ -148,27 +187,11 @@ class ConstMatrix:
         half = (self * self).power(k >> 1)
         return half * self if k & 1 else half
 
-    @classmethod
-    def block_diag(cls, blocks):
-        """Block-diagonal matrix with the given square blocks."""
-        d = sum(B.nrows for B in blocks)
-        out = cls.zeros(d, d, common_tower(*(B.tower for B in blocks)))
-        lo = 0
-        for B in blocks:
-            for r, row in enumerate(B.rows):
-                out.rows[lo + r][lo:lo + B.ncols] = row
-            lo += B.nrows
-        return out
-
     def to_series(self, nvars):
         return SeriesMatrix(
             [[Series(nvars, {(0,) * nvars: a}, self.tower) if not a.is_zero()
               else Series.zero(nvars, self.tower) for a in r] for r in self.rows],
             nvars, self.tower)
-
-    def __repr__(self):
-        body = "; ".join(" ".join(str(a) for a in r) for r in self.rows)
-        return f"ConstMatrix[{body}]"
 
 
 def _gauss_jordan(A: ConstMatrix):
@@ -355,17 +378,18 @@ class SylvesterSolver:
                            self.tower).solve_vec(b)
 
 
-class SeriesMatrix:
-    __slots__ = ("rows", "nrows", "ncols", "nvars", "tower")
+class SeriesMatrix(Matrix):
+    __slots__ = ("nvars",)
 
     def __init__(self, rows, nvars: int, tower: FieldTower):
-        self.rows = [list(r) for r in rows]
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        if any(len(r) != self.ncols for r in self.rows):
-            raise DimensionError("ragged matrix")
+        super().__init__(rows, tower)
         self.nvars = nvars
-        self.tower = tower
+
+    def _like(self, rows, tower):
+        return SeriesMatrix(rows, self.nvars, tower)
+
+    def _zero(self, tower):
+        return Series.zero(self.nvars, tower)
 
     @classmethod
     def zeros(cls, nrows, ncols, nvars, tower):
@@ -379,23 +403,6 @@ class SeriesMatrix:
         for i in range(d):
             m.rows[i][i] = one
         return m
-
-    def copy(self):
-        return SeriesMatrix(self.rows, self.nvars, self.tower)
-
-    def __add__(self, other):
-        return SeriesMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-            self.nvars, common_tower(self.tower, other.tower))
-
-    def __sub__(self, other):
-        return SeriesMatrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-            self.nvars, common_tower(self.tower, other.tower))
-
-    def __neg__(self):
-        return SeriesMatrix([[-a for a in r] for r in self.rows],
-                            self.nvars, self.tower)
 
     def __mul__(self, other):
         if isinstance(other, SeriesMatrix):
@@ -419,22 +426,6 @@ class SeriesMatrix:
         return SeriesMatrix([[a * other for a in r] for r in self.rows],
                             self.nvars, tower)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar, Series)):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def agrees(self, other) -> bool:
-        return (self.nrows == other.nrows and self.ncols == other.ncols
-                and all(a.agrees(b) for r1, r2 in zip(self.rows, other.rows)
-                        for a, b in zip(r1, r2)))
-
-    __eq__ = agrees
-    __hash__ = None
-
-    def is_zero(self):
-        return all(a.is_zero() for r in self.rows for a in r)
-
     @property
     def exact(self):
         return all(a.exact for r in self.rows for a in r)
@@ -456,8 +447,9 @@ class SeriesMatrix:
     def mul_monomial(self, exp):
         return self.map(lambda s: s.mul_monomial(exp))
 
-    def partial_derivative(self, i):
-        return self.map(lambda s: s.partial_derivative(i))
+    def euler(self, i, p):
+        """x_i^{p+1} d/dx_i entrywise (Series.euler)."""
+        return self.map(lambda s: s.euler(i, p))
 
     def coeff_in_xi(self, i, k):
         return self.map(lambda s: s.coeff_in_xi(i, k))
@@ -484,37 +476,11 @@ class SeriesMatrix:
                     best = v
         return best, limited
 
-    def submatrix(self, rows, cols):
-        return SeriesMatrix([[self.rows[i][j] for j in cols] for i in rows],
-                            self.nvars, self.tower)
-
     def with_col(self, j, col):
-        m = self.copy()
+        m = self._like(self.rows, self.tower)
         for i, v in enumerate(col):
             m.rows[i][j] = v
         return m
-
-    @classmethod
-    def block(cls, grid):
-        """Assemble from a 2D grid of SeriesMatrix blocks."""
-        rows = []
-        for band in grid:
-            for i in range(band[0].nrows):
-                row = []
-                for blk in band:
-                    row.extend(blk.rows[i])
-                rows.append(row)
-        return cls(rows, grid[0][0].nvars,
-                   common_tower(*(blk.tower for band in grid for blk in band)))
-
-    @classmethod
-    def block_diag(cls, blocks):
-        """Block-diagonal matrix with the given square blocks."""
-        b0 = blocks[0]
-        return cls.block([[M if a == b else cls.zeros(M.nrows, N.ncols,
-                                                      b0.nvars, b0.tower)
-                           for b, N in enumerate(blocks)]
-                          for a, M in enumerate(blocks)])
 
     def determinant(self) -> Series:
         if self.nrows != self.ncols:
@@ -553,7 +519,3 @@ class SeriesMatrix:
     def rank_generic(self) -> int:
         """Rank over the fraction field of the series ring."""
         return len(self.pivot_rows())
-
-    def __repr__(self):
-        body = "; ".join(" ".join(str(a) for a in r) for r in self.rows)
-        return f"SeriesMatrix[{body}]"

@@ -181,7 +181,7 @@ def integral_cofactors(cols: SeriesMatrix, others, ell: int, slots):
             ci = Series(nvars, c_terms, tower)
             if not (D.exact and Ri.exact and residual.is_zero()):
                 exact = False
-                ci = ci.with_window(hi=hi)
+                ci = ci.clipped(hi)
             cof.append(ci)
         # the Cramer identities pin c over the fraction field; confirm
         # the column relation on every row as far as the data allows
@@ -326,7 +326,7 @@ def rank_reduce(S: PfaffianSystem, order: int = 10):
             except (ColumnModuleNotFree, TruncationInsufficient) as exc:
                 exc.args = (f"component {i}: {exc.args[0]}",)
                 raise
-            if not colred.gauge.is_identity():
+            if not colred.gauge.T.is_identity():
                 S = _apply_logged(S, colred.gauge, steps, "column_reduce", i)
             if (colred.r == S.d
                     or not S.A[i].constant_term().power(S.d).is_zero()):
@@ -415,9 +415,7 @@ def riccati(blocks, X, p, k):
     """b11 X + b12 - X b22 - X b21 X - x_k^{p+1} dX/dx_k, on the blocks
     (b11, b12, b21, b22) of component k."""
     b11, b12, b21, b22 = blocks
-    e = tuple(p + 1 if j == k else 0 for j in range(X.nvars))
-    return (b11 * X + b12 - X * b22 - X * b21 * X
-            - X.partial_derivative(k).mul_monomial(e))
+    return b11 * X + b12 - X * b22 - X * b21 * X - X.euler(k, p)
 
 
 def _clipped(M, hi):
@@ -669,9 +667,11 @@ def split(S: PfaffianSystem, i: int, roots, order: int = 10):
             t, b = t.clipped(box), b.clipped(box)
         tops.append(t)
         bottoms.append(b)
-    T = SeriesMatrix.block([
-        [SeriesMatrix.identity(d1, n, tower), P],
-        [Q, SeriesMatrix.identity(d - d1, n, tower)]])
+    T = SeriesMatrix.identity(d, n, tower)
+    for r in range(d1):
+        T.rows[r][d1:] = P.rows[r]
+    for r in range(d - d1):
+        T.rows[d1 + r][:d1] = Q.rows[r]
     return (gV.T * T, PfaffianSystem(S.vars, S.p, tops, tower),
             PfaffianSystem(S.vars, S.p, bottoms, tower))
 

@@ -10,17 +10,18 @@ infinite window; a series that merely prints as zero while hi is finite
 is a truncation-limited zero, not a proven one.  A sum or product lives
 in the join of its operands' fields (scalars.common_tower), a Scalar
 operand counting by its own field, so a coefficient of a smaller field
-is kept as it is and never lifted.  The module offers ring arithmetic
-and window handling; it has no series division.
+is kept as it is and never lifted.  The module offers ring arithmetic,
+window handling and the systems' operator x_i^{p+1} d/dx_i (euler); it
+has no series division.
 
 Stored-term invariant: every stored coefficient is nonzero and every
 stored exponent lies in [lo, hi).  The public constructor Series(...)
 establishes it for any input: it raises DimensionError on a term below
 the floor and drops zero coefficients and terms at or above the top.
 Results whose invariant holds by construction skip those checks through
-the module-private Series._trusted; only constant, monomial, variable
-and with_window take the public constructor.  Sums, products and clipped
-drop what cancels and what a narrower top cuts off themselves.
+the module-private Series._trusted; only constant, monomial and variable
+take the public constructor.  Sums, products and clipped drop what
+cancels and what a narrower top cuts off themselves.
 Series.sum_of adds any number of series the way a fold of + from
 Series.zero does; + is its two-operand case.
 """
@@ -192,11 +193,6 @@ class Series:
 
     # -- window helpers ----------------------------------------------------
 
-    def with_window(self, lo=None, hi=None):
-        lo = self.lo if lo is None else tuple(lo)
-        hi = self.hi if hi is None else tuple(hi)
-        return Series(self.nvars, self.terms, self.tower, lo, hi)
-
     def clipped(self, hi):
         """Explicitly forget terms at or above hi."""
         hi = tuple(map(min, self.hi, hi))
@@ -279,15 +275,16 @@ class Series:
                  for t, v in self.terms.items()}
         return Series._trusted(self.nvars, terms, self.tower, lo, hi)
 
-    def partial_derivative(self, i: int):
+    def euler(self, i: int, p: int):
+        """x_i^{p+1} d/dx_i: the term at e moves to e + p e_i with
+        coefficient e_i c, and the window [lo, hi) moves by p in slot i."""
         terms = {}
         for exp, c in self.terms.items():
-            if exp[i] == 0:
-                continue
-            ne = exp[:i] + (exp[i] - 1,) + exp[i + 1:]
-            terms[ne] = c * exp[i]
-        lo = self.lo[:i] + (self.lo[i] - 1 if self.lo[i] != -INF else -INF,) + self.lo[i + 1:]
-        hi = self.hi[:i] + (self.hi[i] - 1 if self.hi[i] != INF else INF,) + self.hi[i + 1:]
+            k = exp[i]
+            if k:
+                terms[exp[:i] + (k + p,) + exp[i + 1:]] = c * k
+        lo = self.lo[:i] + (self.lo[i] + p,) + self.lo[i + 1:]
+        hi = self.hi[:i] + (self.hi[i] + p,) + self.hi[i + 1:]
         return Series._trusted(self.nvars, terms, self.tower, lo, hi)
 
     def restrict(self, zero_vars):

@@ -2,11 +2,13 @@
 
 A system couples n equations x_i^{p_i+1} dF/dx_i = A_i F over series in
 x_1..x_n.  The complete-integrability commutation rule ties the
-components together; gauge transformations act by
-A_i -> T^{-1} A_i T - x_i^{p_i+1} T^{-1} dT/dx_i, after which Poincare
-ranks are renormalized by own-variable valuation.  A transformation
-that gives some component a pole in a foreign variable breaks normal
-crossings and is refused.  A gauge transformation carries the T^{-1}
+components together; require_integrable raises the one error for a
+system that breaks it.  A gauge transformation acts by
+A_i -> T^{-1} (A_i T - x_i^{p_i+1} dT/dx_i), computed as
+T_inv * (A_i * T - T.euler(i, p_i)), after which Poincare ranks are
+renormalized by own-variable valuation.  A transformation that gives
+some component a pole in a foreign variable breaks normal crossings and
+is refused.  A gauge transformation carries the T^{-1}
 that the code building T supplies, from a constant matrix or from the
 structure of T; the package inverts no series matrix.
 """
@@ -15,7 +17,8 @@ from __future__ import annotations
 
 import hashlib
 
-from .errors import DimensionError, InputError, ReductionError
+from .errors import (DimensionError, InputError, NonIntegrableError,
+                     ReductionError)
 from .linalg import SeriesMatrix
 from .scalars import common_tower
 from .series import INF, Series
@@ -115,12 +118,8 @@ def check_integrability(S: PfaffianSystem) -> IntegrabilityReport:
     hi = S.window_hi()
     for i in range(S.n):
         for j in range(i + 1, S.n):
-            ei = tuple(S.p[i] + 1 if k == i else 0 for k in range(S.n))
-            ej = tuple(S.p[j] + 1 if k == j else 0 for k in range(S.n))
-            lhs = S.A[i] * S.A[j] - S.A[j] * S.A[i]
-            rhs = (S.A[j].partial_derivative(i).mul_monomial(ei)
-                   - S.A[i].partial_derivative(j).mul_monomial(ej))
-            res = lhs - rhs
+            res = (S.A[i] * S.A[j] - S.A[j] * S.A[i]
+                   - S.A[j].euler(i, S.p[i]) + S.A[i].euler(j, S.p[j]))
             for r in range(S.d):
                 for c in range(S.d):
                     entry = res.rows[r][c]
@@ -130,6 +129,18 @@ def check_integrability(S: PfaffianSystem) -> IntegrabilityReport:
                         if worst is None or sum(exp) < sum(worst[4]):
                             worst = cand
     return IntegrabilityReport(worst is None, worst, hi)
+
+
+def require_integrable(S: PfaffianSystem) -> IntegrabilityReport:
+    """check_integrability's report of a system that passes; otherwise
+    NonIntegrableError, naming the first failing pair by its variables."""
+    rep = check_integrability(S)
+    if not rep:
+        i, j = rep.worst[0], rep.worst[1]
+        raise NonIntegrableError(
+            f"system is not completely integrable: the integrability "
+            f"condition fails for the pair ({S.vars[i]}, {S.vars[j]})")
+    return rep
 
 
 def normalize_poincare(S: PfaffianSystem):
@@ -170,7 +181,7 @@ class GaugeTransformation:
     """Invertible change of basis F = T G, built together with T^{-1}.
 
     The constructors read T^{-1} off the structure of T (a constant,
-    diagonal monomial, permutation, unipotent or block-diagonal matrix)
+    diagonal monomial, permutation or unipotent matrix)
     and compose keeps it; a caller with another T passes an inverse it
     already knows.
     """
@@ -193,11 +204,11 @@ class GaugeTransformation:
     @classmethod
     def diagonal_monomial(cls, exps, nvars, tower):
         """Diag(x^e) for a list of exponent vectors e (one per row)."""
-        def mono(e):
-            return SeriesMatrix([[Series.monomial(nvars, e, 1, tower)]],
-                                nvars, tower)
-        return cls.block_diag([cls(mono(e), mono(tuple(-x for x in e)))
-                               for e in exps])
+        def diag(sign):
+            return SeriesMatrix.block_diag([SeriesMatrix(
+                [[Series.monomial(nvars, [sign * x for x in e], 1, tower)]],
+                nvars, tower) for e in exps])
+        return cls(diag(1), diag(-1))
 
     @classmethod
     def permutation(cls, order, nvars, tower):
@@ -215,19 +226,9 @@ class GaugeTransformation:
         I = SeriesMatrix.identity(N.nrows, N.nvars, N.tower)
         return cls(I + N, I - N)
 
-    @classmethod
-    def block_diag(cls, blocks):
-        """Diag(T_1, .., T_k), one block per transformation, in order."""
-        return cls(SeriesMatrix.block_diag([g.T for g in blocks]),
-                   SeriesMatrix.block_diag([g.T_inv for g in blocks]))
-
     def compose(self, other: "GaugeTransformation") -> "GaugeTransformation":
         """self applied first, then other: F = (T_self T_other) H."""
         return GaugeTransformation(self.T * other.T, other.T_inv * self.T_inv)
-
-    def is_identity(self):
-        return self.T == SeriesMatrix.identity(self.T.nrows, self.T.nvars,
-                                               self.T.tower)
 
 
 def apply_gauge(S: PfaffianSystem, g: GaugeTransformation) -> PfaffianSystem:
@@ -242,8 +243,7 @@ def apply_gauge(S: PfaffianSystem, g: GaugeTransformation) -> PfaffianSystem:
     T, T_inv = g.T, g.T_inv
     newA, newp = [], []
     for i in range(S.n):
-        ei = tuple(S.p[i] + 1 if k == i else 0 for k in range(S.n))
-        Ai = T_inv * S.A[i] * T - (T_inv * T.partial_derivative(i)).mul_monomial(ei)
+        Ai = T_inv * (S.A[i] * T - T.euler(i, S.p[i]))
         mins = [0] * S.n
         for row in Ai.rows:
             for e in row:

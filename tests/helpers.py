@@ -2,6 +2,7 @@
 
 import random
 
+from pfaffred.docio import generate_equivalent, serialize_system
 from pfaffred.linalg import SeriesMatrix
 from pfaffred.scalars import QQ
 from pfaffred.series import Series
@@ -193,3 +194,18 @@ MERGE_CASES = {
     "split-sqrt8-sqrt2": ([[0, 1], [8, 0]], [[0, 1], [2, 0]]),
     "split-sqrt2-shifted": ([[0, 1], [2, 0]], [[0, 1], [1, 2]]),
 }
+
+
+def non_integrable_docs():
+    """System documents that break complete integrability: x^2 F_x = y F
+    beside y^2 F_y = F, and the plant generate --p 1,1 --d 2 --seed 0
+    prints, with one more term, 5 x2, in A_1[0][1]."""
+    plant = serialize_system(
+        generate_equivalent(0, {"n": 2, "d": 2, "p": [1, 1]})[0])
+    plant["A"][0][0][1].append({"exp": [0, 1], "coeff": "5"})
+    return {
+        "scalar": {"vars": ["x", "y"], "d": 1, "p": [1, 1],
+                   "A": [[[[{"exp": [0, 1], "coeff": "1"}]]],
+                         [[[{"exp": [0, 0], "coeff": "1"}]]]]},
+        "plant": plant,
+    }

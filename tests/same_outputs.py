@@ -1,0 +1,128 @@
+"""Record the outputs of a pfaffred checkout, so two checkouts compare.
+
+    python3 tests/same_outputs.py CHECKOUT OUT.json
+
+CHECKOUT is the root of a source checkout (its src/ holds the package it
+imports, its perfbench/ the corpus it reads).  OUT.json maps each entry
+to what the checkout gave for it:
+
+- every solve-corpus item of perfbench/corpus.py (split, ramified,
+  regular) at corpus seeds 0-2: the solution and trace fingerprints of
+  fmfs, or the error it raised;
+- every item of the cli-invariants workload at corpus seeds 0-2: its
+  exit code and stdout;
+- each of the 150 random systems of helpers.random_grids(150, 11) (R150
+  in tests/test_driver.py): fmfs's fingerprints and exponential_parts'
+  s and Q at order 8, or the error each raised.
+
+Two checkouts have the same outputs when their files are equal; compare
+them with `cmp` or `diff`.  The script also prints, per module of the
+package, its line count and its marshalled bytecode size,
+len(marshal.dumps(compile(source))), which tracks the benchmark's set-up
+memory peak.
+
+Not collected by pytest; it takes about a minute.
+"""
+
+import importlib
+import json
+import marshal
+import os
+import sys
+import tempfile
+import types
+
+SEEDS = (0, 1, 2)
+SOLVE_WORKLOADS = ("split", "ramified", "regular")
+MODULES = ("scalars", "series", "linalg", "system", "reduction",
+           "invariants", "driver", "docio", "cli")
+
+
+def module_sizes(src):
+    """(file, lines, marshalled bytes) per module of the package."""
+    pkg = os.path.join(src, "pfaffred")
+    out = []
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+                text = fh.read()
+            out.append((name, text.count("\n"),
+                        len(marshal.dumps(compile(text, name, "exec")))))
+    return out
+
+
+def error(exc):
+    return {"error": type(exc).__name__, "message": str(exc)}
+
+
+def solved(run):
+    """fmfs's fingerprints, or the error it raised."""
+    try:
+        sol, trace = run()
+    except Exception as exc:  # every outcome is recorded, none is judged
+        return error(exc)
+    return {"solution": sol.fingerprint(), "trace": trace.fingerprint(),
+            "verified_to": str(sol.verified_to)}
+
+
+def parts(pf, S):
+    try:
+        s, Q = pf.invariants.exponential_parts(S, order=8)
+    except Exception as exc:
+        return error(exc)
+    return {"s": s, "Q": [[sorted((str(e), str(c)) for e, c in q.items())
+                          for q in qs] for qs in Q]}
+
+
+def record(pf, corpus, helpers):
+    out = {}
+    for seed in SEEDS:
+        for workload in SOLVE_WORKLOADS:
+            for id_, S, order, _ in corpus.solve_inputs(pf, workload, seed):
+                out[f"{workload}/{seed}/{id_}"] = solved(
+                    lambda: pf.driver.fmfs(S, order=order))
+        with tempfile.TemporaryDirectory() as docdir:
+            for group in corpus.build(pf, "cli-invariants", seed, docdir):
+                for item in group:
+                    code, text = item.run()
+                    try:        # the reduce check writes what verify reads
+                        item.check((code, text))
+                    except corpus.WrongAnswer:
+                        pass
+                    out[f"cli-invariants/{seed}/{item.id}"] = {
+                        "code": code, "stdout": text}
+    for k, (grid, p) in enumerate(helpers.random_grids(150, 11)):
+        S = helpers.sys1(grid, p)
+        out[f"R150/{k}"] = {
+            "fmfs": solved(lambda: pf.driver.fmfs(S, order=8)),
+            "exponential_parts": parts(pf, S)}
+    return out
+
+
+def main(argv):
+    if len(argv) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    root, dest = (os.path.abspath(a) for a in argv)
+    src = os.path.join(root, "src")
+    sys.path[:0] = [src, os.path.join(root, "perfbench")]
+    importlib.import_module("pfaffred")
+    pf = types.SimpleNamespace(**{
+        m: importlib.import_module(f"pfaffred.{m}") for m in MODULES})
+    import corpus
+    import helpers
+    out = record(pf, corpus, helpers)
+    with open(dest, "w", encoding="utf-8") as fh:
+        json.dump(out, fh, indent=1, sort_keys=True)
+    print(f"{len(out)} entries -> {dest}")
+    total_lines = total_bytes = 0
+    for name, lines, size in module_sizes(src):
+        print(f"{name:16} {lines:5} lines {size:7} bytes marshalled")
+        total_lines += lines
+        total_bytes += size
+    print(f"{'total':16} {total_lines:5} lines {total_bytes:7} bytes marshalled")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

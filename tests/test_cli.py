@@ -19,7 +19,8 @@ from pfaffred.reduction import MAX_ORDER, MAX_RETRIES, check_order
 from pfaffred.scalars import QQ
 
 from helpers import (
-    MERGE_CASES, hyper_system, kron_system, merge_system, mixed_system, sys1,
+    MERGE_CASES, hyper_system, kron_system, merge_system, mixed_system,
+    non_integrable_docs, sys1,
 )
 
 
@@ -413,6 +414,22 @@ def test_resonant_system_has_trivial_exponential_parts(tmp_path, capsys):
     out = run(capsys, ["invariants", doc])
     assert out["omega"] == ["0"]
     assert out["Q"] == [{"var": 0, "s": 1, "q": [{}, {}]}]
+
+
+# invariants reduced only the associated univariate systems, which are
+# always integrable, and exited 0 on these; check, reduce and invariants
+# now refuse them alike, while rank-reduce, defined for any system, runs
+@pytest.mark.parametrize("name", ["scalar", "plant"])
+def test_non_integrable_system_is_refused_with_one_message(tmp_path, capsys,
+                                                           name):
+    doc = write_json(tmp_path / f"{name}.json", non_integrable_docs()[name])
+    errors = [run(capsys, [command, doc], 1)["error"]
+              for command in ("check", "reduce", "invariants")]
+    assert errors[0]["type"] == "NonIntegrableError"
+    assert errors[0]["message"].endswith(
+        "pair (x, y)" if name == "scalar" else "pair (x1, x2)")
+    assert errors[1] == errors[0] and errors[2] == errors[0]
+    assert "system" in run(capsys, ["rank-reduce", doc])
 
 
 # a split over Q whose blocks each need Q(sqrt 2) used to exit 2: the

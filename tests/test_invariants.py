@@ -14,16 +14,21 @@ References, all checked by hand:
   [[1,0],[0,0]] at p=0 (regular, order 0).
 """
 
+import json
 from fractions import Fraction
 
 import pytest
 
-from helpers import hyper_system, mat1, shifted_system, sys1, triple_system
+from helpers import (hyper_system, mat1, non_integrable_docs, shifted_system,
+                     sys1, triple_system)
 from pfaffred import reduction
 from pfaffred.driver import growth_order
-from pfaffred.errors import InputError, ReductionError, TruncationInsufficient
+from pfaffred.docio import parse_system
+from pfaffred.errors import (InputError, NonIntegrableError, ReductionError,
+                             TruncationInsufficient)
 from pfaffred.invariants import (
     exponential_order,
+    exponential_parts,
     katz_order_univariate,
     true_poincare_rank,
 )
@@ -137,6 +142,17 @@ def test_order_invariant_under_polynomial_gauge():
                       [poly2({}), poly2({})]], 2, QQ)
     out = apply_gauge(S, GaugeTransformation.unipotent(N))
     assert exponential_order(out) == exponential_order(S)
+
+
+# the associated univariate systems are always integrable, so these were
+# answered (omega ["0", "1"] and ["1", "1"]) from systems with no solution
+@pytest.mark.parametrize("name", ["scalar", "plant"])
+@pytest.mark.parametrize("invariant", [exponential_parts, exponential_order,
+                                       true_poincare_rank])
+def test_non_integrable_system_has_no_invariants(name, invariant):
+    S = parse_system(json.dumps(non_integrable_docs()[name]))
+    with pytest.raises(NonIntegrableError):
+        invariant(S)
 
 
 # -- growth order of q slots -------------------------------------------------

@@ -5,7 +5,7 @@ constructor's checks, and SeriesMatrix.__mul__ sums each entry's
 products in one pass.  The reference implementations below are the
 plain loops those replaced: every result goes through the public
 constructor, and a matrix entry is the fold acc = acc + a * b from
-Series.zero.  The series derived from one series (derivative,
+Series.zero.  The series derived from one series (Euler operator,
 restriction, coefficient, ramification, projection, extra slot,
 clipping, zero) skip that constructor too; their references feed the
 same terms through it.  On random series the fast paths must give the
@@ -226,17 +226,20 @@ def test_sum_of_restarts_a_cancelled_coefficient_in_its_own_field():
 
 # -- derived series against the public constructor --------------------------
 #
-# zero, partial_derivative, restrict, coeff_in_xi, ramify, project_to_var,
-# append_slot and clipped build their results without the public
-# constructor's checks.  Each reference below feeds the same terms and
-# window through Series(...), as the constructors once did.
+# zero, euler, restrict, coeff_in_xi, ramify, project_to_var, append_slot
+# and clipped build their results without the public constructor's
+# checks.  Each reference below feeds the same terms and window through
+# Series(...), as the constructors once did.
 
 
-def ref_partial_derivative(a, i):
-    terms = {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
-             for e, c in a.terms.items() if e[i]}
-    step = lambda w: tuple(v - 1 if j == i else v for j, v in enumerate(w))
-    return Series(a.nvars, terms, a.tower, step(a.lo), step(a.hi))
+def ref_euler(a, i, p):
+    """x_i^{p+1} d/dx_i as it was computed before: the derivative, then
+    the shift by x_i^{p+1}, each through the public constructor."""
+    step = lambda w, k: tuple(v + k if j == i else v for j, v in enumerate(w))
+    terms = {step(e, -1): c * e[i] for e, c in a.terms.items() if e[i]}
+    d = Series(a.nvars, terms, a.tower, step(a.lo, -1), step(a.hi, -1))
+    return Series(a.nvars, {step(e, p + 1): c for e, c in d.terms.items()},
+                  a.tower, step(d.lo, p + 1), step(d.hi, p + 1))
 
 
 def ref_restrict(a, zero):
@@ -286,8 +289,7 @@ def test_derived_series_match_the_public_constructor(pair, i, k, m, top):
     top = tuple(INF if t == 3 else t for t in top[:a.nvars])
     others = [j for j in range(a.nvars) if j != i]
     cases = [
-        (lambda: a.partial_derivative(i),
-         lambda: ref_partial_derivative(a, i)),
+        (lambda: a.euler(i, k), lambda: ref_euler(a, i, k)),
         (lambda: a.restrict([i]), lambda: ref_restrict(a, [i])),
         (lambda: a.restrict(others), lambda: ref_restrict(a, others)),
         (lambda: a.coeff_in_xi(i, a.lo[i] + k),

@@ -37,6 +37,21 @@ def test_const_product_and_identity():
     assert (a * b) == cm([[2, 1], [4, 3]])
 
 
+def test_is_identity_on_both_matrix_kinds():
+    assert ConstMatrix.identity(3, QQ).is_identity()
+    assert not cm([[1, 0], [0, 2]]).is_identity()
+    assert not cm([[1, 0], [1, 1]]).is_identity()
+    assert not cm([[1, 0]]).is_identity()              # not square
+    assert SeriesMatrix.identity(2, 2, QQ).is_identity()
+    assert not sm([[1, X2], [0, 1]]).is_identity()
+    # an inexact entry is compared on its own window: 1 + x1^2 known
+    # below x1^2 is 1 there, while 1 + x1 known below x1^2 is not
+    assert sm([[(1 + X1 * X1).clipped((2, 2)), 0], [0, 1]]).is_identity()
+    assert not sm([[(1 + X1).clipped((2, 2)), 0], [0, 1]]).is_identity()
+    # so is an entry that vanishes within its window
+    assert sm([[1, (X1 * X1).clipped((2, 2))], [0, 1]]).is_identity()
+
+
 def test_rref_rank_kernel():
     a = cm([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
     assert a.rank() == 2
@@ -173,8 +188,8 @@ def test_rank_generic_sees_series_pivots():
 
 def test_series_matrix_derivative_and_restrict():
     a = sm([[X1 * X2, X1], [1, X2]])
-    da = a.partial_derivative(0)
-    assert da.rows[0][0] == X2
+    da = a.euler(0, 0)                  # x1 d/dx1
+    assert da.rows[0][0] == X1 * X2
     assert da.rows[1][1].is_zero()
 
 

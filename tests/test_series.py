@@ -56,16 +56,16 @@ def test_coefficient_beyond_window_raises():
         a.coefficient((2,))
 
 
-def test_partial_derivative():
+def test_euler_operator():
     s = x() * x() * x(i=1)                     # x1^2 x2
-    d = s.partial_derivative(0)
-    assert d == x() * x(i=1) * 2
-    assert s.partial_derivative(1) == x() * x()
+    assert s.euler(0, 0) == s * 2              # x1 d/dx1
+    assert s.euler(1, 1) == s * x(i=1)         # x2^2 d/dx2
 
 
-def test_derivative_shrinks_window():
+def test_euler_shifts_window():
     s = Series.constant(1, 1, QQ).clipped((5,))
-    assert s.partial_derivative(0).hi == (4,)
+    e = s.euler(0, 2)                          # x^3 d/dx
+    assert (e.lo, e.hi) == ((2,), (7,))
 
 
 def test_restrict_and_project():
