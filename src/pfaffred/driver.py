@@ -563,9 +563,16 @@ def fmfs(S: PfaffianSystem, order=10, max_retries=4):
     """Formal fundamental matrix of solutions, with retry on truncation.
 
     Returns (FormalSolution, ReductionTrace).  The solution must verify
-    to total degree order - 2.  After a TruncationInsufficient the
-    reduction restarts at a larger working order N, up to max_retries
-    times:
+    to total degree order - 2.  Each split solves in a box that covers
+    what its blocks lose on the way to rank 0 (reduction.split): in x_k,
+    max(N + 1, N - 1 + p_k - f_k), with p_k the rank at the split and
+    f_k <= 0 the lowest floor of its couplings, so a loss to the ranks
+    the split blocks shed no longer costs a retry.  Two losses no split
+    can see still do: a later split whose box the clipped window of an
+    earlier one caps, and a window the input limits.
+
+    After a TruncationInsufficient the reduction restarts at a larger
+    working order N, up to max_retries times:
 
     - when the residual check verified to a known degree v < order - 2,
       the loss N - v is taken as constant and the next N is

@@ -37,8 +37,14 @@ past it, where a cut-off series shows a term of the full residual, and
 the in-box residue check is read off the same evaluation.  The
 decoupled blocks are read off the splitting identity
 A T - x^{p+1} dT = T Diag(a11 + a12 Q, a22 + a21 P), so the coupling is
-never inverted.  Eigenvalue shifting and ramification are the remaining
-primitive moves of the full reduction.
+never inverted.  A split's box in x_k is max(N + 1, N - 1 + p_k - f_k)
+at working order N, capped by the input windows: the blocks' eigenvalue
+shifts take p_k degrees of window on the way to rank 0, and a11 + a12 Q
+takes |f_k| when the couplings' floor f_k in x_k lies below 0.  fmfs's
+retry is left with the losses a split cannot see: a box that an earlier
+split's clipped window caps, and a window the input limits.  Eigenvalue
+shifting and ramification are the remaining primitive moves of the full
+reduction.
 """
 
 from __future__ import annotations
@@ -122,29 +128,32 @@ def _divide_form(F: dict, Dk: dict, slots):
     return c
 
 
-def integral_cofactors(cols: SeriesMatrix, others, ell: int, slots):
+def integral_cofactors(cols: SeriesMatrix, others, ell: int, slots,
+                       pivots=None):
     """Cofactors c with cols c = v for each column v of others, over the
     series ring in the slot variables.
 
     cols is d x r of generic rank r; its pivot rows cut it to a square B
-    with D = det(B) != 0.  The Cramer identities D c_i = det(B_i), B_i
-    being B with column i replaced by v on those rows, pin c; each c_i is
-    found grade by grade, dividing the residual's form of degree k + g by
-    D_k, the lowest form of D.  Grades run far enough that a window of
-    ell+1 in each slot variable is honest; then cols c = v is checked on
-    all d rows.  Returns (cofactors, info), r series per column of
-    others; cofactors is None when a grade leaves a remainder or a row
-    fails, which certifies that some v is not an integral combination at
-    this truncation.
+    with D = det(B) != 0, and pivots, when given, holds (pivot rows, D)
+    as already computed for cols.  The Cramer identities D c_i =
+    det(B_i), B_i being B with column i replaced by v on those rows, pin
+    c; each c_i is found grade by grade, dividing the residual's form of
+    degree k + g by D_k, the lowest form of D.  Grades run far enough
+    that a window of ell+1 in each slot variable is honest; then
+    cols c = v is checked on all d rows.  Returns (cofactors, info), r
+    series per column of others; cofactors is None when a grade leaves a
+    remainder or a row fails, which certifies that some v is not an
+    integral combination at this truncation.
     """
     if not others:
         return [], {"exact": True, "inconsistent_at": None}
     tower, nvars, r = cols.tower, cols.nvars, cols.ncols
-    rows = cols.pivot_rows()
+    rows, D = pivots or (cols.pivot_rows(), None)
     B = cols.submatrix(rows, range(r))
-    # fewer than r pivot rows: every r x r minor vanishes on the data
-    D = (B.determinant() if len(rows) == r
-         else Series.zero(nvars, tower, hi=cols.window_hi()))
+    if D is None:
+        # fewer than r pivot rows: every r x r minor vanishes on the data
+        D = (B.determinant() if len(rows) == r
+             else Series.zero(nvars, tower, hi=cols.window_hi()))
     if D.is_zero():
         if D.exact:
             raise InputError("basis determinant vanishes")
@@ -196,7 +205,9 @@ def integral_cofactors(cols: SeriesMatrix, others, ell: int, slots):
 
 
 def _basis_candidates(A0: SeriesMatrix, r: int):
-    """Column subsets, residue-rank-r first, then by determinant valuation."""
+    """(column subset, pivots) pairs, residue-rank-r first, then by
+    determinant valuation; pivots is the (pivot rows, determinant) that
+    ranked the subset, or None for one of residue rank r."""
     d = A0.ncols
     scored = []
     for sub in itertools.combinations(range(d), r):
@@ -206,15 +217,16 @@ def _basis_candidates(A0: SeriesMatrix, r: int):
         except TruncationInsufficient:
             at_origin = -1
         if at_origin == r:
-            scored.append((0, 0, sub))
+            scored.append((0, 0, sub, None))
             continue
         rows = cols.pivot_rows()
         if len(rows) < r:
             continue
-        B = cols.submatrix(rows, range(r))
-        scored.append((1, B.determinant().total_valuation(), sub))
+        D = cols.submatrix(rows, range(r)).determinant()
+        # subsets differ, so the sort never compares pivots
+        scored.append((1, D.total_valuation(), sub, (rows, D)))
     scored.sort()
-    return [s[2] for s in scored]
+    return [s[2:] for s in scored]
 
 
 class ColumnReduction:
@@ -247,11 +259,12 @@ def column_reduce(A0: SeriesMatrix, i: int, ell: int) -> ColumnReduction:
     slots = [j for j in range(nvars) if j != i]
     nonzero = [j for j in range(d)
                if any(not A0.rows[t][j].is_zero() for t in range(d))]
-    for sub in _basis_candidates(A0, r):
+    for sub, pivots in _basis_candidates(A0, r):
         others = [j for j in nonzero if j not in sub]
         cof, _ = integral_cofactors(
             A0.submatrix(range(d), sub),
-            [[A0.rows[t][j] for t in range(d)] for j in others], ell, slots)
+            [[A0.rows[t][j] for t in range(d)] for j in others], ell, slots,
+            pivots)
         if cof is not None:
             break
     else:
@@ -606,7 +619,16 @@ def split(S: PfaffianSystem, i: int, roots, order: int = 10):
     couplings P (top right) and Q (bottom left) solve the Riccati equations
     riccati((a11, a12, a21, a22), P) = 0 and riccati((a22, a21, a12, a11),
     Q) = 0 jointly over all components; solve_graded solves each inside
-    the box W of monomials that the input windows determine.
+    a box W of monomials.
+
+    W covers what the blocks lose on their way to rank 0, so their
+    leaves keep a window of at least order - 1: in x_k it is
+    max(order + 1, order - 1 + p_k - f_k), capped by the input windows.
+    The eigenvalue shifts shed p_k = S.p[k] one degree at a time, and
+    f_k <= 0, the lowest effective floor in x_k of every component's
+    a12 and a21, costs |f_k| in a11 + a12 Q and a22 + a21 P.  What the
+    box cannot see is left to fmfs's retry: a box that an earlier
+    split's clipped window caps, and windows the input limits.
 
     Once P and Q solve their equations, the coupling T = [[I, P], [Q, I]]
     satisfies A_k T - x_k^{p_k+1} dT/dx_k = T Diag(a11 + a12 Q,
@@ -642,10 +664,19 @@ def split(S: PfaffianSystem, i: int, roots, order: int = 10):
         a.append((Ak.submatrix(rs1, rs1), Ak.submatrix(rs1, rs2),
                   Ak.submatrix(rs2, rs1), Ak.submatrix(rs2, rs2)))
 
+    # the box covers the loss to rank 0: p_k, and |f_k| in a11 + a12 Q
+    f = [0] * n
+    for blocks in a:
+        for M in blocks[1:3]:
+            for row in M.rows:
+                for s in row:
+                    f = list(map(min, f, s.effective_floor()))
+    W = [order + 1] * n
+    for k in range(n):
+        W[k] = max(W[k], order - 1 + S.p[k] - f[k])
     # solve only inside the box the input windows can serve: every
     # monomial read stays strictly under W in each variable, so the
     # couplings are correct on the whole box and may be clipped to it
-    W = [order + 1] * n
     for blocks in a:
         for M in blocks:
             W = list(map(min, W, M.window_hi()))

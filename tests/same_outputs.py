@@ -8,12 +8,14 @@ to what the checkout gave for it:
 
 - every solve-corpus item of perfbench/corpus.py (split, ramified,
   regular) at corpus seeds 0-2: the solution and trace fingerprints of
-  fmfs, or the error it raised;
+  fmfs, its final working order and its retry count, or the error it
+  raised;
 - every item of the cli-invariants workload at corpus seeds 0-2: its
   exit code and stdout;
 - each of the 150 random systems of helpers.random_grids(150, 11) (R150
-  in tests/test_driver.py): fmfs's fingerprints and exponential_parts'
-  s and Q at order 8, or the error each raised.
+  in tests/test_driver.py): fmfs's fingerprints, final order and retry
+  count, and exponential_parts' s and Q at order 8, or the error each
+  raised.
 
 Two checkouts have the same outputs when their files are equal; compare
 them with `cmp` or `diff`.  The script also prints, per module of the
@@ -56,13 +58,15 @@ def error(exc):
 
 
 def solved(run):
-    """fmfs's fingerprints, or the error it raised."""
+    """fmfs's fingerprints, final working order and retry count, or the
+    error it raised."""
     try:
         sol, trace = run()
     except Exception as exc:  # every outcome is recorded, none is judged
         return error(exc)
     return {"solution": sol.fingerprint(), "trace": trace.fingerprint(),
-            "verified_to": str(sol.verified_to)}
+            "verified_to": str(sol.verified_to), "order": trace.order,
+            "retries": trace.retries}
 
 
 def parts(pf, S):

@@ -285,9 +285,12 @@ def test_fmfs_deterministic():
 # faster split must reproduce them bit for bit.  The two halves are
 # checked apart, so a change to what the trace logs shows as such: a
 # trace pin may move with the steps the driver takes, a solution pin
-# never.  The ramified plant retries once, at 8 plus its shortfall; the
-# test below that compares it with a higher-order reference checks that
-# Phi on its window.
+# only with a stated reason.  The ramified plant and ramified-4/3 verify
+# at their first attempt, since each split's box covers the degrees its
+# blocks lose on the way to rank 0: their traces lost the retry, and the
+# plant's Phi, now solved at 8 where it was solved at 9, has another
+# window and equals the old Phi on the common one; the test that
+# compares it with a higher-order reference checks that Phi.
 PINNED = [
     ("triple", triple_system, 10,
      ("d2b27dae50b3b8aa", "829bf05481a51ee3")),
@@ -299,7 +302,7 @@ PINNED = [
     ("plant-ramified",
      lambda: generate_equivalent(
          3, {"n": 2, "d": 3, "p": [2, 1], "ramified": True})[0], 8,
-     ("546ecdc7c9505d10", "b86e7b79116378e8")),
+     ("ed9878360c09d695", "ed294056db41f7a4")),
     # the regular endgame: fixed systems and rank-zero plants
     ("hyper", hyper_system, 10,
      ("3bb120b2e32a07df", "8dd3d1695f84d2d9")),
@@ -349,7 +352,7 @@ PINNED = [
      ("0c9dcc607ac8f58f", "d9363a2bfc678539")),
     ("ramified-4/3",
      lambda: sys1([[0, 1, 0], [0, 0, 1], [{2: 1}, 0, {1: 1}]], 2), 8,
-     ("700179820aa0414c", "1cf12dbb045574da")),
+     ("700179820aa0414c", "20f9774c80ff2eaf")),
 ]
 
 
@@ -383,15 +386,15 @@ def test_pinned_solutions_keep_the_stored_term_invariant(build, order):
 
 
 def bench_solve_items(workload, corpus_seed):
-    """(id, system, order) of each solve item of a benchmark workload."""
+    """(id, system, order, check) of each solve item of a benchmark
+    workload; check(solution) raises unless it is the expected answer."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
     spec = importlib.util.spec_from_file_location("bench_corpus", path)
     corpus = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(corpus)
     pf = types.SimpleNamespace(scalars=scalars, series=series, linalg=linalg,
                                system=system, docio=docio)
-    return [(id_, S, order) for id_, S, order, _ in
-            corpus.solve_inputs(pf, workload, corpus_seed)]
+    return corpus.solve_inputs(pf, workload, corpus_seed)
 
 
 def assert_round_trip(S, order):
@@ -414,7 +417,7 @@ def assert_round_trip(S, order):
 def test_solution_document_round_trip_corpus(workload):
     items = bench_solve_items(workload, 0)
     assert items
-    for id_, S, order in items:
+    for id_, S, order, _ in items:
         try:
             assert_round_trip(S, order)
         except AssertionError as exc:
@@ -583,35 +586,42 @@ def working_orders(monkeypatch):
     return orders
 
 
-# each loses a constant number of degrees to verification, so one retry
-# at 8 plus the shortfall reaches the order - 2 = 6 the check asks for
-@pytest.mark.parametrize("seed,shape", [
-    (3, {"n": 2, "d": 2, "p": [2, 1], "ramified": True}),
-    (0, {"n": 2, "d": 3, "p": [2, 1], "ramified": True}),
-    (3, {"n": 2, "d": 3, "p": [2, 1], "ramified": True}),
-    (1, {"n": 1, "d": 3, "p": [2], "ramified": True}),
-    (1, {"n": 2, "d": 3, "p": [2, 1], "ramified": True}),
-    (776, {"n": 3, "d": 3, "p": [2, 0, 2]}),
+# the ramified plants split after x = t^2, and the split's box covers
+# the degrees the eigenvalue shifts down to rank 0 take, so they verify
+# at their first attempt.  g776 splits twice, and the first split's
+# clipped window caps the second's box: it loses a constant number of
+# degrees to verification, so one retry at 8 plus the shortfall reaches
+# the order - 2 = 6 the check asks for
+@pytest.mark.parametrize("seed,shape,retries", [
+    (3, {"n": 2, "d": 2, "p": [2, 1], "ramified": True}, 0),
+    (0, {"n": 2, "d": 3, "p": [2, 1], "ramified": True}, 0),
+    (3, {"n": 2, "d": 3, "p": [2, 1], "ramified": True}, 0),
+    (1, {"n": 1, "d": 3, "p": [2], "ramified": True}, 0),
+    (1, {"n": 2, "d": 3, "p": [2, 1], "ramified": True}, 0),
+    (776, {"n": 3, "d": 3, "p": [2, 0, 2]}, 1),
 ], ids=["r3-n2d2p21", "r0-n2d3p21", "r3-n2d3p21", "r1-n1d3p2",
         "r1-n2d3p21", "g776-n3d3p202"])
-def test_one_retry_at_the_shortfall(seed, shape):
+def test_one_retry_at_the_shortfall(seed, shape, retries):
     S, planted = generate_equivalent(seed, shape)
     sol, trace = fmfs(S, order=8)
-    assert trace.retries == 1
-    [entry] = trace.retry_log
-    v = entry["verified_to"]
-    assert entry["order"] == 8 and v < 6
-    assert entry["next_order"] == trace.order == 8 + (6 - v)
+    assert trace.retries == retries
+    if retries:
+        [entry] = trace.retry_log
+        v = entry["verified_to"]
+        assert entry["order"] == 8 and v < 6
+        assert entry["next_order"] == trace.order == 8 + (6 - v)
+    else:
+        assert trace.order == 8
     assert sol.verified_to >= 6
     assert_planted(sol, planted)
 
 
-def test_shortfall_retry_agrees_with_a_higher_order_reference():
-    S, planted = generate_equivalent(
-        3, {"n": 2, "d": 3, "p": [2, 1], "ramified": True})
-    sol, trace = fmfs(S, order=8)
-    ref, ref_trace = fmfs(S, order=14)
-    assert (trace.order, ref_trace.order) == (9, 15)
+def assert_agrees_with_a_higher_order_reference(S, order=8, ref_order=14):
+    """fmfs(S, order) verifies at its first attempt, and its Phi, C, Q
+    and s are those of fmfs(S, ref_order) on the common window."""
+    sol, trace = fmfs(S, order=order)
+    ref, _ = fmfs(S, order=ref_order)
+    assert (trace.order, trace.retries) == (order, 0)
     window = sol.phi.window_hi()
     assert all(a < b for a, b in zip(window, ref.phi.window_hi()))
     assert sol.phi == ref.phi           # equal on the common window
@@ -619,7 +629,39 @@ def test_shortfall_retry_agrees_with_a_higher_order_reference():
                for k in e.terms)        # which holds more than Phi(0)
     assert [strm(c) for c in sol.C] == [strm(c) for c in ref.C]
     assert [q_canonical(q) for q in sol.Q] == [q_canonical(q) for q in ref.Q]
-    assert sol.s == ref.s == planted["s"]
+    assert sol.s == ref.s
+    return sol
+
+
+def test_first_attempt_agrees_with_a_higher_order_reference():
+    S, planted = generate_equivalent(
+        3, {"n": 2, "d": 3, "p": [2, 1], "ramified": True})
+    sol = assert_agrees_with_a_higher_order_reference(S)
+    assert sol.s == planted["s"]
+
+
+# every ramified item of the benchmark, at the corpus seed it runs and at
+# the two hold-out seeds, verifies at its first attempt and recovers its
+# plant (Airy@8: its pinned fingerprint)
+@pytest.mark.parametrize("corpus_seed", [0, 1, 2])
+def test_ramified_bench_items_verify_at_their_first_attempt(corpus_seed):
+    items = bench_solve_items("ramified", corpus_seed)
+    assert items
+    for id_, S, order, check in items:
+        sol, trace = fmfs(S, order=order)
+        assert (trace.order, trace.retries) == (order, 0), id_
+        check(sol)
+
+
+# R150 items with p = 3 and s = 2: each splits at p = 3 in x and again at
+# p = 5 in t = x^(1/2), so one attempt at 8 now verifies to 6, where the
+# attempt at 8 verified to 1 and the retry ran at 13
+@pytest.mark.parametrize("k", [49, 57, 114, 121, 133])
+def test_ramified_random_systems_verify_at_their_first_attempt(k):
+    S = sys1(*R150[k])
+    assert S.p == [3]
+    sol = assert_agrees_with_a_higher_order_reference(S)
+    assert sol.s == [2]
 
 
 def test_retries_double_without_a_verified_degree_and_stop_at_the_bound(

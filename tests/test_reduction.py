@@ -180,12 +180,21 @@ def test_column_reduce_eliminates_dependent_column():
                for t in range(2) for j in range(2) if (t, j) != (1, 0))
 
 
-def test_column_reduce_basis_of_a_matrix_singular_at_the_origin():
+def test_column_reduce_basis_of_a_matrix_singular_at_the_origin(
+        monkeypatch):
     # columns b1, c2 = y b0 + b1, c3 = 2 b0 - y b1, b0 with b0 = (y, 0, 1, 0)
     # and b1 = (0, y, 0, y): rank 2 but 1 at the origin, so every pair is
     # ranked by the valuation of its determinant.  (b1, c3) comes first and
     # generates: c2 = (1 + y^2/2) b1 + (y/2) c3, b0 = (y/2) b1 + (1/2) c3.
     # The data is known below y^7, so the cofactors hold below y^(ell+1).
+    determinants = []
+    det = SeriesMatrix.determinant
+
+    def spy(M):
+        determinants.append(M)
+        return det(M)
+
+    monkeypatch.setattr(SeriesMatrix, "determinant", spy)
     A0 = mat2([
         [0, {(0, 2): 1}, {(0, 1): 2}, {(0, 1): 1}],
         [{(0, 1): 1}, {(0, 1): 1}, {(0, 2): -1}, 0],
@@ -195,6 +204,9 @@ def test_column_reduce_basis_of_a_matrix_singular_at_the_origin():
     assert A0.constant_term().rank() == 1
     colred = column_reduce(A0, 0, 3)
     assert colred.r == 2
+    # one det(B) per ranked pair, all six of them, which the cofactor
+    # solve of the chosen pair reuses, and one det(B_i) per cofactor
+    assert len(determinants) == 6 + 2 * 2
     h = Fraction(1, 2)
     # basis columns first, then c2 and b0 minus their combinations
     want = mat2([[1, 0, {(0, 0): -1, (0, 2): -h}, {(0, 1): -h}],
@@ -444,6 +456,53 @@ def test_split_satisfies_the_splitting_identity(build, exact):
         lhs = S.A[k] * T - T.euler(k, S.p[k])
         rhs = T * SeriesMatrix.block_diag([top.A[k], bottom.A[k]])
         assert lhs == rhs
+
+
+def split_boxes(monkeypatch):
+    """The (Poincare ranks, box) of every solve_graded call split makes
+    from now on."""
+    boxes = []
+    solve = reduction.solve_graded
+
+    def spy(blocks, p, box, tower):
+        boxes.append((list(p), box))
+        return solve(blocks, p, box, tower)
+
+    monkeypatch.setattr(reduction, "solve_graded", spy)
+    return boxes
+
+
+def test_airy_split_keeps_the_box_of_the_working_order(monkeypatch):
+    # x = t^2 and a rank reduction leave Airy at p = 1, its couplings
+    # floored at 0: the blocks lose one degree on the way to rank 0,
+    # which N + 1 already covers
+    boxes = split_boxes(monkeypatch)
+    fmfs(sys1([[0, 1], [{1: 1}, 0]], 1), order=8)
+    assert boxes == [([1], (9,))] * 2
+
+
+@pytest.mark.parametrize("p,floor,hi,box", [
+    (1, 0, INF, 9),         # p - f <= 2: N + 1
+    (2, 0, INF, 9),
+    (1, -1, 20, 9),
+    (3, 0, INF, 10),        # N - 1 + p - f
+    (2, -2, 20, 11),
+    (3, -2, 20, 12),
+    (2, -2, INF, 9),        # an exact coupling's floor is its support
+    (3, -2, 11, 11),        # capped by the input window
+])
+def test_split_box_covers_the_loss_to_rank_zero(monkeypatch, p, floor, hi,
+                                                box):
+    # x^{p+1} F' = [[1, c], [c, 2]] F, c = x on the floor x^floor, known
+    # below x^hi: the box is max(N + 1, N - 1 + p - f) at N = 8, f the
+    # lower of floor and 0 when c is inexact
+    c = Series(1, {(1,): QQ.one()}, QQ, (floor,), (hi,))
+    one, two = poly1({0: 1}), poly1({0: 2})
+    S = PfaffianSystem(["x"], [p], [SeriesMatrix([[one, c], [c, two]], 1,
+                                                 QQ)], QQ)
+    boxes = split_boxes(monkeypatch)
+    split(S, 0, eigenvalues(S, 0), order=8)
+    assert boxes == [([p], (box,))] * 2
 
 
 def test_split_requires_distinct_eigenvalues():
