@@ -16,12 +16,13 @@ input.
 
 Inputs are bounded: d at most MAX_DIMENSION and every p_i at most
 MAX_POINCARE_RANK, in system documents and generator shapes alike.
-They refuse absurd values but do not bound the time: determinants are
-minor expansions, O(2^d), and a dense system well inside the d bound
-can run for minutes.  A rational literal has at most MAX_LITERAL_DIGITS
-digits in its numerator and in its denominator: coefficients grow
-through the reduction, and one past the interpreter's limit on printing
-integers (4300 digits by default) makes serialization raise InputError.
+They refuse absurd values but do not bound the time: determinants take
+O(d^4) ring operations (Berkowitz's algorithm) on entries that grow with
+d, and a dense one-variable system at d = 24 runs for about a minute.
+A rational literal has at most MAX_LITERAL_DIGITS digits in its
+numerator and in its denominator: coefficients grow through the
+reduction, and one past the interpreter's limit on printing integers
+(4300 digits by default) makes serialization raise InputError.
 The generator's gauge takes at most MAX_GAUGE_OPS row operations with
 exponents at most MAX_GAUGE_DEGREE: each operation multiplies the gauge
 and its inverse by one more polynomial, so their size grows with both.

@@ -13,9 +13,10 @@ stacked equations (L_k X - X R_k - s_k X)_k = b of the graded solver
 shift, checking it against the others.  SeriesMatrix holds Series
 entries and has no inverse: every series gauge is built together with
 its inverse (see system.GaugeTransformation); its product sums each
-entry's products in one Series.sum_of.  Both the characteristic
-polynomial (read off directly for a 1x1 matrix) and the series
-determinant come from one memoized minor expansion.
+entry's products in one Series.sum_of.  Every characteristic polynomial
+and determinant, over the field or over truncated series, comes from one
+division-free routine, Berkowitz's algorithm (_charpoly): O(d^4) ring
+operations, none of them a product with an absent entry.
 
 Sums, products (by a matrix, a series or a scalar) and block builders
 return their result in the join of the operands' fields
@@ -25,14 +26,10 @@ are, so no matrix is ever lifted into a larger field by hand.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 
 from .errors import DimensionError, NotInvertibleError
-from .scalars import (
-    FieldTower, Scalar, common_tower, join_scalar, poly_add, poly_mul,
-    poly_trim,
-)
+from .scalars import FieldTower, Scalar, common_tower, join_scalar
 from .series import INF, Series
 
 
@@ -171,14 +168,8 @@ class ConstMatrix(Matrix):
 
     def charpoly(self):
         """det(tI - A), monic, coefficients low to high."""
-        o = self.tower.one()
-        if self.nrows == 1:
-            return [-self.rows[0][0] * o, o]
-        entries = [[([-a, o] if i == j else [-a]) for j, a in enumerate(r)]
-                   for i, r in enumerate(self.rows)]
-        return poly_trim(_minor_expansion(
-            entries, [o], [], lambda p: any(not c.is_zero() for c in p),
-            poly_mul, poly_add, lambda p: [-c for c in p]))
+        return _charpoly(self.rows, self.tower.one(), self.tower.zero(),
+                         Scalar.is_zero)
 
     def power(self, k: int):
         """A^k by repeated squaring: no product for k = 1, one for k = 2."""
@@ -262,37 +253,40 @@ def _dot(row, col, tower):
     return acc
 
 
-def _minor_expansion(entries, one, zero, nonzero, mul, add, neg):
-    """Determinant of a square grid over any commutative ring.
+def _charpoly(rows, one, zero, absent):
+    """[c_0, ..., c_d], low to high, of det(tI - A) for the square grid
+    rows over any commutative ring, by Berkowitz's division-free
+    algorithm (Inform. Process. Lett. 18, 1984).
 
-    Laplace expansion along the rows, memoized on the set of columns
-    used so far; an entry failing nonzero is skipped.  Fine for the
-    small dimensions these systems have.
+    With A_r the leading r x r block, bordered in A_{r+1} by the row R,
+    the column C and the corner a, the coefficients of det(tI - A_{r+1})
+    are those of det(tI - A_r) convolved with 1, -a, -R C, -R A_r C, ...,
+    -R A_r^{r-1} C: O(d^4) ring operations in all.  A product with an
+    entry for which absent holds is skipped, and sums fold + from zero.
     """
-    d = len(entries)
-    memo = {}
+    d = len(rows)
+    if any(len(r) != d for r in rows):
+        raise DimensionError("characteristic polynomial of a non-square "
+                             "matrix")
 
-    def minor(row, mask):
-        if row == d:
-            return one
-        got = memo.get(mask)
-        if got is not None:
-            return got
-        acc = zero
-        sign = 1
-        for j in range(d):
-            bit = 1 << j
-            if mask & bit:
-                continue
-            e = entries[row][j]
-            if nonzero(e):
-                term = mul(e, minor(row + 1, mask | bit))
-                acc = add(acc, term if sign > 0 else neg(term))
-            sign = -sign
-        memo[mask] = acc
+    def dot(u, v, acc):
+        for a, b in zip(u, v):
+            if not (absent(a) or absent(b)):
+                acc = acc + a * b
         return acc
 
-    return minor(0, 0)
+    p = [one]                   # det(tI - A_r), high to low
+    for r, row in enumerate(rows):
+        col = [rows[i][r] for i in range(r)]
+        block = list(zip(*(rows[i][:r] for i in range(r))))  # its columns
+        s, w = [row[r]], row[:r]        # a, then R A_r^k C for k < r
+        for k in range(r):
+            s.append(dot(w, col, zero))
+            if k < r - 1:
+                w = [dot(w, c, zero) for c in block]
+        t = [dot(s[:i], p[i:0:-1], s[i]) for i in range(r + 1)]
+        p = [one] + [a - b for a, b in zip(p[1:], t)] + [-t[r]]
+    return p[::-1]
 
 
 def generalized_eigenspaces(A: ConstMatrix, roots):
@@ -482,14 +476,18 @@ class SeriesMatrix(Matrix):
             m.rows[i][j] = v
         return m
 
+    def charpoly(self):
+        """det(tI - A) as a list of series, coefficients low to high; a
+        product with an exact-zero entry is skipped, as in __mul__."""
+        n = self.nvars
+        return _charpoly(self.rows, Series.constant(n, 1, self.tower),
+                         Series.zero(n, self.tower),
+                         lambda e: e.is_zero() and e.exact)
+
     def determinant(self) -> Series:
-        if self.nrows != self.ncols:
-            raise DimensionError("determinant of a non-square matrix")
-        return _minor_expansion(
-            self.rows, Series.constant(self.nvars, 1, self.tower),
-            Series.zero(self.nvars, self.tower),
-            lambda e: not (e.is_zero() and e.exact),
-            operator.mul, operator.add, operator.neg)
+        """det(A) = (-1)^d det(-A), the constant coefficient of charpoly."""
+        c0 = self.charpoly()[0]
+        return -c0 if self.nrows % 2 else c0
 
     def pivot_rows(self):
         """Rows, in increasing order, that fraction-free elimination over

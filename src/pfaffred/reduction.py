@@ -367,13 +367,14 @@ def rank_reduce(S: PfaffianSystem, order: int = 10):
 def katz_order_univariate(ods: PfaffianSystem, order: int = 10) -> Fraction:
     """Exponential growth order of a one-variable system.
 
-    The system is first brought to minimal Poincare rank.  Writing
-    chi(lam) = det(lam I - x^{-p-1} A) = sum_j c_j(x) lam^j, the order
-    is max(0, max_{j<d} (-val c_j)/(d-j) - 1), i.e. the steepest slope
-    of the Newton polygon of chi measured against the regular-singular
+    The system is first brought to minimal Poincare rank p, so that
+    x^{p+1} F' = A F.  Writing det(lam I - A) = sum_j c_j(x) lam^j
+    (A.charpoly()), the order is max(0, max_{j<d} p - val(c_j)/(d-j)),
+    i.e. the steepest slope of the Newton polygon of
+    det(lam I - x^{-p-1} A) measured against the regular-singular
     baseline.  Valuations are certified against the truncation window:
-    a coefficient with no visible term may hide anywhere at or beyond
-    the window, and if that could change the maximum we refuse.  At
+    a coefficient c_j with no visible term may hide anywhere at or beyond
+    its own window, and if that could change the maximum we refuse.  At
     minimal rank p the order lies in (p - 1, p]; an order outside it
     means the rank reduction did not finish, a ReductionError.
     """
@@ -389,30 +390,17 @@ def katz_order_univariate(ods: PfaffianSystem, order: int = 10) -> Fraction:
     if p == 0:
         return Fraction(0)
     d = R.d
-    lam = Series.variable(2, 1, R.tower)
-    Ae = R.A[0].map(Series.append_slot)
-    M = SeriesMatrix.zeros(d, d, 2, R.tower)
-    for t in range(d):
-        for j in range(d):
-            M.rows[t][j] = -Ae.rows[t][j]
-            if t == j:
-                M.rows[t][j] = M.rows[t][j] + lam
-    chi = M.determinant()
-    wx = chi.hi[0]
-    seen = {}
-    for (kx, kl) in chi.terms:
-        if kl < d and (kl not in seen or kx < seen[kl]):
-            seen[kl] = kx
-    best = Fraction(0)
-    for j, v in seen.items():
-        best = max(best, p - Fraction(v, d - j))
-    for j in range(d):
-        # an all-zero coefficient column is only safe if even a term
-        # sitting right at the window could not beat the current max
-        if j not in seen and wx != INF and p - Fraction(wx, d - j) > best:
+    chi = R.A[0].charpoly()[:d]
+    best = max([Fraction(0)] + [p - Fraction(c.valuation(0)[0], d - j)
+                                for j, c in enumerate(chi) if c.terms])
+    for j, c in enumerate(chi):
+        # a vanishing coefficient is only safe if even a term sitting
+        # right at its window could not beat the current max
+        w = c.hi[0]
+        if not c.terms and w != INF and p - Fraction(w, d - j) > best:
             raise TruncationInsufficient(
                 f"lambda^{j} coefficient of the characteristic polynomial "
-                f"vanishes to order {wx}; growth order not certified")
+                f"vanishes to order {w}; growth order not certified")
     if not p - 1 < best <= p:
         raise ReductionError(
             f"growth order {best} is not within (p - 1, p] for the "

@@ -333,18 +333,6 @@ def poly_degree(p) -> int:
     return len(p) - 1
 
 
-def poly_add(p, q):
-    if not p and not q:
-        return []
-    n = max(len(p), len(q))
-    t = p[0].tower if p else q[0].tower
-    out = []
-    for k in range(n):
-        a = p[k] if k < len(p) else t.zero()
-        b = q[k] if k < len(q) else t.zero()
-        out.append(a + b)
-    return poly_trim(out)
-
 def poly_scale(p, c):
     return poly_trim([x * c for x in p])
 

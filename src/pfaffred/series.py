@@ -19,9 +19,9 @@ stored exponent lies in [lo, hi).  The public constructor Series(...)
 establishes it for any input: it raises DimensionError on a term below
 the floor and drops zero coefficients and terms at or above the top.
 Results whose invariant holds by construction skip those checks through
-the module-private Series._trusted; only constant, monomial and variable
-take the public constructor.  Sums, products and clipped drop what
-cancels and what a narrower top cuts off themselves.
+the module-private Series._trusted; only constant and monomial take
+the public constructor.  Sums, products and clipped drop what cancels
+and what a narrower top cuts off themselves.
 Series.sum_of adds any number of series the way a fold of + from
 Series.zero does; + is its two-operand case.
 """
@@ -139,11 +139,6 @@ class Series:
         c, tower = join_scalar(value, tower)
         lo = tuple(min(0, e) for e in exp)
         return cls(nvars, {tuple(exp): c}, tower, lo=lo)
-
-    @classmethod
-    def variable(cls, nvars, i, tower):
-        exp = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(nvars, {exp: tower.one()}, tower)
 
     # -- basic predicates --------------------------------------------------
 
@@ -328,12 +323,6 @@ class Series:
         r = self.restrict([j for j in range(self.nvars) if j != i])
         terms = {(e[i],): c for e, c in r.terms.items()}
         return Series._trusted(1, terms, self.tower, (r.lo[i],), (r.hi[i],))
-
-    def append_slot(self):
-        """The same series over one more variable, appended last and absent."""
-        terms = {e + (0,): c for e, c in self.terms.items()}
-        return Series._trusted(self.nvars + 1, terms, self.tower,
-                               self.lo + (0,), self.hi + (INF,))
 
     # -- comparisons -------------------------------------------------------
 

@@ -47,6 +47,17 @@ def random_grids(count, seed):
     return out
 
 
+def dense_grid(d, seed=0):
+    """A dense d x d grid for sys1 from random.Random(seed): each entry a
+    polynomial of degree at most 2 with integer coefficients in -5..5.
+    At seed 0 (d = 6, 8, 10, 12, 16 and 24 tried) the eigenvalues of
+    A(0) need a field of degree above 2, so every reduction of
+    sys1(dense_grid(d), 1) ends in FieldExtensionError (exit 2)."""
+    rng = random.Random(seed)
+    return [[{e: rng.randint(-5, 5) for e in range(3)} for _ in range(d)]
+            for _ in range(d)]
+
+
 def poly2(termmap):
     """Bivariate polynomial from {(e1, e2): coeff}."""
     return Series(2, {e: QQ.scalar(c) for e, c in termmap.items()}, QQ)

@@ -15,7 +15,9 @@ to what the checkout gave for it:
 - each of the 150 random systems of helpers.random_grids(150, 11) (R150
   in tests/test_driver.py): fmfs's fingerprints, final order and retry
   count, and exponential_parts' s and Q at order 8, or the error each
-  raised.
+  raised;
+- the dense systems sys1(helpers.dense_grid(d), 1) at d = 6 and 8: the
+  same two outcomes at order 10.
 
 Two checkouts have the same outputs when their files are equal; compare
 them with `cmp` or `diff`.  The script also prints, per module of the
@@ -36,6 +38,7 @@ import types
 
 SEEDS = (0, 1, 2)
 SOLVE_WORKLOADS = ("split", "ramified", "regular")
+DENSE = (6, 8)
 MODULES = ("scalars", "series", "linalg", "system", "reduction",
            "invariants", "driver", "docio", "cli")
 
@@ -69,9 +72,9 @@ def solved(run):
             "retries": trace.retries}
 
 
-def parts(pf, S):
+def parts(pf, S, order):
     try:
-        s, Q = pf.invariants.exponential_parts(S, order=8)
+        s, Q = pf.invariants.exponential_parts(S, order=order)
     except Exception as exc:
         return error(exc)
     return {"s": s, "Q": [[sorted((str(e), str(c)) for e, c in q.items())
@@ -99,7 +102,12 @@ def record(pf, corpus, helpers):
         S = helpers.sys1(grid, p)
         out[f"R150/{k}"] = {
             "fmfs": solved(lambda: pf.driver.fmfs(S, order=8)),
-            "exponential_parts": parts(pf, S)}
+            "exponential_parts": parts(pf, S, 8)}
+    for d in DENSE:
+        S = helpers.sys1(helpers.dense_grid(d), 1)
+        out[f"dense/{d}"] = {
+            "fmfs": solved(lambda: pf.driver.fmfs(S, order=10)),
+            "exponential_parts": parts(pf, S, 10)}
     return out
 
 

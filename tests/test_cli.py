@@ -19,8 +19,8 @@ from pfaffred.reduction import MAX_ORDER, MAX_RETRIES, check_order
 from pfaffred.scalars import QQ
 
 from helpers import (
-    MERGE_CASES, hyper_system, kron_system, merge_system, mixed_system,
-    non_integrable_docs, sys1,
+    MERGE_CASES, dense_grid, hyper_system, kron_system, merge_system,
+    mixed_system, non_integrable_docs, sys1,
 )
 
 
@@ -457,6 +457,18 @@ def test_huge_eigenvalues_reduce_quickly(tmp_path, capsys, N, q):
     sol = run(capsys, ["reduce", doc])["solution"]
     assert time.perf_counter() - start < 5
     assert q in sol["Q"][0]
+
+
+# every characteristic polynomial takes O(d^4) operations: a dense d = 12
+# system reaches its answer in about a second, where a Laplace expansion
+# memoized on column sets took half a minute
+def test_dense_system_reaches_its_exit_code_quickly(tmp_path, capsys):
+    doc = write_json(tmp_path / "dense.json", serialize_system(
+        sys1(dense_grid(12), 1)))
+    start = time.perf_counter()
+    err = run(capsys, ["invariants", doc], 2)["error"]
+    assert time.perf_counter() - start < 10
+    assert err["type"] == "FieldExtensionError"
 
 
 def test_order_bound_is_on_every_working_order(tmp_path, capsys):

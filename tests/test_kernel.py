@@ -6,14 +6,19 @@ products in one pass.  The reference implementations below are the
 plain loops those replaced: every result goes through the public
 constructor, and a matrix entry is the fold acc = acc + a * b from
 Series.zero.  The series derived from one series (Euler operator,
-restriction, coefficient, ramification, projection, extra slot,
-clipping, zero) skip that constructor too; their references feed the
-same terms through it.  On random series the fast paths must give the
-same terms (each coefficient in the same field), the same window and the
-same field.
+restriction, coefficient, ramification, projection, clipping, zero)
+skip that constructor too; their references feed the same terms through
+it.  On random series the fast paths must give the same terms (each
+coefficient in the same field), the same window and the same field.
+
+SeriesMatrix.determinant (Berkowitz's algorithm) is checked against the
+memoized Laplace expansion it replaced.  The two multiply different
+entries, so their windows may differ; they must agree on the common
+window, and on exact input they must give the same terms.
 """
 
 import math
+import operator
 
 from hypothesis import given, settings, strategies as st
 
@@ -78,6 +83,46 @@ def ref_matmul(A, B):
             row.append(acc)
         out.append(row)
     return out, tower
+
+
+def ref_determinant(entries, one, zero, nonzero, mul, add, neg):
+    """Determinant of a square grid over any commutative ring.
+
+    Laplace expansion along the rows, memoized on the set of columns
+    used so far; an entry failing nonzero is skipped.
+    """
+    d = len(entries)
+    memo = {}
+
+    def minor(row, mask):
+        if row == d:
+            return one
+        got = memo.get(mask)
+        if got is not None:
+            return got
+        acc = zero
+        sign = 1
+        for j in range(d):
+            bit = 1 << j
+            if mask & bit:
+                continue
+            e = entries[row][j]
+            if nonzero(e):
+                term = mul(e, minor(row + 1, mask | bit))
+                acc = add(acc, term if sign > 0 else neg(term))
+            sign = -sign
+        memo[mask] = acc
+        return acc
+
+    return minor(0, 0)
+
+
+def ref_series_determinant(M):
+    return ref_determinant(
+        M.rows, Series.constant(M.nvars, 1, M.tower),
+        Series.zero(M.nvars, M.tower),
+        lambda e: not (e.is_zero() and e.exact),
+        operator.mul, operator.add, operator.neg)
 
 
 # -- random series ----------------------------------------------------------
@@ -172,11 +217,11 @@ def test_negation_scalar_product_and_shift_keep_the_invariant(pair, c):
 
 
 def test_a_cancelling_product_stores_no_zero():
-    x = Series.variable(1, 0, QQ)
+    x = Series.monomial(1, (1,), 1, QQ)
     got = (1 + x) * (1 - x)
     assert got.terms == {(0,): QQ.one(), (2,): QQ.scalar(-1)}
     r2 = K.generator()
-    y = Series.variable(2, 1, K)
+    y = Series.monomial(2, (0, 1), 1, K)
     got = (y + r2) * (y - r2)  # y^2 - 2, the middle terms cancel
     assert set(got.terms) == {(0, 0), (0, 2)}
     assert_invariant(got)
@@ -209,6 +254,30 @@ def test_matrix_product_matches_the_folded_sum(pair):
             assert_invariant(g)
 
 
+@st.composite
+def square_matrices(draw):
+    """A d x d matrix, d <= 4, in n <= 2 variables: exact zeros beside
+    series that may vanish within a finite window; all of them exact
+    in about half the draws."""
+    n, d = draw(st.integers(1, 2)), draw(st.integers(1, 4))
+    exact = draw(st.booleans()) or None
+    grid = [[draw(st.one_of(series(n, exact), st.just(Series.zero(n, QQ))))
+             for _ in range(d)] for _ in range(d)]
+    tower = common_tower(QQ, *(s.tower for r in grid for s in r))
+    return SeriesMatrix(grid, n, tower)
+
+
+@given(square_matrices())
+@settings(max_examples=150, deadline=None)
+def test_determinant_matches_the_minor_expansion(M):
+    got, want = M.determinant(), ref_series_determinant(M)
+    assert got == want                   # every coefficient both know
+    assert_invariant(got)
+    if M.exact:
+        assert got.exact and want.exact
+        assert got.terms == want.terms
+
+
 def test_sum_of_nothing_is_the_exact_zero():
     z = Series.sum_of([], 2, K)
     assert (z.terms, z.lo, z.hi, z.tower) == ({}, (0, 0), (INF, INF), K)
@@ -226,10 +295,10 @@ def test_sum_of_restarts_a_cancelled_coefficient_in_its_own_field():
 
 # -- derived series against the public constructor --------------------------
 #
-# zero, euler, restrict, coeff_in_xi, ramify, project_to_var, append_slot
-# and clipped build their results without the public constructor's
-# checks.  Each reference below feeds the same terms and window through
-# Series(...), as the constructors once did.
+# zero, euler, restrict, coeff_in_xi, ramify, project_to_var and clipped
+# build their results without the public constructor's checks.  Each
+# reference below feeds the same terms and window through Series(...),
+# as the constructors once did.
 
 
 def ref_euler(a, i, p):
@@ -269,11 +338,6 @@ def ref_project_to_var(a, i):
                   (r.lo[i],), (r.hi[i],))
 
 
-def ref_append_slot(a):
-    return Series(a.nvars + 1, {e + (0,): c for e, c in a.terms.items()},
-                  a.tower, a.lo + (0,), a.hi + (INF,))
-
-
 def ref_clipped(a, hi):
     return Series(a.nvars, a.terms, a.tower, a.lo,
                   tuple(min(x, y) for x, y in zip(a.hi, hi)))
@@ -296,7 +360,6 @@ def test_derived_series_match_the_public_constructor(pair, i, k, m, top):
          lambda: ref_coeff_in_xi(a, i, a.lo[i] + k)),
         (lambda: a.ramify(i, m), lambda: ref_ramify(a, i, m)),
         (lambda: a.project_to_var(i), lambda: ref_project_to_var(a, i)),
-        (lambda: a.append_slot(), lambda: ref_append_slot(a)),
         (lambda: a.clipped(top), lambda: ref_clipped(a, top)),
         (lambda: Series.zero(a.nvars, a.tower, a.lo, list(a.hi)),
          lambda: Series(a.nvars, {}, a.tower, a.lo, a.hi)),

@@ -13,6 +13,8 @@ from pfaffred.linalg import (
 from pfaffred.scalars import QQ, poly_eval
 from pfaffred.series import Series
 
+from helpers import dense_grid, mat1
+
 
 def cm(rows):
     return ConstMatrix([[QQ.scalar(Fraction(v)) for v in r] for r in rows], QQ)
@@ -26,8 +28,8 @@ def sm(rows, nvars=2):
     return SeriesMatrix(out, nvars, QQ)
 
 
-X1 = Series.variable(2, 0, QQ)
-X2 = Series.variable(2, 1, QQ)
+X1 = Series.monomial(2, (1, 0), 1, QQ)
+X2 = Series.monomial(2, (0, 1), 1, QQ)
 
 
 def test_const_product_and_identity():
@@ -214,14 +216,14 @@ def test_det_multiplicative(r1, r2):
     assert (a * b).determinant() == a.determinant() * b.determinant()
 
 
-# -- sympy as a test-only oracle for the minor expansion -----------------
+# -- sympy as a test-only oracle for charpoly and determinant -----------
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
 
 @st.composite
 def const_matrices(draw):
-    d = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 7))
     return [[draw(rationals) for _ in range(d)] for _ in range(d)]
 
 
@@ -239,7 +241,7 @@ def test_charpoly_matches_sympy(rows):
 def poly_matrices(draw):
     """(nvars, d x d grid of {exponent: coefficient}) with small degrees."""
     n = draw(st.integers(1, 2))
-    d = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 7))
     exps = st.tuples(*[st.integers(0, 2)] * n)
     cell = st.dictionaries(exps, rationals.filter(bool), max_size=3)
     return n, [[draw(cell) for _ in range(d)] for _ in range(d)]
@@ -249,19 +251,41 @@ def poly_matrices(draw):
 @settings(max_examples=40, deadline=None)
 def test_series_determinant_matches_sympy(case):
     sympy = pytest.importorskip("sympy")
+    DomainMatrix = pytest.importorskip("sympy.polys.matrices").DomainMatrix
     n, grid = case
     xs = sympy.symbols(f"x1:{n + 1}")
+    ring = sympy.QQ[xs]
 
-    def expr(cell):
-        return sum((sympy.Rational(c.numerator, c.denominator)
-                    * sympy.prod([v ** k for v, k in zip(xs, e)])
-                    for e, c in cell.items()), sympy.Integer(0))
+    def poly(cell):
+        return ring.from_sympy(sum(
+            (sympy.Rational(c.numerator, c.denominator)
+             * sympy.prod([v ** k for v, k in zip(xs, e)])
+             for e, c in cell.items()), sympy.Integer(0)))
 
-    want = sympy.Poly(sympy.Matrix([[expr(c) for c in r] for r in grid])
-                      .det(method="berkowitz"), *xs)
+    # Bareiss elimination over Q[x], another algorithm than the package's
+    want = DomainMatrix([[poly(c) for c in r] for r in grid],
+                        (len(grid), len(grid)), ring).det()
     M = SeriesMatrix([[Series(n, {e: QQ.scalar(c) for e, c in cell.items()},
                               QQ) for cell in r] for r in grid], n, QQ)
     det = M.determinant()
     assert det.exact
     assert {e: c.to_fraction() for e, c in det.terms.items()} == {
         e: Fraction(str(c)) for e, c in want.terms() if c != 0}
+
+
+def test_dense_determinant_takes_order_d4_products(monkeypatch):
+    # Berkowitz's algorithm: O(d^4) series products, where a Laplace
+    # expansion memoized on column sets takes about d 2^(d-1)
+    d = 12
+    M = mat1(dense_grid(d))
+    calls = []
+    product = Series.__mul__
+
+    def spy(a, b):
+        calls.append(1)
+        return product(a, b)
+
+    monkeypatch.setattr(Series, "__mul__", spy)
+    det = M.determinant()
+    assert det.exact and not det.is_zero()
+    assert len(calls) <= d ** 4 / 3

@@ -233,7 +233,8 @@ def test_column_reduce_full_rank_is_identity():
 
 def test_column_module_not_free():
     A0 = SeriesMatrix([
-        [Series.zero(3, QQ), Series.variable(3, 0, QQ), Series.variable(3, 1, QQ)],
+        [Series.zero(3, QQ), Series.monomial(3, (1, 0, 0), 1, QQ),
+         Series.monomial(3, (0, 1, 0), 1, QQ)],
         [Series.zero(3, QQ)] * 3,
         [Series.zero(3, QQ)] * 3,
     ], 3, QQ)

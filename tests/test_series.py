@@ -11,7 +11,7 @@ INF = math.inf
 
 
 def x(n=2, i=0):
-    return Series.variable(n, i, QQ)
+    return Series.monomial(n, tuple(int(j == i) for j in range(n)), 1, QQ)
 
 
 def test_polynomial_arithmetic_is_exact():
@@ -24,7 +24,7 @@ def test_polynomial_arithmetic_is_exact():
 
 def test_mul_window_rule():
     a = Series.constant(1, 1, QQ).clipped((3,))     # known below x^3
-    b = Series.variable(1, 0, QQ)                   # exact, lo = 0... times x
+    b = Series.monomial(1, (1,), 1, QQ)             # exact, lo = 0... times x
     prod = a * b.mul_monomial((1,))                 # a * x^2
     assert prod.hi == (5,)
     assert prod.lo == (2,)
