@@ -86,6 +86,9 @@ class FormalSolution:
     Q     -- per variable, one dict per diagonal slot mapping a negative
              rational x_i-exponent to its coefficient
     s     -- per variable ramification index
+    verified_to -- what verify_solution reports for it (fmfs sets it):
+             the largest total degree through which Phi is known and
+             the residual is known to vanish, INF when both are exact
     """
 
     __slots__ = ("phi", "C", "Q", "s", "structure", "verified_to")
@@ -210,31 +213,36 @@ def _matrix_fp(M):
 def regular_endgame(S: PfaffianSystem, order=10):
     """Reduce a rank-zero system to constant coefficients.
 
-    Solves x_i dT/dx_i = A_i T - T C_i with T(0) = I and C_i = A_i(0),
-    all components stacked so a grade left free by one direction can
-    still be pinned by another (free unknowns are 0).  Written T = I + X,
-    this is the splitting's Riccati equation with b11 = A_i,
-    b12 = A_i - C_i, b21 = 0, b22 = C_i and p_i = 0, so
+    Conjugate first, then solve.  The commuting residues C_i = A_i(0)
+    are split into joint generalized eigenblocks by a constant W
+    (_joint_block_diagonalize), and the system is conjugated into that
+    basis, A'_i = W^-1 A_i W with residues C'_i = W^-1 C_i W.  There it
+    solves x_i dT'/dx_i = A'_i T' - T' C'_i with T'(0) = I, all
+    components stacked so a grade left free by one direction can still
+    be pinned by another (free unknowns are 0).  Written T' = I + X,
+    this is the splitting's Riccati equation with b11 = A'_i,
+    b12 = A'_i - C'_i, b21 = 0, b22 = C'_i and p_i = 0, so
     reduction.solve_graded solves it inside the box of the working order
     and the input windows, visiting only the grades the support of X
-    reaches.
+    reaches; in the eigenbasis each grade splits into one small system
+    per joint block pair (linalg.SylvesterSolver), one per entry when
+    the C'_i are diagonal.
 
     Resonance is decided at those grades: an inconsistent stacked system
     raises ResonanceError naming its grade.  Certification follows: on
-    exact input, T taken as a polynomial is checked against the full
+    exact input, T' taken as a polynomial is checked against the full
     equations by reduction.certify, the test splitting uses, since
-    x_i dT/dx_i - A_i T + T C_i = -riccati(..., X, 0, i), and only then
-    keeps an infinite window.  Finally the commuting family
-    C_i is split into joint generalized eigenblocks by a further constant
-    conjugation W, and (T W, residues) comes back; no inverse of T is
-    formed, since nothing applies it.  A 1x1 system, what the eigenvalue
-    shifts leave of a scalar equation, takes the same path: X is then the
+    x_i dT'/dx_i - A'_i T' + T' C'_i = -riccati(..., X, 0, i), and only
+    then keeps an infinite window.  Finally (W T', C') comes back: W T'
+    solves x_i dF/dx_i = A_i F - F C'_i, and no inverse of it is formed,
+    since nothing applies one.  A 1x1 system, what the eigenvalue shifts
+    leave of a scalar equation, takes the same path: X is then the
     analytic tail of exp(integral of (A_i - C_i)/x_i), one grade at a
     time, and W is 1.
     """
     if any(p != 0 for p in S.p):
         raise InputError("regular endgame needs Poincare rank 0 throughout")
-    n, d, tower = S.n, S.d, S.tower
+    n, d = S.n, S.d
     C = [S.A[i].constant_term() for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -242,34 +250,43 @@ def regular_endgame(S: PfaffianSystem, order=10):
                 raise NonIntegrableError(
                     "residue matrices of a regular system must commute")
 
+    W, Winv, C = _joint_block_diagonalize(C)
+    A, conjugate = S.A, not W.is_identity()
+    if conjugate:
+        Ws, Winvs = W.to_series(n), Winv.to_series(n)
+        A = [Winvs * M * Ws for M in A]
+    tower = common_tower(S.tower, W.tower)
     window = S.window_hi()
     hi = tuple(min(order + 1, w) if w != INF else order + 1 for w in window)
     zero = SeriesMatrix.zeros(d, d, n, tower)
     blocks = []
     for i in range(n):
         Ci = C[i].to_series(n)
-        blocks.append((S.A[i], S.A[i] - Ci, zero, Ci))
+        blocks.append((A[i], A[i] - Ci, zero, Ci))
     X = solve_graded(blocks, S.p, hi, tower)
 
-    # certify: if T taken as an exact polynomial closes the equation,
+    # certify: if T' taken as an exact polynomial closes the equation,
     # its window is infinite, otherwise it is honest truncated data
     T = SeriesMatrix.identity(d, n, tower) + X
     if not certify([(b, X, 0, i) for i, b in enumerate(blocks)], hi,
                    check=False):
         T = T.clipped(hi)
-
-    W = _joint_block_diagonalize(C)
-    if not W.is_identity():
-        Winv = W.inverse()
-        C = [Winv * M * W for M in C]
-        T = T * W.to_series(n)
+    if conjugate:
+        T = Ws * T
     return T, C
 
 
 def _joint_block_diagonalize(Cs):
-    """Constant W with W^-1 C_i W block diagonal, one joint eigenvalue
-    tuple per block, over the join of the fields of the C_i and their
-    eigenvalues.  Recurses over the commuting family."""
+    """(W, W^-1, [W^-1 C_i W]) for a constant W making every W^-1 C_i W
+    block diagonal, one joint eigenvalue tuple per block, over the join
+    of the fields of the C_i and their eigenvalues.  Recurses over the
+    commuting family: W = V Diag(W_k) and W^-1 = Diag(W_k^-1) V^-1, with
+    V splitting the first C_i of two or more eigenvalues and W_k the
+    blocks' own, so each conjugate is assembled from its blocks' and no
+    W is inverted.  A 1x1 family is its own block."""
+    I = ConstMatrix.identity(Cs[0].nrows, Cs[0].tower)
+    if I.nrows == 1:
+        return I, I, list(Cs)
     for C in Cs:
         roots = roots_of_charpoly(C.charpoly())
         if len(roots) < 2:
@@ -287,15 +304,18 @@ def _joint_block_diagonalize(Cs):
         # the sibling blocks share one running field, so a later block
         # factors its charpoly over what an earlier one adjoined, and
         # +-sqrt(2) beside +-2 sqrt(2) needs one extension, not two
-        running, blocks = V.tower, []
+        running, parts = V.tower, []
         for lo, s in zip(offsets, sizes):
-            Wk = _joint_block_diagonalize(
+            part = _joint_block_diagonalize(
                 [ConstMatrix([r[lo:lo + s] for r in M.rows[lo:lo + s]],
                              common_tower(M.tower, running)) for M in conj])
-            running = common_tower(running, Wk.tower)
-            blocks.append(Wk)
-        return V * ConstMatrix.block_diag(blocks)
-    return ConstMatrix.identity(Cs[0].nrows, Cs[0].tower)
+            running = common_tower(running, part[0].tower)
+            parts.append(part)
+        W, Winv, Cw = zip(*parts)
+        return (V * ConstMatrix.block_diag(W),
+                ConstMatrix.block_diag(Winv) * Vinv,
+                [ConstMatrix.block_diag(c) for c in zip(*Cw)])
+    return I, I, list(Cs)
 
 
 # -- the reduction loop -----------------------------------------------------
@@ -457,12 +477,17 @@ def verify_solution(S: PfaffianSystem, sol: FormalSolution):
         t^{p~+1} dPhi/dt_i + Phi (dq~ + s_i t^{p~} C_i) - A~_i Phi = 0
 
     where p~ = s_i p_i and A~_i = s_i A_i(t^s).  Returns a dict with
-    "ok", "verified_to" (a total degree, INF when exact), and the
-    per-component detail.  A solution that does not fit the system is an
-    InputError: another variable count or d, a field that does not join
-    the system's, a q exponent off the x^(1/s_i) grid or below the pole
-    order, or a C coupling slots whose q's differ, where the factored
-    form is not a product of commuting factors.
+    "ok", "verified_to" and the per-component detail.  verified_to is
+    the largest total degree k such that every coefficient of total
+    degree <= k of Phi and of each residual lies inside its window, and
+    every such coefficient of each residual is zero: one less than the
+    least of Phi's window tops, the residuals' window tops and the
+    degree of the lowest residual term; INF when every window is
+    infinite and every residual zero.  A solution that does not fit the
+    system is an InputError: another variable count or d, a field that
+    does not join the system's, a q exponent off the x^(1/s_i) grid or
+    below the pole order, or a C coupling slots whose q's differ, where
+    the factored form is not a product of commuting factors.
     """
     if sol.n != S.n or sol.d != S.d:
         raise InputError(
@@ -482,6 +507,7 @@ def verify_solution(S: PfaffianSystem, sol: FormalSolution):
     for i, m in enumerate(sol.s):
         St = ramify_system(St, i, m)
     n, d = St.n, St.d
+    top = min(sol.phi.window_hi())
     ok = True
     verified = INF
     per = []
@@ -509,17 +535,11 @@ def verify_solution(S: PfaffianSystem, sol: FormalSolution):
             .mul_monomial(tuple(p if k == i else 0 for k in range(n))) \
             * sol.s[i]
         R = sol.phi.euler(i, p) + sol.phi * (D + Cser) - St.A[i] * sol.phi
-        if R.is_zero():
-            w = min(h for r in R.rows for s_ in r for h in s_.hi)
-            k = w if w == INF else w - 1
-            per.append({"component": i, "ok": True, "verified_to": k})
-            verified = min(verified, k)
-        else:
-            bad = min(sum(e) for r in R.rows for s_ in r for e in s_.terms)
-            ok = False
-            per.append({"component": i, "ok": False,
-                        "verified_to": bad - 1})
-            verified = min(verified, bad - 1)
+        bad = [sum(e) for r in R.rows for s_ in r for e in s_.terms]
+        k = min([top, *R.window_hi(), *bad]) - 1
+        ok = ok and not bad
+        per.append({"component": i, "ok": not bad, "verified_to": k})
+        verified = min(verified, k)
     return {"ok": ok, "verified_to": verified, "per_component": per}
 
 

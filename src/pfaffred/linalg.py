@@ -9,8 +9,10 @@ Gauss-Jordan loop, Elimination, which records its row operations: rref
 reads its reduced form, and solve_vec and inverse replay the operations
 on a right-hand side or on unit vectors.  SylvesterSolver solves the
 stacked equations (L_k X - X R_k - s_k X)_k = b of the graded solver
-(reduction.solve_graded) from one invertible block, eliminated once per
-shift, checking it against the others.  SeriesMatrix holds Series
+(reduction.solve_graded) one part X[I, J] at a time, along the block
+patterns of the L_k and the R_k: each part from its first invertible
+block, eliminated once per shift, checked against the others.  Products
+of constant matrices skip zero factors.  SeriesMatrix holds Series
 entries and has no inverse: every series gauge is built together with
 its inverse (see system.GaugeTransformation); its product sums each
 entry's products in one Series.sum_of.  Every characteristic polynomial
@@ -249,7 +251,8 @@ class Elimination:
 def _dot(row, col, tower):
     acc = tower.zero()
     for a, b in zip(row, col):
-        acc = acc + a * b
+        if not (a.is_zero() or b.is_zero()):
+            acc = acc + a * b
     return acc
 
 
@@ -316,60 +319,97 @@ class SylvesterSolver:
     """The equations L_k X - X R_k - s_k X = b_k of one grade of the
     graded solver (reduction.solve_graded), stacked over the components
     k on row-major vec(X), with (L_k, R_k) = pairs[k] and the grade's
-    shifts s_k.  Each block (k, s_k) is built and eliminated at most
-    once, and kept as long as the solver."""
+    shifts s_k.  The stack splits into parts X[I, J], with I a class of
+    the finest row partition along which every L_k is block diagonal and
+    J one of the R_k's column partition (_linked): in a joint eigenbasis
+    of the residues each part is one entry, and the whole matrix is the
+    one-part case.  Each block (part, k, s_k) is built and eliminated at
+    most once, and kept as long as the solver."""
 
-    __slots__ = ("pairs", "tower", "blocks")
+    __slots__ = ("pairs", "tower", "parts", "blocks")
 
     def __init__(self, pairs, tower):
         self.pairs, self.tower, self.blocks = pairs, tower, {}
+        nc = pairs[0][1].nrows
+        # per part, its cells i * nc + j on vec(X), in row-major order
+        self.parts = [[i * nc + j for i in I for j in J]
+                      for I in _linked([L for L, _ in pairs])
+                      for J in _linked([R for _, R in pairs])]
 
     def solve(self, shifts, b):
         """x solving the stack, or None when it is inconsistent.
 
-        The first block of full rank, in component order, gives the
-        stack's unique solution, which every other block must map to its
-        own b_k.  Only when no block has full rank is the whole stack
-        eliminated, with its free unknowns 0.
+        A part whose right-hand side is zero is 0.  Otherwise the first
+        block of full rank, in component order, gives the part's unique
+        solution, which every other block must map to its own b_k; only
+        when no block has full rank is the part's whole stack
+        eliminated, with its free unknowns 0.  The whole stack is block
+        diagonal up to a permutation, one diagonal block per part, so
+        its Gauss-Jordan pivot columns are the union of the parts' and
+        this is the whole stack's solution with its free unknowns 0.
         """
-        blocks = []
-        for k, s in enumerate(shifts):
-            # [matrix, its nonzero (col, entry) per row, its Elimination]
-            blk = self.blocks.get((k, s))
-            if blk is None:
-                (L, R), nc = self.pairs[k], self.pairs[k][1].nrows
-                M = ConstMatrix.zeros(L.nrows * nc, L.nrows * nc, self.tower)
-                for ij, row in enumerate(M.rows):
-                    i, j = divmod(ij, nc)
-                    for r in range(L.nrows):
-                        row[r * nc + j] = row[r * nc + j] + L.rows[i][r]
-                    for c in range(nc):
-                        row[i * nc + c] = row[i * nc + c] - R.rows[c][j]
-                    row[ij] = row[ij] - s
-                blk = self.blocks[k, s] = [M, [
-                    [(c, a) for c, a in enumerate(r) if not a.is_zero()]
-                    for r in M.rows], None]
-            blocks.append(blk)
-        size = len(b) // len(blocks)
-        for k, blk in enumerate(blocks):
-            if blk[2] is None:
-                blk[2] = Elimination(blk[0])
-            if len(blk[2].pivots) < size:
+        size = len(b) // len(shifts)
+        x = [self.tower.zero()] * size
+        for part, cells in enumerate(self.parts):
+            m = len(cells)
+            bp = [b[k * size + c] for k in range(len(shifts)) for c in cells]
+            if all(v.is_zero() for v in bp):
                 continue
-            x = blk[2].solve(b[k * size:(k + 1) * size])
-            xs = {c: v for c, v in enumerate(x) if not v.is_zero()}
-            for j, other in enumerate(blocks):
-                if j == k:
-                    continue
-                for row, y in zip(other[1], b[j * size:]):
-                    for c, a in row:
-                        if c in xs:
-                            y = y - a * xs[c]
-                    if not y.is_zero():
-                        return None
-            return x
-        return ConstMatrix([r for blk in blocks for r in blk[0].rows],
-                           self.tower).solve_vec(b)
+            blocks = [self._block(part, k, s) for k, s in enumerate(shifts)]
+            for k, blk in enumerate(blocks):
+                if blk[1] is None:
+                    blk[1] = Elimination(blk[0])
+                if len(blk[1].pivots) == m:
+                    xp = blk[1].solve(bp[k * m:(k + 1) * m])
+                    for j, other in enumerate(blocks):
+                        if j != k and any(
+                                not (_dot(r, xp, self.tower) - y).is_zero()
+                                for r, y in zip(other[0].rows, bp[j * m:])):
+                            return None
+                    break
+            else:
+                xp = ConstMatrix([r for blk in blocks for r in blk[0].rows],
+                                 self.tower).solve_vec(bp)
+                if xp is None:
+                    return None
+            for c, v in zip(cells, xp):
+                x[c] = v
+        return x
+
+    def _block(self, part, k, s):
+        """[matrix of X[I, J] -> (L_k X - X R_k - s X)[I, J] on the
+        part's cells, its Elimination or None]."""
+        blk = self.blocks.get((part, k, s))
+        if blk is None:
+            cells, (L, R) = self.parts[part], self.pairs[k]
+            nc, at = R.nrows, {c: t for t, c in enumerate(cells)}
+            M = ConstMatrix.zeros(len(cells), len(cells), self.tower)
+            for t, (row, ij) in enumerate(zip(M.rows, cells)):
+                i, j = divmod(ij, nc)
+                for r, a in enumerate(L.rows[i]):
+                    if not a.is_zero():
+                        row[at[r * nc + j]] += a
+                for c in range(nc):
+                    if not R.rows[c][j].is_zero():
+                        row[at[i * nc + c]] -= R.rows[c][j]
+                row[t] -= s
+            blk = self.blocks[part, k, s] = [M, None]
+        return blk
+
+
+def _linked(Ms):
+    """The finest partition of range(d), as sorted classes, along which
+    every d x d matrix of Ms is block diagonal: i and j share a class
+    when some M has a nonzero entry at (i, j)."""
+    classes = [{i} for i in range(Ms[0].nrows)]
+    for M in Ms:
+        for i, row in enumerate(M.rows):
+            for j, a in enumerate(row):
+                if j not in classes[i] and not a.is_zero():
+                    merged = classes[i] | classes[j]
+                    for t in merged:
+                        classes[t] = merged
+    return sorted({min(c): sorted(c) for c in classes}.values())
 
 
 class SeriesMatrix(Matrix):

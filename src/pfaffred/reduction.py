@@ -21,7 +21,9 @@ endgame: each needs an X without constant term solving the Riccati
 equations b11 X + b12 - X b22 - X b21 X - x_k^{p_k+1} dX/dx_k = 0
 (riccati) of all components jointly, inside a box of monomials.  Each
 monomial's unknowns solve one stacked linear system, one Sylvester block
-per component (linalg.SylvesterSolver): the first invertible block
+per component (linalg.SylvesterSolver), split into parts X[I, J] along
+the block patterns of the constant terms, one entry per part in the
+endgame's joint eigenbasis: in each part the first invertible block
 solves it and the others only check that solution, and each block is
 eliminated once per shift.  The right-hand sides wait at their monomial
 until every lower total degree is solved, so only the monomials the
@@ -485,18 +487,19 @@ def solve_graded(blocks, p, box, tower):
     blocks lists (b11, b12, b21, b22) per component k; p[k] is its
     Poincare rank.  Each monomial beta of X solves one stacked system
     X_beta -> b11(0) X_beta - X_beta b22(0) - s_k X_beta, with s_k = beta_k
-    when p_k = 0 and 0 otherwise, through linalg.SylvesterSolver: the
-    first component whose block is invertible solves it and every other
-    component checks the result; only when no block is invertible is the
-    stack eliminated, free unknowns 0.  Every other term reaches beta
-    from a strictly lower total degree, so it waits in a right-hand side
-    pending at beta, and the betas pop from a heap in (|beta|, beta)
-    order.  A solved X_beta is scattered at once through the nonconstant
-    grades of b11 and b22 and, when p_k >= 1, through the derivative
-    term, which lands at beta + p_k e_k.  Once a total degree is done,
-    its increment D adds -(D b21 X + (X + D) b21 D) through products
-    clipped to the box.  b12's constant term is not read; an
-    inconsistent beta raises ResonanceError carrying the grade.
+    when p_k = 0 and 0 otherwise, through linalg.SylvesterSolver, part
+    by part: the first component whose block is invertible solves it and
+    every other component checks the result; only when no block is
+    invertible is the part's stack eliminated, free unknowns 0.  Every
+    other term reaches beta from a strictly lower total degree, so it
+    waits in a right-hand side pending at beta, and the betas pop from a
+    heap in (|beta|, beta) order.  A solved X_beta is scattered at once
+    through the nonconstant grades of b11 and b22 and, when p_k >= 1,
+    through the derivative term, which lands at beta + p_k e_k.  Once a
+    total degree is done, its increment D adds
+    -(D b21 X + (X + D) b21 D) through products clipped to the box.
+    b12's constant term is not read; an inconsistent beta raises
+    ResonanceError carrying the grade.
     """
     n = len(box)
     nr, nc = blocks[0][1].nrows, blocks[0][1].ncols

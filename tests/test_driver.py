@@ -192,6 +192,36 @@ def test_endgame_diagonalizes_the_residue():
     assert sol.C[0].rows[0][1].is_zero() and sol.C[0].rows[1][0].is_zero()
 
 
+def test_endgame_resonant_consistent_grade_is_zero_in_the_eigenbasis():
+    # x F' = [[-x, 1], [1, 0]] F: the residue's eigenvalues -1 and 1 make
+    # grade 2 resonant but consistent.  Its free unknown is 0 in the
+    # residue's eigenbasis, so Phi's first column is the polynomial
+    # (-1, 1 - x).  Taking it 0 in the input basis gives F K instead,
+    # K = I - (1/12) E_10 with E_10 the matrix unit at row 1, column 0:
+    # the same solutions, recombined by a constant
+    sol, _ = fmfs(sys1([[{1: -1}, 1], [1, 0]], 0), order=8)
+    assert sol.fingerprint() == "b8c5e39197d5e02b"
+    assert strm(sol.C[0]) == [["-1", "0"], ["0", "1"]]
+    assert [{e: str(c) for e, c in row[0].terms.items()}
+            for row in sol.phi.rows] == [{(0,): "-1"}, {(0,): "1", (1,): "-1"}]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: generate_equivalent(0, {"n": 3, "d": 3, "p": [0, 0, 0]})[0],
+    lambda: sibling_system([[0, 1], [8, 0]]),
+    lambda: sibling_system([[0, 1], [1, 2]])],
+    ids=["plant-regular-n3d3", "siblings-sqrt8", "siblings-shifted"])
+def test_joint_block_diagonalize_returns_its_inverse_and_conjugates(build):
+    Cs = [A.constant_term() for A in build().A]
+    W, Winv, conj = driver._joint_block_diagonalize(Cs)
+    assert not W.is_identity()
+    assert (W * Winv).is_identity()
+    assert conj == [Winv * C * W for C in Cs]
+    # every joint eigenblock of these families is 1x1
+    assert all(a.is_zero() for M in conj for r, row in enumerate(M.rows)
+               for c, a in enumerate(row) if r != c)
+
+
 # -- full reductions ---------------------------------------------------------
 
 
@@ -529,6 +559,8 @@ def test_random_systems_verify_or_exit_with_their_code(k):
     else:
         sol, _ = fmfs(S, order=8)
         assert sol.verified_to >= 6
+        # Phi is known only below its window, so no degree past it verifies
+        assert sol.verified_to <= min(sol.phi.window_hi()) - 1
         s, [qs] = exponential_parts(S, order=8)
         assert s == sol.s
         assert q_canonical(qs) == q_canonical(sol.Q[0])

@@ -8,9 +8,10 @@ from pfaffred.linalg import (
     ConstMatrix,
     Elimination,
     SeriesMatrix,
+    SylvesterSolver,
     generalized_eigenspaces,
 )
-from pfaffred.scalars import QQ, poly_eval
+from pfaffred.scalars import QQ, Scalar, poly_eval
 from pfaffred.series import Series
 
 from helpers import dense_grid, mat1
@@ -37,6 +38,37 @@ def test_const_product_and_identity():
     assert a * ConstMatrix.identity(2, QQ) == a
     b = cm([[0, 1], [1, 0]])
     assert (a * b) == cm([[2, 1], [4, 3]])
+
+
+def test_const_product_skips_zero_factors(monkeypatch):
+    # a dense d x d matrix times the identity: one product per nonzero
+    # pair, d^2 in all, where a full inner product takes d^3
+    d = 5
+    a = cm([[i * d + j + 1 for j in range(d)] for i in range(d)])
+    calls = []
+    product = Scalar.__mul__
+
+    def spy(x, y):
+        calls.append(1)
+        return product(x, y)
+
+    monkeypatch.setattr(Scalar, "__mul__", spy)
+    assert a * ConstMatrix.identity(d, QQ) == a
+    assert len(calls) <= d * d
+
+
+def test_sylvester_parts_follow_the_block_patterns():
+    # L = a 2x2 Jordan block beside 5, R = Diag(1, 2): the rows split
+    # into {0, 1} and {2}, the columns into {0} and {1}; a part lists
+    # its cells (i, j) as i * 2 + j on vec(X)
+    L = cm([[3, 1, 0], [0, 3, 0], [0, 0, 5]])
+    R = cm([[1, 0], [0, 2]])
+    parts = SylvesterSolver([(L, R), (L * 2, R)], QQ).parts
+    assert sorted(parts) == [[0, 2], [1, 3], [4], [5]]
+    # a dense R links every column: one part per row class
+    dense = cm([[1, 1], [1, 2]])
+    assert sorted(SylvesterSolver([(L, dense)], QQ).parts) == [
+        [0, 1, 2, 3], [4, 5]]
 
 
 def test_is_identity_on_both_matrix_kinds():

@@ -732,17 +732,21 @@ def graded_outcome(blocks, p, box):
     return [[s.terms for s in r] for r in X.rows]
 
 
-def random_graded_problem(seed, square):
+def random_graded_problem(seed, shape):
     """(blocks, p, box) on two variables with commuting constant terms.
 
-    square: the endgame's shape, b11(0) = b22(0) = C_k with integer
+    endgame: the endgame's shape, b11(0) = b22(0) = C_k with integer
     eigenvalues (so some grades are resonant), b21 = 0 and p = 0.
-    Otherwise a 2x3 X, b21 != 0 and p = [1, 0] or [1, 1].  b12 is made
-    so that a random X_true solves every equation, and sometimes gets
-    one more random term, which may make a grade inconsistent.
+    eigenbasis: the same, with the C_k already in a joint eigenbasis:
+    diagonal, or block diagonal with a 2x2 block a I + b N, N nilpotent,
+    so the solver splits each grade into parts.  split: a 2x3 X,
+    b21 != 0 and p = [1, 0] or [1, 1].  b12 is made so that a random
+    X_true solves every equation, and sometimes gets one more random
+    term, which may make a grade inconsistent.
     """
     rng = random.Random(seed)
     n, box = 2, (4, 4)
+    square = shape != "split"
     d1, d2 = (3, 3) if square else (2, 3)
     small = lambda: QQ.scalar(rng.randint(-2, 2))
 
@@ -760,7 +764,18 @@ def random_graded_problem(seed, square):
 
     def commuting(d, count):
         # square: V D_k V^-1 for one V and integer diagonals D_k, so some
-        # grades are resonant; otherwise a_k I + b_k M for one M
+        # grades are resonant, with V = I and, half the time, b_k N in
+        # the leading 2x2 block of D_k in the eigenbasis; otherwise
+        # a_k I + b_k M for one M
+        if shape == "eigenbasis":
+            jordan, out = rng.random() < 0.5, []
+            for _ in range(count):
+                D = [[QQ.scalar(rng.randint(-1, 2) if i == j else 0)
+                      for j in range(d)] for i in range(d)]
+                if jordan:
+                    D[1][1], D[0][1] = D[0][0], QQ.scalar(rng.randint(0, 2))
+                out.append(ConstMatrix(D, QQ))
+            return out
         if square:
             V = ConstMatrix([[QQ.scalar(1 if i == j else
                                         rng.randint(-1, 1) if i < j else 0)
@@ -792,12 +807,17 @@ def random_graded_problem(seed, square):
     return blocks, p, box
 
 
-@pytest.mark.parametrize("square", [True, False], ids=["endgame", "split"])
-def test_solve_graded_matches_the_stacked_elimination(monkeypatch, square):
-    # the first invertible block solves each grade and the others check
-    # it; eliminating the full stack at every grade must give the same
-    # X or refuse the same grade
-    problems = [random_graded_problem(seed, square) for seed in range(12)]
+@pytest.mark.parametrize("shape", ["endgame", "eigenbasis", "split"])
+def test_solve_graded_matches_the_stacked_elimination(monkeypatch, shape):
+    # in each part, the first invertible block solves each grade and the
+    # others check it; eliminating the full stack at every grade must
+    # give the same X or refuse the same grade
+    problems = [random_graded_problem(seed, shape) for seed in range(12)]
+    if shape == "eigenbasis":
+        # residues in a joint eigenbasis: every grade splits into parts
+        assert all(len(SylvesterSolver(
+            [(b[0].constant_term(), b[3].constant_term()) for b in blocks],
+            QQ).parts) > 1 for blocks, _, _ in problems)
     got = [graded_outcome(*pr) for pr in problems]
     monkeypatch.setattr(SylvesterSolver, "solve", stack_solve)
     want = [graded_outcome(*pr) for pr in problems]
@@ -821,16 +841,23 @@ def stacked_eliminations(monkeypatch):
 
 
 def test_solve_graded_falls_back_to_the_stack(monkeypatch):
-    # residues Diag(0, 1) in x1 and Diag(0, 2) in x2: at grade (1, 0)
-    # neither block is invertible, x1's leaves X_21 free and x2's leaves
-    # the diagonal free, but the stack pins X_21 = -1/2
+    # residues Diag(0, 1) in x1 and Diag(0, 2) in x2, conjugated with all
+    # data by the dense V, so the solver sees one part: at grade (1, 0)
+    # neither block is invertible, x1's leaves V E_21 V^-1 free and x2's
+    # leaves V Diag(u, v) V^-1 free, but the stack pins
+    # X = V (-1/2 E_21) V^-1
     shapes = stacked_eliminations(monkeypatch)
-    C1, C2 = mat2([[0, 0], [0, 1]]), mat2([[0, 0], [0, 2]])
+    V, Vinv = mat2([[1, 1], [1, 2]]), mat2([[2, -1], [-1, 1]])
+
+    def conj(grid):
+        return V * mat2(grid) * Vinv
+
+    C1, C2 = conj([[0, 0], [0, 1]]), conj([[0, 0], [0, 2]])
     zero = mat2([[0, 0], [0, 0]])
     blocks = [(C1, zero, zero, C1),
-              (C2, mat2([[0, 0], [{(1, 0): 1}, 0]]), zero, C2)]
+              (C2, conj([[0, 0], [{(1, 0): 1}, 0]]), zero, C2)]
     X = solve_graded(blocks, [0, 0], (3, 3), QQ)
-    assert X == mat2([[0, 0], [{(1, 0): Fraction(-1, 2)}, 0]])
+    assert X == conj([[0, 0], [{(1, 0): Fraction(-1, 2)}, 0]])
     assert (8, 4) in shapes
 
 
