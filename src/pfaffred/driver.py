@@ -216,7 +216,8 @@ def regular_endgame(S: PfaffianSystem, order=10):
     Conjugate first, then solve.  The commuting residues C_i = A_i(0)
     are split into joint generalized eigenblocks by a constant W
     (_joint_block_diagonalize), and the system is conjugated into that
-    basis, A'_i = W^-1 A_i W with residues C'_i = W^-1 C_i W.  There it
+    basis, A'_i = W^-1 A_i W with residues C'_i = W^-1 C_i W, by
+    products with the ConstMatrix W and its inverse.  There it
     solves x_i dT'/dx_i = A'_i T' - T' C'_i with T'(0) = I, all
     components stacked so a grade left free by one direction can still
     be pinned by another (free unknowns are 0).  Written T' = I + X,
@@ -251,10 +252,7 @@ def regular_endgame(S: PfaffianSystem, order=10):
                     "residue matrices of a regular system must commute")
 
     W, Winv, C = _joint_block_diagonalize(C)
-    A, conjugate = S.A, not W.is_identity()
-    if conjugate:
-        Ws, Winvs = W.to_series(n), Winv.to_series(n)
-        A = [Winvs * M * Ws for M in A]
+    A = [Winv * M * W for M in S.A]
     tower = common_tower(S.tower, W.tower)
     window = S.window_hi()
     hi = tuple(min(order + 1, w) if w != INF else order + 1 for w in window)
@@ -271,9 +269,7 @@ def regular_endgame(S: PfaffianSystem, order=10):
     if not certify([(b, X, 0, i) for i, b in enumerate(blocks)], hi,
                    check=False):
         T = T.clipped(hi)
-    if conjugate:
-        T = Ws * T
-    return T, C
+    return W * T, C
 
 
 def _joint_block_diagonalize(Cs):
@@ -584,12 +580,11 @@ def fmfs(S: PfaffianSystem, order=10, max_retries=4):
 
     Returns (FormalSolution, ReductionTrace).  The solution must verify
     to total degree order - 2.  Each split solves in a box that covers
-    what its blocks lose on the way to rank 0 (reduction.split): in x_k,
-    max(N + 1, N - 1 + p_k - f_k), with p_k the rank at the split and
-    f_k <= 0 the lowest floor of its couplings, so a loss to the ranks
-    the split blocks shed no longer costs a retry.  Two losses no split
-    can see still do: a later split whose box the clipped window of an
-    earlier one caps, and a window the input limits.
+    what its blocks lose on the way to rank 0 (reduction.split states
+    the rule), so a loss to the ranks the split blocks shed costs no
+    retry.  Two losses no split can see still do: a later split whose
+    box the clipped window of an earlier one caps, and a window the
+    input limits.
 
     After a TruncationInsufficient the reduction restarts at a larger
     working order N, up to max_retries times:

@@ -1,24 +1,25 @@
 """Matrices over the scalar field and over truncated series.
 
 Both kinds derive from Matrix, which holds what they share: the ragged
-check, + and -, equality, is_zero, is_identity, submatrix, block_diag
-and printing.  ConstMatrix holds field scalars and supports exact
-elimination (rref, rank, solve, kernel, inverse) plus characteristic
-polynomials and generalized eigenspace decomposition.  Every elimination is one
-Gauss-Jordan loop, Elimination, which records its row operations: rref
-reads its reduced form, and solve_vec and inverse replay the operations
-on a right-hand side or on unit vectors.  SylvesterSolver solves the
-stacked equations (L_k X - X R_k - s_k X)_k = b of the graded solver
-(reduction.solve_graded) one part X[I, J] at a time, along the block
-patterns of the L_k and the R_k: each part from its first invertible
-block, eliminated once per shift, checked against the others.  Products
-of constant matrices skip zero factors.  SeriesMatrix holds Series
-entries and has no inverse: every series gauge is built together with
-its inverse (see system.GaugeTransformation); its product sums each
-entry's products in one Series.sum_of.  Every characteristic polynomial
-and determinant, over the field or over truncated series, comes from one
-division-free routine, Berkowitz's algorithm (_charpoly): O(d^4) ring
-operations, none of them a product with an absent entry.
+check, + and - of equal shapes, equality, is_zero, is_identity,
+submatrix, block_diag and printing.  ConstMatrix holds field scalars and
+supports exact elimination (rref, rank, solve, kernel, inverse) plus
+characteristic polynomials and generalized eigenspace decomposition.
+Every elimination is one Gauss-Jordan loop, Elimination, which records
+its row operations: rref reads its reduced form, and solve_vec and
+inverse replay them on a right-hand side or on unit vectors.
+SylvesterSolver solves the stacked equations (L_k X - X R_k - s_k X)_k
+= b of the graded solver (reduction.solve_graded) one part X[I, J] at a
+time, each from its first invertible block, eliminated once per shift
+and checked against the others.  SeriesMatrix holds Series entries and
+has no inverse: every series gauge is built with its inverse (see
+system.GaugeTransformation).  Every matrix product is _product, each
+entry a _dot that skips a product with an absent factor (a zero scalar,
+or a series zero on an infinite window).  A ConstMatrix multiplies a
+SeriesMatrix on either side, as its to_series would, so a constant
+change of basis is a plain product.  Every characteristic polynomial
+and determinant comes from Berkowitz's division-free algorithm
+(_charpoly): O(d^4) ring operations over the field or over series.
 
 Sums, products (by a matrix, a series or a scalar) and block builders
 return their result in the join of the operands' fields
@@ -28,6 +29,7 @@ are, so no matrix is ever lifted into a larger field by hand.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .errors import DimensionError, NotInvertibleError
@@ -52,15 +54,18 @@ class Matrix:
     def _like(self, rows, tower):
         return type(self)(rows, tower)
 
-    def __add__(self, other):
+    def _entrywise(self, other, op):
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise DimensionError("shape mismatch in sum")
         return self._like(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
+            [[op(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
             common_tower(self.tower, other.tower))
 
+    def __add__(self, other):
+        return self._entrywise(other, operator.add)
+
     def __sub__(self, other):
-        return self._like(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-            common_tower(self.tower, other.tower))
+        return self._entrywise(other, operator.sub)
 
     def __eq__(self, other):
         return (isinstance(other, type(self))
@@ -122,13 +127,10 @@ class ConstMatrix(Matrix):
         return m
 
     def __mul__(self, other):
+        if isinstance(other, SeriesMatrix):
+            return _product(self, other, other.nvars)
         if isinstance(other, ConstMatrix):
-            if self.ncols != other.nrows:
-                raise DimensionError("shape mismatch in product")
-            tower = common_tower(self.tower, other.tower)
-            cols = list(zip(*other.rows))
-            return ConstMatrix(
-                [[_dot(r, c, tower) for c in cols] for r in self.rows], tower)
+            return _product(self, other, None)
         c, tower = join_scalar(other, self.tower)
         return ConstMatrix([[a * c for a in r] for r in self.rows], tower)
 
@@ -170,8 +172,7 @@ class ConstMatrix(Matrix):
 
     def charpoly(self):
         """det(tI - A), monic, coefficients low to high."""
-        return _charpoly(self.rows, self.tower.one(), self.tower.zero(),
-                         Scalar.is_zero)
+        return _charpoly(self.rows, self.tower.one(), self.tower.zero())
 
     def power(self, k: int):
         """A^k by repeated squaring: no product for k = 1, one for k = 2."""
@@ -248,15 +249,37 @@ class Elimination:
         return x
 
 
-def _dot(row, col, tower):
-    acc = tower.zero()
-    for a, b in zip(row, col):
-        if not (a.is_zero() or b.is_zero()):
+def _absent(a):
+    """Whether every product with the entry a is an exact zero: a zero
+    scalar, or a series that is zero on an infinite window."""
+    return a.is_zero() and (isinstance(a, Scalar) or a.exact)
+
+
+def _dot(u, v, acc):
+    """acc + u_1 v_1 + u_2 v_2 + ..., folded in order; a product with an
+    _absent factor is skipped."""
+    for a, b in zip(u, v):
+        if not (_absent(a) or _absent(b)):
             acc = acc + a * b
     return acc
 
 
-def _charpoly(rows, one, zero, absent):
+def _product(M, N, n):
+    """M N, each entry a _dot from zero in the join of the fields: a
+    ConstMatrix when n is None, else a SeriesMatrix in n variables, a
+    scalar entry then meeting a series as the constant series does."""
+    if M.ncols != N.nrows:
+        raise DimensionError("shape mismatch in product")
+    tower = common_tower(M.tower, N.tower)
+    zero = tower.zero() if n is None else Series.zero(n, tower)
+    cols = list(zip(*N.rows))
+    rows = [[_dot(r, c, zero) for c in cols] for r in M.rows]
+    if n is None:
+        return ConstMatrix(rows, tower)
+    return SeriesMatrix(rows, n, tower)
+
+
+def _charpoly(rows, one, zero):
     """[c_0, ..., c_d], low to high, of det(tI - A) for the square grid
     rows over any commutative ring, by Berkowitz's division-free
     algorithm (Inform. Process. Lett. 18, 1984).
@@ -264,30 +287,22 @@ def _charpoly(rows, one, zero, absent):
     With A_r the leading r x r block, bordered in A_{r+1} by the row R,
     the column C and the corner a, the coefficients of det(tI - A_{r+1})
     are those of det(tI - A_r) convolved with 1, -a, -R C, -R A_r C, ...,
-    -R A_r^{r-1} C: O(d^4) ring operations in all.  A product with an
-    entry for which absent holds is skipped, and sums fold + from zero.
+    -R A_r^{r-1} C: O(d^4) ring operations in all, each sum a _dot.
     """
     d = len(rows)
     if any(len(r) != d for r in rows):
         raise DimensionError("characteristic polynomial of a non-square "
                              "matrix")
-
-    def dot(u, v, acc):
-        for a, b in zip(u, v):
-            if not (absent(a) or absent(b)):
-                acc = acc + a * b
-        return acc
-
     p = [one]                   # det(tI - A_r), high to low
     for r, row in enumerate(rows):
         col = [rows[i][r] for i in range(r)]
         block = list(zip(*(rows[i][:r] for i in range(r))))  # its columns
         s, w = [row[r]], row[:r]        # a, then R A_r^k C for k < r
         for k in range(r):
-            s.append(dot(w, col, zero))
+            s.append(_dot(w, col, zero))
             if k < r - 1:
-                w = [dot(w, c, zero) for c in block]
-        t = [dot(s[:i], p[i:0:-1], s[i]) for i in range(r + 1)]
+                w = [_dot(w, c, zero) for c in block]
+        t = [_dot(s[:i], p[i:0:-1], s[i]) for i in range(r + 1)]
         p = [one] + [a - b for a, b in zip(p[1:], t)] + [-t[r]]
     return p[::-1]
 
@@ -348,8 +363,8 @@ class SylvesterSolver:
         its Gauss-Jordan pivot columns are the union of the parts' and
         this is the whole stack's solution with its free unknowns 0.
         """
-        size = len(b) // len(shifts)
-        x = [self.tower.zero()] * size
+        size, zero = len(b) // len(shifts), self.tower.zero()
+        x = [zero] * size
         for part, cells in enumerate(self.parts):
             m = len(cells)
             bp = [b[k * size + c] for k in range(len(shifts)) for c in cells]
@@ -363,7 +378,7 @@ class SylvesterSolver:
                     xp = blk[1].solve(bp[k * m:(k + 1) * m])
                     for j, other in enumerate(blocks):
                         if j != k and any(
-                                not (_dot(r, xp, self.tower) - y).is_zero()
+                                not (_dot(r, xp, zero) - y).is_zero()
                                 for r, y in zip(other[0].rows, bp[j * m:])):
                             return None
                     break
@@ -439,18 +454,8 @@ class SeriesMatrix(Matrix):
         return m
 
     def __mul__(self, other):
-        if isinstance(other, SeriesMatrix):
-            if self.ncols != other.nrows:
-                raise DimensionError("shape mismatch in product")
-            tower = common_tower(self.tower, other.tower)
-            cols = list(zip(*other.rows))
-            n = self.nvars
-            return SeriesMatrix(
-                [[Series.sum_of((a * b for a, b in zip(r, c)
-                                 if not (a.is_zero() and a.exact)
-                                 and not (b.is_zero() and b.exact)),
-                                n, tower)
-                  for c in cols] for r in self.rows], n, tower)
+        if isinstance(other, Matrix):
+            return _product(self, other, self.nvars)
         if isinstance(other, Series):
             tower = common_tower(self.tower, other.tower)
         elif isinstance(other, (int, Fraction, Scalar)):
@@ -467,9 +472,6 @@ class SeriesMatrix(Matrix):
     def window_hi(self):
         return tuple(min(e.hi[i] for r in self.rows for e in r)
                      for i in range(self.nvars))
-
-    def transpose(self):
-        return SeriesMatrix(list(zip(*self.rows)), self.nvars, self.tower)
 
     def map(self, fn):
         return SeriesMatrix([[fn(a) for a in r] for r in self.rows],
@@ -517,12 +519,10 @@ class SeriesMatrix(Matrix):
         return m
 
     def charpoly(self):
-        """det(tI - A) as a list of series, coefficients low to high; a
-        product with an exact-zero entry is skipped, as in __mul__."""
+        """det(tI - A) as a list of series, coefficients low to high."""
         n = self.nvars
         return _charpoly(self.rows, Series.constant(n, 1, self.tower),
-                         Series.zero(n, self.tower),
-                         lambda e: e.is_zero() and e.exact)
+                         Series.zero(n, self.tower))
 
     def determinant(self) -> Series:
         """det(A) = (-1)^d det(-A), the constant coefficient of charpoly."""

@@ -46,7 +46,8 @@ takes |f_k| when the couplings' floor f_k in x_k lies below 0.  fmfs's
 retry is left with the losses a split cannot see: a box that an earlier
 split's clipped window caps, and a window the input limits.  Eigenvalue
 shifting and ramification are the remaining primitive moves of the full
-reduction.
+reduction.  A constant change of basis (a split's eigenbasis V, the
+column reduction's permutation) is no gauge but a ConstMatrix product.
 """
 
 from __future__ import annotations
@@ -63,11 +64,12 @@ from .errors import (
     TruncationInsufficient,
 )
 from .linalg import (
+    ConstMatrix,
     SeriesMatrix,
     SylvesterSolver,
     generalized_eigenspaces,
 )
-from .scalars import Scalar
+from .scalars import Scalar, common_tower
 from .series import INF, Series
 from .system import (
     GaugeTransformation,
@@ -275,14 +277,16 @@ def column_reduce(A0: SeriesMatrix, i: int, ell: int) -> ColumnReduction:
         raise TruncationInsufficient(
             "no column basis certified at this truncation")
     # basis columns first, then each column j minus c_kj basis column k
-    rest = [j for j in range(d) if j not in sub]
+    order = list(sub) + [j for j in range(d) if j not in sub]
     N = SeriesMatrix.zeros(d, d, nvars, tower)
     for j, cj in zip(others, cof):
         for k, c in enumerate(cj):
             if not c.is_zero():
-                N.rows[k][r + rest.index(j)] = -c
-    g = GaugeTransformation.permutation(list(sub) + rest, nvars, tower)
-    g = g.compose(GaugeTransformation.unipotent(N))
+                N.rows[k][order.index(j)] = -c
+    # the constant permutation takes the columns in that order
+    I, U = ConstMatrix.identity(d, tower), GaugeTransformation.unipotent(N)
+    g = GaugeTransformation(I.submatrix(range(d), order) * U.T,
+                            U.T_inv * I.submatrix(order, range(d)))
     A0r = g.T_inv * A0 * g.T
     for t in range(d):
         for j in range(r, d):
@@ -606,7 +610,7 @@ def split(S: PfaffianSystem, i: int, roots, order: int = 10):
     roots are that constant term's eigenvalues with their
     multiplicities, as roots_of_charpoly gives them; there must be at
     least two distinct ones, and the first drives the top block.  In the
-    eigenbasis, with blocks (a11, a12, a21, a22) per component, the
+    eigenbasis V, with blocks (a11, a12, a21, a22) of each V^-1 A_k V, the
     couplings P (top right) and Q (bottom left) solve the Riccati equations
     riccati((a11, a12, a21, a22), P) = 0 and riccati((a22, a21, a12, a11),
     Q) = 0 jointly over all components; solve_graded solves each inside
@@ -643,15 +647,13 @@ def split(S: PfaffianSystem, i: int, roots, order: int = 10):
         raise InputError("constant term has a single eigenvalue; "
                          "splitting needs at least two")
     V, sizes = generalized_eigenspaces(S.A[i].constant_term(), roots)
-    d1 = sizes[0]
-    gV = GaugeTransformation.from_constant(V, n)
-    S = apply_gauge(S, gV)
-    tower = S.tower
+    Vinv, d1 = V.inverse(), sizes[0]
+    tower = common_tower(S.tower, V.tower)
 
     rs1, rs2 = list(range(d1)), list(range(d1, d))
     a = []
-    for k in range(n):
-        Ak = S.A[k]
+    for M in S.A:
+        Ak = Vinv * M * V
         a.append((Ak.submatrix(rs1, rs1), Ak.submatrix(rs1, rs2),
                   Ak.submatrix(rs2, rs1), Ak.submatrix(rs2, rs2)))
 
@@ -694,7 +696,7 @@ def split(S: PfaffianSystem, i: int, roots, order: int = 10):
         T.rows[r][d1:] = P.rows[r]
     for r in range(d - d1):
         T.rows[d1 + r][:d1] = Q.rows[r]
-    return (gV.T * T, PfaffianSystem(S.vars, S.p, tops, tower),
+    return (V * T, PfaffianSystem(S.vars, S.p, tops, tower),
             PfaffianSystem(S.vars, S.p, bottoms, tower))
 
 

@@ -10,7 +10,9 @@ infinite window; a series that merely prints as zero while hi is finite
 is a truncation-limited zero, not a proven one.  A sum or product lives
 in the join of its operands' fields (scalars.common_tower), a Scalar
 operand counting by its own field, so a coefficient of a smaller field
-is kept as it is and never lifted.  The module offers ring arithmetic,
+is kept as it is and never lifted.  A product with a scalar c is the
+product with the constant series c, window included: it keeps the top
+and takes the effective floor.  The module offers ring arithmetic,
 window handling and the systems' operator x_i^{p+1} d/dx_i (euler); it
 has no series division.
 
@@ -63,26 +65,37 @@ def _sum(parts, nvars, tower, lo, hi):
     or above the narrowed top are dropped at the end.
     """
     terms: dict = {}
+    summed = []         # where a sum formed: only a sum can cancel
     for s in parts:
         if s.nvars != nvars:
             raise DimensionError("variable counts differ")
         lo = tuple(map(min, lo, s.lo))
         hi = tuple(map(min, hi, s.hi))
         tower = common_tower(tower, s.tower)
+        if not terms:
+            terms = dict(s.terms)
+            continue
         for exp, c in s.terms.items():
             t = terms.get(exp)
-            terms[exp] = c if t is None or t.is_zero() else t + c
+            if t is None or t.is_zero():
+                terms[exp] = c
+            else:
+                terms[exp] = t + c
+                summed.append(exp)
+    for exp in summed:
+        if exp in terms and terms[exp].is_zero():
+            del terms[exp]
     cut = [(k, h) for k, h in enumerate(hi) if h != INF]
-    clean = {}
-    for exp, c in terms.items():
-        if c.is_zero():
-            continue
-        for k, h in cut:
-            if exp[k] >= h:
-                break
-        else:
-            clean[exp] = c
-    return Series._trusted(nvars, clean, tower, lo, hi)
+    if cut:
+        clean = {}
+        for exp, c in terms.items():
+            for k, h in cut:
+                if exp[k] >= h:
+                    break
+            else:
+                clean[exp] = c
+        terms = clean
+    return Series._trusted(nvars, terms, tower, lo, hi)
 
 
 def grlex_key(exp):
@@ -228,11 +241,12 @@ class Series:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
             c, tower = join_scalar(other, self.tower)
+            lo = self.effective_floor()
             if c.is_zero():
-                return Series.zero(self.nvars, tower, self.lo, self.hi)
+                return Series.zero(self.nvars, tower, lo, self.hi)
             return Series._trusted(self.nvars,
                                    {e: v * c for e, v in self.terms.items()},
-                                   tower, self.lo, self.hi)
+                                   tower, lo, self.hi)
         if not isinstance(other, Series):
             return NotImplemented
         self._check_compat(other)

@@ -9,8 +9,10 @@ T_inv * (A_i * T - T.euler(i, p_i)), after which Poincare ranks are
 renormalized by own-variable valuation.  A transformation that gives
 some component a pole in a foreign variable breaks normal crossings and
 is refused.  A gauge transformation carries the T^{-1}
-that the code building T supplies, from a constant matrix or from the
-structure of T; the package inverts no series matrix.
+that the code building T supplies from the structure of T; the package
+inverts no series matrix.  A constant change of basis V is no gauge
+here: it has no derivative term, and is the product V^{-1} A_i V with a
+ConstMatrix (linalg).
 """
 
 from __future__ import annotations
@@ -180,10 +182,10 @@ def normalize_poincare(S: PfaffianSystem):
 class GaugeTransformation:
     """Invertible change of basis F = T G, built together with T^{-1}.
 
-    The constructors read T^{-1} off the structure of T (a constant,
-    diagonal monomial, permutation or unipotent matrix)
-    and compose keeps it; a caller with another T passes an inverse it
-    already knows.
+    The constructors read T^{-1} off the structure of T (a diagonal
+    monomial or unipotent matrix) and compose keeps it; a caller with
+    another T passes an inverse it already knows.  A constant change of
+    basis is a product with a ConstMatrix, not a gauge.
     """
 
     __slots__ = ("T", "T_inv")
@@ -198,10 +200,6 @@ class GaugeTransformation:
         return cls(I, I)
 
     @classmethod
-    def from_constant(cls, C, nvars):
-        return cls(C.to_series(nvars), C.inverse().to_series(nvars))
-
-    @classmethod
     def diagonal_monomial(cls, exps, nvars, tower):
         """Diag(x^e) for a list of exponent vectors e (one per row)."""
         def diag(sign):
@@ -209,16 +207,6 @@ class GaugeTransformation:
                 [[Series.monomial(nvars, [sign * x for x in e], 1, tower)]],
                 nvars, tower) for e in exps])
         return cls(diag(1), diag(-1))
-
-    @classmethod
-    def permutation(cls, order, nvars, tower):
-        """Coordinate k of G is coordinate order[k] of F; T^{-1} = T^t."""
-        d = len(order)
-        P = SeriesMatrix.zeros(d, d, nvars, tower)
-        one = Series.constant(nvars, 1, tower)
-        for new, old in enumerate(order):
-            P.rows[old][new] = one
-        return cls(P, P.transpose())
 
     @classmethod
     def unipotent(cls, N: SeriesMatrix):

@@ -207,6 +207,19 @@ MERGE_CASES = {
 }
 
 
+def jordan_systems():
+    """Regular systems whose residues are Jordan blocks, so that their
+    exponent matrices C are not diagonal: x dF/dx = [[1, 1], [0, 1]] F,
+    and the commuting pair x dF/dx = [[1, 1], [0, 1]] F,
+    y dF/dy = [[2, 3], [0, 2]] F."""
+    return {
+        "jordan": sys1([[1, 1], [0, 1]], 0),
+        "jordan-bivariate": PfaffianSystem(
+            ["x", "y"], [0, 0], [mat2([[1, 1], [0, 1]]),
+                                 mat2([[2, 3], [0, 2]])], QQ),
+    }
+
+
 def non_integrable_docs():
     """System documents that break complete integrability: x^2 F_x = y F
     beside y^2 F_y = F, and the plant generate --p 1,1 --d 2 --seed 0

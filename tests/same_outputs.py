@@ -3,8 +3,9 @@
     python3 tests/same_outputs.py CHECKOUT OUT.json
 
 CHECKOUT is the root of a source checkout (its src/ holds the package it
-imports, its perfbench/ the corpus it reads).  OUT.json maps each entry
-to what the checkout gave for it:
+imports, its perfbench/ the corpus it reads); helpers comes from the
+script's own directory, so one script feeds every checkout the same
+systems.  OUT.json maps each entry to what the checkout gave for it:
 
 - every solve-corpus item of perfbench/corpus.py (split, ramified,
   regular) at corpus seeds 0-2: the solution and trace fingerprints of
@@ -17,7 +18,9 @@ to what the checkout gave for it:
   count, and exponential_parts' s and Q at order 8, or the error each
   raised;
 - the dense systems sys1(helpers.dense_grid(d), 1) at d = 6 and 8: the
-  same two outcomes at order 10.
+  same two outcomes at order 10;
+- the two systems of helpers.jordan_systems(), whose residues are
+  Jordan blocks: the same two outcomes at order 8.
 
 Two checkouts have the same outputs when their files are equal; compare
 them with `cmp` or `diff`.  The script also prints, per module of the
@@ -108,6 +111,10 @@ def record(pf, corpus, helpers):
         out[f"dense/{d}"] = {
             "fmfs": solved(lambda: pf.driver.fmfs(S, order=10)),
             "exponential_parts": parts(pf, S, 10)}
+    for name, S in helpers.jordan_systems().items():
+        out[f"jordan/{name}"] = {
+            "fmfs": solved(lambda: pf.driver.fmfs(S, order=8)),
+            "exponential_parts": parts(pf, S, 8)}
     return out
 
 

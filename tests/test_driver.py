@@ -42,6 +42,7 @@ from pfaffred.reduction import MAX_ORDER, MAX_RETRIES, rank_reduce
 from helpers import (
     MERGE_CASES,
     hyper_system,
+    jordan_systems,
     kron_system,
     mat2,
     merge_system,
@@ -603,6 +604,47 @@ def test_clipped_window_keeps_the_exponential_parts_or_refuses(case, N):
     assert got == want
 
 
+# the clipped-window oracle of fmfs: a system known only below x^N is
+# solved beside one completion of it, the same data plus random exact
+# terms at degrees N..N+2.  What the clipped run returns holds for every
+# completion, so it must agree with this one: s, Q and C, and Phi on
+# every total degree it claims as verified, which Phi's window holds.
+# Items 49 and 121 are ramified.
+FMFS_HONESTY = [(k, R150[k][1] + dn) for k in (2, 13, 22, 28, 49, 121)
+                for dn in (5, 9)]
+
+
+def completed(S, N, rng):
+    """The one-variable S clipped below x^N, with exact terms at degrees
+    N..N+2, each present with probability 1/2, from 1, -1, 2."""
+    rows = [[Series(1, {**s.clipped((N,)).terms,
+                        **{(e,): QQ.scalar(rng.choice([1, -1, 2]))
+                           for e in range(N, N + 3) if rng.random() < 0.5}},
+                    QQ) for s in row] for row in S.A[0].rows]
+    return PfaffianSystem(S.vars, S.p, [SeriesMatrix(rows, 1, QQ)], QQ)
+
+
+@pytest.mark.parametrize("k,N", FMFS_HONESTY)
+def test_clipped_window_keeps_the_solution_or_refuses(k, N):
+    S = sys1(*R150[k])
+    try:
+        got, _ = fmfs(S.clipped((N,)), order=8)
+    except TruncationInsufficient:
+        return
+    want, _ = fmfs(completed(S, N, random.Random(100 * k + N)), order=8)
+    v = got.verified_to
+    assert v <= min(got.phi.window_hi()) - 1
+    assert got.s == want.s
+    assert [q_canonical(qs) for qs in got.Q] == [q_canonical(qs)
+                                                  for qs in want.Q]
+    assert got.C == want.C
+    for r1, r2 in zip(got.phi.rows, want.phi.rows):
+        for a, b in zip(r1, r2):
+            for e in set(a.terms) | set(b.terms):
+                if sum(e) <= v:
+                    assert a.coefficient(e) == b.coefficient(e)
+
+
 def working_orders(monkeypatch):
     """The working order of every attempt fmfs or exponential_data
     makes from now on."""
@@ -777,6 +819,24 @@ def test_fmfs_growth_orders_match_invariants():
 
 
 # -- verification ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(jordan_systems()))
+def test_jordan_block_residue_stays_in_c(name):
+    # x^C with a Jordan block C carries the log(x) coupling itself, so
+    # the diagonal of C alone does not solve the system
+    S = jordan_systems()[name]
+    sol, _ = fmfs(S, order=8)
+    assert sol.verified_to == INF
+    C1 = sol.C[0]
+    assert any(not a.is_zero() for r, row in enumerate(C1.rows)
+               for c, a in enumerate(row) if r != c)
+    diag = ConstMatrix([[a if r == c else C1.tower.zero()
+                         for c, a in enumerate(row)]
+                        for r, row in enumerate(C1.rows)], C1.tower)
+    tampered = FormalSolution(sol.phi, [diag] + sol.C[1:], sol.Q, sol.s,
+                              sol.structure)
+    assert not verify_solution(S, tampered)["ok"]
 
 
 def test_verify_detects_wrong_exponent_matrix():

@@ -11,6 +11,10 @@ skip that constructor too; their references feed the same terms through
 it.  On random series the fast paths must give the same terms (each
 coefficient in the same field), the same window and the same field.
 
+A scalar times a series must be the product with the constant series,
+window included, and a ConstMatrix times a SeriesMatrix, on either side,
+the product with its to_series.
+
 SeriesMatrix.determinant (Berkowitz's algorithm) is checked against the
 memoized Laplace expansion it replaced.  The two multiply different
 entries, so their windows may differ; they must agree on the common
@@ -23,7 +27,7 @@ import operator
 from hypothesis import given, settings, strategies as st
 
 from pfaffred.errors import NotUnitError, TruncationInsufficient
-from pfaffred.linalg import SeriesMatrix
+from pfaffred.linalg import ConstMatrix, SeriesMatrix
 from pfaffred.scalars import QQ, Scalar, common_tower
 from pfaffred.series import Series
 
@@ -208,7 +212,10 @@ def test_negation_scalar_product_and_shift_keep_the_invariant(pair, c):
     assert neg.terms == {e: -v for e, v in a.terms.items()}
     assert scaled.terms == {e: v * c for e, v in a.terms.items()
                             if not (v * c).is_zero()}
-    assert (neg.lo, neg.hi, scaled.lo, scaled.hi) == (a.lo, a.hi) * 2
+    assert (neg.lo, neg.hi) == (a.lo, a.hi)
+    # the scalar product is the product with the constant series
+    assert signature(scaled) == signature(
+        a * Series.constant(a.nvars, c, a.tower))
     assert scaled.tower == common_tower(a.tower, c.tower)
     shift = tuple(range(-1, a.nvars - 1))
     moved = a.mul_monomial(shift)
@@ -265,6 +272,21 @@ def square_matrices(draw):
              for _ in range(d)] for _ in range(d)]
     tower = common_tower(QQ, *(s.tower for r in grid for s in r))
     return SeriesMatrix(grid, n, tower)
+
+
+@given(square_matrices(), st.sampled_from([QQ, K]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_constant_matrix_multiplies_as_its_constant_series(M, field, data):
+    d = M.nrows
+    V = ConstMatrix([[data.draw(scalars(field)) for _ in range(d)]
+                     for _ in range(d)], field)
+    Vs = V.to_series(M.nvars)
+    for got, want in ((V * M, Vs * M), (M * V, M * Vs)):
+        assert isinstance(got, SeriesMatrix) and got.tower == want.tower
+        for r1, r2 in zip(got.rows, want.rows):
+            for g, w in zip(r1, r2):
+                assert signature(g) == signature(w)
+                assert_invariant(g)
 
 
 @given(square_matrices())

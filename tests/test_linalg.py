@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pfaffred.errors import NotInvertibleError
+from pfaffred.errors import DimensionError, NotInvertibleError
 from pfaffred.linalg import (
     ConstMatrix,
     Elimination,
@@ -197,6 +197,19 @@ def test_series_matrix_product():
     a = sm([[1, X1], [0, 1]])
     b = sm([[1, -X1], [0, 1]])
     assert a * b == SeriesMatrix.identity(2, 2, QQ)
+
+
+@pytest.mark.parametrize("left, right", [
+    (cm([[1, 2]]), cm([[1], [2]])),
+    (SeriesMatrix.identity(2, 1, QQ), SeriesMatrix.identity(3, 1, QQ)),
+], ids=["const", "series"])
+def test_sums_of_mismatched_shapes_are_refused(left, right):
+    # zipping rows and entries would cut both to the smaller shape
+    for a, b in ((left, right), (right, left)):
+        with pytest.raises(DimensionError, match="shape mismatch in sum"):
+            a + b
+        with pytest.raises(DimensionError, match="shape mismatch in sum"):
+            a - b
 
 
 def test_determinant_exact():

@@ -44,7 +44,7 @@ from pfaffred.reduction import (
     solve_graded,
     split,
 )
-from pfaffred.scalars import QQ, roots_of_charpoly
+from pfaffred.scalars import QQ, common_tower, roots_of_charpoly
 from pfaffred.series import INF, Series
 from pfaffred.system import (
     GaugeTransformation, PfaffianSystem, apply_gauge, check_integrability,
@@ -650,7 +650,9 @@ def split_blocks(S, i, order):
     (a11, a12, a21, a22), box of the order and the input windows)."""
     V, sizes = generalized_eigenspaces(S.A[i].constant_term(),
                                        eigenvalues(S, i))
-    S = apply_gauge(S, GaugeTransformation.from_constant(V, S.n))
+    Vinv = V.inverse()
+    S = PfaffianSystem(S.vars, S.p, [Vinv * A * V for A in S.A],
+                       common_tower(S.tower, V.tower))
     top, bottom = range(sizes[0]), range(sizes[0], S.d)
     blocks = [(A.submatrix(top, top), A.submatrix(top, bottom),
                A.submatrix(bottom, top), A.submatrix(bottom, bottom))

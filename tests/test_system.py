@@ -103,15 +103,13 @@ def _structured_gauges():
     N = mat2([[0, 0, {(1, 0): 2, (0, 3): -1}], [0, 0, {(0, 1): 1}],
               [0, 0, 0]])                          # N^2 = 0
     return {
-        "permutation": GaugeTransformation.permutation([2, 0, 1], 2, QQ),
         "diagonal_monomial": GaugeTransformation.diagonal_monomial(
             [(1, 0), (0, 2), (1, 1)], 2, QQ),
         "unipotent": GaugeTransformation.unipotent(N),
     }
 
 
-@pytest.mark.parametrize("kind", ["permutation", "diagonal_monomial",
-                                  "unipotent"])
+@pytest.mark.parametrize("kind", ["diagonal_monomial", "unipotent"])
 def test_structured_gauge_inverse_is_exact(kind):
     g = _structured_gauges()[kind]
     I = SeriesMatrix.identity(g.T.nrows, 2, QQ)
@@ -129,13 +127,6 @@ def test_generator_gauge_inverse_is_exact(shape):
     assert g.T * g.T_inv == I and g.T_inv * g.T == I
     assert all(e.hi == (INF, INF) for row in g.T_inv.rows for e in row)
     assert not g.T.is_identity()
-
-
-def test_permutation_gauge_moves_coordinates():
-    # coordinate k of G is coordinate order[k] of F
-    g = GaugeTransformation.permutation([2, 0, 1], 2, QQ)
-    assert [[int(not e.is_zero()) for e in row] for row in g.T.rows] == \
-        [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
 
 
 def _sheared(shear, exps):
