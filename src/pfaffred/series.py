@@ -12,9 +12,9 @@ in the join of its operands' fields (scalars.common_tower), a Scalar
 operand counting by its own field, so a coefficient of a smaller field
 is kept as it is and never lifted.  A product with a scalar c is the
 product with the constant series c, window included: it keeps the top
-and takes the effective floor.  The module offers ring arithmetic,
-window handling and the systems' operator x_i^{p+1} d/dx_i (euler); it
-has no series division.
+and takes the effective floor; a rational 1 shares the terms as they
+are.  The module offers ring arithmetic, window handling and the
+systems' operator x_i^{p+1} d/dx_i (euler); it has no series division.
 
 Stored-term invariant: every stored coefficient is nonzero and every
 stored exponent lies in [lo, hi).  The public constructor Series(...)
@@ -244,6 +244,10 @@ class Series:
             lo = self.effective_floor()
             if c.is_zero():
                 return Series.zero(self.nvars, tower, lo, self.hi)
+            if c.tower.degree == 1 and c.coeffs[0] == 1:
+                # a rational 1 keeps every coefficient in its own field
+                return Series._trusted(self.nvars, self.terms, tower, lo,
+                                       self.hi)
             return Series._trusted(self.nvars,
                                    {e: v * c for e, v in self.terms.items()},
                                    tower, lo, self.hi)

@@ -13,17 +13,24 @@ that the code building T supplies from the structure of T; the package
 inverts no series matrix.  A constant change of basis V is no gauge
 here: it has no derivative term, and is the product V^{-1} A_i V with a
 ConstMatrix (linalg).
+
+check_integrability makes no Series product: it computes each entry of
+the commutation rule's residual exactly, adding integer numerators in
+buckets keyed by exponent and denominator, and counts only the terms
+below the top that Series arithmetic would give the entry.
 """
 
 from __future__ import annotations
 
 import hashlib
+from math import gcd
+from operator import add, attrgetter, lt
 
 from .errors import (DimensionError, InputError, NonIntegrableError,
                      ReductionError)
 from .linalg import SeriesMatrix
 from .scalars import common_tower
-from .series import INF, Series
+from .series import INF, Series, grlex_key
 
 
 def digest(parts) -> str:
@@ -103,34 +110,106 @@ class IntegrabilityReport:
 
     def __init__(self, passed, worst, window):
         self.passed = passed
-        self.worst = worst          # (i, j, row, col, exponent) or None
+        # (i, j, row, col, exponent) of a residual term of least total
+        # degree, first in (i, j, row, col) order, its exponent the least
+        # in grlex_key order within that entry; None when all vanish
+        self.worst = worst
         self.window = window        # the data window the check covered
 
     def __bool__(self):
         return self.passed
 
 
+def _coords(s, sign):
+    """(exponent, degree in a, numerator times sign, denominator) of each
+    nonzero coordinate of each term of the series s."""
+    return [(exp, g, sign * q.numerator, q.denominator)
+            for exp, c in s.terms.items()
+            for g, q in enumerate(c.coeffs) if q]
+
+
+def _residual_exponents(S, i, j, r, c, minpoly):
+    """Exponents of the nonzero terms of the (r, c) residual entry below
+    its top.  Term pairs add numerator products into buckets keyed by
+    (exponent, degree in a, denominator); an exponent's buckets fold
+    over the lcm of their denominators, and a^2 is reduced by minpoly.
+    The top is the one Series arithmetic gives: min(h_a + l_b, h_b + l_a)
+    over effective floors per product, none for a product with an exact
+    zero factor, and an Euler term's own top moved by p in its slot."""
+    Ai, Aj = S.A[i].rows, S.A[j].rows
+    exact = (INF,) * S.n
+    top = exact
+    acc = {}
+    for P, Q, sign in ((Ai, Aj, 1), (Aj, Ai, -1)):
+        for a, row in zip(P[r], Q):
+            b = row[c]
+            if (not a.terms and a.hi == exact) or (
+                    not b.terms and b.hi == exact):
+                continue
+            if a.hi != exact or b.hi != exact:
+                top = tuple(map(min, top,
+                                map(add, a.hi, b.effective_floor()),
+                                map(add, b.hi, a.effective_floor())))
+            tb = _coords(b, 1)
+            for e1, g1, n1, d1 in _coords(a, sign):
+                for e2, g2, n2, d2 in tb:
+                    key = (tuple(map(add, e1, e2)), g1 + g2, d1 * d2)
+                    acc[key] = acc.get(key, 0) + n1 * n2
+    for e, x, sign in ((Aj[r][c], i, -1), (Ai[r][c], j, 1)):
+        p = S.p[x]
+        hi = list(e.hi)
+        hi[x] += p
+        top = tuple(map(min, top, hi))
+        for exp, g, num, den in _coords(e, sign):
+            m = exp[x]
+            if m:
+                key = (exp[:x] + (m + p,) + exp[x + 1:], g, den)
+                acc[key] = acc.get(key, 0) + m * num
+    vals = {}
+    for (exp, g, den), num in acc.items():
+        if num:
+            f = vals.get(exp)
+            if f is None:
+                f = vals[exp] = [0, 0, 0, 1, 1, 1]
+            D = f[g + 3]
+            if den == D:
+                f[g] += num
+            else:
+                h = gcd(D, den)
+                f[g] = f[g] * (den // h) + num * (D // h)
+                f[g + 3] = D * (den // h)
+    out = []
+    for exp, (v0, v1, v2, D0, D1, D2) in vals.items():
+        if v2:      # v_k / D_k - m_k v2 / D2 for the minpoly's m_0, m_1
+            m0, m1 = minpoly.coeffs[:2]
+            v0 = v0 * D2 * m0.denominator - m0.numerator * v2 * D0
+            v1 = v1 * D2 * m1.denominator - m1.numerator * v2 * D1
+        if (v0 or v1) and all(map(lt, exp, top)):
+            out.append(exp)
+    return out
+
+
 def check_integrability(S: PfaffianSystem) -> IntegrabilityReport:
     """Verify the commutation rule for every component pair.
 
     A_iA_j - A_jA_i must equal x_i^{p_i+1} dA_j/dx_i - x_j^{p_j+1} dA_i/dx_j,
-    up to the validity windows of the data.
+    up to the validity windows of the data.  Each residual entry is
+    computed exactly by _residual_exponents.  worst names a term of
+    least total degree: the first such entry in (i, j, row, col) order,
+    and in it the least exponent by series.grlex_key.
     """
+    minpoly = common_tower(S.tower, *map(attrgetter("tower"), S.A)).minpoly
     worst = None
-    hi = S.window_hi()
     for i in range(S.n):
         for j in range(i + 1, S.n):
-            res = (S.A[i] * S.A[j] - S.A[j] * S.A[i]
-                   - S.A[j].euler(i, S.p[i]) + S.A[i].euler(j, S.p[j]))
             for r in range(S.d):
                 for c in range(S.d):
-                    entry = res.rows[r][c]
-                    if not entry.is_zero():
-                        exp = min(entry.terms, key=lambda e: sum(e))
-                        cand = (i, j, r, c, exp)
+                    exps = _residual_exponents(S, i, j, r, c, minpoly)
+                    if exps:
+                        exp = min(exps, key=grlex_key)
                         if worst is None or sum(exp) < sum(worst[4]):
-                            worst = cand
-    return IntegrabilityReport(worst is None, worst, hi)
+                            worst = (i, j, r, c, exp)
+    return IntegrabilityReport(worst is None, worst, S.window_hi())
 
 
 def require_integrable(S: PfaffianSystem) -> IntegrabilityReport:

@@ -20,7 +20,12 @@ systems.  OUT.json maps each entry to what the checkout gave for it:
 - the dense systems sys1(helpers.dense_grid(d), 1) at d = 6 and 8: the
   same two outcomes at order 10;
 - the two systems of helpers.jordan_systems(), whose residues are
-  Jordan blocks: the same two outcomes at order 8.
+  Jordan blocks: the same two outcomes at order 8;
+- every system in two or more variables of the solve corpus and of the
+  cli-invariants documents at corpus seeds 0-2, and a copy of each with
+  x_1...x_n added to the last entry of the first row of A_1:
+  check_integrability's passed, (i, j, row, col) and the total degree of
+  worst's exponent, and its window.
 
 Two checkouts have the same outputs when their files are equal; compare
 them with `cmp` or `diff`.  The script also prints, per module of the
@@ -84,9 +89,35 @@ def parts(pf, S, order):
                           for q in qs] for qs in Q]}
 
 
+def integrability(pf, S):
+    """check_integrability's outcome on S, worst's exponent by degree."""
+    rep = pf.system.check_integrability(S)
+    w = rep.worst
+    return {"passed": rep.passed, "at": w and list(w[:4]),
+            "degree": w and sum(w[4]), "window": [str(h) for h in rep.window]}
+
+
+def perturbed(pf, S):
+    """S with x_1...x_n added to the last entry of the first row of A_1."""
+    A = [pf.linalg.SeriesMatrix(M.rows, S.n, S.tower) for M in S.A]
+    row = A[0].rows[0]
+    row[-1] = row[-1] + pf.series.Series.monomial(S.n, (1,) * S.n, 1, S.tower)
+    return pf.system.PfaffianSystem(S.vars, S.p, A, S.tower)
+
+
 def record(pf, corpus, helpers):
     out = {}
     for seed in SEEDS:
+        systems = [(f"{workload}/{seed}/{id_}", S)
+                   for workload in SOLVE_WORKLOADS
+                   for id_, S, _, _ in corpus.solve_inputs(pf, workload, seed)]
+        systems += [(f"cli-invariants/{seed}/{name}", S)
+                    for name, S, _ in corpus.cli_inputs(pf, seed)]
+        for key, S in systems:
+            if S.n > 1:
+                out[f"integrability/{key}"] = {
+                    "system": integrability(pf, S),
+                    "perturbed": integrability(pf, perturbed(pf, S))}
         for workload in SOLVE_WORKLOADS:
             for id_, S, order, _ in corpus.solve_inputs(pf, workload, seed):
                 out[f"{workload}/{seed}/{id_}"] = solved(

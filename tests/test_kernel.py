@@ -223,6 +223,18 @@ def test_negation_scalar_product_and_shift_keep_the_invariant(pair, c):
     assert moved.lo == tuple(l + k for l, k in zip(a.lo, shift))
 
 
+def test_a_rational_one_shares_the_terms_and_a_field_one_lifts_them():
+    q = Series(1, {(0,): QQ.scalar(2), (1,): QQ.one()}, QQ, hi=(3,))
+    k = Series(1, {(0,): QQ.scalar(2), (1,): K.generator()}, K)
+    for s, one in ((q, 1), (q, QQ.one()), (k, QQ.one())):
+        got = s * one
+        assert got.terms is s.terms
+        assert signature(got) == signature(
+            s * Series.constant(1, one, s.tower))
+    got = k * K.one()
+    assert got.terms[(0,)].tower is K and got.terms[(1,)] == K.generator()
+
+
 def test_a_cancelling_product_stores_no_zero():
     x = Series.monomial(1, (1,), 1, QQ)
     got = (1 + x) * (1 - x)
