@@ -15,11 +15,13 @@ and checked against the others.  SeriesMatrix holds Series entries and
 has no inverse: every series gauge is built with its inverse (see
 system.GaugeTransformation).  Every matrix product is _product, each
 entry a _dot that skips a product with an absent factor (a zero scalar,
-or a series zero on an infinite window).  A ConstMatrix multiplies a
-SeriesMatrix on either side, as its to_series would, so a constant
-change of basis is a plain product.  Every characteristic polynomial
-and determinant comes from Berkowitz's division-free algorithm
-(_charpoly): O(d^4) ring operations over the field or over series.
+or a series zero on an infinite window); over series it is one
+Series.sum_of_products.  A ConstMatrix multiplies a SeriesMatrix on
+either side, as its to_series would, so a constant change of basis is a
+plain product, its entries folding Series.__mul__ by a scalar.  Every
+characteristic polynomial and determinant comes from Berkowitz's
+division-free algorithm (_charpoly): O(d^4) ring operations over the
+field or over series.
 
 Sums, products (by a matrix, a series or a scalar) and block builders
 return their result in the join of the operands' fields
@@ -256,11 +258,15 @@ def _absent(a):
 
 
 def _dot(u, v, acc):
-    """acc + u_1 v_1 + u_2 v_2 + ..., folded in order; a product with an
-    _absent factor is skipped."""
-    for a, b in zip(u, v):
-        if not (_absent(a) or _absent(b)):
-            acc = acc + a * b
+    """acc + u_1 v_1 + u_2 v_2 + ..., as folding them in order gives it;
+    a product with an _absent factor is skipped.  Series times series
+    sums in one pass (Series.sum_of_products); a scalar factor folds."""
+    pairs = [(a, b) for a, b in zip(u, v) if not (_absent(a) or _absent(b))]
+    if pairs and isinstance(pairs[0][0], Series) and isinstance(
+            pairs[0][1], Series):
+        return Series.sum_of_products(pairs, acc)
+    for a, b in pairs:
+        acc = acc + a * b
     return acc
 
 

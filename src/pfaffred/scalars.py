@@ -49,6 +49,28 @@ def rational_str(q: Fraction) -> str:
             f"limit on printing integers") from None
 
 
+def fraction_sum(parts):
+    """(num, den), not in lowest terms, with num/den the sum of the
+    fractions n/d of the (n, d) integer pairs in the list parts; (0, 1)
+    when it is empty.
+
+    Neighbours add in pairs, then pairs of pairs, with no gcd: equal
+    denominators add their numerators, others multiply out.  Large
+    distinct denominators then meet ones of their own size, where a
+    running lcm would take one gcd per part against an ever larger one.
+    """
+    while len(parts) > 1:
+        merged = []
+        for k in range(1, len(parts), 2):
+            (n1, d1), (n2, d2) = parts[k - 1], parts[k]
+            merged.append((n1 + n2, d1) if d1 == d2
+                          else (n1 * d2 + n2 * d1, d1 * d2))
+        if len(parts) % 2:
+            merged.append(parts[-1])
+        parts = merged
+    return parts[0] if parts else (0, 1)
+
+
 def fraction_sqrt(q: Fraction):
     """Exact square root of a rational, or None."""
     if q < 0:

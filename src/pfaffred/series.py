@@ -26,6 +26,14 @@ the public constructor.  Sums, products and clipped drop what cancels
 and what a narrower top cuts off themselves.
 Series.sum_of adds any number of series the way a fold of + from
 Series.zero does; + is its two-operand case.
+
+Series.sum_of_products(pairs, start) is the one kernel for products of
+series: start + a_1 b_1 + a_2 b_2 + ... in one pass, exactly as the
+fold acc = acc + a * b from start gives it (terms, window, field and
+each coefficient's field).  Term pairs multiply integer numerators into
+buckets keyed by exponent, degree in a and denominator, and each
+exponent becomes one Scalar; no Scalar is made per term pair.  Series
+times Series is its one-pair case.
 """
 
 from __future__ import annotations
@@ -39,7 +47,8 @@ from .errors import (
     NotUnitError,
     TruncationInsufficient,
 )
-from .scalars import FieldTower, Scalar, common_tower, join_scalar
+from .scalars import (QQ, FieldTower, Scalar, common_tower, fraction_sum,
+                      join_scalar)
 
 INF = math.inf
 
@@ -98,6 +107,118 @@ def _sum(parts, nvars, tower, lo, hi):
     return Series._trusted(nvars, terms, tower, lo, hi)
 
 
+def _coords(terms):
+    """(exponent, code, numerator, denominator) of each nonzero coordinate
+    of each term.  The code is 0 for a rational coefficient and 3 + g
+    for coordinate g of an extension one, so the sum of two codes is
+    the degree in a of their product mod 3, and 3 or more exactly when
+    an extension coefficient took part."""
+    out = []
+    for exp, c in terms.items():
+        cs = c.coeffs
+        if len(cs) == 1:
+            q = cs[0]
+            out.append((exp, 0, q.numerator, q.denominator))
+        else:
+            for g, q in enumerate(cs, 3):
+                if q:
+                    out.append((exp, g, q.numerator, q.denominator))
+    return out
+
+
+def _products(pairs, nvars, tower, lo, hi, start):
+    """The terms dict start plus a_1 b_1 + a_2 b_2 + ... for the series
+    pairs (a_k, b_k), exactly as folding acc + a * b from a series with
+    those terms, the window [lo, hi) and the field tower gives it.
+
+    The window is [min(lo, fl_a + fl_b), min(hi, h_a + fl_b, h_b + fl_a))
+    over the pairs, with effective floors fl, and the field the join of
+    tower and the factors'.  Each term pair below that top adds its
+    numerator product into an integer bucket keyed by (exponent, code,
+    denominator product), codes as in _coords; an exponent's buckets
+    per degree in a add up (scalars.fraction_sum) and a^2 is reduced by
+    the minimal polynomial.  A coefficient's field is the fold's: the
+    join of those of the term pairs behind it since its partial sum last
+    cancelled to zero between two products, as _sum restarts.  Only when
+    rational and extension coefficients meet does that need buckets per
+    pair: the code then also holds 9 times the pair's place, start's
+    terms first.
+    """
+    add = operator.add
+    exact = (INF,) * nvars
+    factors = []
+    for a, b in pairs:
+        if a.nvars != nvars or b.nvars != nvars:
+            raise DimensionError("variable counts differ")
+        fla, flb = a.effective_floor(), b.effective_floor()
+        lo = tuple(map(min, lo, map(add, fla, flb)))
+        if a.hi != exact or b.hi != exact:
+            hi = tuple(map(min, hi, map(add, a.hi, flb), map(add, b.hi, fla)))
+        if a.tower is not tower or b.tower is not tower:
+            tower = common_tower(tower, a.tower, b.tower)
+        factors.append((_coords(a.terms), _coords(b.terms)))
+    first = _coords(start)
+    mixed = tower.minpoly is not None and len(
+        {g > 0 for cs in (first, *(c for f in factors for c in f))
+         for _, g, _, _ in cs}) > 1
+    # a product of stored terms lies above lo; only a finite top cuts
+    cut = [(k, h) for k, h in enumerate(hi) if h != INF]
+    acc: dict = {}
+    get = acc.get
+    for exp, g, num, den in first:
+        if all(exp[k] < h for k, h in cut):
+            acc[exp, g, den] = num
+    for place, (ca, cb) in enumerate(factors, 1):
+        base = 9 * place if mixed else 0
+        for e1, g1, n1, d1 in ca:
+            for e2, g2, n2, d2 in cb:
+                exp = tuple(map(add, e1, e2))
+                for k, h in cut:
+                    if exp[k] >= h:
+                        break
+                else:
+                    key = exp, base + g1 + g2, d1 * d2
+                    acc[key] = get(key, 0) + n1 * n2
+    terms = {}
+    if tower.minpoly is None:
+        sums: dict = {}
+        for (exp, _, den), num in acc.items():
+            if num:
+                sums.setdefault(exp, []).append((num, den))
+        for exp, parts in sums.items():
+            num, den = fraction_sum(parts)
+            if num:
+                terms[exp] = Scalar((Fraction(num, den),), QQ)
+        return Series._trusted(nvars, terms, tower, lo, hi)
+    m0, m1 = tower.minpoly.coeffs[:2]
+    # exponent -> place -> [extension?, parts of a^0, a^1, a^2]; a bucket
+    # that cancelled still joins its field, as a sum inside a product does
+    places: dict = {}
+    for (exp, code, den), num in acc.items():
+        place, g = divmod(code, 9)
+        rec = places.setdefault(exp, {}).setdefault(place, [False, [], [], []])
+        rec[0] = rec[0] or g >= 3
+        if num:
+            rec[1 + g % 3].append((num, den))
+    for exp, recs in places.items():
+        cur = None
+        for place in sorted(recs):
+            ext, *parts = recs[place]
+            v0, v1, v2 = (Fraction(*fraction_sum(p)) for p in parts)
+            v0, v1 = v0 - m0 * v2, v1 - m1 * v2
+            if not (v0 or v1):
+                continue            # the pair's product dropped the term
+            if cur is None:
+                cur, field = (v0, v1), ext
+            else:
+                cur, field = (cur[0] + v0, cur[1] + v1), field or ext
+                if not any(cur):
+                    cur = None      # the fold drops it, and restarts
+        if cur is not None:
+            terms[exp] = Scalar(cur, tower) if field else Scalar(cur[:1], QQ)
+    return Series._trusted(nvars, terms, tower, lo, hi)
+
+
 def grlex_key(exp):
     # graded, then x1-major within a grade
     return (sum(exp), tuple(-e for e in exp))
@@ -137,6 +258,17 @@ class Series:
         folding + from Series.zero(nvars, tower) gives it: the floor
         starts at 0, the top at infinity and the field at tower."""
         return _sum(parts, nvars, tower, (0,) * nvars, (INF,) * nvars)
+
+    @classmethod
+    def sum_of_products(cls, pairs, start):
+        """start + a_1 b_1 + a_2 b_2 + ... for the series pairs (a_k, b_k)
+        (a sequence), exactly as folding acc = acc + a * b from acc =
+        start gives it: terms, window, the field and each coefficient's
+        field.  With no pairs it is start itself."""
+        if not pairs:
+            return start
+        return _products(pairs, start.nvars, start.tower, start.lo,
+                         start.hi, start.terms)
 
     @classmethod
     def zero(cls, nvars, tower, lo=None, hi=None):
@@ -253,29 +385,9 @@ class Series:
                                    tower, lo, self.hi)
         if not isinstance(other, Series):
             return NotImplemented
-        self._check_compat(other)
-        fla, flb = self.effective_floor(), other.effective_floor()
-        lo = tuple(map(operator.add, fla, flb))
-        hi = tuple(min(ha + lb, hb + la)
-                   for ha, hb, la, lb in zip(self.hi, other.hi, fla, flb))
-        tower = common_tower(self.tower, other.tower)
-        # a product of stored terms lies above lo; only a finite top cuts
-        cut = [(k, h) for k, h in enumerate(hi) if h != INF]
-        add = operator.add
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(map(add, e1, e2))
-                for k, h in cut:
-                    if exp[k] >= h:
-                        break
-                else:
-                    prod = c1 * c2
-                    s = terms.get(exp)
-                    terms[exp] = prod if s is None else s + prod
-        return Series._trusted(
-            self.nvars, {e: c for e, c in terms.items() if not c.is_zero()},
-            tower, lo, hi)
+        n = self.nvars
+        return _products(((self, other),), n, self.tower, (INF,) * n,
+                         (INF,) * n, {})
 
     __rmul__ = __mul__
 

@@ -1,15 +1,22 @@
 """The series kernel's fast paths against the loops they replaced.
 
-Series.__mul__ and Series.__add__ build their results without the public
-constructor's checks, and SeriesMatrix.__mul__ sums each entry's
-products in one pass.  The reference implementations below are the
-plain loops those replaced: every result goes through the public
-constructor, and a matrix entry is the fold acc = acc + a * b from
-Series.zero.  The series derived from one series (Euler operator,
-restriction, coefficient, ramification, projection, clipping, zero)
-skip that constructor too; their references feed the same terms through
-it.  On random series the fast paths must give the same terms (each
-coefficient in the same field), the same window and the same field.
+Every product of two series goes through one kernel,
+Series.sum_of_products(pairs, start), which adds integer numerator
+products in buckets and must give exactly what the fold
+acc = acc + a * b from start gives: Series.__mul__ is its one-pair case
+from nothing, a SeriesMatrix entry its sum from Series.zero, and a
+Berkowitz step its sum from the step's first addend.  Series.__add__
+and the kernel build their results without the public constructor's
+checks.  The reference implementations below are the plain loops those
+replaced: every result goes through the public constructor, each term
+pair is a Scalar product, and a sum of products is that fold, where a
+coefficient that cancels to zero restarts in the field of the next
+product to land on it.  The series derived from one series (Euler
+operator, restriction, coefficient, ramification, projection, clipping,
+zero) skip that constructor too; their references feed the same terms
+through it.  On random series the fast paths must give the same terms
+(each coefficient in the same field), the same window and the same
+field.
 
 A scalar times a series must be the product with the constant series,
 window included, and a ConstMatrix times a SeriesMatrix, on either side,
@@ -23,6 +30,7 @@ window, and on exact input they must give the same terms.
 
 import math
 import operator
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
@@ -246,6 +254,18 @@ def test_a_cancelling_product_stores_no_zero():
     assert_invariant(got)
 
 
+def test_a_product_keeps_the_field_of_term_pairs_that_cancel_inside_it():
+    # at x1 x2 the pairs over Q(sqrt 2) give 1 - 1 and the pair over Q
+    # gives 1: a sum inside one product drops nothing, so the
+    # coefficient stays in the extension
+    a = Series(2, {(1, 0): K.one(), (0, 1): K.one(), (1, 1): QQ.one()}, K)
+    b = Series(2, {(0, 1): QQ.one(), (1, 0): QQ.scalar(-1),
+                   (0, 0): QQ.one()}, QQ)
+    got = a * b
+    assert got.terms[(1, 1)].tower == K
+    assert signature(got) == signature(ref_mul(a, b))
+
+
 @st.composite
 def matrix_pairs(draw):
     n = draw(st.integers(1, 3))
@@ -271,6 +291,44 @@ def test_matrix_product_matches_the_folded_sum(pair):
         for g, w in zip(r1, r2):
             assert signature(g) == signature(w)
             assert_invariant(g)
+
+
+@st.composite
+def products_from_a_start(draw):
+    """A start and up to four pairs of series, in n <= 3 variables."""
+    n = draw(st.integers(1, 3))
+    pairs = [(draw(series(n)), draw(series(n)))
+             for _ in range(draw(st.integers(0, 4)))]
+    return draw(series(n)), pairs
+
+
+@given(products_from_a_start())
+@settings(max_examples=150, deadline=None)
+def test_sum_of_products_matches_the_fold_from_its_start(case):
+    start, pairs = case
+    want = start
+    for a, b in pairs:
+        want = ref_add(want, ref_mul(a, b))
+    got = Series.sum_of_products(pairs, start)
+    assert signature(got) == signature(want)
+    assert_invariant(got)
+
+
+def test_matrix_product_restarts_a_cancelled_coefficient_in_its_own_field():
+    # (x/2) 2 - x 1 cancels at x^1 after the second product, so the fold
+    # drops it and the third product, over Q, lands there in its own
+    # field; the first two have different denominators, so no bucket
+    # cancels them before the fields are read
+    x = Series.monomial(1, (1,), K.one(), K)
+    half = Series.monomial(1, (1,), K.scalar(Fraction(1, 2)), K)
+    one, two = Series.constant(1, 1, QQ), Series.constant(1, 2, QQ)
+    A = SeriesMatrix([[half, -x, one]], 1, K)
+    B = SeriesMatrix([[two], [one], [Series.monomial(1, (1,), 1, QQ)]], 1, QQ)
+    got = (A * B).rows[0][0]
+    c = got.terms[(1,)]
+    assert c == 1 and c.tower == QQ
+    want, tower = ref_matmul(A, B)
+    assert signature(got) == signature(want[0][0]) and got.tower == tower
 
 
 @st.composite

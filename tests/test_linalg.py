@@ -199,6 +199,26 @@ def test_series_matrix_product():
     assert a * b == SeriesMatrix.identity(2, 2, QQ)
 
 
+def test_series_product_multiplies_no_scalars(monkeypatch):
+    # each entry of a dense product over Q adds integer numerator
+    # products in one pass (Series.sum_of_products), with no Scalar
+    # product per term pair
+    d = 4
+    M = mat1(dense_grid(d))
+    N = mat1(dense_grid(d, seed=1)) * Fraction(1, 3)
+    calls = []
+    product = Scalar.__mul__
+
+    def spy(x, y):
+        calls.append(1)
+        return product(x, y)
+
+    monkeypatch.setattr(Scalar, "__mul__", spy)
+    P = M * N
+    assert not calls
+    assert P.exact and not P.is_zero()
+
+
 @pytest.mark.parametrize("left, right", [
     (cm([[1, 2]]), cm([[1], [2]])),
     (SeriesMatrix.identity(2, 1, QQ), SeriesMatrix.identity(3, 1, QQ)),
@@ -320,17 +340,24 @@ def test_series_determinant_matches_sympy(case):
 
 def test_dense_determinant_takes_order_d4_products(monkeypatch):
     # Berkowitz's algorithm: O(d^4) series products, where a Laplace
-    # expansion memoized on column sets takes about d 2^(d-1)
+    # expansion memoized on column sets takes about d 2^(d-1); a product
+    # is a Series.__mul__ or one pair of a Series.sum_of_products
     d = 12
     M = mat1(dense_grid(d))
     calls = []
     product = Series.__mul__
+    products = Series.sum_of_products.__func__
 
     def spy(a, b):
         calls.append(1)
         return product(a, b)
 
+    def spy_sum(cls, pairs, start):
+        calls.append(len(pairs))
+        return products(cls, pairs, start)
+
     monkeypatch.setattr(Series, "__mul__", spy)
+    monkeypatch.setattr(Series, "sum_of_products", classmethod(spy_sum))
     det = M.determinant()
     assert det.exact and not det.is_zero()
-    assert len(calls) <= d ** 4 / 3
+    assert 0 < sum(calls) <= d ** 4 / 3
