@@ -199,8 +199,8 @@ def integral_cofactors(cols: SeriesMatrix, others, ell: int, slots,
         # the Cramer identities pin c over the fraction field; confirm
         # the column relation on every row as far as the data allows
         for t in range(cols.nrows):
-            e = Series.sum_of((cols.rows[t][c] * cof[c] for c in range(r)),
-                              nvars, tower) - v[t]
+            e = Series.sum_of_products(
+                [(cols.rows[t][c], cof[c]) for c in range(r)], -v[t])
             if not e.is_zero():
                 return None, {"exact": False,
                               "inconsistent_at": e.total_valuation()}

@@ -9,12 +9,13 @@ polynomial, closed under all arithmetic performed on it) carries an
 infinite window; a series that merely prints as zero while hi is finite
 is a truncation-limited zero, not a proven one.  A sum or product lives
 in the join of its operands' fields (scalars.common_tower), a Scalar
-operand counting by its own field, so a coefficient of a smaller field
-is kept as it is and never lifted.  A product with a scalar c is the
-product with the constant series c, window included: it keeps the top
-and takes the effective floor; a rational 1 shares the terms as they
-are.  The module offers ring arithmetic, window handling and the
-systems' operator x_i^{p+1} d/dx_i (euler); it has no series division.
+operand counting by its own field.  A coefficient's field is not part
+of a series' value: a coefficient may sit in any field that holds it,
+and nothing reads which one.  A product with a scalar c is the product
+with the constant series c, window included: it keeps the top and
+takes the effective floor; a rational 1 shares the terms as they are.
+The module offers ring arithmetic, window handling and the systems'
+operator x_i^{p+1} d/dx_i (euler); it has no series division.
 
 Stored-term invariant: every stored coefficient is nonzero and every
 stored exponent lies in [lo, hi).  The public constructor Series(...)
@@ -24,16 +25,18 @@ Results whose invariant holds by construction skip those checks through
 the module-private Series._trusted; only constant and monomial take
 the public constructor.  Sums, products and clipped drop what cancels
 and what a narrower top cuts off themselves.
-Series.sum_of adds any number of series the way a fold of + from
-Series.zero does; + is its two-operand case.
 
 Series.sum_of_products(pairs, start) is the one kernel for products of
-series: start + a_1 b_1 + a_2 b_2 + ... in one pass, exactly as the
-fold acc = acc + a * b from start gives it (terms, window, field and
-each coefficient's field).  Term pairs multiply integer numerators into
-buckets keyed by exponent, degree in a and denominator, and each
-exponent becomes one Scalar; no Scalar is made per term pair.  Series
-times Series is its one-pair case.
+series: start + a_1 b_1 + a_2 b_2 + ... in one pass, with the terms,
+window and field of the fold acc = acc + a * b from start.  Its pieces
+are public, so the integrability check (system) shares them:
+term_coordinates splits terms into integer coordinates, product_window
+is the window of one product, add_products multiplies term pairs below
+a top into integer buckets keyed by exponent, degree in a and
+denominator, and fold_buckets adds each exponent's buckets in integers.
+The kernel then makes one Scalar per exponent, in Q when it is
+rational, and none per term pair.  Series times Series is its one-pair
+case.
 """
 
 from __future__ import annotations
@@ -64,112 +67,52 @@ def _norm_window(nvars, lo, hi):
     return lo, hi
 
 
-def _sum(parts, nvars, tower, lo, hi):
-    """Sum of parts in the join of tower and their fields, on the window
-    [min(lo, their floors), min(hi, their tops)).
-
-    Coefficients add in the order of parts.  A partial sum that cancelled
-    to zero restarts from the next coefficient, as a fold of + does,
-    which drops each zero as it appears; what cancelled and what lies at
-    or above the narrowed top are dropped at the end.
-    """
-    terms: dict = {}
-    summed = []         # where a sum formed: only a sum can cancel
-    for s in parts:
-        if s.nvars != nvars:
-            raise DimensionError("variable counts differ")
-        lo = tuple(map(min, lo, s.lo))
-        hi = tuple(map(min, hi, s.hi))
-        tower = common_tower(tower, s.tower)
-        if not terms:
-            terms = dict(s.terms)
-            continue
-        for exp, c in s.terms.items():
-            t = terms.get(exp)
-            if t is None or t.is_zero():
-                terms[exp] = c
-            else:
-                terms[exp] = t + c
-                summed.append(exp)
-    for exp in summed:
-        if exp in terms and terms[exp].is_zero():
-            del terms[exp]
-    cut = [(k, h) for k, h in enumerate(hi) if h != INF]
-    if cut:
-        clean = {}
-        for exp, c in terms.items():
-            for k, h in cut:
-                if exp[k] >= h:
-                    break
-            else:
-                clean[exp] = c
-        terms = clean
-    return Series._trusted(nvars, terms, tower, lo, hi)
-
-
-def _coords(terms):
-    """(exponent, code, numerator, denominator) of each nonzero coordinate
-    of each term.  The code is 0 for a rational coefficient and 3 + g
-    for coordinate g of an extension one, so the sum of two codes is
-    the degree in a of their product mod 3, and 3 or more exactly when
-    an extension coefficient took part."""
+def term_coordinates(terms, sign):
+    """(exponent, degree in a, numerator times sign, denominator) of each
+    nonzero coordinate of each term of the terms dict."""
     out = []
     for exp, c in terms.items():
         cs = c.coeffs
         if len(cs) == 1:
             q = cs[0]
-            out.append((exp, 0, q.numerator, q.denominator))
+            out.append((exp, 0, sign * q.numerator, q.denominator))
         else:
-            for g, q in enumerate(cs, 3):
+            for g, q in enumerate(cs):
                 if q:
-                    out.append((exp, g, q.numerator, q.denominator))
+                    out.append((exp, g, sign * q.numerator, q.denominator))
     return out
 
 
-def _products(pairs, nvars, tower, lo, hi, start):
-    """The terms dict start plus a_1 b_1 + a_2 b_2 + ... for the series
-    pairs (a_k, b_k), exactly as folding acc + a * b from a series with
-    those terms, the window [lo, hi) and the field tower gives it.
-
-    The window is [min(lo, fl_a + fl_b), min(hi, h_a + fl_b, h_b + fl_a))
-    over the pairs, with effective floors fl, and the field the join of
-    tower and the factors'.  Each term pair below that top adds its
-    numerator product into an integer bucket keyed by (exponent, code,
-    denominator product), codes as in _coords; an exponent's buckets
-    per degree in a add up (scalars.fraction_sum) and a^2 is reduced by
-    the minimal polynomial.  A coefficient's field is the fold's: the
-    join of those of the term pairs behind it since its partial sum last
-    cancelled to zero between two products, as _sum restarts.  Only when
-    rational and extension coefficients meet does that need buckets per
-    pair: the code then also holds 9 times the pair's place, start's
-    terms first.
-    """
+def product_window(a, b, lo, hi):
+    """[lo, hi) widened and narrowed to hold the product of the series a
+    and b: the floor min(lo, fl_a + fl_b) and the top min(hi, h_a + fl_b,
+    h_b + fl_a), with effective floors fl; a product of exact series
+    leaves the top as it is."""
     add = operator.add
-    exact = (INF,) * nvars
-    factors = []
-    for a, b in pairs:
-        if a.nvars != nvars or b.nvars != nvars:
-            raise DimensionError("variable counts differ")
-        fla, flb = a.effective_floor(), b.effective_floor()
-        lo = tuple(map(min, lo, map(add, fla, flb)))
-        if a.hi != exact or b.hi != exact:
-            hi = tuple(map(min, hi, map(add, a.hi, flb), map(add, b.hi, fla)))
-        if a.tower is not tower or b.tower is not tower:
-            tower = common_tower(tower, a.tower, b.tower)
-        factors.append((_coords(a.terms), _coords(b.terms)))
-    first = _coords(start)
-    mixed = tower.minpoly is not None and len(
-        {g > 0 for cs in (first, *(c for f in factors for c in f))
-         for _, g, _, _ in cs}) > 1
-    # a product of stored terms lies above lo; only a finite top cuts
+    fla, flb = a.effective_floor(), b.effective_floor()
+    lo = tuple(map(min, lo, map(add, fla, flb)))
+    if a.hi != b.hi or min(a.hi) != INF:
+        hi = tuple(map(min, hi, map(add, a.hi, flb), map(add, b.hi, fla)))
+    return lo, hi
+
+
+def add_products(start, factors, hi):
+    """Integer buckets {(exponent, degree in a, denominator): numerator}
+    of the terms below the top hi of start plus the products of the
+    factors: start a term_coordinates list, and factors pairs of them,
+    each term pair of a pair making one product."""
+    add = operator.add
     cut = [(k, h) for k, h in enumerate(hi) if h != INF]
-    acc: dict = {}
-    get = acc.get
-    for exp, g, num, den in first:
-        if all(exp[k] < h for k, h in cut):
-            acc[exp, g, den] = num
-    for place, (ca, cb) in enumerate(factors, 1):
-        base = 9 * place if mixed else 0
+    buckets: dict = {}
+    get = buckets.get
+    for exp, g, num, den in start:
+        for k, h in cut:
+            if exp[k] >= h:
+                break
+        else:
+            key = exp, g, den
+            buckets[key] = get(key, 0) + num
+    for ca, cb in factors:
         for e1, g1, n1, d1 in ca:
             for e2, g2, n2, d2 in cb:
                 exp = tuple(map(add, e1, e2))
@@ -177,45 +120,73 @@ def _products(pairs, nvars, tower, lo, hi, start):
                     if exp[k] >= h:
                         break
                 else:
-                    key = exp, base + g1 + g2, d1 * d2
-                    acc[key] = get(key, 0) + n1 * n2
-    terms = {}
-    if tower.minpoly is None:
-        sums: dict = {}
-        for (exp, _, den), num in acc.items():
+                    key = exp, g1 + g2, d1 * d2
+                    buckets[key] = get(key, 0) + n1 * n2
+    return buckets
+
+
+def fold_buckets(buckets, minpoly):
+    """{exponent: (n0, d0, n1, d1)}, integers, for each exponent whose
+    buckets add up to the nonzero n0/d0 + (n1/d1) a.  Each degree in a
+    adds up by scalars.fraction_sum, and a^2 = -m1 a - m0 for the
+    minimal polynomial minpoly (None over Q, where every degree is 0)."""
+    out = {}
+    sums: dict = {}
+    if minpoly is None:
+        for (exp, _, den), num in buckets.items():
             if num:
-                sums.setdefault(exp, []).append((num, den))
+                f = sums.get(exp)
+                if f is None:
+                    sums[exp] = [(num, den)]
+                else:
+                    f.append((num, den))
         for exp, parts in sums.items():
             num, den = fraction_sum(parts)
             if num:
-                terms[exp] = Scalar((Fraction(num, den),), QQ)
-        return Series._trusted(nvars, terms, tower, lo, hi)
-    m0, m1 = tower.minpoly.coeffs[:2]
-    # exponent -> place -> [extension?, parts of a^0, a^1, a^2]; a bucket
-    # that cancelled still joins its field, as a sum inside a product does
-    places: dict = {}
-    for (exp, code, den), num in acc.items():
-        place, g = divmod(code, 9)
-        rec = places.setdefault(exp, {}).setdefault(place, [False, [], [], []])
-        rec[0] = rec[0] or g >= 3
+                out[exp] = num, den, 0, 1
+        return out
+    for (exp, g, den), num in buckets.items():
         if num:
-            rec[1 + g % 3].append((num, den))
-    for exp, recs in places.items():
-        cur = None
-        for place in sorted(recs):
-            ext, *parts = recs[place]
-            v0, v1, v2 = (Fraction(*fraction_sum(p)) for p in parts)
-            v0, v1 = v0 - m0 * v2, v1 - m1 * v2
-            if not (v0 or v1):
-                continue            # the pair's product dropped the term
-            if cur is None:
-                cur, field = (v0, v1), ext
-            else:
-                cur, field = (cur[0] + v0, cur[1] + v1), field or ext
-                if not any(cur):
-                    cur = None      # the fold drops it, and restarts
-        if cur is not None:
-            terms[exp] = Scalar(cur, tower) if field else Scalar(cur[:1], QQ)
+            f = sums.get(exp)
+            if f is None:
+                f = sums[exp] = [], [], []
+            f[g].append((num, den))
+    m0, m1 = minpoly.coeffs[:2]
+    for exp, f in sums.items():
+        (v0, d0), (v1, d1), (v2, d2) = map(fraction_sum, f)
+        if v2:      # v_k / d_k - m_k v2 / d2
+            v0, d0 = (v0 * d2 * m0.denominator - m0.numerator * v2 * d0,
+                      d0 * d2 * m0.denominator)
+            if m1:
+                v1, d1 = (v1 * d2 * m1.denominator - m1.numerator * v2 * d1,
+                          d1 * d2 * m1.denominator)
+        if v0 or v1:
+            out[exp] = v0, d0, v1, d1
+    return out
+
+
+def _products(pairs, nvars, tower, lo, hi, start):
+    """The terms start plus a_1 b_1 + a_2 b_2 + ... for the series pairs
+    (a_k, b_k), with the window and the field that folding acc + a * b
+    from a series with those terms, the window [lo, hi) and the field
+    tower gives.  start's terms and every term pair below the top add
+    into integer buckets (add_products), and each exponent makes one
+    Scalar (fold_buckets): in Q when rational, else in the result's
+    field."""
+    factors = []
+    for a, b in pairs:
+        if a.nvars != nvars or b.nvars != nvars:
+            raise DimensionError("variable counts differ")
+        lo, hi = product_window(a, b, lo, hi)
+        if a.tower is not tower or b.tower is not tower:
+            tower = common_tower(tower, a.tower, b.tower)
+        factors.append((term_coordinates(a.terms, 1),
+                        term_coordinates(b.terms, 1)))
+    buckets = add_products(term_coordinates(start, 1), factors, hi)
+    terms = {}
+    for exp, (n0, d0, n1, d1) in fold_buckets(buckets, tower.minpoly).items():
+        terms[exp] = (Scalar((Fraction(n0, d0), Fraction(n1, d1)), tower)
+                      if n1 else Scalar((Fraction(n0, d0),), QQ))
     return Series._trusted(nvars, terms, tower, lo, hi)
 
 
@@ -253,18 +224,11 @@ class Series:
         return s
 
     @classmethod
-    def sum_of(cls, parts, nvars, tower):
-        """The sum of the series parts yields (read once), exactly as
-        folding + from Series.zero(nvars, tower) gives it: the floor
-        starts at 0, the top at infinity and the field at tower."""
-        return _sum(parts, nvars, tower, (0,) * nvars, (INF,) * nvars)
-
-    @classmethod
     def sum_of_products(cls, pairs, start):
         """start + a_1 b_1 + a_2 b_2 + ... for the series pairs (a_k, b_k)
         (a sequence), exactly as folding acc = acc + a * b from acc =
-        start gives it: terms, window, the field and each coefficient's
-        field.  With no pairs it is start itself."""
+        start gives it: terms, window and field.  With no pairs it is
+        start itself."""
         if not pairs:
             return start
         return _products(pairs, start.nvars, start.tower, start.lo,
@@ -340,10 +304,6 @@ class Series:
                  if all(map(operator.lt, e, hi))}
         return Series._trusted(self.nvars, terms, self.tower, self.lo, hi)
 
-    def _check_compat(self, other):
-        if self.nvars != other.nvars:
-            raise DimensionError("variable counts differ")
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
@@ -351,7 +311,26 @@ class Series:
             other = Series.constant(self.nvars, other, self.tower)
         if not isinstance(other, Series):
             return NotImplemented
-        return _sum((self, other), self.nvars, self.tower, self.lo, self.hi)
+        if other.nvars != self.nvars:
+            raise DimensionError("variable counts differ")
+        lo = tuple(map(min, self.lo, other.lo))
+        hi = tuple(map(min, self.hi, other.hi))
+        terms = dict(self.terms)
+        for exp, c in other.terms.items():
+            t = terms.get(exp)
+            if t is None:
+                terms[exp] = c
+                continue
+            t = t + c
+            if t.is_zero():
+                del terms[exp]
+            else:
+                terms[exp] = t
+        if hi != self.hi or hi != other.hi:
+            terms = {e: c for e, c in terms.items()
+                     if all(map(operator.lt, e, hi))}
+        return Series._trusted(self.nvars, terms,
+                               common_tower(self.tower, other.tower), lo, hi)
 
     __radd__ = __add__
 
@@ -377,7 +356,7 @@ class Series:
             if c.is_zero():
                 return Series.zero(self.nvars, tower, lo, self.hi)
             if c.tower.degree == 1 and c.coeffs[0] == 1:
-                # a rational 1 keeps every coefficient in its own field
+                # a rational 1 shares the terms as they are
                 return Series._trusted(self.nvars, self.terms, tower, lo,
                                        self.hi)
             return Series._trusted(self.nvars,
@@ -407,7 +386,8 @@ class Series:
         for exp, c in self.terms.items():
             k = exp[i]
             if k:
-                terms[exp[:i] + (k + p,) + exp[i + 1:]] = c * k
+                terms[exp[:i] + (k + p,) + exp[i + 1:]] = c if k == 1 else (
+                    Scalar(tuple(x * k for x in c.coeffs), c.tower))
         lo = self.lo[:i] + (self.lo[i] + p,) + self.lo[i + 1:]
         hi = self.hi[:i] + (self.hi[i] + p,) + self.hi[i + 1:]
         return Series._trusted(self.nvars, terms, self.tower, lo, hi)
@@ -456,11 +436,14 @@ class Series:
 
     # -- comparisons -------------------------------------------------------
 
-    def agrees(self, other) -> bool:
+    def __eq__(self, other):
         """Equality of stored content on the common validity window."""
         if isinstance(other, (int, Fraction, Scalar)):
             other = Series.constant(self.nvars, other, self.tower)
-        self._check_compat(other)
+        elif not isinstance(other, Series):
+            return NotImplemented
+        if self.nvars != other.nvars:
+            raise DimensionError("variable counts differ")
         hi = tuple(min(a, b) for a, b in zip(self.hi, other.hi))
         inside = lambda e: all(x < h for x, h in zip(e, hi))
         for e, c in self.terms.items():
@@ -470,11 +453,6 @@ class Series:
             if inside(e) and self.terms.get(e, c - c) != c:
                 return False
         return True
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Scalar, Series)):
-            return self.agrees(other)
-        return NotImplemented
 
     __hash__ = None  # window-relative equality is not hash-compatible
 

@@ -15,25 +15,24 @@ here: it has no derivative term, and is the product V^{-1} A_i V with a
 ConstMatrix (linalg).
 
 check_integrability makes no Series product: it computes each entry of
-the commutation rule's residual exactly, adding integer numerators in
-buckets keyed by exponent and denominator, the arithmetic of
-Series.sum_of_products, and counts only the terms below the top that
-Series arithmetic would give the entry.  It keeps its own loop: through
-the kernel every entry would build a Series per Euler term, negate a
-row and take the window of every pair, which made the check about twice
-as slow on small systems; it needs only which exponents survive.
+the commutation rule's residual exactly from the pieces of the series
+kernel (Series.sum_of_products), the Euler terms from Series.euler.  It
+takes the entry's top by the kernel's window rule, adds the term pairs
+below it into integer buckets and folds them in integers, making no
+Fraction: it needs only which exponents survive.
 """
 
 from __future__ import annotations
 
 import hashlib
-from operator import add, attrgetter, lt
+from operator import attrgetter
 
 from .errors import (DimensionError, InputError, NonIntegrableError,
                      ReductionError)
 from .linalg import SeriesMatrix
-from .scalars import common_tower, fraction_sum
-from .series import INF, Series, grlex_key
+from .scalars import common_tower
+from .series import (INF, Series, add_products, fold_buckets, grlex_key,
+                     product_window, term_coordinates)
 
 
 def digest(parts) -> str:
@@ -123,68 +122,35 @@ class IntegrabilityReport:
         return self.passed
 
 
-def _coords(s, sign):
-    """(exponent, degree in a, numerator times sign, denominator) of each
-    nonzero coordinate of each term of the series s."""
-    return [(exp, g, sign * q.numerator, q.denominator)
-            for exp, c in s.terms.items()
-            for g, q in enumerate(c.coeffs) if q]
+def _coordinate_grid(M, sign):
+    """series.term_coordinates of each entry of M, times sign."""
+    return [[term_coordinates(e.terms, sign) for e in row] for row in M.rows]
 
 
-def _residual_exponents(S, i, j, r, c, minpoly):
+def _residual_exponents(S, i, j, r, c, grids, minpoly):
     """Exponents of the nonzero terms of the (r, c) residual entry below
-    its top.  Term pairs add numerator products into buckets keyed by
-    (exponent, degree in a, denominator); an exponent's buckets add up
-    by scalars.fraction_sum, and a^2 is reduced by minpoly.
-    The top is the one Series arithmetic gives: min(h_a + l_b, h_b + l_a)
-    over effective floors per product, none for a product with an exact
-    zero factor, and an Euler term's own top moved by p in its slot."""
-    Ai, Aj = S.A[i].rows, S.A[j].rows
-    exact = (INF,) * S.n
-    top = exact
-    acc = {}
-    for P, Q, sign in ((Ai, Aj, 1), (Aj, Ai, -1)):
-        for a, row in zip(P[r], Q):
+    its top, from the series kernel's pieces: the Euler terms' own
+    windows and each product's series.product_window set the top, a
+    product with an exact zero factor none, and term pairs below it add
+    into integer buckets that series.fold_buckets adds up.  grids holds
+    the coordinate grids of A_i, A_j and -A_j."""
+    top = exact = (INF,) * S.n
+    start, factors = [], []
+    for e, sign in ((S.A[j].rows[r][c].euler(i, S.p[i]), -1),
+                    (S.A[i].rows[r][c].euler(j, S.p[j]), 1)):
+        top = tuple(map(min, top, e.hi))
+        start += term_coordinates(e.terms, sign)
+    Ci, Cj, negCj = grids
+    for x, y, P, Q in ((i, j, Ci, Cj), (j, i, negCj, Ci)):
+        for k, (a, row) in enumerate(zip(S.A[x].rows[r], S.A[y].rows)):
             b = row[c]
             if (not a.terms and a.hi == exact) or (
                     not b.terms and b.hi == exact):
                 continue
-            if a.hi != exact or b.hi != exact:
-                top = tuple(map(min, top,
-                                map(add, a.hi, b.effective_floor()),
-                                map(add, b.hi, a.effective_floor())))
-            tb = _coords(b, 1)
-            for e1, g1, n1, d1 in _coords(a, sign):
-                for e2, g2, n2, d2 in tb:
-                    key = (tuple(map(add, e1, e2)), g1 + g2, d1 * d2)
-                    acc[key] = acc.get(key, 0) + n1 * n2
-    for e, x, sign in ((Aj[r][c], i, -1), (Ai[r][c], j, 1)):
-        p = S.p[x]
-        hi = list(e.hi)
-        hi[x] += p
-        top = tuple(map(min, top, hi))
-        for exp, g, num, den in _coords(e, sign):
-            m = exp[x]
-            if m:
-                key = (exp[:x] + (m + p,) + exp[x + 1:], g, den)
-                acc[key] = acc.get(key, 0) + m * num
-    vals = {}
-    for (exp, g, den), num in acc.items():
-        if num:
-            f = vals.get(exp)
-            if f is None:
-                f = vals[exp] = [[], [], []]
-            f[g].append((num, den))
-    out = []
-    for exp, f in vals.items():
-        (v0, D0), (v1, D1), (v2, D2) = map(fraction_sum, f)
-        if v2:      # v_k / D_k - m_k v2 / D2 for the minpoly's m_0, m_1
-            m0, m1 = minpoly.coeffs[:2]
-            v0 = v0 * D2 * m0.denominator - m0.numerator * v2 * D0
-            v1 = v1 * D2 * m1.denominator - m1.numerator * v2 * D1
-        if (v0 or v1) and all(map(lt, exp, top)):
-            out.append(exp)
-    return out
+            if a.hi != exact or b.hi != exact:   # the floor is not wanted
+                _, top = product_window(a, b, exact, top)
+            factors.append((P[r][k], Q[k][c]))
+    return list(fold_buckets(add_products(start, factors, top), minpoly))
 
 
 def check_integrability(S: PfaffianSystem) -> IntegrabilityReport:
@@ -197,12 +163,14 @@ def check_integrability(S: PfaffianSystem) -> IntegrabilityReport:
     and in it the least exponent by series.grlex_key.
     """
     minpoly = common_tower(S.tower, *map(attrgetter("tower"), S.A)).minpoly
+    grid = [_coordinate_grid(M, 1) for M in S.A]
     worst = None
     for i in range(S.n):
         for j in range(i + 1, S.n):
+            grids = grid[i], grid[j], _coordinate_grid(S.A[j], -1)
             for r in range(S.d):
                 for c in range(S.d):
-                    exps = _residual_exponents(S, i, j, r, c, minpoly)
+                    exps = _residual_exponents(S, i, j, r, c, grids, minpoly)
                     if exps:
                         exp = min(exps, key=grlex_key)
                         if worst is None or sum(exp) < sum(worst[4]):

@@ -9,14 +9,14 @@ Berkowitz step its sum from the step's first addend.  Series.__add__
 and the kernel build their results without the public constructor's
 checks.  The reference implementations below are the plain loops those
 replaced: every result goes through the public constructor, each term
-pair is a Scalar product, and a sum of products is that fold, where a
-coefficient that cancels to zero restarts in the field of the next
-product to land on it.  The series derived from one series (Euler
-operator, restriction, coefficient, ramification, projection, clipping,
-zero) skip that constructor too; their references feed the same terms
-through it.  On random series the fast paths must give the same terms
-(each coefficient in the same field), the same window and the same
-field.
+pair is a Scalar product, and a sum of products is that fold.  The
+series derived from one series (Euler operator, restriction,
+coefficient, ramification, projection, clipping, zero) skip that
+constructor too; their references feed the same terms through it.  On
+random series the fast paths must give the same terms, the same window
+and the same field.  Terms compare by value: a coefficient's field is
+not part of a series' value, and the kernel holds a rational
+coefficient in Q where the fold may leave it in the extension.
 
 A scalar times a series must be the product with the constant series,
 window included, and a ConstMatrix times a SeriesMatrix, on either side,
@@ -34,10 +34,13 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from pfaffred import docio
+from pfaffred.driver import FormalSolution
 from pfaffred.errors import NotUnitError, TruncationInsufficient
 from pfaffred.linalg import ConstMatrix, SeriesMatrix
-from pfaffred.scalars import QQ, Scalar, common_tower
+from pfaffred.scalars import QQ, common_tower, roots_of_charpoly
 from pfaffred.series import Series
+from pfaffred.system import PfaffianSystem
 
 INF = math.inf
 K = QQ.adjoin([-2, 0, 1])  # Q(sqrt 2)
@@ -175,10 +178,9 @@ def series_pairs(draw):
 
 
 def signature(s):
-    """Everything a result is compared on: each term with its
-    coefficient's field, the window and the field."""
-    return ({e: (c, c.tower) for e, c in s.terms.items()},
-            s.lo, s.hi, s.tower)
+    """Everything a result is compared on: each term's coefficient by
+    value, the window and the field."""
+    return dict(s.terms), s.lo, s.hi, s.tower
 
 
 def assert_invariant(s):
@@ -254,16 +256,39 @@ def test_a_cancelling_product_stores_no_zero():
     assert_invariant(got)
 
 
-def test_a_product_keeps_the_field_of_term_pairs_that_cancel_inside_it():
+def test_a_product_holds_a_rational_coefficient_in_q():
     # at x1 x2 the pairs over Q(sqrt 2) give 1 - 1 and the pair over Q
-    # gives 1: a sum inside one product drops nothing, so the
-    # coefficient stays in the extension
+    # gives 1: the coefficient is 1, held in Q though the series and
+    # the fold are over the extension
     a = Series(2, {(1, 0): K.one(), (0, 1): K.one(), (1, 1): QQ.one()}, K)
     b = Series(2, {(0, 1): QQ.one(), (1, 0): QQ.scalar(-1),
                    (0, 0): QQ.one()}, QQ)
     got = a * b
-    assert got.terms[(1, 1)].tower == K
+    c = got.terms[(1, 1)]
+    assert c == 1 and c.tower is QQ and got.tower is K
+    assert ref_mul(a, b).terms[(1, 1)].tower == K
     assert signature(got) == signature(ref_mul(a, b))
+
+
+def test_outputs_read_a_coefficients_value_not_its_field():
+    # the same rational 2 held in Q and in Q(sqrt 2), in a series, a
+    # system, a solution and a constant matrix over Q(sqrt 2)
+    outputs = []
+    for two in (QQ.scalar(2), K.scalar(2)):
+        s = Series(2, {(0, 0): two, (1, 0): K.generator(),
+                       (0, 1): QQ.scalar(Fraction(1, 3))}, K)
+        one, zero = Series.constant(2, 1, K), Series.zero(2, K)
+        A = SeriesMatrix([[zero, one], [s, zero]], 2, K)
+        S = PfaffianSystem(["x1", "x2"], [1, 0],
+                           [A, SeriesMatrix.zeros(2, 2, 2, K)], K)
+        M = ConstMatrix([[K.zero(), K.one()], [two, K.zero()]], K)
+        sol = FormalSolution(A, [M, M], [[{Fraction(-1): two}, {}], [{}, {}]],
+                             [1, 1], "fixed")
+        roots = roots_of_charpoly(M.charpoly())
+        outputs.append((str(s), docio.matrix_to_json(A), S.fingerprint(),
+                        sol.fingerprint(),
+                        [(str(r), r.tower.minpoly, m) for r, m in roots]))
+    assert outputs[0] == outputs[1]
 
 
 @st.composite
@@ -368,21 +393,6 @@ def test_determinant_matches_the_minor_expansion(M):
     if M.exact:
         assert got.exact and want.exact
         assert got.terms == want.terms
-
-
-def test_sum_of_nothing_is_the_exact_zero():
-    z = Series.sum_of([], 2, K)
-    assert (z.terms, z.lo, z.hi, z.tower) == ({}, (0, 0), (INF, INF), K)
-
-
-def test_sum_of_restarts_a_cancelled_coefficient_in_its_own_field():
-    # the fold drops x - x at once, so the later 1 stays over Q
-    x = Series.monomial(1, (1,), K.one(), K)
-    one = Series.monomial(1, (1,), 1, QQ)
-    got = Series.sum_of([x, -x, one], 1, QQ)
-    c = got.terms[(1,)]
-    assert isinstance(c, Scalar) and c == 1 and c.tower is QQ
-    assert got.tower is K
 
 
 # -- derived series against the public constructor --------------------------
