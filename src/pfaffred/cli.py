@@ -75,6 +75,7 @@ code comes back.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -329,7 +330,9 @@ def _cmd_generate(args):
     return doc, None
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser():
+    """The argument parser, built on the first main call and reused."""
     ap = _Parser(
         prog="pfaffred",
         description="Normal forms and invariants for integrable Pfaffian "
@@ -376,12 +379,15 @@ def main(argv=None) -> int:
                     help="plant a ramified (s=2) block in the first variable")
     gn.add_argument("--gauge-ops", type=int, default=4)
     gn.add_argument("--gauge-degree", type=int, default=2)
+    return ap
 
+
+def main(argv=None) -> int:
     handlers = {"check": _cmd_check, "invariants": _cmd_invariants,
                 "rank-reduce": _cmd_rank_reduce, "reduce": _cmd_reduce,
                 "verify": _cmd_verify, "generate": _cmd_generate}
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
         result = handlers[args.command](args)
     except _INPUT_ERRORS as exc:
         code, out = 1, _error_text(exc)

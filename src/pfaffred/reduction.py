@@ -70,7 +70,9 @@ from .linalg import (
     generalized_eigenspaces,
 )
 from .scalars import Scalar, common_tower
-from .series import INF, Series
+from .series import (INF, Series, coordinate_grid, divide_form,
+                     fold_coordinates, fold_scalars, grid_product,
+                     term_coordinates)
 from .system import (
     GaugeTransformation,
     PfaffianSystem,
@@ -100,37 +102,6 @@ def check_order(order, max_retries=0):
 # ---------------------------------------------------------------------------
 # column reduction of the leading coefficient
 # ---------------------------------------------------------------------------
-
-def _graded_piece(s: Series, g: int):
-    return {e: c for e, c in s.terms.items() if sum(e) == g}
-
-
-def _divide_form(F: dict, Dk: dict, slots):
-    """The form c, supported on the slot variables, with Dk c = F, or
-    None when there is none; F and Dk are homogeneous {exponent: scalar}.
-
-    Each step divides the lex-leading term of what is left of F by that
-    of Dk.  Dk alone is a Groebner basis of the ideal it generates, so
-    this finds c whenever it exists, and otherwise meets a term it
-    cannot divide; c is unique, since multiplying by Dk is injective.
-    """
-    lead = max(Dk)
-    inv = Dk[lead].inverse()
-    F, c = dict(F), {}
-    while F:
-        m = max(F)
-        q = tuple(a - b for a, b in zip(m, lead))
-        if min(q) < 0 or sum(q[j] for j in slots) < sum(q):
-            return None
-        cq = c[q] = F[m] * inv
-        for e, a in Dk.items():
-            t = tuple(x + y for x, y in zip(e, q))
-            v = F.pop(t, None)
-            v = -a * cq if v is None else v - a * cq
-            if not v.is_zero():
-                F[t] = v
-    return c
-
 
 def integral_cofactors(cols: SeriesMatrix, others, ell: int, slots,
                        pivots=None):
@@ -174,7 +145,7 @@ def integral_cofactors(cols: SeriesMatrix, others, ell: int, slots,
         raise TruncationInsufficient(
             f"cofactor solve needs data beyond total degree {depth + k}",
             final=rate >= -(-win // (ell + 1)))
-    Dk = _graded_piece(D, k)
+    Dk = D.form(k)
     hi = tuple(ell + 1 if j in slots else INF for j in range(nvars))
     out, exact = [], True
     for v in others:
@@ -185,7 +156,7 @@ def integral_cofactors(cols: SeriesMatrix, others, ell: int, slots,
             for g in range(depth + 1):
                 if residual.is_zero():
                     break
-                c = _divide_form(_graded_piece(residual, k + g), Dk, slots)
+                c = divide_form(residual.form(k + g), Dk, slots)
                 if c is None:
                     return None, {"exact": False, "inconsistent_at": g}
                 if c:
@@ -500,10 +471,16 @@ def solve_graded(blocks, p, box, tower):
     heap in (|beta|, beta) order.  A solved X_beta is scattered at once
     through the nonconstant grades of b11 and b22 and, when p_k >= 1,
     through the derivative term, which lands at beta + p_k e_k.  Once a
-    total degree is done, its increment D adds
-    -(D b21 X + (X + D) b21 D) through products clipped to the box.
-    b12's constant term is not read; an inconsistent beta raises
-    ResonanceError carrying the grade.
+    total degree is done, its increment D adds -(D b21 X + (X + D) b21 D)
+    from the series kernel's pieces: term pairs below box go into
+    integer buckets, D b21 and b21 D fold to coordinates and the sum to
+    one Scalar per exponent (series.fold_scalars).  X is kept as terms
+    per entry and becomes a SeriesMatrix once, at the end.  That is what
+    SeriesMatrix products clipped to box give, since no product's top
+    falls below box, provided every block term has nonnegative exponents
+    and b21's window reaches box, as in split.  b12's constant term is
+    not read; an inconsistent beta raises ResonanceError carrying the
+    grade.
     """
     n = len(box)
     nr, nc = blocks[0][1].nrows, blocks[0][1].ncols
@@ -547,7 +524,13 @@ def solve_graded(blocks, p, box, tower):
             for i, j, a in nz:
                 r[k * size + i * nc + j] += a
 
-    X = SeriesMatrix.zeros(nr, nc, n, tower)
+    # X as terms {beta: value} per entry (i, j) and, with a quadratic
+    # term, as a grid of coordinate lists that no step changes in place
+    xt = {}
+    if quadratic:
+        xc = [[[]] * nc] * nr
+        b21s = [coordinate_grid(b[2], 1) for b in blocks]
+        field = common_tower(tower, *(b[2].tower for b in blocks))
     while heap:
         g = heap[0][0]
         terms: dict = {}
@@ -582,21 +565,27 @@ def solve_graded(blocks, p, box, tower):
                         r = rhs(target)
                         for i, v in xs.items():
                             r[base + i] -= beta[k] * v
-        if not terms:
-            continue
-        D = SeriesMatrix.zeros(nr, nc, n, tower)
-        for (i, j), t in terms.items():
-            D.rows[i][j] = Series(n, t, tower)
-        XD = X + D
-        if quadratic:
-            for k, (_, _, b21, _) in enumerate(blocks):
-                R = ((D * b21).clipped(box) * X
-                     + XD * (b21 * D).clipped(box)).clipped(box)
-                for i, row in enumerate(R.rows):
-                    for j, s in enumerate(row):
-                        for e, v in s.terms.items():
+        if quadratic and terms:
+            dc = [[[]] * nc for _ in range(nr)]
+            for (i, j), t in terms.items():
+                dc[i][j] = term_coordinates(t, 1)
+            xdc = [list(map(list.__add__, x, d)) for x, d in zip(xc, dc)]
+            for k, b21 in enumerate(b21s):
+                # R = [D b21 | X + D] [X; b21 D], each product below box
+                Y = grid_product(dc, b21, box, fold_coordinates, field)
+                Z = grid_product(b21, dc, box, fold_coordinates, field)
+                for i, row in enumerate(grid_product(
+                        list(map(list.__add__, Y, xdc)), xc + Z, box,
+                        fold_scalars, field)):
+                    for j, t in enumerate(row):
+                        for e, v in t.items():
                             rhs(e)[k * size + i * nc + j] -= v
-        X = XD
+            xc = xdc
+        for ij, t in terms.items():
+            xt.setdefault(ij, {}).update(t)
+    X = SeriesMatrix.zeros(nr, nc, n, tower)
+    for (i, j), t in xt.items():
+        X.rows[i][j] = Series(n, t, tower)
     return X
 
 

@@ -15,7 +15,8 @@ and nothing reads which one.  A product with a scalar c is the product
 with the constant series c, window included: it keeps the top and
 takes the effective floor; a rational 1 shares the terms as they are.
 The module offers ring arithmetic, window handling and the systems'
-operator x_i^{p+1} d/dx_i (euler); it has no series division.
+operator x_i^{p+1} d/dx_i (euler); it has no series division, only the
+exact division of forms (divide_form) that the column reduction uses.
 
 Stored-term invariant: every stored coefficient is nonzero and every
 stored exponent lies in [lo, hi).  The public constructor Series(...)
@@ -29,14 +30,15 @@ and what a narrower top cuts off themselves.
 Series.sum_of_products(pairs, start) is the one kernel for products of
 series: start + a_1 b_1 + a_2 b_2 + ... in one pass, with the terms,
 window and field of the fold acc = acc + a * b from start.  Its pieces
-are public, so the integrability check (system) shares them:
-term_coordinates splits terms into integer coordinates, product_window
-is the window of one product, add_products multiplies term pairs below
-a top into integer buckets keyed by exponent, degree in a and
-denominator, and fold_buckets adds each exponent's buckets in integers.
-The kernel then makes one Scalar per exponent, in Q when it is
-rational, and none per term pair.  Series times Series is its one-pair
-case.
+are public, so the integrability check (system) and the graded Riccati
+solver (reduction.solve_graded) share them: term_coordinates splits
+terms into integer coordinates, product_window is the window of one
+product, add_products multiplies term pairs below a top into integer
+buckets keyed by exponent, degree in a and denominator, fold_buckets
+adds each exponent's buckets in integers, and fold_scalars makes one
+Scalar per exponent, in Q when it is rational, and none per term pair.
+Series times Series is the kernel's one-pair case; coordinate_grid and
+grid_product apply the pieces to matrices of series.
 """
 
 from __future__ import annotations
@@ -165,14 +167,48 @@ def fold_buckets(buckets, minpoly):
     return out
 
 
+def coordinate_grid(M, sign):
+    """term_coordinates of each entry of the matrix M, times sign."""
+    return [[term_coordinates(e.terms, sign) for e in row] for row in M.rows]
+
+
+def grid_product(A, B, hi, fold, tower):
+    """fold(buckets, tower) per entry of the product of the coordinate
+    grids A and B, the buckets holding its term pairs below hi."""
+    cols = list(zip(*B))
+    return [[fold(add_products((), f, hi) if (
+        f := list(filter(all, zip(r, c)))) else {}, tower) for c in cols]
+        for r in A]
+
+
+def fold_coordinates(buckets, tower):
+    """term_coordinates of the terms fold_buckets adds up in tower, with
+    no Scalar made."""
+    out = []
+    for e, (n0, d0, n1, d1) in fold_buckets(buckets, tower.minpoly).items():
+        if n0:
+            out.append((e, 0, n0, d0))
+        if n1:
+            out.append((e, 1, n1, d1))
+    return out
+
+
+def fold_scalars(buckets, tower):
+    """{exponent: Scalar} of fold_buckets(buckets, tower.minpoly): one
+    Scalar per exponent, in Q when it is rational, else in tower."""
+    return {exp: Scalar((Fraction(n0, d0), Fraction(n1, d1)), tower)
+            if n1 else Scalar((Fraction(n0, d0),), QQ)
+            for exp, (n0, d0, n1, d1)
+            in fold_buckets(buckets, tower.minpoly).items()}
+
+
 def _products(pairs, nvars, tower, lo, hi, start):
     """The terms start plus a_1 b_1 + a_2 b_2 + ... for the series pairs
     (a_k, b_k), with the window and the field that folding acc + a * b
     from a series with those terms, the window [lo, hi) and the field
     tower gives.  start's terms and every term pair below the top add
     into integer buckets (add_products), and each exponent makes one
-    Scalar (fold_buckets): in Q when rational, else in the result's
-    field."""
+    Scalar (fold_scalars)."""
     factors = []
     for a, b in pairs:
         if a.nvars != nvars or b.nvars != nvars:
@@ -183,11 +219,34 @@ def _products(pairs, nvars, tower, lo, hi, start):
         factors.append((term_coordinates(a.terms, 1),
                         term_coordinates(b.terms, 1)))
     buckets = add_products(term_coordinates(start, 1), factors, hi)
-    terms = {}
-    for exp, (n0, d0, n1, d1) in fold_buckets(buckets, tower.minpoly).items():
-        terms[exp] = (Scalar((Fraction(n0, d0), Fraction(n1, d1)), tower)
-                      if n1 else Scalar((Fraction(n0, d0),), QQ))
-    return Series._trusted(nvars, terms, tower, lo, hi)
+    return Series._trusted(nvars, fold_scalars(buckets, tower), tower, lo, hi)
+
+
+def divide_form(F: dict, Dk: dict, slots):
+    """The form c, supported on the slot variables, with Dk c = F, or
+    None when there is none; F and Dk are homogeneous {exponent: scalar}.
+
+    Each step divides the lex-leading term of what is left of F by that
+    of Dk.  Dk alone is a Groebner basis of the ideal it generates, so
+    this finds c whenever it exists, and otherwise meets a term it
+    cannot divide; c is unique, since multiplying by Dk is injective.
+    """
+    lead = max(Dk)
+    inv = Dk[lead].inverse()
+    F, c = dict(F), {}
+    while F:
+        m = max(F)
+        q = tuple(a - b for a, b in zip(m, lead))
+        if min(q) < 0 or sum(q[j] for j in slots) < sum(q):
+            return None
+        cq = c[q] = F[m] * inv
+        for e, a in Dk.items():
+            t = tuple(x + y for x, y in zip(e, q))
+            v = F.pop(t, None)
+            v = -a * cq if v is None else v - a * cq
+            if not v.is_zero():
+                F[t] = v
+    return c
 
 
 def grlex_key(exp):
@@ -266,7 +325,12 @@ class Series:
         exp = tuple(exp)
         if any(e >= h for e, h in zip(exp, self.hi)):
             raise TruncationInsufficient("coefficient beyond truncation")
-        return self.terms.get(exp, self.tower.zero())
+        c = self.terms.get(exp)
+        return self.tower.zero() if c is None else c
+
+    def form(self, g):
+        """{exponent: coefficient} of the terms of total degree g."""
+        return {e: c for e, c in self.terms.items() if sum(e) == g}
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]))

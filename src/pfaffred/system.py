@@ -31,8 +31,9 @@ from .errors import (DimensionError, InputError, NonIntegrableError,
                      ReductionError)
 from .linalg import SeriesMatrix
 from .scalars import common_tower
-from .series import (INF, Series, add_products, fold_buckets, grlex_key,
-                     product_window, term_coordinates)
+from .series import (INF, Series, add_products, coordinate_grid,
+                     fold_buckets, grlex_key, product_window,
+                     term_coordinates)
 
 
 def digest(parts) -> str:
@@ -122,11 +123,6 @@ class IntegrabilityReport:
         return self.passed
 
 
-def _coordinate_grid(M, sign):
-    """series.term_coordinates of each entry of M, times sign."""
-    return [[term_coordinates(e.terms, sign) for e in row] for row in M.rows]
-
-
 def _residual_exponents(S, i, j, r, c, grids, minpoly):
     """Exponents of the nonzero terms of the (r, c) residual entry below
     its top, from the series kernel's pieces: the Euler terms' own
@@ -163,11 +159,11 @@ def check_integrability(S: PfaffianSystem) -> IntegrabilityReport:
     and in it the least exponent by series.grlex_key.
     """
     minpoly = common_tower(S.tower, *map(attrgetter("tower"), S.A)).minpoly
-    grid = [_coordinate_grid(M, 1) for M in S.A]
+    grid = [coordinate_grid(M, 1) for M in S.A]
     worst = None
     for i in range(S.n):
         for j in range(i + 1, S.n):
-            grids = grid[i], grid[j], _coordinate_grid(S.A[j], -1)
+            grids = grid[i], grid[j], coordinate_grid(S.A[j], -1)
             for r in range(S.d):
                 for c in range(S.d):
                     exps = _residual_exponents(S, i, j, r, c, grids, minpoly)

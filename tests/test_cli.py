@@ -65,6 +65,34 @@ def test_every_subcommand_on_hyper(tmp_path, capsys):
     assert generated["d"] == 2 and "expected" in generated
 
 
+def test_main_builds_one_parser_for_many_calls(tmp_path, capsys,
+                                               monkeypatch):
+    # calls with different subcommands share the parser the first one
+    # builds, and each prints what it prints with a parser of its own
+    doc = write_json(tmp_path / "hyper.json", serialize_system(hyper_system()))
+    argvs = [["check", doc], ["generate", "--seed", "3", "--d", "2"],
+             ["rank-reduce", doc, "--pretty"]]
+    alone = []
+    for argv in argvs:
+        cli._parser.cache_clear()
+        alone.append((main(argv), capsys.readouterr().out))
+    built = []
+
+    class Counted(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", Counted)
+    cli._parser.cache_clear()
+    try:
+        together = [(main(argv), capsys.readouterr().out) for argv in argvs]
+    finally:
+        cli._parser.cache_clear()
+    assert together == alone
+    assert built.count("pfaffred") == 1
+
+
 def _set_first_exp(doc, exp):
     doc["A"][0][0][0][0]["exp"] = exp
 

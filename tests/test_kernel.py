@@ -339,11 +339,13 @@ def test_sum_of_products_matches_the_fold_from_its_start(case):
     assert_invariant(got)
 
 
-def test_matrix_product_restarts_a_cancelled_coefficient_in_its_own_field():
-    # (x/2) 2 - x 1 cancels at x^1 after the second product, so the fold
-    # drops it and the third product, over Q, lands there in its own
-    # field; the first two have different denominators, so no bucket
-    # cancels them before the fields are read
+def test_matrix_product_holds_a_cancelled_then_rational_entry_in_q():
+    # the products (x/2) 2 and -x 1, over Q(sqrt 2), cancel at x^1 and
+    # the third, over Q, lands there: the entry sums all three in one
+    # pass, so its coefficient 1 is held in Q, as every rational one is,
+    # and it agrees with the reference fold in value and in the series'
+    # field; the first two have different denominators, so they cancel
+    # only when the buckets are folded
     x = Series.monomial(1, (1,), K.one(), K)
     half = Series.monomial(1, (1,), K.scalar(Fraction(1, 2)), K)
     one, two = Series.constant(1, 1, QQ), Series.constant(1, 2, QQ)

@@ -8,6 +8,7 @@ verified entry by entry through an independent gauge) and against the
 growth orders the planted generator plants.
 """
 
+import heapq
 import itertools
 import math
 import random
@@ -45,7 +46,7 @@ from pfaffred.reduction import (
     split,
 )
 from pfaffred.scalars import QQ, common_tower, roots_of_charpoly
-from pfaffred.series import INF, Series
+from pfaffred.series import INF, Series, divide_form
 from pfaffred.system import (
     GaugeTransformation, PfaffianSystem, apply_gauge, check_integrability,
 )
@@ -157,7 +158,7 @@ def test_division_matches_the_linear_solve_of_each_grade():
     got, want = [], []
     for seed in range(60):
         F, Dk, g, slots, nvars = random_division(seed)
-        got.append(reduction._divide_form(F, Dk, slots))
+        got.append(divide_form(F, Dk, slots))
         want.append(linear_solve_of_grade(F, Dk, g, slots, nvars))
     assert got == want
     # divisible and indivisible forms both occur, and nonzero quotients
@@ -873,6 +874,167 @@ def test_solve_graded_checks_the_other_components():
         solve_graded([(C1, E, zero, C1), (C2, E, zero, C2)], [0, 0], (3, 3),
                      QQ)
     assert exc.value.grade == (1, 0)
+
+
+def ref_solve_graded(blocks, p, box, tower):
+    """The graded solver with its quadratic term as SeriesMatrix
+    products: once a total degree is done, its increment D adds
+    -(D b21 X + (X + D) b21 D), each product clipped to the box, and X
+    grows by X + D.  The oracle for the kernel-pieces update."""
+    n = len(box)
+    nr, nc = blocks[0][1].nrows, blocks[0][1].ncols
+    size = nr * nc
+    solver = SylvesterSolver(
+        [(b[0].constant_term(), b[3].constant_term()) for b in blocks], tower)
+    linear = []
+    for b11, _, _, b22 in blocks:
+        moves = {}
+        for gamma, nz in reduction._nonconstant_grades(b11, box).items():
+            moves.setdefault(gamma, []).extend(
+                (j * nc + c, i * nc + c, a)
+                for i, j, a in nz for c in range(nc))
+        for gamma, nz in reduction._nonconstant_grades(b22, box).items():
+            moves.setdefault(gamma, []).extend(
+                (r * nc + i, r * nc + j, -a)
+                for i, j, a in nz for r in range(nr))
+        linear.append(list(moves.items()))
+    pending, heap = {}, []
+    in_box = lambda beta: all(x < h for x, h in zip(beta, box))
+
+    def rhs(beta):
+        if beta not in pending:
+            pending[beta] = [tower.zero()] * (n * size)
+            heapq.heappush(heap, (sum(beta), beta))
+        return pending[beta]
+
+    for k, b in enumerate(blocks):
+        for gamma, nz in reduction._nonconstant_grades(b[1], box).items():
+            for i, j, a in nz:
+                rhs(gamma)[k * size + i * nc + j] += a
+    X = SeriesMatrix.zeros(nr, nc, n, tower)
+    while heap:
+        g, terms = heap[0][0], {}
+        while heap and heap[0][0] == g:
+            _, beta = heapq.heappop(heap)
+            r = pending.pop(beta)
+            if all(v.is_zero() for v in r):
+                continue
+            x = solver.solve([b if pk == 0 else 0 for b, pk in zip(beta, p)],
+                             [-v for v in r])
+            if x is None:
+                raise ResonanceError(f"grade {beta}", grade=beta)
+            xs = {i: v for i, v in enumerate(x) if not v.is_zero()}
+            for i, v in xs.items():
+                terms.setdefault(divmod(i, nc), {})[beta] = v
+            for k in range(n):
+                for gamma, moves in linear[k]:
+                    target = tuple(b + c for b, c in zip(beta, gamma))
+                    if in_box(target):
+                        for src, dst, a in moves:
+                            if src in xs:
+                                rhs(target)[k * size + dst] += a * xs[src]
+                target = tuple(b + p[k] * (kk == k)
+                               for kk, b in enumerate(beta))
+                if p[k] and beta[k] and in_box(target):
+                    for i, v in xs.items():
+                        rhs(target)[k * size + i] -= beta[k] * v
+        if not terms:
+            continue
+        D = SeriesMatrix.zeros(nr, nc, n, tower)
+        for (i, j), t in terms.items():
+            D.rows[i][j] = Series(n, t, tower)
+        XD = X + D
+        for k, (_, _, b21, _) in enumerate(blocks):
+            R = ((D * b21).clipped(box) * X
+                 + XD * (b21 * D).clipped(box)).clipped(box)
+            for i, row in enumerate(R.rows):
+                for j, s in enumerate(row):
+                    for e, v in s.terms.items():
+                        rhs(e)[k * size + i * nc + j] -= v
+        X = XD
+    return X
+
+
+def graded_signature(solve, blocks, p, box, tower):
+    """("X", the matrix's field, each entry's terms in order, window and
+    field) of the solver's X, or ("grade", the grade it refuses)."""
+    try:
+        X = solve(blocks, p, box, tower)
+    except ResonanceError as exc:
+        return "grade", exc.grade
+    return "X", X.tower, [[(list(s.terms.items()), s.lo, s.hi, s.tower)
+                           for s in row] for row in X.rows]
+
+
+def sqrt2_blocks(blocks):
+    """The blocks with b12 times sqrt 2 and b21 over it, over
+    Q(sqrt 2): sqrt 2 X solves them wherever X solves the blocks."""
+    K = QQ.adjoin([-2, 0, 1])
+    r = K.generator()
+    return [(b11, b12 * r, b21 * (r * Fraction(1, 2)), b22)
+            for b11, b12, b21, b22 in blocks], K
+
+
+def below_the_floor(blocks, box):
+    """The blocks with b21 inexact on the box, its declared floor
+    (-2, 0) below its support, as a second split meets it."""
+    out = []
+    for b11, b12, b21, b22 in blocks:
+        b21 = b21.map(lambda s: Series(2, s.terms, s.tower, lo=(-2, 0),
+                                       hi=box))
+        out.append((b11, b12, b21, b22))
+    return out
+
+
+@pytest.mark.parametrize("field", ["Q", "Q(sqrt 2)", "floor below 0"])
+def test_solve_graded_matches_the_product_update(field):
+    # the quadratic term from integer buckets must give the X (terms in
+    # order, windows and fields) or the refused grade of the per-grade
+    # SeriesMatrix products
+    got, quadratic = [], False
+    for seed in range(12):
+        blocks, p, box = random_graded_problem(seed, "split")
+        tower = QQ
+        if field == "Q(sqrt 2)":
+            blocks, tower = sqrt2_blocks(blocks)
+        elif field == "floor below 0":
+            blocks = below_the_floor(blocks, box)
+            assert all(s.lo == (-2, 0) and not s.exact
+                       for b in blocks for row in b[2].rows for s in row)
+        want = graded_signature(ref_solve_graded, blocks, p, box, tower)
+        assert graded_signature(solve_graded, blocks, p, box, tower) == want
+        got.append(want)
+        linear = [(b11, b12, b21 * 0, b22) for b11, b12, b21, b22 in blocks]
+        quadratic |= want != graded_signature(solve_graded, linear, p, box,
+                                              tower)
+    # both outcomes occur, and the quadratic term moves some outcome
+    assert {g[0] for g in got} == {"X", "grade"}
+    assert quadratic
+    if field == "Q(sqrt 2)":
+        assert any(c.tower is not QQ for g in got if g[0] == "X"
+                   for row in g[2] for terms, _, _, _ in row
+                   for _, c in terms)
+
+
+def test_solve_graded_makes_no_series_matrix_product(monkeypatch):
+    # b21 != 0, so the quadratic term is added at every solved grade;
+    # it comes from the series kernel's pieces, not from SeriesMatrix
+    # products
+    for seed in itertools.count():
+        blocks, p, box = random_graded_problem(seed, "split")
+        try:
+            X = ref_solve_graded(blocks, p, box, QQ)
+        except ResonanceError:
+            continue
+        if not X.is_zero():
+            break
+    assert not all(b[2].is_zero() for b in blocks)
+    calls = []
+    product = linalg._product
+    monkeypatch.setattr(linalg, "_product",
+                        lambda *args: calls.append(args) or product(*args))
+    assert solve_graded(blocks, p, box, QQ) == X
+    assert not calls
 
 
 def test_endgame_solves_no_stacked_elimination(monkeypatch):
