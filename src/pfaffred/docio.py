@@ -246,12 +246,16 @@ def parse_system_dict(doc) -> PfaffianSystem:
     return PfaffianSystem(vars_, p, A, tower)
 
 
-def parse_system(text: str) -> PfaffianSystem:
+def _load(text: str):
     try:
-        doc = json.loads(text)
-    except ValueError as exc:       # JSONDecodeError, or too many digits
+        return json.loads(text)
+    # JSONDecodeError, too many digits, or nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"not valid JSON: {exc}") from exc
-    return parse_system_dict(doc)
+
+
+def parse_system(text: str) -> PfaffianSystem:
+    return parse_system_dict(_load(text))
 
 
 def serialize_solution(sol: FormalSolution, vars_) -> dict:
@@ -349,10 +353,7 @@ def _structure_from_json(st):
 
 
 def parse_solution(text: str) -> FormalSolution:
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:       # JSONDecodeError, or too many digits
-        raise InputError(f"not valid JSON: {exc}") from exc
+    doc = _load(text)
     if isinstance(doc, dict) and "solution" in doc:
         doc = doc["solution"]
     return parse_solution_dict(doc)

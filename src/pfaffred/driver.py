@@ -56,7 +56,8 @@ from .errors import (
     ReductionError,
     TruncationInsufficient,
 )
-from .linalg import ConstMatrix, SeriesMatrix, generalized_eigenspaces
+from .linalg import (ConstMatrix, SeriesMatrix, generalized_eigenspaces,
+                     sum_of_products)
 from .scalars import common_tower, roots_of_charpoly
 from .series import INF, Series
 from .system import (
@@ -472,7 +473,8 @@ def verify_solution(S: PfaffianSystem, sol: FormalSolution):
 
         t^{p~+1} dPhi/dt_i + Phi (dq~ + s_i t^{p~} C_i) - A~_i Phi = 0
 
-    where p~ = s_i p_i and A~_i = s_i A_i(t^s).  Returns a dict with
+    where p~ = s_i p_i and A~_i = s_i A_i(t^s), each residual one
+    linalg.sum_of_products from its Euler term.  Returns a dict with
     "ok", "verified_to" and the per-component detail.  verified_to is
     the largest total degree k such that every coefficient of total
     degree <= k of Phi and of each residual lies inside its window, and
@@ -530,7 +532,8 @@ def verify_solution(S: PfaffianSystem, sol: FormalSolution):
         Cser = sol.C[i].to_series(n) \
             .mul_monomial(tuple(p if k == i else 0 for k in range(n))) \
             * sol.s[i]
-        R = sol.phi.euler(i, p) + sol.phi * (D + Cser) - St.A[i] * sol.phi
+        R = sum_of_products(sol.phi.euler(i, p),
+                            [(1, sol.phi, D + Cser), (-1, St.A[i], sol.phi)])
         bad = [sum(e) for r in R.rows for s_ in r for e in s_.terms]
         k = min([top, *R.window_hi(), *bad]) - 1
         ok = ok and not bad

@@ -13,17 +13,18 @@ SylvesterSolver solves the stacked equations (L_k X - X R_k - s_k X)_k
 time, each from its first invertible block, eliminated once per shift
 and checked against the others.  SeriesMatrix holds Series entries and
 has no inverse: every series gauge is built with its inverse (see
-system.GaugeTransformation).  Every matrix product is _product, each
-entry a _dot that skips a product with an absent factor (a zero scalar,
-or a series zero on an infinite window); over series it is one
-Series.sum_of_products.  A ConstMatrix multiplies a SeriesMatrix on
-either side, as its to_series would, so a constant change of basis is a
-plain product, its entries folding Series.__mul__ by a scalar.  Every
-characteristic polynomial and determinant comes from Berkowitz's
+system.GaugeTransformation).  A product of SeriesMatrix operands, and
+a sum of them (sum_of_products), is one series.sum_of_products call;
+any other product is _product, each entry a _dot that skips a product
+with an absent factor (a zero scalar, or a series zero on an infinite
+window).  A ConstMatrix multiplies a SeriesMatrix, either side, as its
+to_series would, its entries folding Series.__mul__ by a scalar, which
+scales terms where the kernel would form term pairs.
+Every characteristic polynomial and determinant comes from Berkowitz's
 division-free algorithm (_charpoly): O(d^4) ring operations over the
 field or over series.
 
-Sums, products (by a matrix, a series or a scalar) and block builders
+Sums, products (by a matrix or a scalar) and block builders
 return their result in the join of the operands' fields
 (scalars.common_tower); entries from a smaller field are kept as they
 are, so no matrix is ever lifted into a larger field by hand.
@@ -34,6 +35,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
+from . import series
 from .errors import DimensionError, NotInvertibleError
 from .scalars import FieldTower, Scalar, common_tower, join_scalar
 from .series import INF, Series
@@ -87,6 +89,11 @@ class Matrix:
             a == 1 if i == j else a.is_zero()
             for i, r in enumerate(self.rows) for j, a in enumerate(r))
 
+    def map(self, fn, tower=None):
+        """fn of each entry, in tower when given, else in this field."""
+        return self._like([[fn(a) for a in r] for r in self.rows],
+                          tower or self.tower)
+
     def submatrix(self, rows, cols):
         return self._like([[self.rows[i][j] for j in cols] for i in rows],
                           self.tower)
@@ -129,12 +136,10 @@ class ConstMatrix(Matrix):
         return m
 
     def __mul__(self, other):
-        if isinstance(other, SeriesMatrix):
-            return _product(self, other, other.nvars)
-        if isinstance(other, ConstMatrix):
-            return _product(self, other, None)
+        if isinstance(other, Matrix):
+            return _product(self, other)
         c, tower = join_scalar(other, self.tower)
-        return ConstMatrix([[a * c for a in r] for r in self.rows], tower)
+        return self.map(lambda a: a * c, tower)
 
     def rref(self):
         """(reduced row echelon form, pivot column list)."""
@@ -184,10 +189,8 @@ class ConstMatrix(Matrix):
         return half * self if k & 1 else half
 
     def to_series(self, nvars):
-        return SeriesMatrix(
-            [[Series(nvars, {(0,) * nvars: a}, self.tower) if not a.is_zero()
-              else Series.zero(nvars, self.tower) for a in r] for r in self.rows],
-            nvars, self.tower)
+        return SeriesMatrix([[Series.constant(nvars, a, self.tower) for a in r]
+                             for r in self.rows], nvars, self.tower)
 
 
 def _gauss_jordan(A: ConstMatrix):
@@ -259,30 +262,48 @@ def _absent(a):
 
 def _dot(u, v, acc):
     """acc + u_1 v_1 + u_2 v_2 + ..., as folding them in order gives it;
-    a product with an _absent factor is skipped.  Series times series
-    sums in one pass (Series.sum_of_products); a scalar factor folds."""
-    pairs = [(a, b) for a, b in zip(u, v) if not (_absent(a) or _absent(b))]
-    if pairs and isinstance(pairs[0][0], Series) and isinstance(
-            pairs[0][1], Series):
-        return Series.sum_of_products(pairs, acc)
-    for a, b in pairs:
-        acc = acc + a * b
+    a product with an _absent factor is skipped.  Series vectors make the
+    kernel's 1 x k case; a scalar factor folds."""
+    if u and isinstance(u[0], Series) and isinstance(v[0], Series):
+        return series.sum_of_products([[acc]], [(1, [u], list(zip(v)))],
+                                      acc.tower)[0][0]
+    for a, b in zip(u, v):
+        if not (_absent(a) or _absent(b)):
+            acc = acc + a * b
     return acc
 
 
-def _product(M, N, n):
-    """M N, each entry a _dot from zero in the join of the fields: a
-    ConstMatrix when n is None, else a SeriesMatrix in n variables, a
-    scalar entry then meeting a series as the constant series does."""
+def _product(M, N):
+    """M N from the zero matrix, in the join of the fields: a SeriesMatrix
+    when a factor is one, else a ConstMatrix."""
     if M.ncols != N.nrows:
         raise DimensionError("shape mismatch in product")
     tower = common_tower(M.tower, N.tower)
-    zero = tower.zero() if n is None else Series.zero(n, tower)
+    like = N if isinstance(N, SeriesMatrix) else M
+    zero = like._zero(tower)
+    if isinstance(M, SeriesMatrix) and isinstance(N, SeriesMatrix):
+        return sum_of_products(
+            like._like([[zero] * N.ncols] * M.nrows, tower), [(1, M, N)])
     cols = list(zip(*N.rows))
-    rows = [[_dot(r, c, zero) for c in cols] for r in M.rows]
-    if n is None:
-        return ConstMatrix(rows, tower)
-    return SeriesMatrix(rows, n, tower)
+    return like._like([[_dot(r, c, zero) for c in cols] for r in M.rows],
+                      tower)
+
+
+def sum_of_products(start, pairs):
+    """start + s_1 M_1 N_1 + ... for the nonempty pairs (s_k, M_k, N_k) of
+    SeriesMatrix operands and signs +-1, in one series.sum_of_products
+    call: the chain of +, - and * but for the floor 0 that each of its
+    products takes from the zero matrix it starts at."""
+    n, grids, towers = start.nvars, [], []
+    for s, M, N in pairs:
+        if (M.nrows, M.ncols, N.ncols, M.nvars, N.nvars) != (
+                start.nrows, N.nrows, start.ncols, n, n):
+            raise DimensionError("shape mismatch in a sum of products")
+        grids.append((s, M.rows, N.rows))
+        towers += M.tower, N.tower
+    tower = common_tower(*towers)
+    return SeriesMatrix(series.sum_of_products(start.rows, grids, tower), n,
+                        common_tower(start.tower, tower))
 
 
 def _charpoly(rows, one, zero):
@@ -448,8 +469,8 @@ class SeriesMatrix(Matrix):
 
     @classmethod
     def zeros(cls, nrows, ncols, nvars, tower):
-        return cls([[Series.zero(nvars, tower) for _ in range(ncols)]
-                    for _ in range(nrows)], nvars, tower)
+        z = Series.zero(nvars, tower)
+        return cls([[z] * ncols for _ in range(nrows)], nvars, tower)
 
     @classmethod
     def identity(cls, d, nvars, tower):
@@ -461,15 +482,10 @@ class SeriesMatrix(Matrix):
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
-            return _product(self, other, self.nvars)
-        if isinstance(other, Series):
-            tower = common_tower(self.tower, other.tower)
-        elif isinstance(other, (int, Fraction, Scalar)):
-            tower = join_scalar(other, self.tower)[1]
-        else:
+            return _product(self, other)
+        if not isinstance(other, (int, Fraction, Scalar)):
             return NotImplemented
-        return SeriesMatrix([[a * other for a in r] for r in self.rows],
-                            self.nvars, tower)
+        return self.map(lambda a: a * other, join_scalar(other, self.tower)[1])
 
     @property
     def exact(self):
@@ -478,10 +494,6 @@ class SeriesMatrix(Matrix):
     def window_hi(self):
         return tuple(min(e.hi[i] for r in self.rows for e in r)
                      for i in range(self.nvars))
-
-    def map(self, fn):
-        return SeriesMatrix([[fn(a) for a in r] for r in self.rows],
-                            self.nvars, self.tower)
 
     def clipped(self, hi):
         return self.map(lambda s: s.clipped(hi))

@@ -68,6 +68,7 @@ from .linalg import (
     SeriesMatrix,
     SylvesterSolver,
     generalized_eigenspaces,
+    sum_of_products,
 )
 from .scalars import Scalar, common_tower
 from .series import (INF, Series, coordinate_grid, divide_form,
@@ -169,9 +170,10 @@ def integral_cofactors(cols: SeriesMatrix, others, ell: int, slots,
             cof.append(ci)
         # the Cramer identities pin c over the fraction field; confirm
         # the column relation on every row as far as the data allows
-        for t in range(cols.nrows):
-            e = Series.sum_of_products(
-                [(cols.rows[t][c], cof[c]) for c in range(r)], -v[t])
+        E = sum_of_products(SeriesMatrix([[-x] for x in v], nvars, tower),
+                            [(1, cols, SeriesMatrix([[c] for c in cof],
+                                                    nvars, tower))])
+        for (e,) in E.rows:
             if not e.is_zero():
                 return None, {"exact": False,
                               "inconsistent_at": e.total_valuation()}
@@ -390,10 +392,11 @@ def katz_order_univariate(ods: PfaffianSystem, order: int = 10) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def riccati(blocks, X, p, k):
-    """b11 X + b12 - X b22 - X b21 X - x_k^{p+1} dX/dx_k, on the blocks
-    (b11, b12, b21, b22) of component k."""
+    """b11 X + b12 - X b22 - X b21 X - x_k^{p+1} dX/dx_k on the blocks
+    (b11, b12, b21, b22) of component k: X b21, then one sum_of_products."""
     b11, b12, b21, b22 = blocks
-    return b11 * X + b12 - X * b22 - X * b21 * X - X.euler(k, p)
+    return sum_of_products(b12 - X.euler(k, p),
+                           [(1, b11, X), (-1, X, b22), (-1, X * b21, X)])
 
 
 def _clipped(M, hi):
@@ -675,7 +678,8 @@ def split(S: PfaffianSystem, i: int, roots, order: int = 10):
         Q = Q.clipped(box)
     tops, bottoms = [], []
     for a11, a12, a21, a22 in a:
-        t, b = a11 + a12 * Q, a22 + a21 * P
+        t = sum_of_products(a11, [(1, a12, Q)])
+        b = sum_of_products(a22, [(1, a21, P)])
         if not certified:
             t, b = t.clipped(box), b.clipped(box)
         tops.append(t)

@@ -27,18 +27,20 @@ the module-private Series._trusted; only constant and monomial take
 the public constructor.  Sums, products and clipped drop what cancels
 and what a narrower top cuts off themselves.
 
-Series.sum_of_products(pairs, start) is the one kernel for products of
-series: start + a_1 b_1 + a_2 b_2 + ... in one pass, with the terms,
-window and field of the fold acc = acc + a * b from start.  Its pieces
-are public, so the integrability check (system) and the graded Riccati
-solver (reduction.solve_graded) share them: term_coordinates splits
-terms into integer coordinates, product_window is the window of one
-product, add_products multiplies term pairs below a top into integer
-buckets keyed by exponent, degree in a and denominator, fold_buckets
-adds each exponent's buckets in integers, and fold_scalars makes one
-Scalar per exponent, in Q when it is rational, and none per term pair.
-Series times Series is the kernel's one-pair case; coordinate_grid and
-grid_product apply the pieces to matrices of series.
+sum_of_products(start, pairs, tower) is the one kernel for products of
+series: start + s_1 M_1 N_1 + s_2 M_2 N_2 + ... over grids of series, as
+the fold acc = acc + s_k a b from each start entry gives it.  It reads
+each operand entry's coordinates, effective floor, top and field once
+per call, skips a pair with an exact-zero factor and folds each entry
+once.  Series times Series keeps the one-pair rule, which skips nothing:
+an exact-zero factor still sets the product's window.  Its pieces are
+public for the graded Riccati solver (reduction.solve_graded):
+term_coordinates splits terms into integer coordinates, product_window
+is the window of one product, add_products adds term pairs below a top
+into integer buckets keyed by exponent, degree in a and denominator,
+fold_buckets sums each exponent's buckets in integers, fold_scalars
+makes one Scalar per exponent, in Q when it is rational, and
+coordinate_grid and grid_product apply them to matrices.
 """
 
 from __future__ import annotations
@@ -85,16 +87,15 @@ def term_coordinates(terms, sign):
     return out
 
 
-def product_window(a, b, lo, hi):
-    """[lo, hi) widened and narrowed to hold the product of the series a
-    and b: the floor min(lo, fl_a + fl_b) and the top min(hi, h_a + fl_b,
-    h_b + fl_a), with effective floors fl; a product of exact series
+def product_window(fa, ha, fb, hb, lo, hi):
+    """[lo, hi) widened and narrowed to hold a product of series with
+    effective floors fa, fb and tops ha, hb: the floor min(lo, fa + fb)
+    and the top min(hi, ha + fb, hb + fa); a product of exact series
     leaves the top as it is."""
     add = operator.add
-    fla, flb = a.effective_floor(), b.effective_floor()
-    lo = tuple(map(min, lo, map(add, fla, flb)))
-    if a.hi != b.hi or min(a.hi) != INF:
-        hi = tuple(map(min, hi, map(add, a.hi, flb), map(add, b.hi, fla)))
+    lo = tuple(map(min, lo, map(add, fa, fb)))
+    if ha != hb or min(ha) != INF:
+        hi = tuple(map(min, hi, map(add, ha, fb), map(add, hb, fa)))
     return lo, hi
 
 
@@ -202,24 +203,43 @@ def fold_scalars(buckets, tower):
             in fold_buckets(buckets, tower.minpoly).items()}
 
 
-def _products(pairs, nvars, tower, lo, hi, start):
-    """The terms start plus a_1 b_1 + a_2 b_2 + ... for the series pairs
-    (a_k, b_k), with the window and the field that folding acc + a * b
-    from a series with those terms, the window [lo, hi) and the field
-    tower gives.  start's terms and every term pair below the top add
-    into integer buckets (add_products), and each exponent makes one
-    Scalar (fold_scalars)."""
-    factors = []
-    for a, b in pairs:
-        if a.nvars != nvars or b.nvars != nvars:
-            raise DimensionError("variable counts differ")
-        lo, hi = product_window(a, b, lo, hi)
-        if a.tower is not tower or b.tower is not tower:
-            tower = common_tower(tower, a.tower, b.tower)
-        factors.append((term_coordinates(a.terms, 1),
-                        term_coordinates(b.terms, 1)))
-    buckets = add_products(term_coordinates(start, 1), factors, hi)
-    return Series._trusted(nvars, fold_scalars(buckets, tower), tower, lo, hi)
+def sum_of_products(start, pairs, tower):
+    """start + s_1 M_1 N_1 + ... for (s_k, M_k, N_k) in pairs, signs +-1
+    and grids (lists of rows) of series: a new grid, each entry what the
+    fold acc = acc + s_k a b from its start entry gives, in the join of
+    tower and the fields met, a pair with an exact-zero factor skipped."""
+    read = {}
+
+    def entries(M, sign):
+        got = read.get((id(M), sign))
+        if got is None:
+            got = read[id(M), sign] = [[None if not e.terms and e.exact else (
+                term_coordinates(e.terms, sign), e.effective_floor(), e.hi,
+                e.tower) for e in row] for row in M]
+        return got
+
+    grids = [(entries(M, sign), list(zip(*entries(N, 1))))
+             for sign, M, N in pairs]
+    out = []
+    for r, srow in enumerate(start):
+        row = []
+        for c, s in enumerate(srow):
+            lo, hi, tw = s.lo, s.hi, common_tower(s.tower, tower)
+            factors = []
+            for rows, cols in grids:
+                for a, b in zip(rows[r], cols[c]):
+                    if a and b:
+                        (ca, fa, ha, ta), (cb, fb, hb, tb) = a, b
+                        lo, hi = product_window(fa, ha, fb, hb, lo, hi)
+                        if ta is not tw or tb is not tw:
+                            tw = common_tower(tw, ta, tb)
+                        factors.append((ca, cb))
+            buckets = add_products(
+                term_coordinates(s.terms, 1) if s.terms else (), factors, hi)
+            row.append(Series._trusted(s.nvars, fold_scalars(buckets, tw), tw,
+                                       lo, hi))
+        out.append(row)
+    return out
 
 
 def divide_form(F: dict, Dk: dict, slots):
@@ -281,17 +301,6 @@ class Series:
         s = object.__new__(cls)
         s.nvars, s.terms, s.tower, s.lo, s.hi = nvars, terms, tower, lo, hi
         return s
-
-    @classmethod
-    def sum_of_products(cls, pairs, start):
-        """start + a_1 b_1 + a_2 b_2 + ... for the series pairs (a_k, b_k)
-        (a sequence), exactly as folding acc = acc + a * b from acc =
-        start gives it: terms, window and field.  With no pairs it is
-        start itself."""
-        if not pairs:
-            return start
-        return _products(pairs, start.nvars, start.tower, start.lo,
-                         start.hi, start.terms)
 
     @classmethod
     def zero(cls, nvars, tower, lo=None, hi=None):
@@ -429,8 +438,15 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         n = self.nvars
-        return _products(((self, other),), n, self.tower, (INF,) * n,
-                         (INF,) * n, {})
+        if other.nvars != n:
+            raise DimensionError("variable counts differ")
+        lo, hi = product_window(self.effective_floor(), self.hi,
+                                other.effective_floor(), other.hi,
+                                (INF,) * n, (INF,) * n)
+        tower = common_tower(self.tower, other.tower)
+        buckets = add_products((), ((term_coordinates(self.terms, 1),
+                                     term_coordinates(other.terms, 1)),), hi)
+        return Series._trusted(n, fold_scalars(buckets, tower), tower, lo, hi)
 
     __rmul__ = __mul__
 

@@ -13,27 +13,17 @@ that the code building T supplies from the structure of T; the package
 inverts no series matrix.  A constant change of basis V is no gauge
 here: it has no derivative term, and is the product V^{-1} A_i V with a
 ConstMatrix (linalg).
-
-check_integrability makes no Series product: it computes each entry of
-the commutation rule's residual exactly from the pieces of the series
-kernel (Series.sum_of_products), the Euler terms from Series.euler.  It
-takes the entry's top by the kernel's window rule, adds the term pairs
-below it into integer buckets and folds them in integers, making no
-Fraction: it needs only which exponents survive.
 """
 
 from __future__ import annotations
 
 import hashlib
-from operator import attrgetter
 
 from .errors import (DimensionError, InputError, NonIntegrableError,
                      ReductionError)
-from .linalg import SeriesMatrix
+from .linalg import SeriesMatrix, sum_of_products
 from .scalars import common_tower
-from .series import (INF, Series, add_products, coordinate_grid,
-                     fold_buckets, grlex_key, product_window,
-                     term_coordinates)
+from .series import INF, Series, grlex_key
 
 
 def digest(parts) -> str:
@@ -123,52 +113,26 @@ class IntegrabilityReport:
         return self.passed
 
 
-def _residual_exponents(S, i, j, r, c, grids, minpoly):
-    """Exponents of the nonzero terms of the (r, c) residual entry below
-    its top, from the series kernel's pieces: the Euler terms' own
-    windows and each product's series.product_window set the top, a
-    product with an exact zero factor none, and term pairs below it add
-    into integer buckets that series.fold_buckets adds up.  grids holds
-    the coordinate grids of A_i, A_j and -A_j."""
-    top = exact = (INF,) * S.n
-    start, factors = [], []
-    for e, sign in ((S.A[j].rows[r][c].euler(i, S.p[i]), -1),
-                    (S.A[i].rows[r][c].euler(j, S.p[j]), 1)):
-        top = tuple(map(min, top, e.hi))
-        start += term_coordinates(e.terms, sign)
-    Ci, Cj, negCj = grids
-    for x, y, P, Q in ((i, j, Ci, Cj), (j, i, negCj, Ci)):
-        for k, (a, row) in enumerate(zip(S.A[x].rows[r], S.A[y].rows)):
-            b = row[c]
-            if (not a.terms and a.hi == exact) or (
-                    not b.terms and b.hi == exact):
-                continue
-            if a.hi != exact or b.hi != exact:   # the floor is not wanted
-                _, top = product_window(a, b, exact, top)
-            factors.append((P[r][k], Q[k][c]))
-    return list(fold_buckets(add_products(start, factors, top), minpoly))
-
-
 def check_integrability(S: PfaffianSystem) -> IntegrabilityReport:
     """Verify the commutation rule for every component pair.
 
     A_iA_j - A_jA_i must equal x_i^{p_i+1} dA_j/dx_i - x_j^{p_j+1} dA_i/dx_j,
-    up to the validity windows of the data.  Each residual entry is
-    computed exactly by _residual_exponents.  worst names a term of
-    least total degree: the first such entry in (i, j, row, col) order,
-    and in it the least exponent by series.grlex_key.
+    up to the validity windows of the data.  Each pair's residual is one
+    linalg.sum_of_products, from the two Euler terms, so each entry is
+    exact below its top.  worst names a term of least total degree: the
+    first such entry in (i, j, row, col) order, and in it the least
+    exponent by series.grlex_key.
     """
-    minpoly = common_tower(S.tower, *map(attrgetter("tower"), S.A)).minpoly
-    grid = [coordinate_grid(M, 1) for M in S.A]
     worst = None
     for i in range(S.n):
         for j in range(i + 1, S.n):
-            grids = grid[i], grid[j], coordinate_grid(S.A[j], -1)
-            for r in range(S.d):
-                for c in range(S.d):
-                    exps = _residual_exponents(S, i, j, r, c, grids, minpoly)
-                    if exps:
-                        exp = min(exps, key=grlex_key)
+            Ai, Aj = S.A[i], S.A[j]
+            R = sum_of_products(Ai.euler(j, S.p[j]) - Aj.euler(i, S.p[i]),
+                                [(1, Ai, Aj), (-1, Aj, Ai)])
+            for r, row in enumerate(R.rows):
+                for c, e in enumerate(row):
+                    if e.terms:
+                        exp = min(e.terms, key=grlex_key)
                         if worst is None or sum(exp) < sum(worst[4]):
                             worst = (i, j, r, c, exp)
     return IntegrabilityReport(worst is None, worst, S.window_hi())

@@ -176,6 +176,19 @@ def test_malformed_solution_is_an_input_error(tmp_path, capsys, key, value):
     assert err["type"] == "InputError"
 
 
+def test_deeply_nested_document_is_an_input_error(airy_doc, tmp_path,
+                                                  capsys):
+    # the JSON parser recurses once per level; 100000 levels used to end
+    # check and verify in a RecursionError traceback
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    for argv in (["check", str(deep)], ["verify", airy_doc, str(deep)]):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert json.loads(out)["error"]["type"] == "InputError"
+        assert err == ""
+
+
 # a solution of another dimension used to end verify in a raw IndexError
 # (a d = 2 solution for a d = 3 system) or a DimensionError about a product
 @pytest.mark.parametrize("system_shape,solution_shape", [

@@ -1,21 +1,23 @@
 """The series kernel's fast paths against the loops they replaced.
 
-Every product of two series goes through one kernel,
-Series.sum_of_products(pairs, start), which adds integer numerator
-products in buckets and must give exactly what the fold
-acc = acc + a * b from start gives: Series.__mul__ is its one-pair case
-from nothing, a SeriesMatrix entry its sum from Series.zero, and a
-Berkowitz step its sum from the step's first addend.  Series.__add__
-and the kernel build their results without the public constructor's
-checks.  The reference implementations below are the plain loops those
-replaced: every result goes through the public constructor, each term
-pair is a Scalar product, and a sum of products is that fold.  The
-series derived from one series (Euler operator, restriction,
-coefficient, ramification, projection, clipping, zero) skip that
-constructor too; their references feed the same terms through it.  On
-random series the fast paths must give the same terms, the same window
-and the same field.  Terms compare by value: a coefficient's field is
-not part of a series' value, and the kernel holds a rational
+Every product of series matrices, and every sum start + s_1 M_1 N_1 +
+... of them, is one kernel call, series.sum_of_products(start, pairs,
+tower), which adds integer numerator products in buckets.  Each entry
+must be exactly what the fold acc = acc + s_k a b from its start entry
+gives, a pair with an exact-zero factor skipped: a SeriesMatrix product
+is its sum from Series.zero, a Berkowitz step its 1 x k sum from the
+step's first addend.  Series.__mul__ does not skip: it is the one-pair
+product, window included, even when a factor is an exact zero.
+Series.__add__ and the kernel build their results without the public
+constructor's checks.  The reference implementations below are the
+plain loops those replaced: every result goes through the public
+constructor, each term pair is a Scalar product, and a sum of products
+is that fold.  The series derived from one series (Euler operator,
+restriction, coefficient, ramification, projection, clipping, zero)
+skip that constructor too; their references feed the same terms through
+it.  On random series the fast paths must give the same terms, the same
+window and the same field.  Terms compare by value: a coefficient's
+field is not part of a series' value, and the kernel holds a rational
 coefficient in Q where the fold may leave it in the extension.
 
 A scalar times a series must be the product with the constant series,
@@ -34,13 +36,15 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from pfaffred import docio
+from pfaffred import docio, linalg
 from pfaffred.driver import FormalSolution
 from pfaffred.errors import NotUnitError, TruncationInsufficient
 from pfaffred.linalg import ConstMatrix, SeriesMatrix
 from pfaffred.scalars import QQ, common_tower, roots_of_charpoly
-from pfaffred.series import Series
-from pfaffred.system import PfaffianSystem
+from pfaffred.series import Series, sum_of_products, term_coordinates
+from pfaffred.system import PfaffianSystem, check_integrability
+
+from helpers import dense_grid, mat1
 
 INF = math.inf
 K = QQ.adjoin([-2, 0, 1])  # Q(sqrt 2)
@@ -327,14 +331,21 @@ def products_from_a_start(draw):
     return draw(series(n)), pairs
 
 
+def exact_zero(s):
+    return s.is_zero() and s.exact
+
+
 @given(products_from_a_start())
 @settings(max_examples=150, deadline=None)
 def test_sum_of_products_matches_the_fold_from_its_start(case):
+    # the kernel's 1 x k case, a row of the a_k times a column of the b_k
     start, pairs = case
     want = start
     for a, b in pairs:
-        want = ref_add(want, ref_mul(a, b))
-    got = Series.sum_of_products(pairs, start)
+        if not (exact_zero(a) or exact_zero(b)):
+            want = ref_add(want, ref_mul(a, b))
+    grids = [(1, [[a for a, _ in pairs]], [[b] for _, b in pairs])]
+    got, = sum_of_products([[start]], grids if pairs else [], start.tower)[0]
     assert signature(got) == signature(want)
     assert_invariant(got)
 
@@ -359,11 +370,12 @@ def test_matrix_product_holds_a_cancelled_then_rational_entry_in_q():
 
 
 @st.composite
-def square_matrices(draw):
-    """A d x d matrix, d <= 4, in n <= 2 variables: exact zeros beside
-    series that may vanish within a finite window; all of them exact
-    in about half the draws."""
-    n, d = draw(st.integers(1, 2)), draw(st.integers(1, 4))
+def square_matrices(draw, n=None, d=None):
+    """A d x d matrix, d <= 4, in n <= 2 variables unless given: exact
+    zeros beside series that may vanish within a finite window; all of
+    them exact in about half the draws."""
+    n = draw(st.integers(1, 2)) if n is None else n
+    d = draw(st.integers(1, 4)) if d is None else d
     exact = draw(st.booleans()) or None
     grid = [[draw(st.one_of(series(n, exact), st.just(Series.zero(n, QQ))))
              for _ in range(d)] for _ in range(d)]
@@ -395,6 +407,65 @@ def test_determinant_matches_the_minor_expansion(M):
     if M.exact:
         assert got.exact and want.exact
         assert got.terms == want.terms
+
+
+@st.composite
+def sums_of_products(draw):
+    """A start and one to three signed pairs of square_matrices of one
+    shape, the operands drawn from a pool of three, so that one may recur
+    on either side and with either sign."""
+    n, d = draw(st.integers(1, 2)), draw(st.integers(1, 4))
+    pool = [draw(square_matrices(n, d)) for _ in range(3)]
+    pick = st.sampled_from(pool)
+    pairs = [(draw(st.sampled_from([1, -1])), draw(pick), draw(pick))
+             for _ in range(draw(st.integers(1, 3)))]
+    return draw(square_matrices(n, d)), pairs
+
+
+@given(sums_of_products())
+@settings(max_examples=150, deadline=None)
+def test_sum_of_products_matches_the_chain_it_replaced(case):
+    # the chain start + M_1 N_1 - M_2 N_2 ... of SeriesMatrix +, - and *,
+    # and the same chain from the reference loops; each of its products
+    # folds from the zero matrix, whose floor 0 lies at or above every
+    # start floor drawn here
+    start, pairs = case
+    chain, ref, tower = start, [list(r) for r in start.rows], start.tower
+    for sign, M, N in pairs:
+        chain = chain + M * N if sign > 0 else chain - M * N
+        prod, t = ref_matmul(M, N)
+        tower = common_tower(tower, t)
+        ref = [[ref_add(a, b if sign > 0 else ref_neg(b))
+                for a, b in zip(r1, r2)] for r1, r2 in zip(ref, prod)]
+    got = linalg.sum_of_products(start, pairs)
+    assert got.tower == chain.tower == tower
+    for r1, r2, r3 in zip(got.rows, chain.rows, ref):
+        for g, c, w in zip(r1, r2, r3):
+            assert signature(g) == signature(c) == signature(w)
+            assert_invariant(g)
+
+
+def test_kernel_reads_each_operand_entry_once(monkeypatch):
+    # a d x d product reads each operand entry's coordinates once, where
+    # a sum per entry read each factor d times; the integrability check
+    # makes one kernel call per pair of variables, and none in one
+    reads, calls = [], []
+    monkeypatch.setattr("pfaffred.series.term_coordinates",
+                        lambda t, s: reads.append(1) or term_coordinates(t, s))
+    monkeypatch.setattr("pfaffred.series.sum_of_products",
+                        lambda *a: calls.append(1) or sum_of_products(*a))
+    d = 4
+    M, N = mat1(dense_grid(d)), mat1(dense_grid(d, seed=1))
+    assert all(e.terms for A in (M, N) for r in A.rows for e in r)
+    M * N
+    assert (len(reads), len(calls)) == (2 * d * d, 1)
+    for n, pairs in ((1, 0), (2, 1), (3, 3)):
+        S = docio.generate_equivalent(0, {"n": n, "d": 2, "p": [1] * n})[0]
+        reads.clear()
+        calls.clear()
+        assert check_integrability(S)
+        assert len(calls) == pairs
+        assert bool(reads) == bool(pairs)
 
 
 # -- derived series against the public constructor --------------------------

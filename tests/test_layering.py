@@ -348,3 +348,30 @@ def test_solver_call_check_sees_a_planted_call(tmp_path):
     assert stray_solver_calls(sorted(tmp_path.glob("*.py"))) == [
         ("driver.py", 1, "SylvesterSolver"),
         ("reduction.py", 7, "Elimination")]
+
+
+# the coordinate format of the series kernel: only series, linalg and
+# reduction.solve_graded read or build coordinates
+COORDINATE_PIECES = {"term_coordinates", "add_products", "fold_buckets",
+                     "product_window", "coordinate_grid", "grid_product",
+                     "fold_coordinates", "fold_scalars"}
+ABOVE_THE_KERNEL = ("system", "driver", "invariants", "docio", "cli")
+
+
+def names_used(path):
+    """Every name a module imports, reads or reads as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom):
+            names |= {a.name for a in node.names}
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_modules_above_the_kernel_use_no_coordinate_piece():
+    found = {name: sorted(names_used(PACKAGE / f"{name}.py")
+                          & COORDINATE_PIECES) for name in ABOVE_THE_KERNEL}
+    assert {k: v for k, v in found.items() if v} == {}
