@@ -340,15 +340,20 @@ def parse_solution_dict(doc) -> FormalSolution:
                 out[exp] = _scalar_from_json(c, tower)
             blocks.append(out)
         Q.append(blocks)
-    structure = _structure_from_json(doc.get("structure", ["unknown"]))
+    structure = _structure_from_json(doc.get("structure", ["unknown"]), d - 1)
     return FormalSolution(phi, C, Q, s, structure)
 
 
-def _structure_from_json(st):
+def _structure_from_json(st, splits):
+    """st as nested tuples.  A split divides a block, so a d x d solution
+    nests at most d - 1 splits; splits counts those left below st."""
     if not isinstance(st, list):
         raise InputError(f"bad structure: {st!r}")
     if st and st[0] == "split":
-        return tuple(st[:3]) + tuple(_structure_from_json(x) for x in st[3:])
+        if not splits:
+            raise InputError("structure nests more splits than d - 1")
+        return tuple(st[:3]) + tuple(_structure_from_json(x, splits - 1)
+                                     for x in st[3:])
     return tuple(st)
 
 

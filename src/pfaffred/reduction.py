@@ -27,7 +27,9 @@ endgame's joint eigenbasis: in each part the first invertible block
 solves it and the others only check that solution, and each block is
 eliminated once per shift.  The right-hand sides wait at their monomial
 until every lower total degree is solved, so only the monomials the
-support of X reaches are visited.
+support of X reaches are visited.  A solved total degree goes forward
+once: one integer grid product per component (series.grid_product)
+adds its linear, derivative and quadratic terms alike.
 
 Splitting decouples a component whose constant term has at least two
 distinct eigenvalues into two diagonal blocks: the couplings P and Q
@@ -54,6 +56,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 from fractions import Fraction
 
 from .errors import (
@@ -446,65 +449,38 @@ def certify(equations, box, check=True):
     return certified
 
 
-def _nonconstant_grades(M, box):
-    """{gamma: [(row, col, coeff)]}: the nonzero entries of M at each
-    nonconstant grade gamma inside the box."""
-    out = {}
-    for r, row in enumerate(M.rows):
-        for c, s in enumerate(row):
-            for e, co in s.terms.items():
-                if any(e) and all(x < h for x, h in zip(e, box)):
-                    out.setdefault(e, []).append((r, c, co))
-    return out
-
-
 def solve_graded(blocks, p, box, tower):
     """X with no constant term making every riccati(blocks[k], X, p[k], k)
     vanish on the monomials below box; X is exact.
 
     blocks lists (b11, b12, b21, b22) per component k; p[k] is its
-    Poincare rank.  Each monomial beta of X solves one stacked system
+    Poincare rank.  Precondition: every block term has nonnegative
+    exponents and every block's window reaches box, as in split and the
+    endgame.  Each monomial beta of X solves one stacked system
     X_beta -> b11(0) X_beta - X_beta b22(0) - s_k X_beta, with s_k = beta_k
     when p_k = 0 and 0 otherwise, through linalg.SylvesterSolver, part
     by part: the first component whose block is invertible solves it and
     every other component checks the result; only when no block is
     invertible is the part's stack eliminated, free unknowns 0.  Every
     other term reaches beta from a strictly lower total degree, so it
-    waits in a right-hand side pending at beta, and the betas pop from a
-    heap in (|beta|, beta) order.  A solved X_beta is scattered at once
-    through the nonconstant grades of b11 and b22 and, when p_k >= 1,
-    through the derivative term, which lands at beta + p_k e_k.  Once a
-    total degree is done, its increment D adds -(D b21 X + (X + D) b21 D)
-    from the series kernel's pieces: term pairs below box go into
-    integer buckets, D b21 and b21 D fold to coordinates and the sum to
-    one Scalar per exponent (series.fold_scalars).  X is kept as terms
-    per entry and becomes a SeriesMatrix once, at the end.  That is what
-    SeriesMatrix products clipped to box give, since no product's top
-    falls below box, provided every block term has nonnegative exponents
-    and b21's window reaches box, as in split.  b12's constant term is
-    not read; an inconsistent beta raises ResonanceError carrying the
-    grade.
+    waits in a right-hand side pending at beta, seeded by b12 (its
+    constant term unread), and the betas pop from a heap in (|beta|,
+    beta) order.  Once a total degree is done, its increment D goes
+    forward once, by one series.grid_product per component k:
+    [b11' | D | -D b21 | X + D] [D; -b22'; X; -b21 D], started when
+    p_k >= 1 from -x_k^{p_k+1} dD/dx_k, with b11', b22' the nonconstant
+    terms in the box.  Its term pairs below box go into integer buckets
+    and fold to one Scalar per exponent, which is what SeriesMatrix
+    products clipped to box give under the precondition.  A zero b21
+    adds no columns, and X's coordinates are kept only for a nonzero
+    one.  An inconsistent beta raises ResonanceError carrying the grade.
     """
     n = len(box)
     nr, nc = blocks[0][1].nrows, blocks[0][1].ncols
     size = nr * nc
     solver = SylvesterSolver(
         [(b[0].constant_term(), b[3].constant_term()) for b in blocks], tower)
-    quadratic = not all(b[2].is_zero() for b in blocks)
-    # per component and nonconstant grade gamma, the terms of
-    # b11_gamma X - X b22_gamma as (source, target, coeff) on vec(X)
-    linear = []
-    for b11, _, _, b22 in blocks:
-        moves = {}
-        for gamma, nz in _nonconstant_grades(b11, box).items():
-            moves.setdefault(gamma, []).extend(
-                (j * nc + c, i * nc + c, a)
-                for i, j, a in nz for c in range(nc))
-        for gamma, nz in _nonconstant_grades(b22, box).items():
-            moves.setdefault(gamma, []).extend(
-                (r * nc + i, r * nc + j, -a)
-                for i, j, a in nz for r in range(nr))
-        linear.append(list(moves.items()))
+    field = common_tower(tower, *(M.tower for b in blocks for M in b))
 
     # per beta, the beta coefficients of the equations that lower grades
     # contribute, flat in (component, row, col) order
@@ -518,22 +494,26 @@ def solve_graded(blocks, p, box, tower):
             heapq.heappush(heap, (sum(beta), beta))
         return r
 
-    def in_box(beta):
-        return all(x < h for x, h in zip(beta, box))
-
+    # b12 seeds the right-hand sides; per component, grids keeps the
+    # coordinates of b11', -b22' and a nonzero b21
+    grids = []
     for k, b in enumerate(blocks):
-        for gamma, nz in _nonconstant_grades(b[1], box).items():
-            r = rhs(gamma)
-            for i, j, a in nz:
-                r[k * size + i * nc + j] += a
+        b11, b12, b22 = ([[{e: c for e, c in s.terms.items()
+                            if any(e) and all(map(operator.lt, e, box))}
+                           for s in row] for row in M.rows]
+                         for M in (b[0], b[1], b[3]))
+        for i, row in enumerate(b12):
+            for j, t in enumerate(row):
+                for gamma, a in t.items():
+                    rhs(gamma)[k * size + i * nc + j] += a
+        grids.append(([[term_coordinates(t, 1) for t in row] for row in b11],
+                      [[term_coordinates(t, -1) for t in row] for row in b22],
+                      None if b[2].is_zero() else coordinate_grid(b[2], 1)))
 
-    # X as terms {beta: value} per entry (i, j) and, with a quadratic
-    # term, as a grid of coordinate lists that no step changes in place
+    # X as terms {beta: value} per entry (i, j) and, for a nonzero b21,
+    # as a grid of coordinate lists that no step changes in place
     xt = {}
-    if quadratic:
-        xc = [[[]] * nc] * nr
-        b21s = [coordinate_grid(b[2], 1) for b in blocks]
-        field = common_tower(tower, *(b[2].tower for b in blocks))
+    xc = [[[]] * nc] * nr
     while heap:
         g = heap[0][0]
         terms: dict = {}
@@ -547,43 +527,36 @@ def solve_graded(blocks, p, box, tower):
             if x is None:
                 raise ResonanceError(
                     f"no polynomial correction at grade {beta}", grade=beta)
-            xs = {i: v for i, v in enumerate(x) if not v.is_zero()}
-            if not xs:
-                continue
-            for i, v in xs.items():
-                terms.setdefault(divmod(i, nc), {})[beta] = v
-            for k in range(n):
-                base = k * size
-                for gamma, moves in linear[k]:
-                    target = tuple(b + c for b, c in zip(beta, gamma))
-                    if in_box(target):
-                        r = rhs(target)
-                        for src, dst, a in moves:
-                            if src in xs:
-                                r[base + dst] += a * xs[src]
-                if p[k] and beta[k]:        # -x_k^{p_k+1} dX/dx_k
-                    target = tuple(b + p[k] if kk == k else b
-                                   for kk, b in enumerate(beta))
-                    if in_box(target):
-                        r = rhs(target)
-                        for i, v in xs.items():
-                            r[base + i] -= beta[k] * v
-        if quadratic and terms:
-            dc = [[[]] * nc for _ in range(nr)]
-            for (i, j), t in terms.items():
-                dc[i][j] = term_coordinates(t, 1)
-            xdc = [list(map(list.__add__, x, d)) for x, d in zip(xc, dc)]
-            for k, b21 in enumerate(b21s):
-                # R = [D b21 | X + D] [X; b21 D], each product below box
-                Y = grid_product(dc, b21, box, fold_coordinates, field)
-                Z = grid_product(b21, dc, box, fold_coordinates, field)
-                for i, row in enumerate(grid_product(
-                        list(map(list.__add__, Y, xdc)), xc + Z, box,
-                        fold_scalars, field)):
-                    for j, t in enumerate(row):
-                        for e, v in t.items():
-                            rhs(e)[k * size + i * nc + j] -= v
-            xc = xdc
+            for i, v in enumerate(x):
+                if not v.is_zero():
+                    terms.setdefault(divmod(i, nc), {})[beta] = v
+        if not terms:
+            continue
+        dc = [[term_coordinates(terms.get((i, j), {}), 1) for j in range(nc)]
+              for i in range(nr)]
+        if any(b21 for _, _, b21 in grids):
+            nd = [[[(e, h, -v, q) for e, h, v, q in c] for c in row]
+                  for row in dc]
+            xo, xc = xc, [list(map(list.__add__, r, d))
+                          for r, d in zip(xc, dc)]
+        for k, (b11, b22, b21) in enumerate(grids):
+            left = list(map(list.__add__, b11, dc))
+            right = dc + b22
+            if b21:
+                Y = grid_product(None, nd, b21, box, fold_coordinates, field)
+                left = [r + y + x for r, y, x in zip(left, Y, xc)]
+                right += xo + grid_product(None, b21, nd, box,
+                                          fold_coordinates, field)
+            start = None
+            if p[k]:        # -x_k^{p_k+1} dD/dx_k
+                start = [[[(e[:k] + (e[k] + p[k],) + e[k + 1:], h, -e[k] * v,
+                            q) for e, h, v, q in c if e[k]] for c in row]
+                         for row in dc]
+            for i, row in enumerate(grid_product(start, left, right, box,
+                                                 fold_scalars, field)):
+                for j, t in enumerate(row):
+                    for e, v in t.items():
+                        rhs(e)[k * size + i * nc + j] += v
         for ij, t in terms.items():
             xt.setdefault(ij, {}).update(t)
     X = SeriesMatrix.zeros(nr, nc, n, tower)

@@ -40,7 +40,9 @@ is the window of one product, add_products adds term pairs below a top
 into integer buckets keyed by exponent, degree in a and denominator,
 fold_buckets sums each exponent's buckets in integers, fold_scalars
 makes one Scalar per exponent, in Q when it is rational, and
-coordinate_grid and grid_product apply them to matrices.
+coordinate_grid and grid_product apply them to matrices.  grid_product
+starts each entry from a start grid of coordinate lists, or from
+nothing for None: the solver's start is its derivative term.
 """
 
 from __future__ import annotations
@@ -173,13 +175,16 @@ def coordinate_grid(M, sign):
     return [[term_coordinates(e.terms, sign) for e in row] for row in M.rows]
 
 
-def grid_product(A, B, hi, fold, tower):
-    """fold(buckets, tower) per entry of the product of the coordinate
-    grids A and B, the buckets holding its term pairs below hi."""
+def grid_product(start, A, B, hi, fold, tower):
+    """fold(buckets, tower) per entry of start plus the product of the
+    coordinate grids A and B, the buckets holding its terms and term
+    pairs below hi; start is a grid of coordinate lists, or None."""
     cols = list(zip(*B))
-    return [[fold(add_products((), f, hi) if (
-        f := list(filter(all, zip(r, c)))) else {}, tower) for c in cols]
-        for r in A]
+    if start is None:
+        start = [[()] * len(cols)] * len(A)
+    return [[fold(add_products(s, f, hi) if (
+        f := list(filter(all, zip(r, c)))) or s else {}, tower)
+        for c, s in zip(cols, srow)] for r, srow in zip(A, start)]
 
 
 def fold_coordinates(buckets, tower):

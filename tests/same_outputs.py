@@ -29,13 +29,15 @@ systems.  OUT.json maps each entry to what the checkout gave for it:
 
 Two checkouts have the same outputs when their files are equal; compare
 them with `cmp` or `diff`.  The script also prints, per module of the
-package, its line count and its marshalled bytecode size,
-len(marshal.dumps(compile(source))), which tracks the benchmark's set-up
-memory peak.
+package, its line count, its code lines (blank, comment and docstring
+lines not counted, so dropping a comment does not move it) and its
+marshalled bytecode size, len(marshal.dumps(compile(source))), which
+tracks the benchmark's set-up memory peak.
 
 Not collected by pytest; it takes about a minute.
 """
 
+import ast
 import importlib
 import json
 import marshal
@@ -51,15 +53,33 @@ MODULES = ("scalars", "series", "linalg", "system", "reduction",
            "invariants", "driver", "docio", "cli")
 
 
+def code_lines(text):
+    """Lines of the source text that are neither blank, nor a comment,
+    nor part of a module, class or function docstring (found by ast)."""
+    docs = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if (isinstance(first, ast.Expr)
+                    and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docs.update(range(first.lineno, first.end_lineno + 1))
+    return sum(1 for i, line in enumerate(text.splitlines(), 1)
+               if line.strip() and not line.lstrip().startswith("#")
+               and i not in docs)
+
+
 def module_sizes(src):
-    """(file, lines, marshalled bytes) per module of the package."""
+    """(file, lines, code lines, marshalled bytes) per module of the
+    package."""
     pkg = os.path.join(src, "pfaffred")
     out = []
     for name in sorted(os.listdir(pkg)):
         if name.endswith(".py"):
             with open(os.path.join(pkg, name), encoding="utf-8") as fh:
                 text = fh.read()
-            out.append((name, text.count("\n"),
+            out.append((name, text.count("\n"), code_lines(text),
                         len(marshal.dumps(compile(text, name, "exec")))))
     return out
 
@@ -165,12 +185,11 @@ def main(argv):
     with open(dest, "w", encoding="utf-8") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)
     print(f"{len(out)} entries -> {dest}")
-    total_lines = total_bytes = 0
-    for name, lines, size in module_sizes(src):
-        print(f"{name:16} {lines:5} lines {size:7} bytes marshalled")
-        total_lines += lines
-        total_bytes += size
-    print(f"{'total':16} {total_lines:5} lines {total_bytes:7} bytes marshalled")
+    sizes = module_sizes(src)
+    totals = [sum(column) for column in list(zip(*sizes))[1:]]
+    for name, lines, code, size in sizes + [("total", *totals)]:
+        print(f"{name:16} {lines:5} lines {code:5} code lines "
+              f"{size:7} bytes marshalled")
     return 0
 
 

@@ -1,5 +1,6 @@
 """Command-line tests: exit codes and the JSON error object."""
 
+import copy
 import json
 import os
 import sys
@@ -187,6 +188,101 @@ def test_deeply_nested_document_is_an_input_error(airy_doc, tmp_path,
         out, err = capsys.readouterr()
         assert json.loads(out)["error"]["type"] == "InputError"
         assert err == ""
+
+
+def test_structure_deeper_than_its_splits_is_an_input_error(tmp_path,
+                                                             capsys):
+    # a split divides a block, so a d x d solution nests at most d - 1
+    # splits; 700 nested splits used to end verify in a RecursionError
+    # traceback from the structure parser
+    S = sys1([[{0: 1}, 0], [0, {0: 2}]], 1)
+    doc = serialize_solution(fmfs(S, order=4)[0], S.vars)
+    system = write_json(tmp_path / "diag.json", serialize_system(S))
+    structure = ["regular", 1]
+    for _ in range(700):
+        structure = ["split", 0, 1, structure]
+    doc["structure"] = structure
+    assert main(["verify", system,
+                 write_json(tmp_path / "deep.json", doc)]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["error"] == {
+        "type": "InputError",
+        "message": "structure nests more splits than d - 1"}
+    assert err == ""
+
+
+MISSING = object()
+COEFF = ("A", 0, 0, 0, 0, "coeff")
+
+
+def edited(doc, path, value):
+    """A copy of doc with the item at path (keys and indices) set to
+    value, or removed when value is MISSING; value itself for an empty
+    path."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    *head, last = path
+    at = doc
+    for key in head:
+        at = at[key]
+    if value is MISSING:
+        del at[last]
+    else:
+        at[last] = value
+    return doc
+
+
+# one case per InputError the parsers and generate raise that no other
+# test reaches: each exits 1 with the JSON error object and no traceback
+@pytest.mark.parametrize("document,path,value,message", [
+    ("system", COEFF, 1.5, "bad scalar: 1.5"),
+    ("system", COEFF, None, "bad scalar: None"),
+    ("system", COEFF, "1/0", "bad rational literal: '1/0'"),
+    ("system", COEFF, ["1", "2"],
+     "scalar has 2 coefficients but the declared field has degree 1"),
+    ("system", ("A", 0, 0, 0), 5, "series entry must be a list of terms"),
+    ("system", COEFF, MISSING, "bad series term: {'exp': [0, 1]}"),
+    ("system", ("A", 0, 0, 0, 0, "exp"), [-1, 0],
+     "input entries must be polynomial (no poles)"),
+    ("system", ("trunc",), [4],
+     "trunc must be null or one bound per variable"),
+    ("system", (), [], "system document must be a JSON object"),
+    ("system", ("A",), MISSING, "missing document key: 'A'"),
+    ("system", ("A", 1), MISSING, "A must hold one matrix per variable"),
+    ("system", ("A", 0, 1), MISSING, "each matrix must be 2x2, row-major"),
+    ("solution", ("C",), MISSING, "missing solution key: 'C'"),
+    ("solution", ("d",), 0, "d must be a positive integer"),
+    ("solution", ("Q", 0, 0), 5, "Q needs one dict per diagonal slot"),
+    ("solution", ("Q", 0, 0), {"1": "1"}, "q exponents must be negative"),
+    ("generate", ("--p=-1",), None,
+     "shape.p must list one nonnegative rank per variable"),
+    ("generate", ("--ramified", "--d", "1"), None,
+     "a ramified plant needs d >= 2 and p_1 >= 1"),
+], ids=["float", "null", "zero-denominator", "coefficient-count",
+        "series-entry", "term-keys", "negative-exponent", "trunc-length",
+        "system-document", "system-key", "matrix-count", "matrix-shape",
+        "solution-key", "solution-d", "q-slot", "q-exponent",
+        "generate-p", "generate-ramified"])
+def test_input_refusal_exits_one_with_its_message(tmp_path, capsys, document,
+                                                  path, value, message):
+    if document == "generate":
+        argv = ["generate", *path]
+    elif document == "system":
+        doc = serialize_system(hyper_system())
+        argv = ["check", write_json(tmp_path / "bad.json",
+                                    edited(doc, path, value))]
+    else:
+        S = sys1([[{0: 1}, 0], [0, {0: 2}]], 1)
+        doc = serialize_solution(fmfs(S, order=4)[0], S.vars)
+        argv = ["verify", write_json(tmp_path / "diag.json",
+                                     serialize_system(S)),
+                write_json(tmp_path / "bad.json", edited(doc, path, value))]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["error"] == {"type": "InputError",
+                                        "message": message}
+    assert err == ""
 
 
 # a solution of another dimension used to end verify in a raw IndexError

@@ -305,28 +305,34 @@ SOLVER_CALLS = {"SylvesterSolver", "Elimination"}
 SOLVER_HOME = ("reduction.py", "solve_graded")
 
 
+def nodes_by_function(node, top=None):
+    """(node, the top-level function holding it or None) for node and
+    each node below it, in source order; a node in a nested function
+    counts for the function it is nested in."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        top = top or node.name
+    yield node, top
+    for child in ast.iter_child_nodes(node):
+        yield from nodes_by_function(child, top)
+
+
+def name_of(node):
+    """The name a Name node reads, or the attribute an Attribute reads."""
+    return (node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute) else None)
+
+
 def stray_solver_calls(paths):
     """(file, line, callee) for each call of SylvesterSolver or
     Elimination outside linalg and outside reduction.solve_graded; a
     call in a nested function counts for the function it is nested in."""
-    found = []
-
-    def visit(node, path, top):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            top = top or node.name
-        if isinstance(node, ast.Call):
-            f = node.func
-            callee = (f.id if isinstance(f, ast.Name)
-                      else getattr(f, "attr", None))
-            if callee in SOLVER_CALLS and (path.name, top) != SOLVER_HOME:
-                found.append((path.name, node.lineno, callee))
-        for child in ast.iter_child_nodes(node):
-            visit(child, path, top)
-
-    for path in paths:
-        if path.name != "linalg.py":
-            visit(ast.parse(path.read_text(), str(path)), path, None)
-    return found
+    return [(path.name, node.lineno, name_of(node.func))
+            for path in paths if path.name != "linalg.py"
+            for node, top in nodes_by_function(
+                ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Call)
+            and name_of(node.func) in SOLVER_CALLS
+            and (path.name, top) != SOLVER_HOME]
 
 
 def test_only_solve_graded_builds_eliminations():
@@ -375,3 +381,31 @@ def test_modules_above_the_kernel_use_no_coordinate_piece():
     found = {name: sorted(names_used(PACKAGE / f"{name}.py")
                           & COORDINATE_PIECES) for name in ABOVE_THE_KERNEL}
     assert {k: v for k, v in found.items() if v} == {}
+
+
+def stray_coordinate_names(path):
+    """(line, name) for each coordinate piece the module names outside
+    its function solve_graded, per nodes_by_function."""
+    return [(node.lineno, name_of(node))
+            for node, top in nodes_by_function(
+                ast.parse(path.read_text(), str(path)))
+            if name_of(node) in COORDINATE_PIECES and top != "solve_graded"]
+
+
+def test_only_solve_graded_names_a_coordinate_piece_in_reduction():
+    # the graded solver is the one place above linalg that works on
+    # coordinates; the rest of reduction uses series and matrices
+    assert stray_coordinate_names(PACKAGE / "reduction.py") == []
+
+
+def test_coordinate_name_check_sees_a_planted_name(tmp_path):
+    (tmp_path / "reduction.py").write_text(
+        "from .series import fold_scalars, grid_product\n\n\n"
+        "def solve_graded(A):\n"
+        "    return grid_product(None, A, A, (), fold_scalars, None)\n\n\n"
+        "def certify(A):\n"
+        "    def fold():\n"
+        "        return series.fold_scalars\n"
+        "    return grid_product\n")
+    assert stray_coordinate_names(tmp_path / "reduction.py") == [
+        (10, "fold_scalars"), (11, "grid_product")]

@@ -46,7 +46,7 @@ from pfaffred.reduction import (
     split,
 )
 from pfaffred.scalars import QQ, common_tower, roots_of_charpoly
-from pfaffred.series import INF, Series, divide_form
+from pfaffred.series import INF, Series, divide_form, fold_scalars
 from pfaffred.system import (
     GaugeTransformation, PfaffianSystem, apply_gauge, check_integrability,
 )
@@ -876,11 +876,26 @@ def test_solve_graded_checks_the_other_components():
     assert exc.value.grade == (1, 0)
 
 
+def nonconstant_grades(M, box):
+    """{gamma: [(row, col, coeff)]}: the nonzero entries of M at each
+    nonconstant grade gamma inside the box."""
+    out = {}
+    for r, row in enumerate(M.rows):
+        for c, s in enumerate(row):
+            for e, co in s.terms.items():
+                if any(e) and all(x < h for x, h in zip(e, box)):
+                    out.setdefault(e, []).append((r, c, co))
+    return out
+
+
 def ref_solve_graded(blocks, p, box, tower):
-    """The graded solver with its quadratic term as SeriesMatrix
-    products: once a total degree is done, its increment D adds
-    -(D b21 X + (X + D) b21 D), each product clipped to the box, and X
-    grows by X + D.  The oracle for the kernel-pieces update."""
+    """The graded solver with a Scalar scatter per solved beta and its
+    quadratic term as SeriesMatrix products: each X_beta goes at once
+    through the nonconstant grades of b11 and b22 and, when p_k >= 1,
+    the derivative term at beta + p_k e_k; once a total degree is done,
+    its increment D adds -(D b21 X + (X + D) b21 D), each product
+    clipped to the box, and X grows by X + D.  The oracle for the one
+    grid product per grade and component."""
     n = len(box)
     nr, nc = blocks[0][1].nrows, blocks[0][1].ncols
     size = nr * nc
@@ -889,11 +904,11 @@ def ref_solve_graded(blocks, p, box, tower):
     linear = []
     for b11, _, _, b22 in blocks:
         moves = {}
-        for gamma, nz in reduction._nonconstant_grades(b11, box).items():
+        for gamma, nz in nonconstant_grades(b11, box).items():
             moves.setdefault(gamma, []).extend(
                 (j * nc + c, i * nc + c, a)
                 for i, j, a in nz for c in range(nc))
-        for gamma, nz in reduction._nonconstant_grades(b22, box).items():
+        for gamma, nz in nonconstant_grades(b22, box).items():
             moves.setdefault(gamma, []).extend(
                 (r * nc + i, r * nc + j, -a)
                 for i, j, a in nz for r in range(nr))
@@ -908,7 +923,7 @@ def ref_solve_graded(blocks, p, box, tower):
         return pending[beta]
 
     for k, b in enumerate(blocks):
-        for gamma, nz in reduction._nonconstant_grades(b[1], box).items():
+        for gamma, nz in nonconstant_grades(b[1], box).items():
             for i, j, a in nz:
                 rhs(gamma)[k * size + i * nc + j] += a
     X = SeriesMatrix.zeros(nr, nc, n, tower)
@@ -986,14 +1001,20 @@ def below_the_floor(blocks, box):
     return out
 
 
-@pytest.mark.parametrize("field", ["Q", "Q(sqrt 2)", "floor below 0"])
-def test_solve_graded_matches_the_product_update(field):
-    # the quadratic term from integer buckets must give the X (terms in
-    # order, windows and fields) or the refused grade of the per-grade
-    # SeriesMatrix products
+# the split cases, where b21 != 0, are named by their field alone
+@pytest.mark.parametrize("shape,field", [
+    *itertools.product(("endgame", "eigenbasis", "split"), ("Q", "Q(sqrt 2)")),
+    ("split", "floor below 0"),
+], ids=["endgame-Q", "endgame-Q(sqrt 2)", "eigenbasis-Q",
+        "eigenbasis-Q(sqrt 2)", "Q", "Q(sqrt 2)", "floor below 0"])
+def test_solve_graded_matches_the_product_update(shape, field):
+    # feeding each grade forward by one grid product per component must
+    # give the X (terms in order, windows and fields) or the refused
+    # grade of the per-beta scatter and the per-grade SeriesMatrix
+    # products
     got, quadratic = [], False
     for seed in range(12):
-        blocks, p, box = random_graded_problem(seed, "split")
+        blocks, p, box = random_graded_problem(seed, shape)
         tower = QQ
         if field == "Q(sqrt 2)":
             blocks, tower = sqrt2_blocks(blocks)
@@ -1007,9 +1028,10 @@ def test_solve_graded_matches_the_product_update(field):
         linear = [(b11, b12, b21 * 0, b22) for b11, b12, b21, b22 in blocks]
         quadratic |= want != graded_signature(solve_graded, linear, p, box,
                                               tower)
-    # both outcomes occur, and the quadratic term moves some outcome
+    # both outcomes occur, and the quadratic term, where there is one,
+    # moves some outcome
     assert {g[0] for g in got} == {"X", "grade"}
-    assert quadratic
+    assert quadratic == (shape == "split")
     if field == "Q(sqrt 2)":
         assert any(c.tower is not QQ for g in got if g[0] == "X"
                    for row in g[2] for terms, _, _, _ in row
@@ -1035,6 +1057,27 @@ def test_solve_graded_makes_no_series_matrix_product(monkeypatch):
                         lambda *args: calls.append(args) or product(*args))
     assert solve_graded(blocks, p, box, QQ) == X
     assert not calls
+
+
+def test_solve_graded_feeds_each_grade_forward_once(monkeypatch):
+    # b21 = 0: each grade with a nonzero increment goes forward by one
+    # grid product per component, with no b21 columns and so no
+    # coordinate product of its own
+    for seed in itertools.count():
+        blocks, p, box = random_graded_problem(seed, "endgame")
+        try:
+            X = ref_solve_graded(blocks, p, box, QQ)
+        except ResonanceError:
+            continue
+        if not X.is_zero():
+            break
+    folds = []
+    product = reduction.grid_product
+    monkeypatch.setattr(reduction, "grid_product", lambda *args: folds.append(
+        args[-2]) or product(*args))
+    assert solve_graded(blocks, p, box, QQ) == X
+    grades = {sum(e) for row in X.rows for s in row for e in s.terms}
+    assert folds == [fold_scalars] * (len(box) * len(grades))
 
 
 def test_endgame_solves_no_stacked_elimination(monkeypatch):
