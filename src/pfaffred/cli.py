@@ -57,12 +57,14 @@ Input bounds, each refused with exit 1 before any work starts:
                         which bounds every working order, retries included
     --max-retries       0 to reduction.MAX_RETRIES (8)
     d                   at most docio.MAX_DIMENSION (32)
+    n                   the number of variables, at most
+                        docio.MAX_VARIABLES (32)
     p_i                 at most docio.MAX_POINCARE_RANK (64), per variable
     rational literals   at most docio.MAX_LITERAL_DIGITS (1000) digits in
                         the numerator and in the denominator
     --gauge-ops         at most docio.MAX_GAUGE_OPS (16), not negative
     --gauge-degree      at most docio.MAX_GAUGE_DEGREE (16), not negative
-The d and p_i bounds hold for system documents and for generate.  They
+The d, n and p_i bounds hold for system documents and for generate.  They
 do not bound the time: determinants take O(d^4) ring operations
 (Berkowitz's algorithm), and a dense d = 24 system runs for about a
 minute.

@@ -14,11 +14,12 @@ is exact in that variable.  A solution document lists each q exponent of
 a slot once; a repeated exponent (say "-1/2" beside "-2/4") is bad
 input.
 
-Inputs are bounded: d at most MAX_DIMENSION and every p_i at most
-MAX_POINCARE_RANK, in system documents and generator shapes alike.
-They refuse absurd values but do not bound the time: determinants take
-O(d^4) ring operations (Berkowitz's algorithm) on entries that grow with
-d, and a dense one-variable system at d = 24 runs for about a minute.
+Inputs are bounded: d at most MAX_DIMENSION, the number of variables n
+at most MAX_VARIABLES and every p_i at most MAX_POINCARE_RANK, in
+system documents and generator shapes alike.  They refuse absurd values
+but do not bound the time: determinants take O(d^4) ring operations
+(Berkowitz's algorithm) on entries that grow with d, and a dense
+one-variable system at d = 24 runs for about a minute.
 A rational literal has at most MAX_LITERAL_DIGITS digits in its
 numerator and in its denominator: coefficients grow through the
 reduction, and one past the interpreter's limit on printing integers
@@ -47,6 +48,7 @@ from .system import GaugeTransformation, PfaffianSystem, apply_gauge
 
 
 MAX_DIMENSION = 32
+MAX_VARIABLES = 32
 MAX_POINCARE_RANK = 64
 MAX_LITERAL_DIGITS = 1000
 MAX_GAUGE_OPS = 16
@@ -193,6 +195,8 @@ def _vars_from_json(v):
 
 
 def _check_bounds(d, p):
+    if len(p) > MAX_VARIABLES:
+        raise InputError(f"n = {len(p)} exceeds the bound {MAX_VARIABLES}")
     if d > MAX_DIMENSION:
         raise InputError(f"d = {d} exceeds the bound {MAX_DIMENSION}")
     if any(x > MAX_POINCARE_RANK for x in p):

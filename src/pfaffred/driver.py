@@ -280,7 +280,8 @@ def _joint_block_diagonalize(Cs):
     commuting family: W = V Diag(W_k) and W^-1 = Diag(W_k^-1) V^-1, with
     V splitting the first C_i of two or more eigenvalues and W_k the
     blocks' own, so each conjugate is assembled from its blocks' and no
-    W is inverted.  A 1x1 family is its own block."""
+    W is inverted.  A 1x1 family, or one of single eigenvalues, is its
+    own block, W = I; when every block is, W = V: no Diag(I) product."""
     I = ConstMatrix.identity(Cs[0].nrows, Cs[0].tower)
     if I.nrows == 1:
         return I, I, list(Cs)
@@ -309,6 +310,8 @@ def _joint_block_diagonalize(Cs):
             running = common_tower(running, part[0].tower)
             parts.append(part)
         W, Winv, Cw = zip(*parts)
+        if all(map(ConstMatrix.is_identity, W)):
+            return V, Vinv, conj
         return (V * ConstMatrix.block_diag(W),
                 ConstMatrix.block_diag(Winv) * Vinv,
                 [ConstMatrix.block_diag(c) for c in zip(*Cw)])

@@ -14,12 +14,13 @@ time, each from its first invertible block, eliminated once per shift
 and checked against the others.  SeriesMatrix holds Series entries and
 has no inverse: every series gauge is built with its inverse (see
 system.GaugeTransformation).  A product of SeriesMatrix operands, and
-a sum of them (sum_of_products), is one series.sum_of_products call;
-any other product is _product, each entry a _dot that skips a product
-with an absent factor (a zero scalar, or a series zero on an infinite
-window).  A ConstMatrix multiplies a SeriesMatrix, either side, as its
-to_series would, its entries folding Series.__mul__ by a scalar, which
-scales terms where the kernel would form term pairs.
+a sum of them (sum_of_products, or support_of_sum for its exponents
+alone), is one series.sum_of_products call; any other product is
+_product, each entry a _dot that skips a product with an absent factor
+(a zero scalar, or a series zero on an infinite window).  A
+ConstMatrix multiplies a SeriesMatrix, either side, as its to_series
+would, its entries folding Series.__mul__ by a scalar, which scales
+terms where the kernel would form term pairs.
 Every characteristic polynomial and determinant comes from Berkowitz's
 division-free algorithm (_charpoly): O(d^4) ring operations over the
 field or over series.
@@ -289,11 +290,12 @@ def _product(M, N):
                       tower)
 
 
-def sum_of_products(start, pairs):
+def sum_of_products(start, pairs, fold=None):
     """start + s_1 M_1 N_1 + ... for the nonempty pairs (s_k, M_k, N_k) of
     SeriesMatrix operands and signs +-1, in one series.sum_of_products
     call: the chain of +, - and * but for the floor 0 that each of its
-    products takes from the zero matrix it starts at."""
+    products takes from the zero matrix it starts at; with fold, what
+    series.sum_of_products makes of it."""
     n, grids, towers = start.nvars, [], []
     for s, M, N in pairs:
         if (M.nrows, M.ncols, N.ncols, M.nvars, N.nvars) != (
@@ -302,8 +304,16 @@ def sum_of_products(start, pairs):
         grids.append((s, M.rows, N.rows))
         towers += M.tower, N.tower
     tower = common_tower(*towers)
-    return SeriesMatrix(series.sum_of_products(start.rows, grids, tower), n,
-                        common_tower(start.tower, tower))
+    out = series.sum_of_products(start.rows, grids, tower, fold)
+    return out if fold else SeriesMatrix(out, n,
+                                         common_tower(start.tower, tower))
+
+
+def support_of_sum(start, pairs):
+    """Per entry of sum_of_products(start, pairs), its terms summed in
+    integers, keyed by exponent (series.fold_buckets): no Scalar or
+    Fraction is made."""
+    return sum_of_products(start, pairs, series.fold_buckets)
 
 
 def _charpoly(rows, one, zero):
@@ -345,9 +355,11 @@ def generalized_eigenspaces(A: ConstMatrix, roots):
     cols = []
     sizes = []
     tower = common_tower(A.tower, *(lam.tower for lam, _ in roots))
-    I = ConstMatrix.identity(d, tower)
     for lam, mult in roots:
-        B = (A - I * lam).power(mult)
+        B = ConstMatrix(A.rows, tower)      # its own copy of the rows
+        for i, r in enumerate(B.rows):
+            r[i] -= lam
+        B = B.power(mult)
         kb = B.kernel_basis()
         sizes.append(len(kb))
         cols.extend(kb)

@@ -16,6 +16,12 @@ construction.  So when both operands are in the same FieldTower object,
 arithmetic uses them as they are (Scalar._coerce returns the pair,
 FieldTower.embed returns its argument) instead of copying them into
 the join; operations over Q work on the single coordinate directly.
+Each field builds its 0 and 1 once, and zero() and one() share them.
+
+roots_of_charpoly is one case split for both fields: the root 0 from
+the valuation, degree 1 directly, degree 2 from the discriminant; only
+a remainder of degree >= 3 is searched for rational roots (Hensel),
+each tested and divided out by Horner passes.
 """
 
 from __future__ import annotations
@@ -120,6 +126,10 @@ class FieldTower:
                 "unsupported field tower: only irreducible quadratics may be adjoined"
             )
         self.minpoly = minpoly
+        # Scalars are immutable, so each field shares its own 0 and 1
+        pad = (Fraction(0),) * (self.degree - 1)
+        self._zero = Scalar((Fraction(0),) + pad, self)
+        self._one = Scalar((Fraction(1),) + pad, self)
 
     @property
     def degree(self) -> int:
@@ -145,10 +155,10 @@ class FieldTower:
         return Scalar(coeffs, self)
 
     def zero(self) -> "Scalar":
-        return self.scalar(0)
+        return self._zero
 
     def one(self) -> "Scalar":
-        return self.scalar(1)
+        return self._one
 
     def generator(self) -> "Scalar":
         if self.degree == 1:
@@ -174,9 +184,6 @@ class FieldTower:
 
     def __repr__(self):
         return "FieldTower(Q)" if self.minpoly is None else f"FieldTower(Q[a]/{self.minpoly!r})"
-
-
-QQ = FieldTower()
 
 
 def common_tower(first: FieldTower, *rest: FieldTower) -> FieldTower:
@@ -341,6 +348,9 @@ class Scalar:
         return " + ".join(parts) if parts else "0"
 
 
+QQ = FieldTower()
+
+
 # ---------------------------------------------------------------------------
 # univariate polynomials over Scalar, low-to-high coefficient lists
 
@@ -349,10 +359,6 @@ def poly_trim(p):
     while p and p[-1].is_zero():
         p = p[:-1]
     return list(p)
-
-
-def poly_degree(p) -> int:
-    return len(p) - 1
 
 
 def poly_scale(p, c):
@@ -370,13 +376,6 @@ def poly_mul(p, q):
         for j, b in enumerate(q):
             out[i + j] = out[i + j] + a * b
     return poly_trim(out)
-
-
-def poly_eval(p, x: Scalar) -> Scalar:
-    acc = x.tower.zero()
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
 
 
 def poly_divmod(p, q):
@@ -405,7 +404,7 @@ def poly_deriv(p):
 
 def poly_monic(p):
     p = poly_trim(p)
-    if not p:
+    if not p or p[-1] == 1:
         return p
     return poly_scale(p, p[-1].inverse())
 
@@ -423,7 +422,7 @@ def squarefree_part(p):
     if not d:
         return poly_monic(p)
     g = poly_gcd(p, d)
-    if poly_degree(g) == 0:
+    if len(g) == 1:
         return poly_monic(p)
     quot, rem = poly_divmod(p, g)
     if rem:
@@ -452,10 +451,11 @@ def _rational_reconstruction(u, m, N, D):
 
 
 def _rational_root_candidates(p):
-    """Candidate rational roots of a Q-coefficient polynomial, sorted.
+    """Candidate rational roots of a Q-coefficient polynomial of degree
+    >= 1 with a nonzero constant term, sorted.
 
     Every rational root is among them; callers confirm each by exact
-    evaluation.  The squarefree part g, cleared to a primitive integer
+    division.  The squarefree part g, cleared to a primitive integer
     polynomial, is read modulo the smallest prime q that divides neither
     its leading coefficient nor g'(u) at any root u of g mod q (which
     holds once g stays squarefree mod q).  A rational root r/s then has
@@ -465,15 +465,8 @@ def _rational_root_candidates(p):
     s | g_n.  The cost is polynomial in the bit length; trial division
     of g_0 and g_n would be exponential in it.
     """
-    fracs = [c.to_fraction() for c in poly_trim(p)]
-    cands = set()
-    low = next((k for k, f in enumerate(fracs) if f != 0), len(fracs))
-    if low:
-        cands.add(Fraction(0))
-    if len(fracs) - low < 2:
-        return sorted(cands)
     sq = [c.to_fraction() for c in squarefree_part(
-        [QQ.scalar(f) for f in fracs[low:]])]
+        [QQ.scalar(c.to_fraction()) for c in p])]
     lcm = math.lcm(*(f.denominator for f in sq))
     g = [int(f * lcm) for f in sq]
     content = math.gcd(*g)
@@ -489,6 +482,7 @@ def _rational_root_candidates(p):
         if all(_eval_int(dg, u) % q for u in roots):
             break
     N, D = abs(g[0]), abs(g[-1])
+    cands = set()
     for u in roots:
         m = q
         while m <= 2 * N * D:
@@ -500,17 +494,19 @@ def _rational_root_candidates(p):
     return sorted(cands)
 
 
-def _deflate_root(p, root: Scalar):
-    """Divide out (x - root) as often as it is a root; returns (p, mult)."""
-    mult = 0
-    t = root.tower
-    lin = [-root, t.one()]
-    while p and poly_eval(p, root).is_zero() and poly_degree(p) >= 1:
-        p, rem = poly_divmod(p, lin)
-        if rem:
-            raise ReductionError("a root's linear factor left a remainder")
-        mult += 1
-    return p, mult
+def _deflate(p, root: Scalar):
+    """(p / (t - root)^m, m) for the largest such m: each division by
+    t - root is one Horner pass, which also yields the remainder p(root)."""
+    m = 0
+    while len(p) > 1:
+        acc, quot = p[-1], []
+        for c in reversed(p[:-1]):
+            quot.append(acc)
+            acc = c + acc * root
+        if not acc.is_zero():
+            break
+        p, m = quot[::-1], m + 1
+    return p, m
 
 
 def _sqrt_in_tower(D: Scalar, t: FieldTower):
@@ -544,74 +540,77 @@ def _sqrt_in_tower(D: Scalar, t: FieldTower):
     return None
 
 
+def _quadratic_roots(q, tower: FieldTower):
+    """The distinct roots of the monic quadratic q = [c0, c1, 1] over
+    tower, from its discriminant: over Q rational ones or a generator of
+    Q[a]/(q) and its conjugate, over Q(a) by _sqrt_in_tower."""
+    c0, c1, _ = q
+    D = c1 * c1 - 4 * c0
+    if D.is_zero():
+        return [-c1 / 2]
+    if tower.degree == 1:
+        rd = fraction_sqrt(D.coeffs[0])
+        if rd is None:
+            alpha = tower.adjoin([c0.coeffs[0], c1.coeffs[0], 1]).generator()
+            return [alpha, -c1 - alpha]
+    else:
+        rd = _sqrt_in_tower(D, tower)
+        if rd is None:
+            raise FieldExtensionError("eigenvalue field unsupported")
+    return [(-c1 + rd) / 2, (-c1 - rd) / 2]
+
+
 def roots_of_charpoly(p):
     """All roots of a polynomial over the join of its coefficients' fields.
 
-    Returns a list of (Scalar, multiplicity) in canonical order; each root
-    lives in the field it needs, Q or the (possibly new) quadratic
-    extension.  Raises FieldExtensionError when the splitting field is out
-    of policy.
+    Returns a list of (Scalar, multiplicity) in canonical order; a
+    rational root lives in Q, any other in the field it needs, the
+    coefficients' extension or a new quadratic one.  Raises
+    FieldExtensionError when the splitting field is out of policy.
+
+    The cases, on the monic polynomial: the root 0 is read off the
+    valuation.  A remainder of degree >= 3 sheds rational roots, each
+    candidate (of p times its conjugate over Q(a)) divided out by
+    _deflate, until degree 2 is left.  Degree 1 is solved directly,
+    degree 2 by _quadratic_roots.  A remainder still of degree >= 3 has
+    a squarefree part that must be linear, or quadratic with roots
+    counted by _deflate.  Degree <= 2 and t^k make no poly_divmod call.
     """
     p = poly_trim(p)
     if not p:
         raise ValueError("zero polynomial has no well-defined roots")
     tower = common_tower(*(c.tower for c in p))
     p = poly_monic(p)
-    total = poly_degree(p)
-    if total == 1:
-        r = -p[0]
-        return [(QQ.scalar(r.to_fraction()) if r.is_rational() else r, 1)]
-    roots: list[tuple[Scalar, int]] = []
-
-    def extract_known_roots(p):
-        # deflating a root leaves a subset of the rational roots, so one
-        # sorted candidate list serves the whole loop
-        if all(c.is_rational() for c in p):
-            cands = _rational_root_candidates(p)
-        else:
-            cands = _rational_root_candidates(
-                poly_mul(p, [c.conjugate() for c in p]))
-        found = []
-        for cand in cands:
-            if poly_degree(p) < 1:
+    low = next(k for k, c in enumerate(p) if not c.is_zero())
+    roots = [(QQ.zero(), low)] if low else []
+    p = p[low:]
+    if len(p) > 3:
+        rational = p if all(c.is_rational() for c in p) else poly_mul(
+            p, [c.conjugate() for c in p])
+        for cand in _rational_root_candidates(rational):
+            if len(p) < 4:
                 break
             r = QQ.scalar(cand)
-            if poly_eval(p, r).is_zero():
-                p, m = _deflate_root(p, r)
-                found.append((r, m))
-        return p, found
-
-    p, found = extract_known_roots(p)
-    roots.extend(found)
-
-    while poly_degree(p) >= 1:
+            p, m = _deflate(p, r)
+            if m:
+                roots.append((r, m))
+    k = len(p) - 1
+    if k == 1:
+        roots.append((-p[0], 1))
+    elif k == 2:
+        found = _quadratic_roots(p, tower)
+        roots += [(r, 2 // len(found)) for r in found]   # double, or simple
+    elif k > 2:
         s = squarefree_part(p)
-        if poly_degree(s) == 1:
-            r = -s[0]
-            p, m = _deflate_root(p, r)
-            roots.append((r, m))
-            continue
-        if poly_degree(s) >= 3:
-            raise FieldExtensionError("eigenvalue field unsupported")
-        # irreducible-over-the-tower quadratic remainder
-        c0, c1, _ = poly_monic(s)
-        D = c1 * c1 - 4 * c0
-        if tower.degree == 1:
-            mp = MinimalPolynomial([c0.to_fraction(), c1.to_fraction(), 1])
-            alpha = tower.adjoin(mp).generator()
-            r1, r2 = alpha, -c1 - alpha
+        if len(s) == 2:
+            roots.append((-s[0], k))
+        elif len(s) == 3:
+            r1, r2 = _quadratic_roots(s, tower)
+            m = _deflate(p, r1)[1]
+            roots += [(r1, m), (r2, k - m)]
         else:
-            rd = _sqrt_in_tower(D, tower)
-            if rd is None:
-                raise FieldExtensionError("eigenvalue field unsupported")
-            r1, r2 = (-c1 + rd) / 2, (-c1 - rd) / 2
-        for r in (r1, r2):
-            p, m = _deflate_root(p, r)
-            if m == 0:
-                raise FieldExtensionError("eigenvalue field unsupported")
-            roots.append((r, m))
-
-    if sum(m for _, m in roots) != total:
-        raise ReductionError("root multiplicities do not add up to the degree")
+            raise FieldExtensionError("eigenvalue field unsupported")
+    roots = [(QQ.scalar(r.coeffs[0]) if r.tower.degree > 1 and r.is_rational()
+              else r, m) for r, m in roots]
     roots.sort(key=lambda rm: rm[0].sort_key())
     return roots

@@ -29,10 +29,11 @@ and what a narrower top cuts off themselves.
 
 sum_of_products(start, pairs, tower) is the one kernel for products of
 series: start + s_1 M_1 N_1 + s_2 M_2 N_2 + ... over grids of series, as
-the fold acc = acc + s_k a b from each start entry gives it.  It reads
-each operand entry's coordinates, effective floor, top and field once
-per call, skips a pair with an exact-zero factor and folds each entry
-once.  Series times Series keeps the one-pair rule, which skips nothing:
+the fold acc = acc + s_k a b from each start entry gives it; given a
+fold such as fold_buckets, it returns what the fold makes of each
+entry's buckets in place of the Series.  It reads each operand entry's
+coordinates, effective floor, top and field once per call, skips a pair
+with an exact-zero factor and folds each entry once.  Series times Series keeps the one-pair rule, which skips nothing:
 an exact-zero factor still sets the product's window.  Its pieces are
 public for the graded Riccati solver (reduction.solve_graded):
 term_coordinates splits terms into integer coordinates, product_window
@@ -208,11 +209,13 @@ def fold_scalars(buckets, tower):
             in fold_buckets(buckets, tower.minpoly).items()}
 
 
-def sum_of_products(start, pairs, tower):
+def sum_of_products(start, pairs, tower, fold=None):
     """start + s_1 M_1 N_1 + ... for (s_k, M_k, N_k) in pairs, signs +-1
     and grids (lists of rows) of series: a new grid, each entry what the
     fold acc = acc + s_k a b from its start entry gives, in the join of
-    tower and the fields met, a pair with an exact-zero factor skipped."""
+    tower and the fields met, a pair with an exact-zero factor skipped.
+    With fold given, an entry is fold(buckets, minpoly) of its integer
+    buckets and its field's minimal polynomial instead of a Series."""
     read = {}
 
     def entries(M, sign):
@@ -241,8 +244,8 @@ def sum_of_products(start, pairs, tower):
                         factors.append((ca, cb))
             buckets = add_products(
                 term_coordinates(s.terms, 1) if s.terms else (), factors, hi)
-            row.append(Series._trusted(s.nvars, fold_scalars(buckets, tw), tw,
-                                       lo, hi))
+            row.append(fold(buckets, tw.minpoly) if fold else Series._trusted(
+                s.nvars, fold_scalars(buckets, tw), tw, lo, hi))
         out.append(row)
     return out
 
@@ -326,7 +329,7 @@ class Series:
 
     @property
     def exact(self) -> bool:
-        return all(h == INF for h in self.hi)
+        return min(self.hi) == INF
 
     def is_zero(self) -> bool:
         """Zero within the window.  Combine with .exact for a proof."""

@@ -21,7 +21,7 @@ import hashlib
 
 from .errors import (DimensionError, InputError, NonIntegrableError,
                      ReductionError)
-from .linalg import SeriesMatrix, sum_of_products
+from .linalg import SeriesMatrix, support_of_sum
 from .scalars import common_tower
 from .series import INF, Series, grlex_key
 
@@ -118,21 +118,22 @@ def check_integrability(S: PfaffianSystem) -> IntegrabilityReport:
 
     A_iA_j - A_jA_i must equal x_i^{p_i+1} dA_j/dx_i - x_j^{p_j+1} dA_i/dx_j,
     up to the validity windows of the data.  Each pair's residual is one
-    linalg.sum_of_products, from the two Euler terms, so each entry is
-    exact below its top.  worst names a term of least total degree: the
-    first such entry in (i, j, row, col) order, and in it the least
-    exponent by series.grlex_key.
+    linalg.support_of_sum, from the two Euler terms, so each entry is
+    exact below its top and summed in integers, with no Fraction made.
+    worst names a term of least total degree: the first such entry in
+    (i, j, row, col) order, and in it the least exponent by
+    series.grlex_key.
     """
     worst = None
     for i in range(S.n):
         for j in range(i + 1, S.n):
             Ai, Aj = S.A[i], S.A[j]
-            R = sum_of_products(Ai.euler(j, S.p[j]) - Aj.euler(i, S.p[i]),
-                                [(1, Ai, Aj), (-1, Aj, Ai)])
-            for r, row in enumerate(R.rows):
+            R = support_of_sum(Ai.euler(j, S.p[j]) - Aj.euler(i, S.p[i]),
+                               [(1, Ai, Aj), (-1, Aj, Ai)])
+            for r, row in enumerate(R):
                 for c, e in enumerate(row):
-                    if e.terms:
-                        exp = min(e.terms, key=grlex_key)
+                    if e:
+                        exp = min(e, key=grlex_key)
                         if worst is None or sum(exp) < sum(worst[4]):
                             worst = (i, j, r, c, exp)
     return IntegrabilityReport(worst is None, worst, S.window_hi())

@@ -14,7 +14,7 @@ from pfaffred import (cli, fmfs, parse_system, serialize_solution,
 from pfaffred.cli import main
 from pfaffred.docio import (MAX_DIMENSION, MAX_GAUGE_DEGREE, MAX_GAUGE_OPS,
                             MAX_LITERAL_DIGITS, MAX_POINCARE_RANK,
-                            generate_equivalent)
+                            MAX_VARIABLES, generate_equivalent)
 from pfaffred.errors import InputError
 from pfaffred.reduction import MAX_ORDER, MAX_RETRIES, check_order
 from pfaffred.scalars import QQ
@@ -387,6 +387,29 @@ def test_system_beyond_the_bounds_is_an_input_error(tmp_path, capsys, system,
     path = write_json(tmp_path / "big.json", doc)
     err = run(capsys, ["reduce", path], 1)["error"]
     assert err["type"] == "InputError" and "bound" in err["message"]
+
+
+# check on a d = 1 document of n zero matrices took about n^3 time: 7 s
+# at n = 200, so a 20 KB document ran for minutes
+@pytest.mark.parametrize("command", ["check", "generate"])
+def test_variable_count_is_bounded(tmp_path, capsys, command):
+    def argv(n):
+        if command == "generate":
+            return ["generate", "--d", "1", "--p", ",".join(["0"] * n)]
+        return ["check", write_json(tmp_path / "n.json", {
+            "vars": [f"x{i + 1}" for i in range(n)], "d": 1, "p": [0] * n,
+            "A": [[[[]]]] * n})]
+
+    assert "error" not in run(capsys, argv(MAX_VARIABLES))
+    n = MAX_VARIABLES + 1
+    start = time.perf_counter()
+    assert main(argv(n)) == 1
+    assert time.perf_counter() - start < 0.5
+    out, err = capsys.readouterr()
+    assert json.loads(out)["error"] == {
+        "type": "InputError",
+        "message": f"n = {n} exceeds the bound {MAX_VARIABLES}"}
+    assert err == ""
 
 
 # json.loads refuses an integer literal of more than 4300 digits with a

@@ -223,6 +223,32 @@ def test_joint_block_diagonalize_returns_its_inverse_and_conjugates(build):
                for c, a in enumerate(row) if r != c)
 
 
+def test_joint_eigenbasis_of_one_split_makes_only_the_conjugations(
+        monkeypatch):
+    # the residues of the regular workload's plant g1: the first has four
+    # distinct eigenvalues, so every block is 1x1 and its own identity
+    S, _ = generate_equivalent(1, {"n": 3, "d": 4, "p": [0, 0, 0]})
+    Cs = [A.constant_term() for A in S.A]
+    roots = scalars.roots_of_charpoly(Cs[0].charpoly())
+    assert len(roots) == 4
+    V, _ = linalg.generalized_eigenspaces(Cs[0], roots)
+    Vinv = V.inverse()
+    want = [Vinv * C * V for C in Cs]
+    made = []
+    mul = linalg.ConstMatrix.__mul__
+
+    def spy(x, y):
+        made.append(isinstance(y, linalg.Matrix))
+        return mul(x, y)
+
+    monkeypatch.setattr(linalg.ConstMatrix, "__mul__", spy)
+    W, Winv, conj = driver._joint_block_diagonalize(Cs)
+    assert made == [True] * (2 * len(Cs))
+    # what V Diag(I) and Diag(I) V^-1 gave before
+    assert (W, Winv) == (V, Vinv)
+    assert conj == want
+
+
 # -- full reductions ---------------------------------------------------------
 
 

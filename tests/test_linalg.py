@@ -8,11 +8,12 @@ from pfaffred.errors import DimensionError, NotInvertibleError
 from pfaffred.linalg import (
     ConstMatrix,
     Elimination,
+    Matrix,
     SeriesMatrix,
     SylvesterSolver,
     generalized_eigenspaces,
 )
-from pfaffred.scalars import QQ, Scalar, poly_eval
+from pfaffred.scalars import QQ, Scalar, roots_of_charpoly
 from pfaffred.series import Series
 
 from helpers import dense_grid, mat1
@@ -194,6 +195,34 @@ def test_generalized_eigenspaces_jordan():
     assert B.rows[2][2] == -1
 
 
+@pytest.mark.parametrize("rows", [[[2, 1, 0], [0, 2, 0], [0, 0, -1]],
+                                  [[0, 1], [2, 0]]],
+                         ids=["jordan-Q", "simple-Q(sqrt 2)"])
+def test_generalized_eigenspaces_make_no_matrix_times_scalar(monkeypatch,
+                                                             rows):
+    a = cm(rows)
+    roots = roots_of_charpoly(a.charpoly())
+    scaled = []
+    mul = ConstMatrix.__mul__
+
+    def spy(x, y):
+        if not isinstance(y, Matrix):
+            scaled.append(y)
+        return mul(x, y)
+
+    monkeypatch.setattr(ConstMatrix, "__mul__", spy)
+    V, sizes = generalized_eigenspaces(a, roots)
+    assert scaled == []
+    assert sizes == [m for _, m in roots]
+    # V^-1 a V is block diagonal with one eigenvalue per block
+    B = mul(mul(V.inverse(), a), V)
+    owner = [k for k, s in enumerate(sizes) for _ in range(s)]
+    for r, row in enumerate(B.rows):
+        for c, x in enumerate(row):
+            assert owner[r] == owner[c] or x.is_zero()
+        assert row[r] == roots[owner[r]][0]
+
+
 def test_series_matrix_product():
     a = sm([[1, X1], [0, 1]])
     b = sm([[1, -X1], [0, 1]])
@@ -271,7 +300,7 @@ def test_charpoly_roots_vs_det(rows):
     p = a.charpoly()
     # p(0) = det(-A) = (-1)^3 det(A); compare against series determinant
     det = a.to_series(1).determinant()
-    assert poly_eval(p, QQ.zero()) == -det.constant_term()
+    assert p[0] == -det.constant_term()
 
 
 @given(st.lists(st.lists(entries, min_size=2, max_size=2), min_size=2, max_size=2),
