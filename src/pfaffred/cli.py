@@ -66,8 +66,8 @@ Input bounds, each refused with exit 1 before any work starts:
     --gauge-degree      at most docio.MAX_GAUGE_DEGREE (16), not negative
 The d, n and p_i bounds hold for system documents and for generate.  They
 do not bound the time: determinants take O(d^4) ring operations
-(Berkowitz's algorithm), and a dense d = 24 system runs for about a
-minute.
+(Berkowitz's algorithm), and `invariants` on a dense d = 24 system
+runs for about 30 s before it exits 2.
 
 Output cut short by the reader (`pfaffred reduce --pretty doc | head -1`)
 is not an error: the rest goes to os.devnull and the command's own exit

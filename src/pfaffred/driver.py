@@ -440,8 +440,6 @@ def _reduce(S, ram, order, trace, path, endgame=True):
         # nilpotent at true rank: the growth order is fractional and a
         # ramification makes it visible to the leading constant
         cand = [i for i in range(n) if S.p[i] > 0]
-        if not cand:
-            continue
         i = cand[0]
         if ram[i] > ram_cap:
             if last_fee is not None:

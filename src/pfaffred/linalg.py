@@ -15,12 +15,15 @@ and checked against the others.  SeriesMatrix holds Series entries and
 has no inverse: every series gauge is built with its inverse (see
 system.GaugeTransformation).  A product of SeriesMatrix operands, and
 a sum of them (sum_of_products, or support_of_sum for its exponents
-alone), is one series.sum_of_products call; any other product is
-_product, each entry a _dot that skips a product with an absent factor
-(a zero scalar, or a series zero on an infinite window).  A
-ConstMatrix multiplies a SeriesMatrix, either side, as its to_series
-would, its entries folding Series.__mul__ by a scalar, which scales
-terms where the kernel would form term pairs.
+alone), is one series.sum_of_products call, and so is each row that
+SeriesMatrix.pivot_rows eliminates; any other product is _product,
+each entry a _dot that skips a product with an absent factor (a zero
+scalar, or a series zero on an infinite window).  A ConstMatrix
+multiplies a SeriesMatrix, either side, as its to_series would, its
+entries folding Series.__mul__ by a scalar, which scales terms where
+the kernel would form term pairs.  One rule holds on every path: a
+product with an absent factor is an exact zero, Series.zero or the zero
+scalar in the join of the fields.
 Every characteristic polynomial and determinant comes from Berkowitz's
 division-free algorithm (_charpoly): O(d^4) ring operations over the
 field or over series.
@@ -565,24 +568,26 @@ class SeriesMatrix(Matrix):
 
         Entries that vanish within their window are treated as zero, so
         on truncated data this sees only what is visible.  The pivot rows
-        cut the columns down to a square block of full rank.
+        cut the columns down to a square block of full rank.  A row m_i
+        is eliminated as e m_i - f m_piv, with e the pivot and f the
+        row's entry in its column, by one kernel call from nothing: as
+        in every product, one with an exact-zero factor is Series.zero.
         """
         m = [list(r) for r in self.rows]
-        chosen = []
         rows_left = list(range(self.nrows))
+        start = [[None] * self.ncols]
         for col in range(self.ncols):
             piv = next((i for i in rows_left if not m[i][col].is_zero()), None)
             if piv is None:
                 continue
-            chosen.append(piv)
             rows_left.remove(piv)
-            pe = m[piv][col]
+            pe, prow = [[m[piv][col]]], [m[piv]]
             for i in rows_left:
-                if m[i][col].is_zero():
-                    continue
-                f = m[i][col]
-                m[i] = [pe * a - f * b for a, b in zip(m[i], m[piv])]
-        return sorted(chosen)
+                if not m[i][col].is_zero():
+                    m[i], = series.sum_of_products(
+                        start, [(1, pe, [m[i]]), (-1, [[m[i][col]]], prow)],
+                        self.tower)
+        return [i for i in range(self.nrows) if i not in rows_left]
 
     def rank_generic(self) -> int:
         """Rank over the fraction field of the series ring."""

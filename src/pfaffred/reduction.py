@@ -119,13 +119,14 @@ def integral_cofactors(cols: SeriesMatrix, others, ell: int, slots,
     c; each c_i is found grade by grade, dividing the residual's form of
     degree k + g by D_k, the lowest form of D.  Grades run far enough
     that a window of ell+1 in each slot variable is honest; then
-    cols c = v is checked on all d rows.  Returns (cofactors, info), r
-    series per column of others; cofactors is None when a grade leaves a
-    remainder or a row fails, which certifies that some v is not an
-    integral combination at this truncation.
+    cols c = v is checked on all d rows.  Returns the cofactors, r
+    series per column of others, each exact when the data pins it
+    exactly and clipped to the window otherwise; or None when a grade
+    leaves a remainder or a row fails, which certifies that some v is
+    not an integral combination at this truncation.
     """
     if not others:
-        return [], {"exact": True, "inconsistent_at": None}
+        return []
     tower, nvars, r = cols.tower, cols.nvars, cols.ncols
     rows, D = pivots or (cols.pivot_rows(), None)
     B = cols.submatrix(rows, range(r))
@@ -151,7 +152,7 @@ def integral_cofactors(cols: SeriesMatrix, others, ell: int, slots,
             final=rate >= -(-win // (ell + 1)))
     Dk = D.form(k)
     hi = tuple(ell + 1 if j in slots else INF for j in range(nvars))
-    out, exact = [], True
+    out = []
     for v in others:
         cof = []
         for i in range(r):
@@ -162,13 +163,12 @@ def integral_cofactors(cols: SeriesMatrix, others, ell: int, slots,
                     break
                 c = divide_form(residual.form(k + g), Dk, slots)
                 if c is None:
-                    return None, {"exact": False, "inconsistent_at": g}
+                    return None
                 if c:
                     c_terms.update(c)
                     residual = residual - D * Series(nvars, c, tower)
             ci = Series(nvars, c_terms, tower)
             if not (D.exact and Ri.exact and residual.is_zero()):
-                exact = False
                 ci = ci.clipped(hi)
             cof.append(ci)
         # the Cramer identities pin c over the fraction field; confirm
@@ -176,12 +176,10 @@ def integral_cofactors(cols: SeriesMatrix, others, ell: int, slots,
         E = sum_of_products(SeriesMatrix([[-x] for x in v], nvars, tower),
                             [(1, cols, SeriesMatrix([[c] for c in cof],
                                                     nvars, tower))])
-        for (e,) in E.rows:
-            if not e.is_zero():
-                return None, {"exact": False,
-                              "inconsistent_at": e.total_valuation()}
+        if not E.is_zero():
+            return None
         out.append(cof)
-    return out, {"exact": exact, "inconsistent_at": None}
+    return out
 
 
 def _basis_candidates(A0: SeriesMatrix, r: int):
@@ -241,7 +239,7 @@ def column_reduce(A0: SeriesMatrix, i: int, ell: int) -> ColumnReduction:
                if any(not A0.rows[t][j].is_zero() for t in range(d))]
     for sub, pivots in _basis_candidates(A0, r):
         others = [j for j in nonzero if j not in sub]
-        cof, _ = integral_cofactors(
+        cof = integral_cofactors(
             A0.submatrix(range(d), sub),
             [[A0.rows[t][j] for t in range(d)] for j in others], ell, slots,
             pivots)
@@ -681,9 +679,11 @@ def eigen_shift(S: PfaffianSystem, i: int, gamma: Scalar):
     p = S.p[i]
     if p == 0:
         raise InputError("eigenvalue shift on a regular component")
-    gI = SeriesMatrix.identity(S.d, S.n, S.tower) * gamma
     A = list(S.A)
-    A[i] = A[i] - gI
+    A[i] = SeriesMatrix(A[i].rows, S.n,           # its own copy of the rows
+                        common_tower(A[i].tower, S.tower, gamma.tower))
+    for k, r in enumerate(A[i].rows):
+        r[k] -= gamma
     out = PfaffianSystem(S.vars, S.p, A, S.tower)
     out, _ = normalize_poincare(out)
     return (p, -gamma * Fraction(1, p)), out

@@ -33,8 +33,11 @@ the fold acc = acc + s_k a b from each start entry gives it; given a
 fold such as fold_buckets, it returns what the fold makes of each
 entry's buckets in place of the Series.  It reads each operand entry's
 coordinates, effective floor, top and field once per call, skips a pair
-with an exact-zero factor and folds each entry once.  Series times Series keeps the one-pair rule, which skips nothing:
-an exact-zero factor still sets the product's window.  Its pieces are
+with an exact-zero factor and folds each entry once.  A start entry of
+None starts from nothing.  Series times Series is its one-entry case
+from None.  One rule holds on every path: a product with an exact-zero
+factor (a zero scalar, or a series that is zero on an infinite window)
+is Series.zero in the join of the fields.  The kernel's pieces are
 public for the graded Riccati solver (reduction.solve_graded):
 term_coordinates splits terms into integer coordinates, product_window
 is the window of one product, add_products adds term pairs below a top
@@ -214,8 +217,11 @@ def sum_of_products(start, pairs, tower, fold=None):
     and grids (lists of rows) of series: a new grid, each entry what the
     fold acc = acc + s_k a b from its start entry gives, in the join of
     tower and the fields met, a pair with an exact-zero factor skipped.
-    With fold given, an entry is fold(buckets, minpoly) of its integer
-    buckets and its field's minimal polynomial instead of a Series."""
+    A start entry of None starts from nothing: the entry holds its
+    products alone, window included, and is Series.zero when every pair
+    is skipped.  With fold given, an entry is fold(buckets, minpoly) of
+    its integer buckets and its field's minimal polynomial instead of a
+    Series."""
     read = {}
 
     def entries(M, sign):
@@ -232,7 +238,13 @@ def sum_of_products(start, pairs, tower, fold=None):
     for r, srow in enumerate(start):
         row = []
         for c, s in enumerate(srow):
-            lo, hi, tw = s.lo, s.hi, common_tower(s.tower, tower)
+            if s is None:       # nothing yet: no terms, floor or top
+                n, tw, sc = pairs[0][1][0][0].nvars, tower, ()
+                lo = hi = (INF,) * n
+            else:
+                n, lo, hi = s.nvars, s.lo, s.hi
+                tw = common_tower(s.tower, tower)
+                sc = term_coordinates(s.terms, 1) if s.terms else ()
             factors = []
             for rows, cols in grids:
                 for a, b in zip(rows[r], cols[c]):
@@ -242,10 +254,11 @@ def sum_of_products(start, pairs, tower, fold=None):
                         if ta is not tw or tb is not tw:
                             tw = common_tower(tw, ta, tb)
                         factors.append((ca, cb))
-            buckets = add_products(
-                term_coordinates(s.terms, 1) if s.terms else (), factors, hi)
+            if s is None and not factors:
+                lo = (0,) * n           # every pair skipped: Series.zero
+            buckets = add_products(sc, factors, hi)
             row.append(fold(buckets, tw.minpoly) if fold else Series._trusted(
-                s.nvars, fold_scalars(buckets, tw), tw, lo, hi))
+                n, fold_scalars(buckets, tw), tw, lo, hi))
         out.append(row)
     return out
 
@@ -433,9 +446,9 @@ class Series:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
             c, tower = join_scalar(other, self.tower)
+            if c.is_zero() or not self.terms and self.exact:
+                return Series.zero(self.nvars, tower)
             lo = self.effective_floor()
-            if c.is_zero():
-                return Series.zero(self.nvars, tower, lo, self.hi)
             if c.tower.degree == 1 and c.coeffs[0] == 1:
                 # a rational 1 shares the terms as they are
                 return Series._trusted(self.nvars, self.terms, tower, lo,
@@ -445,16 +458,10 @@ class Series:
                                    tower, lo, self.hi)
         if not isinstance(other, Series):
             return NotImplemented
-        n = self.nvars
-        if other.nvars != n:
+        if other.nvars != self.nvars:
             raise DimensionError("variable counts differ")
-        lo, hi = product_window(self.effective_floor(), self.hi,
-                                other.effective_floor(), other.hi,
-                                (INF,) * n, (INF,) * n)
-        tower = common_tower(self.tower, other.tower)
-        buckets = add_products((), ((term_coordinates(self.terms, 1),
-                                     term_coordinates(other.terms, 1)),), hi)
-        return Series._trusted(n, fold_scalars(buckets, tower), tower, lo, hi)
+        return sum_of_products([[None]], [(1, [[self]], [[other]])],
+                               common_tower(self.tower, other.tower))[0][0]
 
     __rmul__ = __mul__
 

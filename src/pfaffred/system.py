@@ -73,7 +73,7 @@ class PfaffianSystem:
         return all(M.exact for M in self.A)
 
     def window_hi(self):
-        return tuple(min(M.window_hi()[k] for M in self.A) for k in range(self.n))
+        return tuple(map(min, zip(*(M.window_hi() for M in self.A))))
 
     def clipped(self, hi):
         return PfaffianSystem(self.vars, self.p, [M.clipped(hi) for M in self.A],

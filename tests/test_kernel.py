@@ -6,9 +6,10 @@ tower), which adds integer numerator products in buckets.  Each entry
 must be exactly what the fold acc = acc + s_k a b from its start entry
 gives, a pair with an exact-zero factor skipped: a SeriesMatrix product
 is its sum from Series.zero, a Berkowitz step its 1 x k sum from the
-step's first addend.  Series.__mul__ does not skip: it is the one-pair
-product, window included, even when a factor is an exact zero.
-Series.__add__ and the kernel build their results without the public
+step's first addend, Series.__mul__ its one-pair sum from nothing.  One
+rule holds on every path: a product with an exact-zero factor (a zero
+scalar, or a series zero on an infinite window) is Series.zero in the
+join of the fields.  Series.__add__ and the kernel build their results without the public
 constructor's checks.  The reference implementations below are the
 plain loops those replaced: every result goes through the public
 constructor, each term pair is a Scalar product, and a sum of products
@@ -54,6 +55,10 @@ K2 = QQ.adjoin([-2, 0, 1])  # the same field, another object
 # -- reference implementations ----------------------------------------------
 
 
+def exact_zero(s):
+    return s.is_zero() and s.exact
+
+
 def ref_add(a, b):
     lo = tuple(min(x, y) for x, y in zip(a.lo, b.lo))
     hi = tuple(min(x, y) for x, y in zip(a.hi, b.hi))
@@ -70,6 +75,8 @@ def ref_neg(a):
 
 
 def ref_mul(a, b):
+    if exact_zero(a) or exact_zero(b):
+        return Series.zero(a.nvars, common_tower(a.tower, b.tower))
     fla, flb = a.effective_floor(), b.effective_floor()
     lo = tuple(x + y for x, y in zip(fla, flb))
     hi = tuple(min(ha + lb, hb + la)
@@ -237,6 +244,36 @@ def test_negation_scalar_product_and_shift_keep_the_invariant(pair, c):
     assert moved.lo == tuple(l + k for l, k in zip(a.lo, shift))
 
 
+@st.composite
+def series_and_exact_zeros(draw):
+    """A series and an exact zero in as many variables, the zero over Q
+    or Q(sqrt 2) with a declared floor in [-2, 1]."""
+    n = draw(st.integers(1, 3))
+    lo = tuple(draw(st.integers(-2, 1)) for _ in range(n))
+    return draw(series(n)), Series.zero(n, draw(st.sampled_from([QQ, K])), lo)
+
+
+@given(series_and_exact_zeros(), st.sampled_from([QQ, K]).flatmap(scalars))
+@settings(max_examples=150, deadline=None)
+def test_a_product_with_an_exact_zero_factor_is_series_zero(case, c):
+    # the one rule, on every path that multiplies by an exact zero
+    a, z = case
+    n = a.nvars
+    zero = lambda *fields: signature(Series.zero(n, common_tower(*fields)))
+    za = ConstMatrix([[c.tower.zero()]], c.tower)
+    A, Z = SeriesMatrix([[a]], n, a.tower), SeriesMatrix([[z]], n, z.tower)
+    for got, fields in ((a * z, (a.tower, z.tower)),
+                        (z * a, (z.tower, a.tower)),
+                        (a * 0, (a.tower,)),
+                        (a * c.tower.zero(), (a.tower, c.tower)),
+                        (z * c, (z.tower, c.tower)),
+                        ((A * Z).rows[0][0], (a.tower, z.tower)),
+                        ((Z * A).rows[0][0], (z.tower, a.tower)),
+                        ((za * A).rows[0][0], (c.tower, a.tower)),
+                        ((A * za).rows[0][0], (a.tower, c.tower))):
+        assert signature(got) == zero(*fields)
+
+
 def test_a_rational_one_shares_the_terms_and_a_field_one_lifts_them():
     q = Series(1, {(0,): QQ.scalar(2), (1,): QQ.one()}, QQ, hi=(3,))
     k = Series(1, {(0,): QQ.scalar(2), (1,): K.generator()}, K)
@@ -329,10 +366,6 @@ def products_from_a_start(draw):
     pairs = [(draw(series(n)), draw(series(n)))
              for _ in range(draw(st.integers(0, 4)))]
     return draw(series(n)), pairs
-
-
-def exact_zero(s):
-    return s.is_zero() and s.exact
 
 
 @given(products_from_a_start())

@@ -7,6 +7,10 @@ import ast
 from pathlib import Path
 
 import pfaffred
+from pfaffred import series
+from pfaffred.linalg import SeriesMatrix
+from pfaffred.scalars import QQ
+from pfaffred.series import Series
 
 PACKAGE = Path(pfaffred.__file__).parent
 
@@ -306,10 +310,12 @@ SOLVER_HOME = ("reduction.py", "solve_graded")
 
 
 def nodes_by_function(node, top=None):
-    """(node, the top-level function holding it or None) for node and
-    each node below it, in source order; a node in a nested function
-    counts for the function it is nested in."""
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+    """(node, the top-level function or class holding it or None) for
+    node and each node below it, in source order; a node in a nested
+    function or in a method counts for the function or class it is
+    nested in."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef)):
         top = top or node.name
     yield node, top
     for child in ast.iter_child_nodes(node):
@@ -383,13 +389,14 @@ def test_modules_above_the_kernel_use_no_coordinate_piece():
     assert {k: v for k, v in found.items() if v} == {}
 
 
-def stray_coordinate_names(path):
-    """(line, name) for each coordinate piece the module names outside
-    its function solve_graded, per nodes_by_function."""
+def stray_coordinate_names(path, homes=("solve_graded",),
+                           pieces=COORDINATE_PIECES):
+    """(line, name) for each of the pieces the module names outside its
+    top-level functions homes, per nodes_by_function."""
     return [(node.lineno, name_of(node))
             for node, top in nodes_by_function(
                 ast.parse(path.read_text(), str(path)))
-            if name_of(node) in COORDINATE_PIECES and top != "solve_graded"]
+            if name_of(node) in pieces and top not in homes]
 
 
 def test_only_solve_graded_names_a_coordinate_piece_in_reduction():
@@ -409,3 +416,46 @@ def test_coordinate_name_check_sees_a_planted_name(tmp_path):
         "    return grid_product\n")
     assert stray_coordinate_names(tmp_path / "reduction.py") == [
         (10, "fold_scalars"), (11, "grid_product")]
+
+
+# inside series, the pieces of one product belong to the kernel and its
+# matrix and fold helpers; Series itself multiplies by calling the kernel
+KERNEL_PIECES = {"add_products", "product_window", "term_coordinates",
+                 "fold_scalars"}
+KERNEL_HOMES = ("sum_of_products", "grid_product", "coordinate_grid",
+                "fold_buckets", "fold_coordinates", "fold_scalars")
+
+
+def test_only_the_kernel_names_a_product_piece_in_series():
+    assert stray_coordinate_names(PACKAGE / "series.py", KERNEL_HOMES,
+                                  KERNEL_PIECES) == []
+
+
+def test_product_piece_check_sees_a_planted_name(tmp_path):
+    (tmp_path / "series.py").write_text(
+        "def sum_of_products(start, pairs):\n"
+        "    return add_products(start, pairs, product_window)\n\n\n"
+        "def restrict(s):\n    return term_coordinates(s, 1)\n\n\n"
+        "class Series:\n"
+        "    def sum_of_products(self, other):\n"
+        "        return fold_scalars(self, other)\n")
+    assert stray_coordinate_names(tmp_path / "series.py", KERNEL_HOMES,
+                                  KERNEL_PIECES) == [
+        (6, "term_coordinates"), (11, "fold_scalars")]
+
+
+def test_series_products_and_pivot_steps_are_kernel_calls(monkeypatch):
+    # a * b is one kernel call, and pivot_rows makes one per row it
+    # eliminates: the 3 x 3 matrix below eliminates row 2 at column 0
+    # (row 1 holds an exact zero there) and row 2 again at column 1
+    calls, kernel = [], series.sum_of_products
+    monkeypatch.setattr(series, "sum_of_products",
+                        lambda *a: calls.append(1) or kernel(*a))
+    x, y = (Series.monomial(2, e, 1, QQ) for e in ((1, 0), (0, 1)))
+    one, zero = Series.constant(2, 1, QQ), Series.zero(2, QQ)
+    (1 + x) * (y - 2)
+    assert len(calls) == 1
+    calls.clear()
+    M = SeriesMatrix([[x, one, zero], [zero, x, one], [y, zero, x]], 2, QQ)
+    assert M.pivot_rows() == [0, 1, 2]
+    assert len(calls) == 2

@@ -70,11 +70,10 @@ def test_cofactors_recover_exact_combination():
     M = cofactor_fixture()
     B = M.submatrix(range(3), range(3))
     v4 = [M.rows[t][3] for t in range(3)]
-    (cof,), info = integral_cofactors(B, [v4], 3, [0])
+    (cof,) = integral_cofactors(B, [v4], 3, [0])
     assert [c.coefficient((0,)) for c in cof] == [QQ.one(), QQ.zero(), QQ.one()]
     assert all(len(c.terms) <= 1 for c in cof)
-    assert info["exact"]
-    assert info["inconsistent_at"] is None
+    assert all(c.exact for c in cof)
 
 
 def test_cofactors_refuse_short_window():
@@ -91,16 +90,15 @@ def test_cofactors_refuse_short_window():
 def test_cofactors_detect_non_membership():
     B = mat1([[{1: 1}]])
     one = poly1({0: 1})
-    cof, info = integral_cofactors(B, [[one]], 4, [0])
-    assert cof is None
+    assert integral_cofactors(B, [[one]], 4, [0]) is None
 
 
 def test_cofactors_window_inexact_but_sufficient():
     B = mat1([[{1: 1}]]).clipped((10,))
-    (cof,), info = integral_cofactors(
+    (cof,) = integral_cofactors(
         B, [[poly1({2: 1}).clipped((10,))]], 3, [0])
     assert cof[0].coefficient((1,)) == QQ.one()
-    assert not info["exact"]
+    assert not cof[0].exact
 
 
 # the per-grade linear solve that the division replaced, kept as its
